@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
 
   // --- the storm sweep.
   std::vector<std::size_t> sizes =
-      quick ? std::vector<std::size_t>{1'000, 5'000}
+      quick ? std::vector<std::size_t>{1'000, 20'000}
             : std::vector<std::size_t>{1'000, 10'000, 100'000};
 
   BenchJson json("storm");

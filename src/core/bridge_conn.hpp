@@ -118,6 +118,10 @@ class BridgeConn {
   std::size_t secondary_queue_bytes() const { return s_queue_.total_bytes(); }
   std::uint64_t merged_bytes_sent() const { return next_to_client_ <= 1 ? 0 : next_to_client_ - 1; }
   bool handshake_done() const { return syn_sent_to_remote_; }
+  /// When the owning bridge reaps this connection if the handshake has
+  /// not completed by then (set once, at creation).
+  SimTime handshake_deadline() const { return handshake_deadline_; }
+  void set_handshake_deadline(SimTime t) { handshake_deadline_ = t; }
 
  private:
   void try_send_syn();
@@ -144,6 +148,7 @@ class BridgeConn {
   bool syn_sent_to_remote_ = false;
   bool server_initiated_ = false;  // our SYNs carry no ACK (§7.2)
   bool remote_isn_known_ = false;
+  SimTime handshake_deadline_ = 0;
   tfo::Seq32 iss_p_ = 0, iss_s_ = 0, irs_ = 0;
   std::uint16_t mss_p_ = 0, mss_s_ = 0;
   std::uint16_t syn_win_p_ = 0, syn_win_s_ = 0;

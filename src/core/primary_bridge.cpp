@@ -113,8 +113,8 @@ BridgeConn& PrimaryBridge::conn_for(const ConnKey& key) {
     // burst must not grow the bridge table without bound.
     const SimTime deadline =
         host_.simulator().now() + static_cast<SimTime>(tombstone_ttl_);
-    embryonic_.insert_or_assign(key, deadline);
-    arm_tombstone_sweep(deadline);
+    (*r.first)->set_handshake_deadline(deadline);
+    enqueue_expiry({deadline, key, ExpiryKind::kHandshake});
     publish_gauges();
     note_event(obs::EventKind::kConnCreated, key);
     TFO_LOG(kDebug, "bridge") << "primary bridge: new connection " << key.str();
@@ -287,6 +287,7 @@ void PrimaryBridge::rekey_local(ip::Ipv4 from, ip::Ipv4 to) {
   for (const auto& [key, conn] : moved) conns_.erase(key);
   for (auto& [old_key, conn] : moved) {
     conn->rebind_local(to);
+    carry_handshake_watch(*conn);
     const ConnKey key = conn->key();
     conns_.insert_or_assign(key, std::move(conn));
   }
@@ -298,14 +299,18 @@ void PrimaryBridge::rekey_remote(const ConnKey& old_key, ip::Ipv4 new_remote) {
   std::unique_ptr<BridgeConn> conn = std::move(*v);
   conns_.erase(old_key);
   conn->rebind_remote(new_remote);
+  carry_handshake_watch(*conn);
   const ConnKey key = conn->key();
   conns_.insert_or_assign(key, std::move(conn));
-  // Carry pending expiry bookkeeping across the rekey.
-  if (const SimTime* d = embryonic_.find_value(old_key)) {
-    const SimTime deadline = *d;
-    embryonic_.erase(old_key);
-    embryonic_.insert_or_assign(key, deadline);
-  }
+}
+
+void PrimaryBridge::carry_handshake_watch(const BridgeConn& conn) {
+  // The entry under the old key stays queued and still fires the sweep at
+  // this deadline; the copy under the new key is the one that can reap.
+  // (A connection still embryonic past its deadline cannot exist: the
+  // sweep at that deadline reaped it.)
+  if (conn.handshake_done()) return;
+  enqueue_expiry({conn.handshake_deadline(), conn.key(), ExpiryKind::kHandshake});
 }
 
 void PrimaryBridge::divergence(const ConnKey& key) {
@@ -348,7 +353,7 @@ void PrimaryBridge::schedule_removal(const ConnKey& key) {
   note_event(obs::EventKind::kTombstoneCreated, key,
              "ttl_ns=" + std::to_string(tombstone_ttl_));
   publish_gauges();
-  arm_tombstone_sweep(expiry);
+  enqueue_expiry({expiry, key, ExpiryKind::kTombstone});
   // Deferred erase: we may be inside this connection's own event handler.
   // Removals arriving in the same instant share one event (a mass-close
   // storm would otherwise schedule one per connection). The sentinel
@@ -366,6 +371,31 @@ void PrimaryBridge::schedule_removal(const ConnKey& key) {
   }
 }
 
+void PrimaryBridge::enqueue_expiry(const Expiry& e) {
+  // Fresh entries (deadline now + TTL) land at the back, so this is an
+  // append; only a watch carried across a rekey lands in the middle.
+  expiry_.insert(std::upper_bound(expiry_.begin(), expiry_.end(), e.deadline,
+                                  [](SimTime d, const Expiry& x) {
+                                    return d < x.deadline;
+                                  }),
+                 e);
+  arm_tombstone_sweep(e.deadline);
+}
+
+bool PrimaryBridge::expiry_pending(const Expiry& e) const {
+  if (e.kind == ExpiryKind::kTombstone) {
+    // Re-tombstoning a key (divergence, then fully_closed) moves its
+    // deadline later; only the latest entry counts.
+    const SimTime* d = tombstones_.find_value(e.key);
+    return d != nullptr && *d == e.deadline;
+  }
+  // A watch whose connection already closed still fires the sweep at its
+  // deadline, as it always has; only a newer connection under the same
+  // key, with a later deadline of its own, supersedes it.
+  const auto* v = conns_.find_value(e.key);
+  return v == nullptr || (*v)->handshake_deadline() == e.deadline;
+}
+
 void PrimaryBridge::arm_tombstone_sweep(SimTime deadline) {
   // One timer tracks the earliest pending expiry; sweeping re-arms it for
   // the next. Entries all share one TTL, so a later insert never needs to
@@ -377,42 +407,29 @@ void PrimaryBridge::arm_tombstone_sweep(SimTime deadline) {
 
 void PrimaryBridge::sweep_tombstones() {
   const SimTime now = host_.simulator().now();
-  std::vector<ConnKey> expired;
-  SimTime next = 0;
-  tombstones_.for_each([&](const ConnKey& key, SimTime deadline) {
-    if (deadline <= now) {
-      expired.push_back(key);
-    } else if (next == 0 || deadline < next) {
-      next = deadline;
+  while (!expiry_.empty() && expiry_.front().deadline <= now) {
+    const Expiry e = expiry_.front();
+    expiry_.pop_front();
+    if (!expiry_pending(e)) continue;
+    if (e.kind == ExpiryKind::kTombstone) {
+      note_event(obs::EventKind::kTombstoneExpired, e.key);
+      tombstones_.erase(e.key);
+      continue;
     }
-  });
-  for (const ConnKey& key : expired) {
-    note_event(obs::EventKind::kTombstoneExpired, key);
-    tombstones_.erase(key);
-  }
-  // Handshake watch: entries past their deadline leave the watch list;
-  // those whose BridgeConn never completed the handshake take the
-  // stillborn connection state with them.
-  std::vector<ConnKey> watch_done;
-  embryonic_.for_each([&](const ConnKey& key, SimTime deadline) {
-    if (deadline <= now) {
-      watch_done.push_back(key);
-    } else if (next == 0 || deadline < next) {
-      next = deadline;
-    }
-  });
-  for (const ConnKey& key : watch_done) {
-    embryonic_.erase(key);
-    auto* v = conns_.find_value(key);
+    // Handshake watch: a connection that never completed the handshake
+    // is stillborn and goes; one that did simply stops being watched.
+    auto* v = conns_.find_value(e.key);
     if (v != nullptr && !(*v)->handshake_done()) {
-      conns_.erase(key);
+      conns_.erase(e.key);
       ctr_embryonic_reaped_->inc();
       TFO_LOG(kDebug, "bridge")
-          << "primary bridge: reaped embryonic connection " << key.str();
+          << "primary bridge: reaped embryonic connection " << e.key.str();
     }
   }
+  // Stale entries at the front must not fire the timer early.
+  while (!expiry_.empty() && !expiry_pending(expiry_.front())) expiry_.pop_front();
   publish_gauges();
-  if (next != 0) arm_tombstone_sweep(next);
+  if (!expiry_.empty()) arm_tombstone_sweep(expiry_.front().deadline);
 }
 
 bool PrimaryBridge::tombstoned(const ConnKey& key) const {

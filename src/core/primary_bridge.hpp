@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -93,6 +94,20 @@ class PrimaryBridge : public BridgeConnSink {
   void fully_closed(const tcp::ConnKey& key) override;
 
  private:
+  /// What an expiry-queue entry guards: a tombstone, or the handshake
+  /// watch of a new connection. A client SYN creates a BridgeConn before
+  /// the server TCP decides to accept — if the SYN dies in a backlog
+  /// overflow (or the client vanishes), no teardown ever fires
+  /// fully_closed, so the watch reaps a connection still not handshaken
+  /// at its deadline (bridge.embryonic_reaped); without it a SYN burst
+  /// would grow conns_ forever.
+  enum class ExpiryKind : std::uint8_t { kTombstone, kHandshake };
+  struct Expiry {
+    SimTime deadline;
+    tcp::ConnKey key;
+    ExpiryKind kind;
+  };
+
   tcp::TapVerdict outbound_tap(tcp::TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& dst);
   tcp::TapVerdict inbound_tap(tcp::TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& dst,
                               const ip::RxMeta& meta);
@@ -101,11 +116,18 @@ class PrimaryBridge : public BridgeConnSink {
   BridgeConn& conn_for(const tcp::ConnKey& key);
   void schedule_removal(const tcp::ConnKey& key);
   bool tombstoned(const tcp::ConnKey& key) const;
-  /// (Re)arms the sweep timer for the earliest tombstone deadline.
+  /// Queues `e` in deadline order and arms the sweep for it.
+  void enqueue_expiry(const Expiry& e);
+  /// Re-enqueues a rekeyed connection's handshake watch under its new key
+  /// unless the handshake already completed.
+  void carry_handshake_watch(const BridgeConn& conn);
+  /// False once `e` was superseded: the sweep timer never fires for it.
+  bool expiry_pending(const Expiry& e) const;
+  /// (Re)arms the sweep timer for the earliest expiry deadline.
   void arm_tombstone_sweep(SimTime deadline);
-  /// Timer-driven tombstone expiry: runs at the earliest deadline and
-  /// re-arms for the next one, so an idle bridge still drains its table
-  /// (the old expiry only ran opportunistically on incoming traffic).
+  /// Timer-driven expiry of tombstones and handshake watches: runs at the
+  /// earliest deadline, pops what expired and re-arms for the next, so an
+  /// idle bridge still drains its tables. Costs O(entries popped).
   void sweep_tombstones();
   void ack_stray_fin_from_remote(const tcp::TcpSegment& seg, ip::Ipv4 remote,
                                  ip::Ipv4 local);
@@ -126,16 +148,14 @@ class PrimaryBridge : public BridgeConnSink {
   FlatSet<tcp::ConnKey, tcp::ConnKeyHash> excluded_;
   /// Recently closed connections (§8: the bridge must still acknowledge
   /// FIN retransmissions after deleting a connection's data structures),
-  /// keyed to their expiry time. Drained by sweep_timer_.
+  /// keyed to their expiry time. Drained through expiry_.
   FlatMap<tcp::ConnKey, SimTime, tcp::ConnKeyHash> tombstones_;
-  /// Newly created bridge connections, keyed to a handshake deadline. A
-  /// client SYN creates a BridgeConn before the server TCP decides to
-  /// accept — if the SYN dies in a backlog overflow (or the client
-  /// vanishes), no teardown ever fires fully_closed, and without this
-  /// sweep a SYN burst would grow conns_ forever. Entries whose
-  /// connection completed the handshake are simply dropped at deadline;
-  /// the rest are reaped (bridge.embryonic_reaped).
-  FlatMap<tcp::ConnKey, SimTime, tcp::ConnKeyHash> embryonic_;
+  /// Every tombstone and handshake watch, in deadline order. Each gets
+  /// deadline now + tombstone_ttl_, one TTL for all, so appending keeps
+  /// the queue sorted and a sweep pops only what expired. Entries go
+  /// stale in place (a key re-tombstoned later, a watch superseded by a
+  /// newer connection under the same key) and are dropped when popped.
+  std::deque<Expiry> expiry_;
   SimDuration tombstone_ttl_;
   sim::Timer sweep_timer_;
   /// Connections awaiting deferred erase (batched into one event per

@@ -8,6 +8,7 @@
 #include "apps/echo.hpp"
 #include "apps/topology.hpp"
 #include "core/replica_group.hpp"
+#include "tcp/segment.hpp"
 #include "test_util.hpp"
 
 namespace tfo::test {
@@ -61,6 +62,22 @@ inline std::unique_ptr<ReplicatedLan> make_replicated_lan(
   }
   r->group->start();
   return r;
+}
+
+/// Sends one bare client SYN (the client's TCP knows nothing of it, so it
+/// is never retransmitted) and returns the server-side key for it.
+inline tcp::ConnKey inject_client_syn(apps::Host& client, ip::Ipv4 server,
+                                      std::uint16_t server_port,
+                                      std::uint16_t client_port) {
+  tcp::TcpSegment syn;
+  syn.src_port = client_port;
+  syn.dst_port = server_port;
+  syn.seq = 424242;
+  syn.flags = tcp::Flags::kSyn;
+  syn.window = 65535;
+  client.ip().send(ip::Proto::kTcp, client.address(), server,
+                   syn.serialize(client.address(), server));
+  return tcp::ConnKey{server, server_port, client.address(), client_port};
 }
 
 /// A client that sends `total` bytes in `chunk`-sized pieces as echoes

@@ -16,8 +16,12 @@ using test::run_until;
 
 // ----------------------------------------------- crash-at-time property
 
+// gtest prints a parameter without a PrintTo overload as a byte dump, and
+// that dump is part of the test name ctest registers. The padding is
+// spelled out as a zeroed member so the name holds no uninitialised bytes.
 struct CrashParam {
   bool crash_primary;
+  std::uint8_t pad[7] = {};
   SimDuration at;
   const char* label;
 };
@@ -43,18 +47,18 @@ TEST_P(CrashTimeSweep, ByteStreamIntact) {
 INSTANTIATE_TEST_SUITE_P(
     Times, CrashTimeSweep,
     ::testing::Values(
-        CrashParam{true, 0, "P_at_t0"},
-        CrashParam{true, microseconds(100), "P_during_handshake"},
-        CrashParam{true, microseconds(500), "P_at_500us"},
-        CrashParam{true, milliseconds(2), "P_at_2ms"},
-        CrashParam{true, milliseconds(10), "P_at_10ms"},
-        CrashParam{true, milliseconds(40), "P_at_40ms"},
-        CrashParam{false, 0, "S_at_t0"},
-        CrashParam{false, microseconds(100), "S_during_handshake"},
-        CrashParam{false, microseconds(500), "S_at_500us"},
-        CrashParam{false, milliseconds(2), "S_at_2ms"},
-        CrashParam{false, milliseconds(10), "S_at_10ms"},
-        CrashParam{false, milliseconds(40), "S_at_40ms"}),
+        CrashParam{.crash_primary = true, .at = 0, .label = "P_at_t0"},
+        CrashParam{.crash_primary = true, .at = microseconds(100), .label = "P_during_handshake"},
+        CrashParam{.crash_primary = true, .at = microseconds(500), .label = "P_at_500us"},
+        CrashParam{.crash_primary = true, .at = milliseconds(2), .label = "P_at_2ms"},
+        CrashParam{.crash_primary = true, .at = milliseconds(10), .label = "P_at_10ms"},
+        CrashParam{.crash_primary = true, .at = milliseconds(40), .label = "P_at_40ms"},
+        CrashParam{.crash_primary = false, .at = 0, .label = "S_at_t0"},
+        CrashParam{.crash_primary = false, .at = microseconds(100), .label = "S_during_handshake"},
+        CrashParam{.crash_primary = false, .at = microseconds(500), .label = "S_at_500us"},
+        CrashParam{.crash_primary = false, .at = milliseconds(2), .label = "S_at_2ms"},
+        CrashParam{.crash_primary = false, .at = milliseconds(10), .label = "S_at_10ms"},
+        CrashParam{.crash_primary = false, .at = milliseconds(40), .label = "S_at_40ms"}),
     [](const ::testing::TestParamInfo<CrashParam>& info) { return info.param.label; });
 
 // ------------------------------------------------------- multiple hosts

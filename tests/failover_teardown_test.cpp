@@ -1,6 +1,7 @@
 // §8 connection-termination corner cases at system level: stray FIN
 // retransmissions after the bridge deleted its per-connection state,
-// tombstone lifecycle, closes racing failovers — plus end-to-end replica
+// tombstone lifecycle, handshake-watch reaping of connections whose
+// handshake never completes, closes racing failovers — plus end-to-end replica
 // divergence detection with genuinely non-deterministic applications.
 #include <gtest/gtest.h>
 
@@ -235,6 +236,121 @@ TEST(Teardown, ManySequentialSessionsLeaveNoResidue) {
     return r->primary().tcp().connection_count() == 0 &&
            r->secondary().tcp().connection_count() == 0;
   }, seconds(60)));
+}
+
+// --------------------------------------------------------- expiry queue
+// Tombstones and handshake watches share one deadline-ordered queue; every
+// entry lives exactly 4*MSL from the instant it was made.
+
+using test::inject_client_syn;
+
+/// Runs until `bridge` holds `key`; returns that instant (the creation
+/// time its handshake watch counts from).
+SimTime run_until_tracked(sim::Simulator& sim, PrimaryBridge& bridge,
+                          const tcp::ConnKey& key) {
+  EXPECT_TRUE(run_until(sim, [&] { return bridge.find(key) != nullptr; },
+                        seconds(1)));
+  return sim.now();
+}
+
+std::uint64_t embryonic_reaped(apps::Host& host) {
+  return host.obs().registry.counter_value("bridge.embryonic_reaped");
+}
+
+TEST(ExpiryQueue, SynLostToBacklogOverflowIsReapedAfterFourMsl) {
+  apps::LanParams lp;
+  lp.tcp.listen_backlog = 0;  // every SYN overflows, on both replicas
+  auto r = make_replicated_lan(lp);
+  PrimaryBridge& bridge = r->group->primary_bridge();
+  const SimDuration ttl = 4 * lp.tcp.msl;
+
+  const tcp::ConnKey key =
+      inject_client_syn(r->client(), r->primary().address(), kEchoPort, 40000);
+  const SimTime created = run_until_tracked(r->sim(), bridge, key);
+  r->sim().run_until(created + static_cast<SimTime>(ttl) - 1);
+  EXPECT_GE(r->primary().obs().registry.counter_value("tcp.listen_overflows"), 1u);
+  EXPECT_NE(bridge.find(key), nullptr);
+  EXPECT_EQ(embryonic_reaped(r->primary()), 0u);
+
+  r->sim().run_until(created + static_cast<SimTime>(ttl));
+  EXPECT_EQ(bridge.find(key), nullptr);
+  EXPECT_EQ(embryonic_reaped(r->primary()), 1u);
+  EXPECT_EQ(bridge.connection_count(), 0u);
+}
+
+TEST(ExpiryQueue, HandshakenConnectionIsNeverReaped) {
+  auto r = make_replicated_lan();
+  test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 2000, 500);
+  ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(60)));
+  // Idle well past the handshake deadline with the connection still open.
+  r->sim().run_for(3 * 4 * r->primary().tcp().params().msl);
+  EXPECT_EQ(r->group->primary_bridge().connection_count(), 1u);
+  EXPECT_EQ(embryonic_reaped(r->primary()), 0u);
+  EXPECT_NE(r->group->primary_bridge().find(tcp::ConnKey{
+                r->primary().address(), kEchoPort, r->client().address(),
+                d.connection().key().local_port}),
+            nullptr);
+}
+
+TEST(ExpiryQueue, KeyTombstonedTwiceExpiresAtTheLaterDeadline) {
+  auto r = make_replicated_lan();
+  PrimaryBridge& bridge = r->group->primary_bridge();
+  const SimTime ttl = static_cast<SimTime>(4 * r->primary().tcp().params().msl);
+  const tcp::ConnKey key = run_full_session(*r);
+  const auto& timeline = r->primary().obs().timeline;
+  const auto created = timeline.filter(obs::EventKind::kTombstoneCreated);
+  ASSERT_EQ(created.size(), 1u);
+  const SimTime first = created.front().t;
+
+  // Tombstone the same key again half a TTL later.
+  r->sim().run_until(first + ttl / 2);
+  bridge.fully_closed(key);
+  const SimTime second = r->sim().now();
+
+  r->sim().run_until(first + ttl);
+  EXPECT_EQ(bridge.tombstone_count(), 1u) << "expired at the superseded deadline";
+  EXPECT_TRUE(timeline.filter(obs::EventKind::kTombstoneExpired).empty());
+
+  r->sim().run_until(second + ttl);
+  EXPECT_EQ(bridge.tombstone_count(), 0u);
+  const auto expired = timeline.filter(obs::EventKind::kTombstoneExpired);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired.front().t, second + ttl);
+  EXPECT_EQ(expired.front().conn, key.str());
+}
+
+TEST(ExpiryQueue, RekeyedHandshakeWatchKeepsItsDeadline) {
+  apps::MobileParams mp;
+  mp.tcp.listen_backlog = 0;  // the handshake never completes
+  auto mob = apps::make_mobile(mp);
+  FailoverConfig cfg;
+  cfg.ports = {7};
+  ReplicaGroup group(*mob->primary, *mob->secondary, cfg);
+  apps::EchoServer echo_p(mob->primary->tcp(), 7);
+  apps::EchoServer echo_s(mob->secondary->tcp(), 7);
+  group.start();
+  PrimaryBridge& bridge = group.primary_bridge();
+  const SimTime ttl = static_cast<SimTime>(4 * mp.tcp.msl);
+
+  const tcp::ConnKey old_key =
+      inject_client_syn(*mob->client, mob->primary->address(), 7, 40000);
+  const SimTime created = run_until_tracked(mob->sim, bridge, old_key);
+
+  // The client moves halfway through the watch.
+  mob->sim.run_until(created + ttl / 2);
+  const ip::Ipv4 moved_to = ip::Ipv4::parse(apps::Mobile::kClientAddrB);
+  bridge.rekey_remote(old_key, moved_to);
+  tcp::ConnKey new_key = old_key;
+  new_key.remote_ip = moved_to;
+  ASSERT_NE(bridge.find(new_key), nullptr);
+  EXPECT_EQ(bridge.find(old_key), nullptr);
+
+  mob->sim.run_until(created + ttl - 1);
+  EXPECT_NE(bridge.find(new_key), nullptr);
+  mob->sim.run_until(created + ttl);
+  EXPECT_EQ(bridge.find(new_key), nullptr);
+  EXPECT_EQ(embryonic_reaped(*mob->primary), 1u);
+  EXPECT_EQ(bridge.connection_count(), 0u);
 }
 
 // ------------------------------------------------------------ divergence

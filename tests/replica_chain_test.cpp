@@ -183,6 +183,42 @@ TEST_F(ChainFixture, NewConnectionsServedAfterHeadPromotion) {
   EXPECT_EQ(echoes[1]->bytes_echoed(), echoes[2]->bytes_echoed());
 }
 
+// Head promotion rekeys the new head's merge bridge into the service
+// address. A connection whose handshake is still pending at that moment
+// must carry its handshake watch along: a SYN that never completes is
+// reaped 4*MSL after it arrived, under its new key.
+TEST_F(ChainFixture, PromotionCarriesHandshakeWatch) {
+  apps::LanParams lp;
+  lp.tcp.listen_backlog = 0;  // every SYN overflows: no handshake completes
+  build(3, lp);
+  const SimTime ttl = static_cast<SimTime>(4 * lp.tcp.msl);
+
+  // One bare client SYN to the service address. Member 1 snooped it and
+  // tracks it under its own interface address.
+  const tcp::ConnKey after =
+      test::inject_client_syn(*lan->client, servers[0]->address(), kEchoPort, 40000);
+  PrimaryBridge& bridge = *chain->merge_bridge(1);
+  tcp::ConnKey before = after;
+  before.local_ip = servers[1]->address();
+  ASSERT_TRUE(run_until(lan->sim, [&] { return bridge.find(before) != nullptr; },
+                        seconds(1)));
+  const SimTime created = lan->sim.now();
+
+  chain->crash(0);
+  ASSERT_TRUE(run_until(lan->sim, [&] {
+    return chain->divert_bridge(1)->taken_over();
+  }, seconds(1)));
+  ASSERT_NE(bridge.find(after), nullptr);
+  ASSERT_LT(lan->sim.now(), created + ttl);
+
+  lan->sim.run_until(created + ttl - 1);
+  EXPECT_NE(bridge.find(after), nullptr);
+  lan->sim.run_until(created + ttl);
+  EXPECT_EQ(bridge.find(after), nullptr) << "promoted embryonic entry never reaped";
+  EXPECT_EQ(servers[1]->obs().registry.counter_value("bridge.embryonic_reaped"), 1u);
+  EXPECT_EQ(bridge.connection_count(), 0u);
+}
+
 TEST_F(ChainFixture, ChainWithLossStillExact) {
   apps::LanParams lp;
   lp.medium.loss_probability = 0.03;

@@ -148,6 +148,48 @@ TEST(SessionChurnFailover, HandshakeStartedOnPrimaryServedBySecondary) {
   EXPECT_EQ(web_s.requests_served(), 1u);
 }
 
+// Quiescence oracle for the primary bridge's tables: once churn through a
+// replicated pair stops and every tombstone has had its 4*MSL, both the
+// connection and tombstone tables are back to empty, every tombstone that
+// was created has expired, and they expired in the order they were made.
+TEST(SessionChurnFailover, BridgeTablesDrainAfterChurn) {
+  auto r = test::make_replicated_lan({}, {.ports = {8080}}, /*with_echo=*/false);
+  HttpServer web_p(r->primary().tcp(), 8080);
+  HttpServer web_s(r->secondary().tcp(), 8080);
+  for (HttpServer* w : {&web_p, &web_s}) {
+    w->add_document("/", to_bytes("<html>quiesce</html>"));
+  }
+  LoadGenConfig cfg;
+  cfg.server = r->primary().address();
+  cfg.port = 8080;
+  cfg.conns_per_sec = 2000.0;
+  cfg.duration = milliseconds(100);
+  cfg.requests_per_conn = 2;
+  cfg.seed = 11;
+  LoadGen gen(r->sim(), {&r->client().tcp()}, cfg);
+  gen.start();
+  ASSERT_TRUE(run_until(r->sim(), [&] { return gen.done(); }, seconds(60)));
+  ASSERT_GT(gen.conns_completed(), 100u);
+  EXPECT_EQ(gen.conns_failed(), 0u);
+
+  core::PrimaryBridge& bridge = r->group->primary_bridge();
+  ASSERT_TRUE(run_until(r->sim(), [&] { return bridge.connection_count() == 0; },
+                        seconds(10)));
+  r->sim().run_for(4 * r->primary().tcp().params().msl);
+
+  EXPECT_EQ(bridge.tombstone_count(), 0u);
+  EXPECT_EQ(bridge.connection_count(), 0u);
+  const auto& timeline = r->primary().obs().timeline;
+  ASSERT_EQ(timeline.dropped(), 0u) << "timeline too small for the oracle";
+  const auto created = timeline.filter(obs::EventKind::kTombstoneCreated);
+  const auto expired = timeline.filter(obs::EventKind::kTombstoneExpired);
+  ASSERT_EQ(created.size(), gen.conns_completed());
+  ASSERT_EQ(expired.size(), created.size());
+  for (std::size_t i = 0; i < created.size(); ++i) {
+    EXPECT_EQ(expired[i].conn, created[i].conn) << "expiry " << i << " out of order";
+  }
+}
+
 // High-rate churn with a blind-RST attacker on the wire. A blind reset
 // sweep against a port serving 10k conn/s must not kill a single
 // established connection (every exact-RCV.NXT hit it could score is a

@@ -17,17 +17,23 @@ using apps::LanParams;
 using apps::make_lan;
 using test::run_until;
 
+// gtest prints a parameter without a PrintTo overload as a byte dump, and
+// that dump is part of the test name ctest registers. The padding is
+// spelled out as zeroed members so the name holds no uninitialised bytes.
 struct SweepParam {
   std::uint16_t mss_client = 1460;
   std::uint16_t mss_server = 1460;
+  std::uint32_t pad0 = 0;
   std::size_t send_buf = 65536;
   std::size_t recv_buf = 65536;
   bool nagle = true;
   bool congestion_control = true;
+  std::uint8_t pad1[6] = {};
   SimDuration delack = milliseconds(100);
   double loss = 0.0;
   std::size_t transfer = 100 * 1024;
   bool bidirectional = false;
+  std::uint8_t pad2[7] = {};
   std::uint64_t seed = 1;
   const char* label = "";
 };
