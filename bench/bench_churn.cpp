@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   using namespace tfo;
   using namespace tfo::bench;
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  print_header("E8: high-churn HTTP with mid-run failover",
+  print_header("E10: high-churn HTTP with mid-run failover",
                "extension of paper §9 (short keep-alive exchanges at up to "
                "10k conn/s across a primary crash)");
 

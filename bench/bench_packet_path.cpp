@@ -1,4 +1,4 @@
-// Experiment E7: the cost of the packet path itself — heap allocations and
+// Experiment E9: the cost of the packet path itself — heap allocations and
 // copies per forwarded segment on the secondary→primary diversion path
 // (paper §3.1: snoop, rewrite the destination address, fix the checksum
 // incrementally, re-emit).
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
   // --quick: fewer iterations and a short transfer — used by the CTest step
   // that validates the BENCH_packet_path.json artifact schema.
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  print_header("E7: packet-path allocations and copies per forwarded segment",
+  print_header("E9: packet-path allocations and copies per forwarded segment",
                "cost model behind paper §3.1's rewrite-in-place bridge; "
                "no table in the paper");
 

@@ -1,7 +1,6 @@
-// Shard bench: the sharded parallel data path's headline numbers.
+// Shard bench: the batched rx path's headline number.
 //
-// Phase 1 — GRO/batching gate, measured on the path GRO actually
-// optimizes: frame delivery up the receive stack into a live endpoint. A
+// GRO/batching gate, measured on the path GRO actually optimizes: frame delivery up the receive stack into a live endpoint. A
 // bulk echo transfer is captured once off the wire (the echo connection's
 // client-to-server frames, handshake included), then the identical frame
 // stream is replayed twice — legacy per-frame path vs batched rx with GRO
@@ -15,12 +14,6 @@
 // through the rig; the run FAILS unless batching+GRO alone is >= 1.3x or
 // the echoed byte count differs between the two paths (stream
 // conservation across the batched path).
-//
-// Phase 2 — lane sweep. The same transfer plus a mini failover storm at
-// lanes in {1, 2, 4, 8}. Per point: segments/s, wall seconds, and the
-// storm's takeover p99 in *simulated* time — which must be bit-identical
-// across lane counts (the merge-order invariant, DESIGN.md §8); the run
-// FAILS if any lane count shifts it.
 //
 // Artifact: BENCH_shard.json ("shard" section schema validated by
 // scripts/check_bench_json.py).
@@ -44,12 +37,11 @@ namespace {
 /// Sanitizer instrumentation reshapes the cost model (interceptors tax
 /// per-byte work far more than per-event work), so wall-clock perf gates
 /// are demoted to report-only under TFO_SANITIZE builds; every
-/// correctness gate (stream conservation, coalescing, p99 determinism)
-/// still fails the run.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+/// correctness gate (stream conservation, coalescing) still fails the run.
+#if defined(__SANITIZE_ADDRESS__)
 constexpr bool kSanitized = true;
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#if __has_feature(address_sanitizer)
 constexpr bool kSanitized = true;
 #else
 constexpr bool kSanitized = false;
@@ -61,12 +53,11 @@ constexpr bool kSanitized = false;
 /// Storm-style scale knobs: gigabit wire, light per-frame host cost. The
 /// bench measures data-path execution cost, not the paper's 100 Mb/s
 /// testbed, and must not be bandwidth-bound.
-apps::LanParams shard_lan_params(unsigned lanes, bool batching) {
+apps::LanParams shard_lan_params(bool batching) {
   apps::LanParams lp = paper_lan_params();
   lp.medium.bandwidth_bps = 1'000'000'000;
   lp.nic.rx_processing = microseconds(2);
   lp.nic.rx_jitter = 0;
-  lp.lanes = {.lanes = lanes, .parallel = false};
   if (batching) {
     lp.nic.rx_batch_max = 32;
     lp.nic.rx_batch_window = microseconds(400);
@@ -83,50 +74,6 @@ struct XferResult {
   std::uint64_t gro_coalesced = 0;
   bool ok = false;
 };
-
-/// Bulk echo transfer (client streams `bytes`, server echoes them back)
-/// through the full failover machinery; segments/s counts MSS-sized data
-/// segments across both directions per wall-clock second.
-XferResult run_transfer(std::size_t bytes, unsigned lanes, bool batching,
-                        BenchJson* json) {
-  const apps::LanParams lp = shard_lan_params(lanes, batching);
-
-  Testbed t;
-  std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(true, [&](apps::Host& h) {
-    auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
-    (e1 ? e2 : e1) = std::move(e);
-  }, lp);
-  t.sim().run_for(milliseconds(100));
-
-  // Clock the transfer only: testbed construction and detector settling
-  // are identical for every configuration and would dilute the ratio.
-  const auto wall_start = std::chrono::steady_clock::now();
-  test::EchoDriver d(t.client(), t.server_addr(), kPort, bytes, 32768);
-  if (!t.run_until([&] { return d.done(); }, seconds(3600)) || !d.verify()) {
-    std::fprintf(stderr, "transfer lanes=%u batching=%d did not complete\n",
-                 lanes, batching);
-    return {};
-  }
-
-  XferResult r;
-  r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           wall_start)
-                 .count();
-  const double segments =
-      2.0 * static_cast<double>(bytes) / static_cast<double>(lp.tcp.mss);
-  r.segments_per_s = segments / (r.wall_s > 0 ? r.wall_s : 1e-9);
-  r.frames_batched = t.client().nic().batch_stats().frames_batched +
-                     t.lan->primary->nic().batch_stats().frames_batched;
-  r.gro_coalesced = t.client().nic().gro_stats().coalesced +
-                    t.lan->primary->nic().gro_stats().coalesced;
-  r.ok = true;
-  if (json != nullptr) {
-    json->capture_host(*t.lan->primary);
-    json->capture_host(*t.lan->client);
-  }
-  return r;
-}
 
 /// One captured wire stream: the echo connection's client-to-server TCP
 /// frames in arrival order, as the secondary's promiscuous NIC saw them,
@@ -180,9 +127,9 @@ bool echo_tcp_frame(const net::EthernetFrame& f, EchoFrameInfo* info) {
 /// Runs a bulk echo transfer on the legacy path and records the echo
 /// connection's frame stream off the secondary's NIC. Frame copies share
 /// the wire buffers (CoW), so the capture costs refcounts, not byte
-/// copies.
-WireCapture capture_echo_stream(std::size_t bytes) {
-  const apps::LanParams lp = shard_lan_params(1, false);
+/// copies. With `json`, the run's primary and client land in the artifact.
+WireCapture capture_echo_stream(std::size_t bytes, BenchJson* json) {
+  const apps::LanParams lp = shard_lan_params(false);
   Testbed t;
   std::unique_ptr<apps::EchoServer> e1, e2;
   t = make_testbed(true, [&](apps::Host& h) {
@@ -220,6 +167,10 @@ WireCapture capture_echo_stream(std::size_t bytes) {
     std::fprintf(stderr, "capture transfer did not complete\n");
     cap.frames.clear();
   }
+  if (json != nullptr) {
+    json->capture_host(*t.lan->primary);
+    json->capture_host(*t.lan->client);
+  }
   return cap;
 }
 
@@ -235,7 +186,7 @@ WireCapture capture_echo_stream(std::size_t bytes) {
 /// conservation requires it to equal the capture's unique payload exactly.
 XferResult replay_rx_path(const WireCapture& cap, bool batching,
                           std::uint64_t* echoed_bytes) {
-  const apps::LanParams lp = shard_lan_params(1, batching);
+  const apps::LanParams lp = shard_lan_params(batching);
   sim::Simulator sim;
   net::Nic nic(sim, "rx-rig", cap.server_mac, lp.nic);
   ip::IpLayer ip(sim);
@@ -281,97 +232,6 @@ XferResult replay_rx_path(const WireCapture& cap, bool batching,
   return r;
 }
 
-/// Mini failover storm: `n_conns` live connections all probe the instant
-/// the primary dies; returns the p99 takeover stall in simulated ns.
-/// Runs on the batched data path so the lane sweep exercises sharded
-/// delivery end to end.
-double storm_takeover_p99_ns(std::size_t n_conns, unsigned lanes) {
-  constexpr std::size_t kProbeBytes = 16;
-  const apps::LanParams lp = shard_lan_params(lanes, true);
-
-  Testbed t;
-  std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(true, [&](apps::Host& h) {
-    auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
-    (e1 ? e2 : e1) = std::move(e);
-  }, lp);
-  t.sim().run_for(milliseconds(100));
-
-  struct StormConn {
-    std::shared_ptr<tcp::Connection> conn;
-    std::size_t rx_bytes = 0;
-    bool ready = false;
-    SimTime replied_at = 0;
-  };
-  std::vector<StormConn> conns(n_conns);
-  std::size_t ready = 0;
-  for (std::size_t i = 0; i < n_conns; ++i) {
-    t.sim().schedule_after(static_cast<SimDuration>(i) * 2'000, [&, i] {
-      StormConn& sc = conns[i];
-      sc.conn = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
-      tcp::Connection* raw = sc.conn.get();
-      raw->on_established = [raw] {
-        raw->send(apps::deterministic_payload(kProbeBytes, 1));
-      };
-      raw->on_readable = [&, i, raw] {
-        Bytes data;
-        raw->recv(data);
-        StormConn& c = conns[i];
-        c.rx_bytes += data.size();
-        if (!c.ready && c.rx_bytes >= kProbeBytes) {
-          c.ready = true;
-          ++ready;
-        }
-      };
-    });
-  }
-  if (!t.run_until([&] { return ready == n_conns; }, seconds(1200))) {
-    std::fprintf(stderr, "shard storm lanes=%u: only %zu/%zu ready\n", lanes,
-                 ready, n_conns);
-    return -1;
-  }
-
-  const SimTime crash_at = t.sim().now();
-  std::size_t replied = 0;
-  for (std::size_t i = 0; i < n_conns; ++i) {
-    t.sim().schedule_after(0, [&, i] {
-      StormConn& sc = conns[i];
-      tcp::Connection* raw = sc.conn.get();
-      raw->on_readable = [&, i, raw] {
-        Bytes data;
-        raw->recv(data);
-        StormConn& c = conns[i];
-        c.rx_bytes += data.size();
-        if (c.replied_at == 0 && c.rx_bytes >= 2 * kProbeBytes) {
-          c.replied_at = t.sim().now();
-          ++replied;
-        }
-      };
-      raw->send(apps::deterministic_payload(kProbeBytes, 2));
-    });
-  }
-  t.group->crash_primary();
-  if (!t.run_until([&] { return replied == n_conns; }, seconds(1200))) {
-    std::fprintf(stderr, "shard storm lanes=%u: only %zu/%zu probes answered\n",
-                 lanes, replied, n_conns);
-    return -1;
-  }
-
-  Sampler latency;
-  for (const StormConn& sc : conns) {
-    latency.add(static_cast<double>(sc.replied_at - crash_at));
-  }
-  conns.clear();  // destructors cancel timers before the testbed dies
-  return latency.percentile(99);
-}
-
-struct SweepPoint {
-  unsigned lanes = 0;
-  double segments_per_s = 0;
-  double takeover_p99_ns = -1;
-  double wall_s = 0;
-};
-
 }  // namespace
 }  // namespace tfo::bench
 
@@ -379,21 +239,15 @@ int main(int argc, char** argv) {
   using namespace tfo;
   using namespace tfo::bench;
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  // The sweep controls the lane layout explicitly; a TFO_LANES override
-  // would silently collapse every point onto one configuration.
-  ::unsetenv("TFO_LANES");
-  print_header("E8: sharded data path — batched frames, GRO, lane sweep",
-               "extension (no table in the paper): execution-layout scaling "
-               "of the failover data path");
-
-  const std::size_t xfer_bytes = quick ? 24u * 1024 * 1024 : 96u * 1024 * 1024;
-  const std::size_t storm_conns = quick ? 300 : 1'500;
+  print_header("E11: batched rx path — frame batching and GRO",
+               "extension (no table in the paper): receive-path cost of the "
+               "failover data path");
 
   // Profiling hook: TFO_REPLAY_PROFILE=legacy|batched loops one replay leg
   // so a sampling profiler sees only that path. Not part of the bench run.
   if (const char* prof = std::getenv("TFO_REPLAY_PROFILE")) {
     const bool batching = std::string(prof) == "batched";
-    const WireCapture cap = capture_echo_stream(16u * 1024 * 1024);
+    const WireCapture cap = capture_echo_stream(16u * 1024 * 1024, nullptr);
     std::uint64_t bytes = 0;
     for (int i = 0; i < 10; ++i) {
       const XferResult r = replay_rx_path(cap, batching, &bytes);
@@ -404,14 +258,13 @@ int main(int argc, char** argv) {
 
   BenchJson json("shard");
 
-  // --- phase 1: GRO/batching gate on the server receive path, lanes = 1.
   const std::size_t capture_bytes = quick ? 16u * 1024 * 1024 : 48u * 1024 * 1024;
-  std::printf("\nphase 1: capture %zu MB echo stream, replay the client "
+  std::printf("\ncapture %zu MB echo stream, replay the client "
               "frames into a standalone server endpoint, legacy vs "
               "batched+GRO\n",
               capture_bytes >> 20);
   std::fflush(stdout);
-  const WireCapture cap = capture_echo_stream(capture_bytes);
+  const WireCapture cap = capture_echo_stream(capture_bytes, &json);
   if (cap.frames.empty() || cap.data_segments < 1000) {
     std::fprintf(stderr, "FAIL: capture produced %zu frames / %llu data segments\n",
                  cap.frames.size(),
@@ -450,7 +303,7 @@ int main(int argc, char** argv) {
                    std::to_string(gro.gro_coalesced)});
     std::printf("%s", table.render().c_str());
     std::printf("speedup: %.2fx (gate: >= 1.3x)\n", speedup);
-    json.add_table("GRO/batching gate on the server rx path at lanes=1", table);
+    json.add_table("GRO/batching gate on the server rx path", table);
   }
   if (speedup < 1.3) {
     if (kSanitized) {
@@ -470,45 +323,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- phase 2: lane sweep with the takeover-determinism proof.
-  std::vector<SweepPoint> points;
-  TextTable table({"lanes", "segments/s", "takeover p99 [ms]", "wall [s]"});
-  for (unsigned lanes : {1u, 2u, 4u, 8u}) {
-    std::printf("\nrunning lane sweep point lanes=%u ...\n", lanes);
-    std::fflush(stdout);
-    const auto wall_start = std::chrono::steady_clock::now();
-    const XferResult x =
-        run_transfer(xfer_bytes, lanes, true, lanes == 1 ? &json : nullptr);
-    const double p99 = storm_takeover_p99_ns(storm_conns, lanes);
-    if (!x.ok || p99 < 0) return 1;
-    SweepPoint p;
-    p.lanes = lanes;
-    p.segments_per_s = x.segments_per_s;
-    p.takeover_p99_ns = p99;
-    p.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             wall_start)
-                   .count();
-    table.add_row({std::to_string(lanes), TextTable::num(p.segments_per_s, 0),
-                   TextTable::num(p.takeover_p99_ns / 1e6, 3),
-                   TextTable::num(p.wall_s, 2)});
-    points.push_back(p);
-  }
-  std::printf("%s", table.render().c_str());
-  std::printf("expected: takeover p99 identical for every lane count — the\n"
-              "lane merge is deterministic, so sharding is invisible in\n"
-              "simulated time and only wall-clock cost may vary.\n");
-  json.add_table("lane sweep: throughput and takeover latency", table);
-
-  for (const SweepPoint& p : points) {
-    if (p.takeover_p99_ns != points.front().takeover_p99_ns) {
-      std::fprintf(stderr,
-                   "FAIL: lanes=%u shifted takeover p99 (%.0f ns vs %.0f ns) — "
-                   "the lane merge leaked into simulated behaviour\n",
-                   p.lanes, p.takeover_p99_ns, points.front().takeover_p99_ns);
-      return 1;
-    }
-  }
-
   // Machine-readable shard section (validated by check_bench_json.py).
   {
     obs::JsonWriter w;
@@ -522,16 +336,6 @@ int main(int argc, char** argv) {
     w.key("frames_batched").value(gro.frames_batched);
     w.key("gro_coalesced").value(gro.gro_coalesced);
     w.end_object();
-    w.key("points").begin_array();
-    for (const SweepPoint& p : points) {
-      w.begin_object();
-      w.key("lanes").value(static_cast<std::uint64_t>(p.lanes));
-      w.key("segments_per_s").value(p.segments_per_s);
-      w.key("takeover_p99_ns").value(p.takeover_p99_ns);
-      w.key("wall_s").value(p.wall_s);
-      w.end_object();
-    }
-    w.end_array();
     w.end_object();
     json.add_section("shard", w.str());
   }

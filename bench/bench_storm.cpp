@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
   using namespace tfo;
   using namespace tfo::bench;
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  print_header("E7: failover storm at scale",
+  print_header("E8: failover storm at scale",
                "extension of paper §9 (the paper measures single connections; "
                "this sweeps the whole population)");
 

@@ -1,4 +1,4 @@
-// Experiment E-WAN (PR 10): takeover latency observed by a client several
+// Experiment E12: takeover latency observed by a client several
 // routers away from the replica pair, gratuitous-ARP vs. host-route
 // announcement. The paper's §5 analysis covers the shared-segment case
 // (GARP updates the last-hop ARP tables); the routed announcer extends it
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   using namespace tfo;
   using namespace tfo::bench;
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-  print_header("E-WAN: takeover latency vs. router hop count",
+  print_header("E12: takeover latency vs. router hop count",
                "extension of paper §5 (takeover announcement reach)");
 
   BenchJson json("wan");

@@ -151,8 +151,7 @@ def _check_storm(storm):
 
 def _check_shard(shard):
     _expect(isinstance(shard, dict), "'shard' is not an object")
-    for key in ("gro", "points"):
-        _expect(key in shard, f"shard missing '{key}'")
+    _expect("gro" in shard, "shard missing 'gro'")
     gro = shard["gro"]
     _expect(isinstance(gro, dict), "shard.gro is not an object")
     for key in ("mss", "base_segments_per_s", "gro_segments_per_s", "speedup",
@@ -169,29 +168,6 @@ def _check_shard(shard):
         _expect(gro["speedup"] >= 1.3,
                 f"shard.gro.speedup {gro['speedup']} below the 1.3x gate")
     _expect(gro["gro_coalesced"] > 0, "shard.gro.gro_coalesced is zero")
-    points = shard["points"]
-    _expect(isinstance(points, list) and points,
-            "shard.points must be a non-empty list")
-    prev_lanes = 0
-    p99 = None
-    for i, p in enumerate(points):
-        _expect(isinstance(p, dict), f"shard.points[{i}] is not an object")
-        for key in ("lanes", "segments_per_s", "takeover_p99_ns", "wall_s"):
-            _expect(key in p, f"shard.points[{i}] missing '{key}'")
-            _expect(isinstance(p[key], (int, float)) and p[key] >= 0,
-                    f"shard.points[{i}].{key} is not a non-negative number")
-        _expect(p["lanes"] > prev_lanes,
-                f"shard.points[{i}].lanes not strictly increasing")
-        prev_lanes = p["lanes"]
-        _expect(p["segments_per_s"] > 0,
-                f"shard.points[{i}].segments_per_s is zero")
-        _expect(p["takeover_p99_ns"] > 0,
-                f"shard.points[{i}].takeover_p99_ns is zero")
-        if p99 is None:
-            p99 = p["takeover_p99_ns"]
-        _expect(p["takeover_p99_ns"] == p99,
-                f"shard.points[{i}].takeover_p99_ns differs across lane "
-                f"counts — the lane merge leaked into simulated time")
 
 
 def _check_churn(churn):
@@ -395,14 +371,6 @@ def self_test():
             "gro": {"mss": 1460, "base_segments_per_s": 100000.0,
                     "gro_segments_per_s": 180000.0, "speedup": 1.8,
                     "frames_batched": 50000, "gro_coalesced": 30000},
-            "points": [
-                {"lanes": 1, "segments_per_s": 180000.0,
-                 "takeover_p99_ns": 2.1e8, "wall_s": 1.5},
-                {"lanes": 2, "segments_per_s": 175000.0,
-                 "takeover_p99_ns": 2.1e8, "wall_s": 1.6},
-                {"lanes": 4, "segments_per_s": 170000.0,
-                 "takeover_p99_ns": 2.1e8, "wall_s": 1.7},
-            ],
         },
         "churn": {
             "requests_per_conn": 2,
@@ -492,15 +460,6 @@ def self_test():
             speedup=1.1, sanitized="yes")),
         ("shard never coalesced", lambda d: d["shard"]["gro"].update(
             gro_coalesced=0)),
-        ("shard empty points", lambda d: d["shard"].update(points=[])),
-        ("shard point missing wall_s", lambda d: d["shard"]["points"][0].pop(
-            "wall_s")),
-        ("shard lanes not increasing", lambda d: d["shard"]["points"][2].update(
-            lanes=2)),
-        ("shard zero throughput", lambda d: d["shard"]["points"][1].update(
-            segments_per_s=0)),
-        ("shard p99 drifts across lanes", lambda d: d["shard"]["points"][2].update(
-            takeover_p99_ns=9.9e8)),
         ("churn missing points", lambda d: d["churn"].pop("points")),
         ("churn empty points", lambda d: d["churn"].update(points=[])),
         ("churn zero requests_per_conn", lambda d: d["churn"].update(

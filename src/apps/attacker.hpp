@@ -22,7 +22,7 @@
 //     nonce seed (fault.hb_auth_failed).
 //
 // Everything is driven by a seeded Rng: the same config and seed inject
-// the identical attack stream, so the determinism lane matrix holds with
+// the identical attack stream, so same-seed runs stay bit-identical with
 // an attacker in the topology.
 #pragma once
 

@@ -6,16 +6,9 @@ namespace tfo::apps {
 
 Host::Host(sim::Simulator& sim, HostParams params, net::Medium& medium)
     : sim_(sim), params_(std::move(params)) {
-  // Resolve the lane configuration first: the TCP layer shards its
-  // connection table by it, and the NIC partitions rx batches across it.
-  const sim::LaneConfig lane_cfg = sim::lane_config_from_env(params_.lanes);
-  params_.lanes = lane_cfg;
-  params_.tcp.lanes = lane_cfg.lanes;
-  lanes_ = std::make_unique<sim::LaneSet>(lane_cfg);
   nic_ = std::make_unique<net::Nic>(sim_, params_.name + ".eth0",
                                     net::MacAddress::from_id(params_.addr.v),
                                     params_.nic);
-  nic_->set_lane_set(lanes_.get());
   ip_ = std::make_unique<ip::IpLayer>(sim_);
   arp_ = std::make_unique<ip::ArpEntity>(
       sim_, *nic_, [this] { return ip_->local_addresses(); }, params_.arp);
@@ -57,12 +50,10 @@ Host::Host(sim::Simulator& sim, HostParams params, net::Medium& medium)
   ctr_sim_cascades_ = &reg.counter("sim.wheel.cascades");
   gau_sim_pool_events_ = &reg.gauge("sim.wheel.pool_events");
 
-  // Lane/batching telemetry. The NIC and LaneSet are owned per-host, so
-  // their stats start at zero — published-delta mirroring needs no
-  // construction baseline.
-  ctr_lane_frames_batched_ = &reg.counter("lane.frames_batched");
-  ctr_lane_gro_coalesced_ = &reg.counter("lane.gro_coalesced");
-  ctr_lane_merge_stalls_ = &reg.counter("lane.merge_stalls");
+  // Batching telemetry. The NIC is owned per-host, so its stats start at
+  // zero — published-delta mirroring needs no construction baseline.
+  ctr_nic_frames_batched_ = &reg.counter("nic.frames_batched");
+  ctr_nic_gro_coalesced_ = &reg.counter("nic.gro_coalesced");
 }
 
 void Host::refresh_wire_counters() const {
@@ -114,7 +105,7 @@ void Host::refresh_sim_counters() const {
   gau_sim_pool_events_->set(static_cast<std::int64_t>(now.pool_events));
 }
 
-void Host::refresh_lane_counters() const {
+void Host::refresh_nic_counters() const {
   const auto mirror = [](obs::Counter* c, std::uint64_t now_v,
                          std::uint64_t& published) {
     if (now_v > published) {
@@ -122,12 +113,10 @@ void Host::refresh_lane_counters() const {
       published = now_v;
     }
   };
-  mirror(ctr_lane_frames_batched_, nic_->batch_stats().frames_batched,
-         lane_published_frames_batched_);
-  mirror(ctr_lane_gro_coalesced_, nic_->gro_stats().coalesced,
-         lane_published_gro_coalesced_);
-  mirror(ctr_lane_merge_stalls_, lanes_->stats().merge_stalls,
-         lane_published_merge_stalls_);
+  mirror(ctr_nic_frames_batched_, nic_->batch_stats().frames_batched,
+         nic_published_frames_batched_);
+  mirror(ctr_nic_gro_coalesced_, nic_->gro_stats().coalesced,
+         nic_published_gro_coalesced_);
 }
 
 void Host::move_to(net::Medium& medium, ip::Ipv4 new_addr, int prefix_len,
@@ -151,7 +140,7 @@ void Host::fail() {
 std::string Host::snapshot_json() const {
   refresh_wire_counters();
   refresh_sim_counters();
-  refresh_lane_counters();
+  refresh_nic_counters();
   obs::JsonWriter w;
   w.begin_object();
   w.key("host").value(params_.name);

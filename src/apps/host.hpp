@@ -13,7 +13,6 @@
 #include "net/medium.hpp"
 #include "net/nic.hpp"
 #include "obs/obs.hpp"
-#include "sim/lane.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/tcp_layer.hpp"
 #include "wire/packet_buffer.hpp"
@@ -29,11 +28,6 @@ struct HostParams {
   tcp::TcpParams tcp;
   /// Seed for this host's ISN generator and other local randomness.
   std::uint64_t seed = 7;
-  /// Lane configuration for the sharded data path (NIC rx batches, TCP
-  /// connection shards). The TFO_LANES environment variable overrides it
-  /// at host construction; results are bit-identical either way — the
-  /// lane merge order is deterministic by design.
-  sim::LaneConfig lanes;
 };
 
 class Host {
@@ -43,7 +37,6 @@ class Host {
   Host& operator=(const Host&) = delete;
 
   sim::Simulator& simulator() { return sim_; }
-  sim::LaneSet& lanes() { return *lanes_; }
   net::Nic& nic() { return *nic_; }
   ip::ArpEntity& arp() { return *arp_; }
   ip::IpLayer& ip() { return *ip_; }
@@ -79,7 +72,7 @@ class Host {
   obs::Snapshot metrics_snapshot() const {
     refresh_wire_counters();
     refresh_sim_counters();
-    refresh_lane_counters();
+    refresh_nic_counters();
     return obs_.registry.snapshot();
   }
 
@@ -104,18 +97,13 @@ class Host {
   /// construction.
   void refresh_sim_counters() const;
 
-  /// Mirrors the NIC's batch/GRO statistics and the lane set's merge
-  /// statistics into lane.* counters. Unlike every other counter family,
-  /// lane.* describes the *execution strategy*, not the simulated system:
-  /// merge stalls and cross-handoffs legitimately vary with the lane
-  /// count, so the determinism contract (DESIGN.md §8) excludes lane.*
-  /// from cross-lane-count snapshot comparisons.
-  void refresh_lane_counters() const;
+  /// Mirrors the NIC's rx batch and GRO statistics into the
+  /// nic.frames_batched / nic.gro_coalesced counters.
+  void refresh_nic_counters() const;
 
   sim::Simulator& sim_;
   obs::Hub obs_;
   HostParams params_;
-  std::unique_ptr<sim::LaneSet> lanes_;
   std::unique_ptr<net::Nic> nic_;
   std::unique_ptr<ip::ArpEntity> arp_;
   std::unique_ptr<ip::IpLayer> ip_;
@@ -142,14 +130,12 @@ class Host {
   obs::Counter* ctr_sim_cascades_ = nullptr;
   obs::Gauge* gau_sim_pool_events_ = nullptr;
 
-  // Lane/batching telemetry mirror (see refresh_lane_counters). The NIC
-  // and LaneSet are host-owned, so published-delta tracking starts at 0.
-  mutable std::uint64_t lane_published_frames_batched_ = 0;
-  mutable std::uint64_t lane_published_gro_coalesced_ = 0;
-  mutable std::uint64_t lane_published_merge_stalls_ = 0;
-  obs::Counter* ctr_lane_frames_batched_ = nullptr;
-  obs::Counter* ctr_lane_gro_coalesced_ = nullptr;
-  obs::Counter* ctr_lane_merge_stalls_ = nullptr;
+  // Batching telemetry mirror (see refresh_nic_counters). The NIC is
+  // host-owned, so published-delta tracking starts at 0.
+  mutable std::uint64_t nic_published_frames_batched_ = 0;
+  mutable std::uint64_t nic_published_gro_coalesced_ = 0;
+  obs::Counter* ctr_nic_frames_batched_ = nullptr;
+  obs::Counter* ctr_nic_gro_coalesced_ = nullptr;
 };
 
 }  // namespace tfo::apps

@@ -13,7 +13,6 @@ HostParams host_params(const char* name, const char* addr, const LanParams& p,
   hp.arp = p.arp;
   hp.tcp = p.tcp;
   hp.seed = seed;
-  hp.lanes = p.lanes;
   return hp;
 }
 
@@ -63,7 +62,6 @@ std::unique_ptr<Wan> make_wan(WanParams params) {
   lp.nic = params.nic;
   lp.arp = params.arp;
   lp.tcp = params.tcp;
-  lp.lanes = params.lanes;
 
   wan->primary = std::make_unique<Host>(
       wan->sim, host_params("primary", Wan::kPrimaryAddr, lp, params.seed + 2),
@@ -136,7 +134,6 @@ std::unique_ptr<Wan2> make_wan2(Wan2Params params) {
   lp.nic = params.nic;
   lp.arp = params.arp;
   lp.tcp = params.tcp;
-  lp.lanes = params.lanes;
 
   wan->primary = std::make_unique<Host>(
       wan->sim, host_params("primary", Wan2::kPrimaryAddr, lp, params.seed + 2),
@@ -261,7 +258,6 @@ std::unique_ptr<Mobile> make_mobile(MobileParams params) {
   lp.nic = params.nic;
   lp.arp = params.arp;
   lp.tcp = params.tcp;
-  lp.lanes = params.lanes;
 
   mob->primary = std::make_unique<Host>(
       mob->sim, host_params("primary", Mobile::kPrimaryAddr, lp, params.seed + 2),

@@ -30,8 +30,6 @@ struct LanParams {
   std::uint64_t seed = 11;
   /// Pre-populate every ARP cache (the paper warmed caches before timing).
   bool warm_arp = true;
-  /// Lane configuration applied to every host (see HostParams::lanes).
-  sim::LaneConfig lanes;
   /// Event-queue implementation for the topology's shared Simulator.
   sim::SchedulerKind scheduler = sim::SchedulerKind::kTimingWheel;
 };
@@ -66,8 +64,6 @@ struct WanParams {
   ip::ArpParams router_arp;
   std::uint64_t seed = 12;
   bool warm_arp = true;
-  /// Lane configuration applied to every host (see HostParams::lanes).
-  sim::LaneConfig lanes;
 };
 
 struct Wan {
@@ -109,7 +105,6 @@ struct Wan2Params {
   ip::ArpParams router_arp;
   std::uint64_t seed = 13;
   bool warm_arp = true;
-  sim::LaneConfig lanes;
 };
 
 /// A chain of routers between the client and the server LAN:
@@ -154,7 +149,6 @@ struct MobileParams {
   ip::ArpParams router_arp;
   std::uint64_t seed = 14;
   bool warm_arp = true;
-  sim::LaneConfig lanes;
 };
 
 /// Mobility testbed: one router with the server LAN on port 0 and two

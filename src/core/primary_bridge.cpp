@@ -16,10 +16,6 @@ using tcp::TcpSegment;
 PrimaryBridge::PrimaryBridge(apps::Host& host, FailoverConfig cfg)
     : host_(host), cfg_(std::move(cfg)), sweep_timer_(host.simulator()) {
   tombstone_ttl_ = 4 * host_.tcp().params().msl;
-  // Mirror the TCP layer's lane layout so a lane's segments touch only
-  // their own bridge shard.
-  const unsigned lanes = host_.tcp().params().lanes;
-  conns_.set_shard_count(lanes == 0 ? 1 : lanes);
   auto& reg = host_.obs().registry;
   ctr_merged_ = &reg.counter("bridge.merged_segments");
   ctr_stray_fin_acks_ = &reg.counter("bridge.stray_fin_acks");
@@ -275,9 +271,8 @@ void PrimaryBridge::emit(const TcpSegment& seg, ip::Ipv4 src, ip::Ipv4 dst) {
 }
 
 void PrimaryBridge::rekey_local(ip::Ipv4 from, ip::Ipv4 to) {
-  // Collect-sort-then-move: shard/slot iteration order depends on the
-  // lane count, so the move order is pinned to the key's total order —
-  // identical for every sharding (cross-shard handoffs included).
+  // Collect-sort-then-move: slot iteration order depends on the key
+  // hashes, so the move order is pinned to the key's total order.
   std::vector<std::pair<ConnKey, std::unique_ptr<BridgeConn>>> moved;
   conns_.for_each([&](const ConnKey& key, std::unique_ptr<BridgeConn>& conn) {
     if (key.local_ip == from) moved.emplace_back(key, std::move(conn));
@@ -496,7 +491,7 @@ void PrimaryBridge::on_secondary_failed() {
                               obs::EventKind::kSecondaryFailed, {},
                               "conns=" + std::to_string(conns_.size()));
   // Sort by key: the solo-mode flush emits segments, and the emission
-  // order must not depend on how the table is sharded across lanes.
+  // order must not depend on hash-table slot order.
   std::vector<BridgeConn*> flushing;
   conns_.for_each([&](const ConnKey&, std::unique_ptr<BridgeConn>& conn) {
     flushing.push_back(conn.get());

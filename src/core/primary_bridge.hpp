@@ -18,7 +18,6 @@
 
 #include "apps/host.hpp"
 #include "common/flat_map.hpp"
-#include "common/sharded.hpp"
 #include "core/bridge_conn.hpp"
 #include "core/failover_config.hpp"
 #include "sim/timer.hpp"
@@ -139,11 +138,10 @@ class PrimaryBridge : public BridgeConnSink {
   apps::Host& host_;
   FailoverConfig cfg_;
   std::optional<ip::Ipv4> upstream_;
-  /// Bridged-connection state, sharded by ConnKeyHash to mirror the TCP
-  /// layer's lane layout (the bridge is part of the per-lane data path).
-  /// Order-sensitive sweeps over it sort by key first: shard iteration
-  /// order varies with the lane count and must never reach the wire.
-  ShardedMap<tcp::ConnKey, std::unique_ptr<BridgeConn>, tcp::ConnKeyHash> conns_;
+  /// Bridged-connection state. Order-sensitive sweeps over it sort by key
+  /// first: slot iteration order is hash-dependent and must never reach
+  /// the wire.
+  FlatMap<tcp::ConnKey, std::unique_ptr<BridgeConn>, tcp::ConnKeyHash> conns_;
   /// Connections exempt from bridging (pre-dating this bridge).
   FlatSet<tcp::ConnKey, tcp::ConnKeyHash> excluded_;
   /// Recently closed connections (§8: the bridge must still acknowledge

@@ -120,29 +120,6 @@ bool continues_run(const EthernetFrame& head_frame, const Candidate& head,
 
 }  // namespace
 
-std::size_t rss_hash(const EthernetFrame& frame) {
-  const std::uint8_t* p = frame.payload.data();
-  if (frame.type != EtherType::kIpv4 || frame.payload.size() < kIpHdr + kTcpHdr ||
-      p[0] != 0x45 || p[9] != 6) {
-    return 0;  // non-TCP traffic pins to lane 0
-  }
-  // The receiver-relative 4-tuple, packed and finalized exactly like
-  // tcp::ConnKeyHash (local = IP destination).
-  const std::uint32_t src_ip = get32(p + 12);
-  const std::uint32_t dst_ip = get32(p + 16);
-  const std::uint16_t src_port = get16(p + kIpHdr);
-  const std::uint16_t dst_port = get16(p + kIpHdr + 2);
-  std::uint64_t x = (static_cast<std::uint64_t>(dst_ip) << 32) |
-                    (static_cast<std::uint64_t>(dst_port) << 16) | src_port;
-  x ^= static_cast<std::uint64_t>(src_ip) * 0x9E3779B97F4A7C15ull;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x);
-}
-
 void gro_coalesce(const GroParams& params, std::vector<RxFrame>&& in,
                   std::vector<RxFrame>& out, GroStats& stats) {
   stats.frames_in += in.size();
@@ -152,7 +129,6 @@ void gro_coalesce(const GroParams& params, std::vector<RxFrame>&& in,
   std::vector<std::size_t> run;
   std::vector<Candidate> cands;
   std::uint32_t next_seq = 0;
-  std::size_t next_arrival = 0;
   std::size_t run_payload = 0;
 
   auto flush = [&] {
@@ -211,7 +187,6 @@ void gro_coalesce(const GroParams& params, std::vector<RxFrame>&& in,
     // construction: the stack may skip its own verification pass.
     merged.frame.checksums_verified = true;
     merged.to_us = head_rx.to_us;
-    merged.seq = head_rx.seq;
     out.push_back(std::move(merged));
     ++stats.frames_out;
     stats.coalesced += run.size() - 1;
@@ -227,21 +202,16 @@ void gro_coalesce(const GroParams& params, std::vector<RxFrame>&& in,
       ++stats.frames_out;
       continue;
     }
-    // A run may only grow across frames that ABUT in the global arrival
-    // order (`RxFrame::seq` consecutive). Any intervening frame — even one
-    // routed to a different lane — breaks the run, which makes coalescing
-    // a pure function of the arrival sequence: every lane count produces
-    // byte-identical merged frames (the determinism contract, DESIGN.md §8).
+    // The run grows only with the very next frame in arrival order: any
+    // frame in between has already flushed it.
     if (!run.empty() && run.size() < params.max_merged &&
         run_payload + c.payload_len <= params.max_payload &&
-        in[i].seq == next_arrival &&
         continues_run(in[run.front()].frame, cands.front(), next_seq,
                       in[i].frame, c)) {
       run.push_back(i);
       cands.push_back(c);
       run_payload += c.payload_len;
       next_seq += static_cast<std::uint32_t>(c.payload_len);
-      next_arrival = in[i].seq + 1;
       // PSH marks a delivery boundary: include it, then close the run.
       if (c.psh) flush();
       continue;
@@ -251,7 +221,6 @@ void gro_coalesce(const GroParams& params, std::vector<RxFrame>&& in,
     cands.push_back(c);
     run_payload = c.payload_len;
     next_seq = c.seq + static_cast<std::uint32_t>(c.payload_len);
-    next_arrival = in[i].seq + 1;
     if (c.psh) flush();  // a PSH segment can head a run but never grow one
   }
   flush();

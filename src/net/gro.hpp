@@ -25,16 +25,10 @@
 
 namespace tfo::net {
 
-/// One received frame staged in a NIC's rx batch ring. `seq` is the
-/// frame's global arrival index within its batch: after per-lane
-/// coalescing (a merged segment inherits its run head's seq) the NIC
-/// merges lane outputs back into ascending-seq order, which restores
-/// global arrival order independent of how the batch was sharded — the
-/// deterministic lane merge key (virtual time, arrival seq).
+/// One received frame staged in a NIC's rx batch ring.
 struct RxFrame {
   EthernetFrame frame;
   bool to_us = false;
-  std::size_t seq = 0;
 };
 
 struct GroParams {
@@ -53,16 +47,10 @@ struct GroStats {
   std::uint64_t bad_checksum = 0;
 };
 
-/// RSS steering hash for lane partition: splitmix64-mixed 4-tuple for
-/// IPv4/TCP frames (the same finalizer as `tcp::ConnKeyHash`, reapplied
-/// here over raw header bytes), 0 for everything else — non-TCP traffic
-/// pins to lane 0.
-std::size_t rss_hash(const EthernetFrame& frame);
-
-/// Coalesces one lane's arrival-ordered frames. Appends outputs to `out`
+/// Coalesces a batch of arrival-ordered frames. Appends outputs to `out`
 /// preserving arrival order (a merged segment takes its run head's
-/// position). Pure computation over its inputs — safe to run on a lane
-/// worker concurrently with other lanes.
+/// position). Only frames that abut in arrival order merge: any frame in
+/// between, of any flow, closes the run.
 void gro_coalesce(const GroParams& params, std::vector<RxFrame>&& in,
                   std::vector<RxFrame>& out, GroStats& stats);
 

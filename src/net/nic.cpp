@@ -37,8 +37,6 @@ void Nic::send(EthernetFrame frame) {
   if (frame.payload.size() < EthernetFrame::kMinPayload) {
     frame.payload.append(EthernetFrame::kMinPayload - frame.payload.size());
   }
-  ++tx_frames_;
-  tx_bytes_ += frame.payload.size();
   TFO_LOG(kTrace, "nic") << name_ << " tx " << frame.payload.size() << "B -> "
                          << frame.dst.str();
   if (params_.tx_batch_max > 1) {
@@ -54,6 +52,8 @@ void Nic::send(EthernetFrame frame) {
     }
     return;
   }
+  ++tx_frames_;
+  tx_bytes_ += frame.payload.size();
   medium_->transmit(this, std::move(frame));
 }
 
@@ -65,7 +65,11 @@ void Nic::flush_tx() {
   if (!enabled_ || medium_ == nullptr) return;  // crashed mid-burst: drop
   ++batch_stats_.tx_batches;
   batch_stats_.tx_frames_batched += burst.size();
-  for (EthernetFrame& f : burst) medium_->transmit(this, std::move(f));
+  for (EthernetFrame& f : burst) {
+    ++tx_frames_;
+    tx_bytes_ += f.payload.size();
+    medium_->transmit(this, std::move(f));
+  }
 }
 
 void Nic::deliver(const EthernetFrame& frame) {
@@ -100,7 +104,6 @@ void Nic::enqueue_rx(const EthernetFrame& frame, bool to_us) {
   RxFrame rx;
   rx.frame = frame;
   rx.to_us = to_us;
-  rx.seq = rx_ring_.size();
   rx_ring_.push_back(std::move(rx));
   if (rx_ring_.size() == 1) {
     // First frame of the batch arms the flush and pays the processing
@@ -131,50 +134,10 @@ void Nic::flush_rx() {
   ++batch_stats_.rx_batches;
   batch_stats_.frames_batched += batch.size();
 
-  // RSS partition: shard the batch by flow hash across the lanes, GRO
-  // each lane independently (speculatively, on worker threads when the
-  // lane set runs parallel), then merge lane outputs back into global
-  // arrival order by seq. The merge key makes delivery order — and thus
-  // every downstream effect — independent of the lane count.
-  const unsigned lane_count = lanes_ != nullptr ? lanes_->lanes() : 1;
-  std::vector<std::vector<RxFrame>> lane_in(lane_count);
-  for (RxFrame& f : batch) {
-    const unsigned lane =
-        lane_count > 1 ? lanes_->lane_for(rss_hash(f.frame)) : 0;
-    lane_in[lane].push_back(std::move(f));
-  }
-  std::vector<std::vector<RxFrame>> lane_out(lane_count);
-  std::vector<GroStats> lane_stats(lane_count);
-  for (unsigned lane = 0; lane < lane_count; ++lane) {
-    if (lane_in[lane].empty()) continue;
-    if (lanes_ != nullptr) {
-      lanes_->submit(lane, [this, in = &lane_in[lane], out = &lane_out[lane],
-                            st = &lane_stats[lane]]() -> sim::LaneSet::Commit {
-        gro_coalesce(params_.gro, std::move(*in), *out, *st);
-        return {};  // results land in lane-private slots; nothing to publish
-      });
-    } else {
-      gro_coalesce(params_.gro, std::move(lane_in[lane]), lane_out[lane],
-                   lane_stats[lane]);
-    }
-  }
-  if (lanes_ != nullptr) lanes_->run_round();
-
+  // One GRO pass over the batch in arrival order, then delivery.
   std::vector<RxFrame> merged;
-  std::size_t total = 0;
-  for (const auto& lo : lane_out) total += lo.size();
-  merged.reserve(total);
-  for (auto& lo : lane_out) {
-    for (RxFrame& f : lo) merged.push_back(std::move(f));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const RxFrame& a, const RxFrame& b) { return a.seq < b.seq; });
-  for (const GroStats& st : lane_stats) {
-    gro_stats_.frames_in += st.frames_in;
-    gro_stats_.frames_out += st.frames_out;
-    gro_stats_.coalesced += st.coalesced;
-    gro_stats_.bad_checksum += st.bad_checksum;
-  }
+  merged.reserve(batch.size());
+  gro_coalesce(params_.gro, std::move(batch), merged, gro_stats_);
   for (RxFrame& f : merged) {
     if (!enabled_ || !rx_) break;  // a handler may crash this host mid-batch
     rx_(f.frame, f.to_us);

@@ -16,7 +16,6 @@
 #include "net/frame.hpp"
 #include "net/gro.hpp"
 #include "net/medium.hpp"
-#include "sim/lane.hpp"
 #include "sim/simulator.hpp"
 
 namespace tfo::net {
@@ -51,7 +50,7 @@ struct NicParams {
   GroParams gro;
 };
 
-/// Batch-path telemetry, mirrored into per-host obs as lane.* counters.
+/// Batch-path telemetry, partly mirrored into per-host obs as nic.* counters.
 struct NicBatchStats {
   std::uint64_t rx_batches = 0;       ///< rx ring flushes
   std::uint64_t frames_batched = 0;   ///< frames that went through a batch
@@ -90,17 +89,14 @@ class Nic {
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  /// Installs the lane set used to shard rx batches RSS-style across
-  /// worker lanes (nullptr = single-lane inline execution). The NIC does
-  /// not own it; typically the host's.
-  void set_lane_set(sim::LaneSet* lanes) { lanes_ = lanes; }
-
   const NicBatchStats& batch_stats() const { return batch_stats_; }
   const GroStats& gro_stats() const { return gro_stats_; }
 
   const MacAddress& mac() const { return mac_; }
   const std::string& name() const { return name_; }
 
+  /// Frames and bytes handed to the medium (a burst dropped by a crash
+  /// before its flush is not counted).
   std::uint64_t tx_frames() const { return tx_frames_; }
   std::uint64_t rx_frames() const { return rx_frames_; }
   std::uint64_t tx_bytes() const { return tx_bytes_; }
@@ -129,7 +125,6 @@ class Nic {
   SimTime rx_floor_ = 0;  // monotonic delivery-time floor
 
   // Batched data path (rx_batch_max / tx_batch_max > 1).
-  sim::LaneSet* lanes_ = nullptr;
   std::vector<RxFrame> rx_ring_;
   sim::EventId rx_flush_event_ = sim::kNoEvent;
   SimTime rx_flush_floor_ = 0;  // first arrival + rx_processing

@@ -18,7 +18,7 @@ struct ConnKey {
 
   friend bool operator==(const ConnKey&, const ConnKey&) = default;
   /// Lexicographic field order: a stable, hash-independent total order for
-  /// sweeps that must visit connections identically for every lane count.
+  /// sweeps whose visiting order must not depend on hash-table slot order.
   friend auto operator<=>(const ConnKey&, const ConnKey&) = default;
 
   ConnKey reversed() const { return {remote_ip, remote_port, local_ip, local_port}; }

@@ -71,12 +71,6 @@ struct TcpParams {
   /// Data retransmission limit before aborting the connection.
   int max_retries = 12;
 
-  /// Number of lanes the connection table is sharded across (RSS-style,
-  /// by ConnKeyHash). Set by the host from its lane configuration; 1 keeps
-  /// the single flat table. Purely an execution-layout knob: lookup
-  /// results and iteration *contents* are identical for every value.
-  unsigned lanes = 1;
-
   /// RFC 5961 challenge ACKs: an in-window-but-inexact RST, any SYN on a
   /// synchronized connection, and an ACK beyond everything ever sent are
   /// each answered with a rate-limited pure ACK instead of a teardown (or

@@ -15,7 +15,6 @@ TcpLayer::TcpLayer(sim::Simulator& sim, ip::IpLayer& ip, TcpParams params,
       ip_(ip),
       params_(params),
       rng_(seed),
-      conns_(params.lanes == 0 ? 1 : params.lanes),
       challenge_timer_(sim) {
   isn_secret_ = rng_.next_u64();
   ip_.register_protocol(ip::Proto::kTcp,
@@ -33,7 +32,7 @@ void TcpLayer::set_observability(obs::Hub* hub) {
   if (!hub) {
     ctr_segments_sent_ = ctr_segments_received_ = ctr_segments_malformed_ = nullptr;
     ctr_rst_sent_ = ctr_conns_opened_ = ctr_conns_accepted_ = nullptr;
-    ctr_ooo_budget_drops_ = ctr_cross_handoffs_ = nullptr;
+    ctr_ooo_budget_drops_ = nullptr;
     ctr_listen_overflows_ = ctr_tw_recycled_ = nullptr;
     ctr_remote_rekeys_ = ctr_migrates_rejected_ = nullptr;
     ctr_challenge_acks_ = ctr_challenge_limited_ = ctr_icmp_rejected_ = nullptr;
@@ -49,7 +48,6 @@ void TcpLayer::set_observability(obs::Hub* hub) {
   ctr_conns_opened_ = &reg.counter("tcp.connections_opened");
   ctr_conns_accepted_ = &reg.counter("tcp.connections_accepted");
   ctr_ooo_budget_drops_ = &reg.counter("tcp.ooo_dropped_budget");
-  ctr_cross_handoffs_ = &reg.counter("lane.cross_handoffs");
   ctr_listen_overflows_ = &reg.counter("tcp.listen_overflows");
   ctr_tw_recycled_ = &reg.counter("tcp.time_wait_recycled");
   ctr_remote_rekeys_ = &reg.counter("tcp.remote_rekeys");
@@ -275,12 +273,6 @@ void TcpLayer::rekey_local_address(ip::Ipv4 from, ip::Ipv4 to,
     if (conns_.erase(old_key)) release_port(old_key.local_port);
     conn->rebind_local_ip(to);
     const ConnKey new_key = conn->key();  // read before the move nulls conn
-    // Rekeying changes the 4-tuple hash, so a failed-over connection may
-    // migrate to a different lane's shard: a cross-lane handoff.
-    if (conns_.shard_of(new_key) != conns_.shard_of(old_key) &&
-        ctr_cross_handoffs_ != nullptr) {
-      ctr_cross_handoffs_->inc();
-    }
     insert_conn(new_key, std::move(conn));
   }
 }
@@ -288,7 +280,7 @@ void TcpLayer::rekey_local_address(ip::Ipv4 from, ip::Ipv4 to,
 void TcpLayer::rekey_remote_address(ip::Ipv4 from, ip::Ipv4 to,
                                     const std::function<bool(const Connection&)>& filter) {
   // Same collect-sort-move discipline as the local rekey: the move order
-  // is pinned to the stable connection id, never to shard layout.
+  // is pinned to the stable connection id, never to slot order.
   std::vector<std::shared_ptr<Connection>> moved;
   conns_.for_each([&](const ConnKey& key, const std::shared_ptr<Connection>& conn) {
     if (key.remote_ip == from && (!filter || filter(*conn))) moved.push_back(conn);
@@ -300,10 +292,6 @@ void TcpLayer::rekey_remote_address(ip::Ipv4 from, ip::Ipv4 to,
     conns_.erase(old_key);  // local port keeps its allocation
     conn->rebind_remote_ip(to);
     const ConnKey new_key = conn->key();
-    if (conns_.shard_of(new_key) != conns_.shard_of(old_key) &&
-        ctr_cross_handoffs_ != nullptr) {
-      ctr_cross_handoffs_->inc();
-    }
     insert_conn(new_key, std::move(conn));
   }
 }
@@ -319,12 +307,7 @@ void TcpLayer::migrate_local_address(ip::Ipv4 from, ip::Ipv4 to) {
     const ConnKey old_key = conn->key();
     if (conns_.erase(old_key)) release_port(old_key.local_port);
     conn->rebind_local_ip(to);
-    const ConnKey new_key = conn->key();
-    if (conns_.shard_of(new_key) != conns_.shard_of(old_key) &&
-        ctr_cross_handoffs_ != nullptr) {
-      ctr_cross_handoffs_->inc();
-    }
-    insert_conn(new_key, conn);
+    insert_conn(conn->key(), conn);
   }
   // Announce only after every connection is rekeyed — the ACKs go through
   // taps and may re-enter the demux tables.
@@ -398,10 +381,6 @@ void TcpLayer::on_datagram(const ip::IpDatagram& dgram, const ip::RxMeta& meta) 
       if (conn->state() != TcpState::kSynSent && rel >= -kSlack && rel <= kSlack) {
         conns_.erase(old_key);
         conn->rebind_remote_ip(src);
-        if (conns_.shard_of(key) != conns_.shard_of(old_key) &&
-            ctr_cross_handoffs_ != nullptr) {
-          ctr_cross_handoffs_->inc();
-        }
         insert_conn(key, conn);
         if (ctr_remote_rekeys_) ctr_remote_rekeys_->inc();
         if (obs_) {

@@ -12,7 +12,6 @@
 
 #include "common/flat_map.hpp"
 #include "common/rng.hpp"
-#include "common/sharded.hpp"
 #include "ip/ip_layer.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
@@ -107,8 +106,7 @@ class TcpLayer {
 
   /// Rebinds every connection whose *remote* address is `from` — and for
   /// which `filter` returns true — to `to` (server-side view of a client
-  /// address change, PR 10). The local port is untouched; cross-shard
-  /// handoffs are counted exactly like the local rekey.
+  /// address change). The local port is untouched.
   void rekey_remote_address(ip::Ipv4 from, ip::Ipv4 to,
                             const std::function<bool(const Connection&)>& filter = {});
 
@@ -206,10 +204,9 @@ class TcpLayer {
   ip::IpLayer& ip_;
   TcpParams params_;
   Rng rng_;
-  /// The demux table, sharded by ConnKeyHash across params.lanes lanes so
-  /// a lane's segments only probe its own shard. Failover rekeys may move
-  /// a connection between shards (cross-lane handoff, lane.cross_handoffs).
-  ShardedMap<ConnKey, std::shared_ptr<Connection>, ConnKeyHash> conns_;
+  /// The demux table. Its slot order is hash-dependent: sweeps whose side
+  /// effects reach the wire collect and sort by a stable key first.
+  FlatMap<ConnKey, std::shared_ptr<Connection>, ConnKeyHash> conns_;
   /// Live-connection refcount per local port: O(1) collision checks in
   /// allocate_ephemeral_port (the old scan over conns_ made opening N
   /// connections O(N²) — fatal at storm scale). Holds only ports that are
@@ -258,7 +255,6 @@ class TcpLayer {
   obs::Counter* ctr_conns_opened_ = nullptr;
   obs::Counter* ctr_conns_accepted_ = nullptr;
   obs::Counter* ctr_ooo_budget_drops_ = nullptr;
-  obs::Counter* ctr_cross_handoffs_ = nullptr;
   obs::Counter* ctr_listen_overflows_ = nullptr;
   obs::Counter* ctr_tw_recycled_ = nullptr;
   obs::Counter* ctr_remote_rekeys_ = nullptr;

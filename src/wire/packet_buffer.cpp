@@ -7,11 +7,10 @@ namespace tfo::wire {
 
 namespace {
 
-/// The live counters: relaxed atomics, because parallel GRO lane workers
-/// allocate/copy buffers concurrently. Relaxed is enough — these are pure
-/// statistics with no ordering relationship to anything; the lane merge
-/// barrier (LaneSet::run_round) sequences them before any snapshot is
-/// taken on the simulation thread, so snapshots stay deterministic.
+/// The live counters: relaxed atomics, so concurrent allocations from
+/// several threads stay counted. Relaxed is enough — these are pure
+/// statistics with no ordering relationship to anything. The simulation
+/// itself runs on one thread, so its snapshots are deterministic.
 struct AtomicBufferStats {
   std::atomic<std::uint64_t> allocations{0};
   std::atomic<std::uint64_t> allocated_bytes{0};
@@ -33,7 +32,7 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
 /// Recycled blocks keep their stale bytes — every allocation site writes
 /// its full visible range (header prepends included), which the
 /// determinism suite would expose if violated. Per-thread on purpose:
-/// parallel GRO lane workers allocate without synchronization.
+/// allocation needs no synchronization.
 ///
 /// A second, smaller class recycles jumbo blocks (GRO-merged frames: up
 /// to 32 coalesced MSS payloads plus headers). Jumbo blocks keep their

@@ -39,8 +39,7 @@ namespace tfo::wire {
 /// Process-wide buffer accounting, mirrored into per-host obs snapshots as
 /// net.alloc.* / net.bytes_copied (see OBSERVABILITY.md). Returned as a
 /// plain snapshot; the counters themselves are relaxed atomics internally,
-/// because GRO lane workers allocate and copy buffers concurrently when
-/// the parallel lane pool is enabled (TFO_LANES).
+/// so buffers stay safe to allocate from more than one thread.
 struct BufferStats {
   std::uint64_t allocations = 0;    ///< fresh storage blocks created
   std::uint64_t allocated_bytes = 0;///< capacity of those blocks

@@ -12,7 +12,7 @@
 //      ICMP rejections, heartbeat auth failures — as the profile implies).
 // Plus targeted scenarios: forged ICMP fragmentation-needed clamping at
 // min_pmtu instead of collapsing the MSS, and determinism — the same
-// attacked run, twice and across lane layouts, is bit-identical.
+// attacked run, twice, is bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -144,39 +144,22 @@ TEST(AttackScenario, ForgedIcmpFragNeededClampsAtMinPmtu) {
 
 // ----------------------------------------------- determinism under attack
 
-std::string attacked_trace(std::uint64_t seed, apps::LanParams lp) {
+std::string attacked_trace(std::uint64_t seed) {
   std::string trace;
   AttackProfile prof = attack_profiles()[1];  // informed_rst_syn
   const AttackRunResult res =
-      run_attack_scenario(prof, seed, /*fail_primary=*/true, 16000, &trace, lp);
+      run_attack_scenario(prof, seed, /*fail_primary=*/true, 16000, &trace);
   EXPECT_TRUE(res.all_green());
   return trace;
 }
 
 TEST(AttackDeterminism, SameSeedSameTraceUnderAttack) {
-  const std::string a = attacked_trace(401, {});
-  const std::string b = attacked_trace(401, {});
+  const std::string a = attacked_trace(401);
+  const std::string b = attacked_trace(401);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
-  const std::string c = attacked_trace(402, {});
+  const std::string c = attacked_trace(402);
   EXPECT_NE(a, c);  // the attack stream is seed-driven, not incidental
-}
-
-TEST(AttackDeterminism, LaneLayoutsAgreeUnderAttack) {
-  // The determinism lane matrix must stay green with an adversary on the
-  // wire: the attack stream rides the same seeded schedule whatever the
-  // execution layout.
-  ::unsetenv("TFO_LANES");
-  apps::LanParams base;
-  base.nic.rx_batch_max = 8;
-  base.nic.rx_batch_window = microseconds(150);
-  apps::LanParams l1 = base, l4 = base;
-  l1.lanes = {.lanes = 1, .parallel = false};
-  l4.lanes = {.lanes = 4, .parallel = false};
-  const std::string a = attacked_trace(403, l1);
-  const std::string b = attacked_trace(403, l4);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

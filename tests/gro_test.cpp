@@ -1,7 +1,7 @@
 // GRO coalescer correctness.
 //
 // Unit half: synthetic IPv4/TCP frames driven straight through
-// `gro_coalesce` — merge eligibility, PSH boundaries, the global-arrival
+// `gro_coalesce` — merge eligibility, PSH boundaries, the arrival-order
 // adjacency rule, checksum verification (corrupt frames must never be
 // folded into a merged segment), and byte-identical passthrough of
 // ineligible traffic.
@@ -41,8 +41,8 @@ std::uint8_t* put32(std::uint8_t* p, std::uint32_t v) {
 }
 
 /// Crafts a checksum-correct IPv4/TCP frame (no options) carrying
-/// `payload`, stamped with arrival index `arrival`.
-net::RxFrame make_frame(std::size_t arrival, std::uint32_t seq,
+/// `payload`.
+net::RxFrame make_frame(std::uint32_t seq,
                         const Bytes& payload, std::uint8_t flags = kAck,
                         std::uint32_t ack = 1000, std::uint16_t window = 65535,
                         std::uint16_t sport = 4000, std::uint16_t dport = 5000) {
@@ -82,7 +82,6 @@ net::RxFrame make_frame(std::size_t arrival, std::uint32_t seq,
   rx.frame.type = net::EtherType::kIpv4;
   rx.frame.payload = std::move(buf);
   rx.to_us = true;
-  rx.seq = arrival;
   return rx;
 }
 
@@ -116,14 +115,13 @@ TEST(Gro, CoalescesAbuttingRunIntoOneVerifiedFrame) {
   const Bytes b = test::pattern_bytes(300, 2);
   const Bytes c = test::pattern_bytes(200, 3);
   net::GroStats stats;
-  auto out = coalesce({make_frame(0, 1000, a), make_frame(1, 1500, b),
-                       make_frame(2, 1800, c)},
+  auto out = coalesce({make_frame(1000, a), make_frame(1500, b),
+                       make_frame(1800, c)},
                       stats);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(stats.coalesced, 2u);
   EXPECT_EQ(stats.frames_in, 3u);
   EXPECT_EQ(stats.frames_out, 1u);
-  EXPECT_EQ(out[0].seq, 0u);
   EXPECT_TRUE(checksums_verify(out[0].frame));
   Bytes merged = a;
   append(merged, b);
@@ -140,8 +138,8 @@ TEST(Gro, PshClosesTheRunButIsIncluded) {
   const Bytes b = test::pattern_bytes(100, 2);
   const Bytes c = test::pattern_bytes(100, 3);
   net::GroStats stats;
-  auto out = coalesce({make_frame(0, 0, a), make_frame(1, 100, b, kAck | kPsh),
-                       make_frame(2, 200, c)},
+  auto out = coalesce({make_frame(0, a), make_frame(100, b, kAck | kPsh),
+                       make_frame(200, c)},
                       stats);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(stats.coalesced, 1u);
@@ -155,24 +153,28 @@ TEST(Gro, PshClosesTheRunButIsIncluded) {
 }
 
 TEST(Gro, NonAdjacentArrivalsNeverMerge) {
-  // TCP-contiguous but an intervening frame (arrival index 1, e.g. routed
-  // to another lane) separates them: coalescing must not depend on which
-  // lane saw the gap, so the run breaks.
+  // a and b are TCP-contiguous, but a frame of another flow arrived
+  // between them: the run breaks, and arrival order is kept.
   const Bytes a = test::pattern_bytes(100, 1);
+  const Bytes x = test::pattern_bytes(100, 3);
   const Bytes b = test::pattern_bytes(100, 2);
   net::GroStats stats;
-  auto out = coalesce({make_frame(0, 0, a), make_frame(2, 100, b)}, stats);
-  ASSERT_EQ(out.size(), 2u);
+  auto out = coalesce({make_frame(0, a),
+                       make_frame(0, x, kAck, 1000, 65535, 4001, 5000),
+                       make_frame(100, b)},
+                      stats);
+  ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(stats.coalesced, 0u);
   EXPECT_EQ(tcp_payload(out[0].frame), a);
-  EXPECT_EQ(tcp_payload(out[1].frame), b);
+  EXPECT_EQ(tcp_payload(out[1].frame), x);
+  EXPECT_EQ(tcp_payload(out[2].frame), b);
 }
 
 TEST(Gro, SequenceGapBreaksRun) {
   const Bytes a = test::pattern_bytes(100, 1);
   const Bytes b = test::pattern_bytes(100, 2);
   net::GroStats stats;
-  auto out = coalesce({make_frame(0, 0, a), make_frame(1, 150, b)}, stats);
+  auto out = coalesce({make_frame(0, a), make_frame(150, b)}, stats);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(stats.coalesced, 0u);
 }
@@ -181,8 +183,8 @@ TEST(Gro, DifferentFlowsDoNotMerge) {
   const Bytes a = test::pattern_bytes(100, 1);
   const Bytes b = test::pattern_bytes(100, 2);
   net::GroStats stats;
-  auto out = coalesce({make_frame(0, 0, a, kAck, 1000, 65535, 4000, 5000),
-                       make_frame(1, 100, b, kAck, 1000, 65535, 4001, 5000)},
+  auto out = coalesce({make_frame(0, a, kAck, 1000, 65535, 4000, 5000),
+                       make_frame(100, b, kAck, 1000, 65535, 4001, 5000)},
                       stats);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(stats.coalesced, 0u);
@@ -192,8 +194,8 @@ TEST(Gro, CorruptFrameIsNeverFoldedIn) {
   const Bytes a = test::pattern_bytes(100, 1);
   const Bytes b = test::pattern_bytes(100, 2);
   const Bytes c = test::pattern_bytes(100, 3);
-  std::vector<net::RxFrame> in = {make_frame(0, 0, a), make_frame(1, 100, b),
-                                  make_frame(2, 200, c)};
+  std::vector<net::RxFrame> in = {make_frame(0, a), make_frame(100, b),
+                                  make_frame(200, c)};
   // Flip a payload byte of the middle frame without fixing its checksum.
   in[1].frame.payload.mutable_data()[45] ^= 0xff;
   const Bytes corrupted_wire(in[1].frame.payload.data(),
@@ -212,11 +214,10 @@ TEST(Gro, CorruptFrameIsNeverFoldedIn) {
 
 TEST(Gro, PureAcksAndNonTcpPassThrough) {
   net::GroStats stats;
-  net::RxFrame pure_ack = make_frame(0, 0, {});
+  net::RxFrame pure_ack = make_frame(0, {});
   net::RxFrame arp;
   arp.frame.type = net::EtherType::kArp;
   arp.frame.payload = wire::PacketBuffer::alloc(28, 0);
-  arp.seq = 1;
   auto out = coalesce([&] {
     std::vector<net::RxFrame> v;
     v.push_back(std::move(pure_ack));
@@ -233,7 +234,7 @@ TEST(Gro, FinBearingSegmentsPassThrough) {
   const Bytes b = test::pattern_bytes(100, 2);
   net::GroStats stats;
   auto out = coalesce(
-      {make_frame(0, 0, a), make_frame(1, 100, b, kAck | kPsh | kFin)}, stats);
+      {make_frame(0, a), make_frame(100, b, kAck | kPsh | kFin)}, stats);
   // FIN is not a mergeable flag set: the segment must survive unmodified
   // so connection teardown sequencing is untouched by batching.
   ASSERT_EQ(out.size(), 2u);
@@ -245,7 +246,7 @@ TEST(Gro, MaxMergedCapsRunLength) {
   std::vector<net::RxFrame> in;
   std::uint32_t seq = 0;
   for (std::size_t i = 0; i < 8; ++i) {
-    in.push_back(make_frame(i, seq, test::pattern_bytes(100, i)));
+    in.push_back(make_frame(seq, test::pattern_bytes(100, i)));
     seq += 100;
   }
   net::GroStats stats;

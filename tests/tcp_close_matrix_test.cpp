@@ -3,6 +3,8 @@
 // data delivered, and the connection tables drained.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "apps/topology.hpp"
 #include "ip/datagram.hpp"
 #include "test_util.hpp"
@@ -15,12 +17,17 @@ using apps::LanParams;
 using apps::make_lan;
 using test::run_until;
 
+// gtest prints a parameter without a PrintTo overload as a byte dump, and
+// that dump is part of the test name ctest registers. The padding is
+// spelled out as zeroed members so the name holds no uninitialised bytes.
 struct CloseParam {
   bool client_first;       // who calls close() first
+  std::uint8_t pad0[7] = {};
   std::size_t client_data;  // bytes still being sent by the client
   std::size_t server_data;  // bytes still being sent by the server
   double loss;
   bool simultaneous;        // both close() in the same instant
+  std::uint8_t pad1[7] = {};
   const char* label;
 };
 
@@ -96,18 +103,30 @@ TEST_P(CloseMatrix, BothSidesReachClosedWithAllData) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, CloseMatrix,
     ::testing::Values(
-        CloseParam{true, 0, 0, 0.0, false, "client_first_idle"},
-        CloseParam{false, 0, 0, 0.0, false, "server_first_idle"},
-        CloseParam{true, 50000, 0, 0.0, false, "client_first_with_upload"},
-        CloseParam{true, 0, 50000, 0.0, false, "client_first_with_download"},
-        CloseParam{false, 50000, 50000, 0.0, false, "server_first_bidi"},
-        CloseParam{true, 100000, 100000, 0.0, false, "client_first_bidi_large"},
-        CloseParam{true, 0, 0, 0.0, true, "simultaneous_idle"},
-        CloseParam{true, 20000, 20000, 0.0, true, "simultaneous_with_data"},
-        CloseParam{true, 0, 0, 0.05, false, "client_first_lossy"},
-        CloseParam{false, 0, 0, 0.05, false, "server_first_lossy"},
-        CloseParam{true, 30000, 30000, 0.05, false, "bidi_lossy"},
-        CloseParam{true, 10000, 10000, 0.10, true, "simultaneous_very_lossy"}),
+        CloseParam{.client_first = true, .client_data = 0, .server_data = 0,
+                   .loss = 0.0, .simultaneous = false, .label = "client_first_idle"},
+        CloseParam{.client_first = false, .client_data = 0, .server_data = 0,
+                   .loss = 0.0, .simultaneous = false, .label = "server_first_idle"},
+        CloseParam{.client_first = true, .client_data = 50000, .server_data = 0,
+                   .loss = 0.0, .simultaneous = false, .label = "client_first_with_upload"},
+        CloseParam{.client_first = true, .client_data = 0, .server_data = 50000,
+                   .loss = 0.0, .simultaneous = false, .label = "client_first_with_download"},
+        CloseParam{.client_first = false, .client_data = 50000, .server_data = 50000,
+                   .loss = 0.0, .simultaneous = false, .label = "server_first_bidi"},
+        CloseParam{.client_first = true, .client_data = 100000, .server_data = 100000,
+                   .loss = 0.0, .simultaneous = false, .label = "client_first_bidi_large"},
+        CloseParam{.client_first = true, .client_data = 0, .server_data = 0,
+                   .loss = 0.0, .simultaneous = true, .label = "simultaneous_idle"},
+        CloseParam{.client_first = true, .client_data = 20000, .server_data = 20000,
+                   .loss = 0.0, .simultaneous = true, .label = "simultaneous_with_data"},
+        CloseParam{.client_first = true, .client_data = 0, .server_data = 0,
+                   .loss = 0.05, .simultaneous = false, .label = "client_first_lossy"},
+        CloseParam{.client_first = false, .client_data = 0, .server_data = 0,
+                   .loss = 0.05, .simultaneous = false, .label = "server_first_lossy"},
+        CloseParam{.client_first = true, .client_data = 30000, .server_data = 30000,
+                   .loss = 0.05, .simultaneous = false, .label = "bidi_lossy"},
+        CloseParam{.client_first = true, .client_data = 10000, .server_data = 10000,
+                   .loss = 0.10, .simultaneous = true, .label = "simultaneous_very_lossy"}),
     [](const ::testing::TestParamInfo<CloseParam>& info) { return info.param.label; });
 
 // Abort (RST) interactions with pending data: the peer learns promptly
