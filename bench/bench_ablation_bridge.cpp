@@ -112,8 +112,8 @@ std::size_t peak_queue_bytes(std::size_t reply_size, SimDuration secondary_delac
 /// with the given number of gratuitous-ARP repeats under heavy loss.
 bool takeover_succeeds(int repeats, double loss, std::uint64_t seed) {
   apps::LanParams lp;  // default fast params: this is a yes/no experiment
-  lp.medium.loss_probability = loss;
-  lp.medium.loss_seed = seed;
+  lp.medium.impairment.loss = loss;
+  lp.medium.impairment.seed = seed;
   lp.tcp.max_rto = seconds(5);
   core::FailoverConfig cfg;
   cfg.heartbeat_period = milliseconds(5);

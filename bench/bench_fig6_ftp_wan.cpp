@@ -33,7 +33,8 @@ apps::WanParams wan_params() {
   // matches the paper's observed ~175 KB/s ceiling for large files.
   wp.wan_link.bandwidth_bps = 1'500'000;
   wp.wan_link.propagation = milliseconds(10);
-  wp.wan_link.loss_probability = 0.002;
+  wp.wan_link.impairment.loss = 0.002;
+  wp.wan_link.impairment.seed = 43;
   wp.wan_link.queue_limit = 40;
   wp.nic.rx_processing = microseconds(135);
   // The FTP client's user→kernel write path (a 2001-era Linux box writing

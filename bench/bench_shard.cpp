@@ -18,7 +18,6 @@
 // Artifact: BENCH_shard.json ("shard" section schema validated by
 // scripts/check_bench_json.py).
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -242,19 +241,6 @@ int main(int argc, char** argv) {
   print_header("E11: batched rx path — frame batching and GRO",
                "extension (no table in the paper): receive-path cost of the "
                "failover data path");
-
-  // Profiling hook: TFO_REPLAY_PROFILE=legacy|batched loops one replay leg
-  // so a sampling profiler sees only that path. Not part of the bench run.
-  if (const char* prof = std::getenv("TFO_REPLAY_PROFILE")) {
-    const bool batching = std::string(prof) == "batched";
-    const WireCapture cap = capture_echo_stream(16u * 1024 * 1024, nullptr);
-    std::uint64_t bytes = 0;
-    for (int i = 0; i < 10; ++i) {
-      const XferResult r = replay_rx_path(cap, batching, &bytes);
-      std::printf("replay %s: %.3fs\n", prof, r.wall_s);
-    }
-    return 0;
-  }
 
   BenchJson json("shard");
 

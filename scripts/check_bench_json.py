@@ -141,12 +141,12 @@ def _check_storm(storm):
                 f"storm.points[{i}]: p99 below p50")
     alloc = storm["alloc"]
     _expect(isinstance(alloc, dict), "storm.alloc is not an object")
-    for key in ("cycles", "legacy_allocs", "wheel_allocs", "ratio"):
+    for key in ("cycles", "wheel_allocs"):
         _expect(key in alloc, f"storm.alloc missing '{key}'")
         _expect(isinstance(alloc[key], (int, float)) and alloc[key] >= 0,
                 f"storm.alloc.{key} is not a non-negative number")
-    _expect(alloc["ratio"] >= 5,
-            f"storm.alloc.ratio {alloc['ratio']} below the 5x gate")
+    _expect(alloc["wheel_allocs"] == 0,
+            f"storm.alloc.wheel_allocs {alloc['wheel_allocs']} is not 0")
 
 
 def _check_shard(shard):
@@ -364,8 +364,7 @@ def self_test():
                 {"conns": 100000, "bytes_per_conn": 6800,
                  "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 3.5e8},
             ],
-            "alloc": {"cycles": 200000, "legacy_allocs": 400000,
-                      "wheel_allocs": 0, "ratio": 400000.0},
+            "alloc": {"cycles": 200000, "wheel_allocs": 0},
         },
         "shard": {
             "gro": {"mss": 1460, "base_segments_per_s": 100000.0,
@@ -450,9 +449,10 @@ def self_test():
             conns=1000)),
         ("storm negative bytes", lambda d: d["storm"]["points"][0].update(
             bytes_per_conn=-1)),
-        ("storm alloc missing ratio", lambda d: d["storm"]["alloc"].pop("ratio")),
-        ("storm ratio below gate", lambda d: d["storm"]["alloc"].update(
-            ratio=2.0)),
+        ("storm alloc missing wheel_allocs", lambda d: d["storm"]["alloc"].pop(
+            "wheel_allocs")),
+        ("storm wheel allocs nonzero", lambda d: d["storm"]["alloc"].update(
+            wheel_allocs=1)),
         ("shard missing gro", lambda d: d["shard"].pop("gro")),
         ("shard speedup below gate", lambda d: d["shard"]["gro"].update(
             speedup=1.1)),

@@ -24,7 +24,7 @@ void warm_pair(Host& a, Host& b) {
 }  // namespace
 
 std::unique_ptr<Lan> make_lan(LanParams params) {
-  auto lan = std::make_unique<Lan>(params.scheduler);
+  auto lan = std::make_unique<Lan>();
   lan->wire = std::make_unique<net::SharedMedium>(lan->sim, params.medium);
   lan->client = std::make_unique<Host>(
       lan->sim, host_params("client", Lan::kClientAddr, params, params.seed + 1),

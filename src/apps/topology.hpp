@@ -30,14 +30,9 @@ struct LanParams {
   std::uint64_t seed = 11;
   /// Pre-populate every ARP cache (the paper warmed caches before timing).
   bool warm_arp = true;
-  /// Event-queue implementation for the topology's shared Simulator.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kTimingWheel;
 };
 
 struct Lan {
-  explicit Lan(sim::SchedulerKind scheduler = sim::SchedulerKind::kTimingWheel)
-      : sim(scheduler) {}
-
   sim::Simulator sim;
   std::unique_ptr<net::SharedMedium> wire;
   std::unique_ptr<Host> client;

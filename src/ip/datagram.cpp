@@ -1,15 +1,12 @@
 #include "ip/datagram.hpp"
 
-#include <cstring>
-
 #include "common/checksum.hpp"
 
 namespace tfo::ip {
 
 namespace {
 /// Writes the 20-byte header (checksum included) for a datagram whose
-/// total length is `tot_len` into `h`. Single writer shared by the
-/// copying and in-place serialization paths so they stay byte-identical.
+/// total length is `tot_len` into `h`.
 void write_header(std::uint8_t* h, const IpDatagram& d, std::size_t tot_len) {
   std::uint8_t* p = h;
   p = write_u8(p, 0x45);  // version 4, IHL 5
@@ -27,15 +24,6 @@ void write_header(std::uint8_t* h, const IpDatagram& d, std::size_t tot_len) {
   write_u16(h + 10, ck);
 }
 }  // namespace
-
-Bytes IpDatagram::serialize() const {
-  Bytes out(total_length());
-  write_header(out.data(), *this, total_length());
-  if (!payload.empty()) {
-    std::memcpy(out.data() + kHeaderBytes, payload.data(), payload.size());
-  }
-  return out;
-}
 
 wire::PacketBuffer IpDatagram::to_wire() {
   const std::size_t tot_len = total_length();

@@ -36,15 +36,10 @@ struct IpDatagram {
 
   std::size_t total_length() const { return kHeaderBytes + payload.size(); }
 
-  /// Serializes header + payload into a fresh Bytes; computes the header
-  /// checksum. Legacy copying path, kept as the byte-identical reference
-  /// for to_wire() (and for cold callers that want a detached copy).
-  Bytes serialize() const;
-
-  /// Zero-copy serialization: prepends the IP header into the payload
-  /// buffer's headroom (in place when the storage is exclusively owned)
-  /// and returns the buffer. Consumes the payload — the datagram's
-  /// payload is empty afterwards. Byte-identical to serialize().
+  /// Serializes header (with its checksum) + payload: prepends the IP
+  /// header into the payload buffer's headroom (in place when the storage
+  /// is exclusively owned) and returns the buffer. Consumes the payload —
+  /// the datagram's payload is empty afterwards.
   wire::PacketBuffer to_wire();
 
   /// Parses a wire datagram; verifies the header checksum and length.

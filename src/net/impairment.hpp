@@ -21,8 +21,10 @@
 //
 // All decisions draw from one explicitly seeded Rng, so a failing
 // impairment schedule is reproducible bit-for-bit from its seed. A target
-// predicate scopes the pipeline to particular (sender, receiver) pairs,
-// generalizing the per-receiver `LossFn` the §4 tests use.
+// predicate scopes the pipeline to particular (sender, receiver) pairs.
+// This is the media's only random-loss configuration; the per-frame
+// `LossFn` (net/medium.hpp) stays as the deterministic hook the §4 tests
+// use to drop chosen segments.
 //
 // The engine also keeps conservation counters (offered, dropped,
 // duplicated, reordered, corrupted, delivered, detached) and can mirror

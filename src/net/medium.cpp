@@ -8,29 +8,12 @@
 
 namespace tfo::net {
 
-namespace {
-
-/// Folds the legacy loss knobs into the impairment pipeline: the old
-/// `loss_probability`/`loss_seed` pair configures the uniform-loss stage
-/// and its seed, preserving the pre-pipeline drop schedules bit-for-bit.
-ImpairmentParams fold_legacy_loss(ImpairmentParams ip, double loss_probability,
-                                  std::uint64_t loss_seed) {
-  if (loss_probability > 0.0) {
-    if (ip.loss == 0.0) ip.loss = loss_probability;
-    ip.seed = loss_seed;
-  }
-  return ip;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------- Shared
 
 SharedMedium::SharedMedium(sim::Simulator& sim, SharedMediumParams params)
     : sim_(sim),
       params_(params),
-      impairment_(fold_legacy_loss(params.impairment, params.loss_probability,
-                                   params.loss_seed)) {}
+      impairment_(params.impairment) {}
 
 void SharedMedium::attach(Nic* nic) {
   if (!attached_.insert(nic).second) return;  // already attached
@@ -149,8 +132,7 @@ void SharedMedium::deliver_copy(Nic* receiver, const EthernetFrame& frame,
 PointToPointLink::PointToPointLink(sim::Simulator& sim, PointToPointParams params)
     : sim_(sim),
       params_(params),
-      impairment_(fold_legacy_loss(params.impairment, params.loss_probability,
-                                   params.loss_seed)) {}
+      impairment_(params.impairment) {}
 
 void PointToPointLink::attach(Nic* nic) {
   if (ends_[0] == nullptr) {

@@ -13,8 +13,8 @@
 // Both media run every delivery through an `Impairment` pipeline
 // (net/impairment.hpp): uniform and bursty loss, duplication, reordering
 // jitter and byte corruption, per-receiver-targetable and deterministically
-// seeded. The legacy `loss_probability`/`loss_seed` knobs remain as thin
-// wrappers that configure the pipeline's uniform-loss stage.
+// seeded. Random loss is configured there (`impairment.loss`/`.seed`);
+// `LossFn` is the deterministic per-frame hook for dropping chosen frames.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +59,6 @@ struct SharedMediumParams {
   /// Full-duplex: each sender owns an independent transmit path (switch
   /// semantics without per-port forwarding tables).
   bool half_duplex = true;
-  /// Legacy uniform per-delivery loss knobs: folded into
-  /// `impairment.loss`/`impairment.seed` at construction (0 disables).
-  double loss_probability = 0.0;
-  std::uint64_t loss_seed = 42;
   /// Impairment pipeline configuration (loss/duplication/reorder/corrupt).
   ImpairmentParams impairment;
 };
@@ -121,9 +117,6 @@ class SharedMedium : public Medium {
 struct PointToPointParams {
   std::uint64_t bandwidth_bps = 10'000'000;  // a modest WAN uplink
   SimDuration propagation = milliseconds(10);
-  /// Legacy uniform loss knobs: folded into the impairment pipeline.
-  double loss_probability = 0.0;
-  std::uint64_t loss_seed = 43;
   /// Maximum frames queued per direction before tail drop.
   std::size_t queue_limit = 64;
   /// Impairment pipeline configuration (loss/duplication/reorder/corrupt).

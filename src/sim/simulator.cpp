@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
 
 #include "common/assert.hpp"
 
@@ -21,21 +20,12 @@ struct HeapAfter {
 
 }  // namespace
 
-struct Simulator::LegacyIndex {
-  std::unordered_map<EventId, std::weak_ptr<LegacyEvent>> map;
-};
-
-Simulator::Simulator(SchedulerKind kind) : kind_(kind) {
+Simulator::Simulator() {
   for (Level& lv : levels_) {
     std::fill(std::begin(lv.head), std::end(lv.head), kNil);
     std::fill(std::begin(lv.tail), std::end(lv.tail), kNil);
   }
-  if (kind_ == SchedulerKind::kLegacyHeap) {
-    legacy_by_id_ = std::make_unique<LegacyIndex>();
-  }
 }
-
-Simulator::~Simulator() = default;
 
 const Simulator::Stats& Simulator::stats() const {
   stats_.pool_events = pool_.size();
@@ -237,7 +227,6 @@ void Simulator::execute_heap_top() {
 EventId Simulator::schedule_at(SimTime t, std::function<void()> fn) {
   if (t < now_) t = now_;
   ++stats_.scheduled;
-  if (kind_ == SchedulerKind::kLegacyHeap) return legacy_schedule(t, std::move(fn));
   const std::uint32_t idx = alloc_event(t, std::move(fn));
   wheel_insert(idx, /*cascading=*/false);
   ++live_events_;
@@ -251,10 +240,6 @@ EventId Simulator::schedule_after(SimDuration d, std::function<void()> fn) {
 
 void Simulator::cancel(EventId id) {
   if (id == kNoEvent) return;
-  if (kind_ == SchedulerKind::kLegacyHeap) {
-    legacy_cancel(id);
-    return;
-  }
   const std::uint32_t idx = static_cast<std::uint32_t>(id & 0xffffffffu);
   const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
   if (idx >= pool_.size()) return;
@@ -274,7 +259,6 @@ void Simulator::cancel(EventId id) {
 }
 
 bool Simulator::step() {
-  if (kind_ == SchedulerKind::kLegacyHeap) return legacy_step();
   if (!prepare_next()) return false;
   execute_heap_top();
   return true;
@@ -288,10 +272,6 @@ void Simulator::run(std::uint64_t max_events) {
 }
 
 void Simulator::run_until(SimTime t, std::uint64_t max_events) {
-  if (kind_ == SchedulerKind::kLegacyHeap) {
-    legacy_run_until(t, max_events);
-    return;
-  }
   std::uint64_t n = 0;
   while (prepare_next()) {
     if (heap_.front().time > t) break;
@@ -303,86 +283,6 @@ void Simulator::run_until(SimTime t, std::uint64_t max_events) {
 
 void Simulator::run_for(SimDuration d, std::uint64_t max_events) {
   run_until(d <= 0 ? now_ : now_ + static_cast<SimTime>(d), max_events);
-}
-
-// ----------------------------------------------------------------- legacy
-
-EventId Simulator::legacy_schedule(SimTime t, std::function<void()> fn) {
-  auto ev = std::make_shared<LegacyEvent>();
-  ev->time = t;
-  ev->order = next_order_++;
-  ev->id = legacy_next_id_++;
-  ev->fn = std::move(fn);
-  legacy_by_id_->map[ev->id] = ev;
-  legacy_heap_.push_back(ev);
-  std::push_heap(legacy_heap_.begin(), legacy_heap_.end(), LegacyCmp{});
-  ++live_events_;
-  return ev->id;
-}
-
-void Simulator::legacy_cancel(EventId id) {
-  auto it = legacy_by_id_->map.find(id);
-  if (it == legacy_by_id_->map.end()) return;
-  if (auto ev = it->second.lock(); ev && !ev->cancelled) {
-    ev->cancelled = true;
-    ev->fn = nullptr;  // release the closure eagerly, not at the deadline
-    --live_events_;
-    ++legacy_tombstones_;
-    ++stats_.cancelled;
-  }
-  legacy_by_id_->map.erase(it);
-  // Tombstones ride in the heap until their deadline; rebuild once they
-  // outnumber the live events so a storm of cancelled retransmit timers
-  // cannot pin the queue's memory.
-  if (legacy_tombstones_ > live_events_ && legacy_tombstones_ > 64) legacy_compact();
-}
-
-void Simulator::legacy_compact() {
-  std::erase_if(legacy_heap_,
-                [](const std::shared_ptr<LegacyEvent>& e) { return e->cancelled; });
-  std::make_heap(legacy_heap_.begin(), legacy_heap_.end(), LegacyCmp{});
-  legacy_tombstones_ = 0;
-  ++stats_.legacy_compactions;
-}
-
-bool Simulator::legacy_step() {
-  while (!legacy_heap_.empty()) {
-    std::pop_heap(legacy_heap_.begin(), legacy_heap_.end(), LegacyCmp{});
-    auto ev = std::move(legacy_heap_.back());
-    legacy_heap_.pop_back();
-    if (ev->cancelled) {
-      if (legacy_tombstones_ > 0) --legacy_tombstones_;
-      continue;
-    }
-    legacy_by_id_->map.erase(ev->id);
-    --live_events_;
-    TFO_ASSERT(ev->time >= now_, "event queue went backwards in time");
-    now_ = ev->time;
-    // Move the closure out so re-entrant scheduling during the call is safe.
-    auto fn = std::move(ev->fn);
-    ++stats_.fired;
-    fn();
-    return true;
-  }
-  return false;
-}
-
-void Simulator::legacy_run_until(SimTime t, std::uint64_t max_events) {
-  std::uint64_t n = 0;
-  while (!legacy_heap_.empty()) {
-    // Skip cancelled tombstones at the head without advancing time.
-    const auto& ev = legacy_heap_.front();
-    if (ev->cancelled) {
-      std::pop_heap(legacy_heap_.begin(), legacy_heap_.end(), LegacyCmp{});
-      legacy_heap_.pop_back();
-      if (legacy_tombstones_ > 0) --legacy_tombstones_;
-      continue;
-    }
-    if (ev->time > t) break;
-    legacy_step();
-    TFO_ASSERT(++n <= max_events, "simulator exceeded max_events (runaway loop?)");
-  }
-  if (now_ < t) now_ = t;
 }
 
 }  // namespace tfo::sim

@@ -5,17 +5,13 @@
 // scheduling order (a strictly increasing tiebreaker), which makes every
 // run bit-for-bit reproducible.
 //
-// Two schedulers implement that contract:
-//
-//   * kTimingWheel (default) — a hierarchical timing wheel over a pooled
-//     event store. schedule/cancel are O(1) and allocation-free once the
-//     pool is warm, which is what lets 100k connections each hold armed
-//     retransmit timers without the event queue becoming the bottleneck.
-//     The wheel is a *staging area*, not the execution order: every event
-//     funnels through one exact (time, order) min-heap before running, so
-//     drain order is bit-for-bit identical to the legacy scheduler's.
-//   * kLegacyHeap — the original shared_ptr priority queue, retained for
-//     A/B benchmarking and the equivalence property test.
+// The scheduler is a hierarchical timing wheel over a pooled event store.
+// schedule/cancel are O(1) and allocation-free once the pool is warm, which
+// is what lets 100k connections each hold armed retransmit timers without
+// the event queue becoming the bottleneck. The wheel is a *staging area*,
+// not the execution order: every event funnels through one exact
+// (time, order) min-heap before running. tests/scheduler_property_test.cpp
+// pins that order against a reference model of the contract.
 //
 // Wheel shape: kLevels levels of kSlots slots. Level 0 slots are one tick
 // (2^kTickShift ns ≈ 65.5 µs) wide; each higher level is kSlots× coarser.
@@ -31,7 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/time.hpp"
@@ -44,20 +39,11 @@ namespace tfo::sim {
 using EventId = std::uint64_t;
 constexpr EventId kNoEvent = 0;
 
-/// Which event-queue implementation a Simulator runs on.
-enum class SchedulerKind {
-  kTimingWheel,  ///< pooled hierarchical wheel + exact heap (default)
-  kLegacyHeap,   ///< original shared_ptr priority queue (A/B reference)
-};
-
 class Simulator {
  public:
-  explicit Simulator(SchedulerKind kind = SchedulerKind::kTimingWheel);
-  ~Simulator();
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  SchedulerKind scheduler_kind() const { return kind_; }
 
   /// Current simulated time.
   SimTime now() const { return now_; }
@@ -100,8 +86,7 @@ class Simulator {
     std::uint64_t heap_inserts = 0;     ///< events entering the exact heap
     std::uint64_t cascades = 0;         ///< wheel events re-filed at a finer level
     std::uint64_t heap_compactions = 0; ///< stale-entry purges of the exact heap
-    std::uint64_t pool_events = 0;      ///< event-pool capacity (wheel mode)
-    std::uint64_t legacy_compactions = 0; ///< tombstone purges (legacy mode)
+    std::uint64_t pool_events = 0;      ///< event-pool capacity
   };
   const Stats& stats() const;
 
@@ -114,7 +99,6 @@ class Simulator {
   static constexpr unsigned kLevels = 6;
 
  private:
-  // ------------------------------------------------------- wheel scheduler
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   enum class Loc : std::uint8_t { kFree, kWheel, kHeap };
@@ -157,7 +141,6 @@ class Simulator {
   void heap_compact();
   void execute_heap_top();
 
-  SchedulerKind kind_;
   SimTime now_ = 0;
   std::uint64_t next_order_ = 1;
   std::size_t live_events_ = 0;
@@ -169,37 +152,6 @@ class Simulator {
   std::size_t heap_stale_ = 0;   // cancelled entries still parked in heap_
   Level levels_[kLevels];
   std::uint64_t cur_tick_ = 0;   // wheel cursor: slots before it are drained
-
-  // ------------------------------------------------------ legacy scheduler
-  // The original implementation: one shared_ptr heap entry per event, an
-  // id→event side table, cancellation by tombstone flag. Kept verbatim in
-  // behaviour (plus the tombstone-compaction and eager-closure-free fixes)
-  // as the A/B baseline.
-  struct LegacyEvent {
-    SimTime time;
-    std::uint64_t order;
-    EventId id;
-    std::function<void()> fn;
-    bool cancelled = false;
-  };
-  struct LegacyCmp {
-    bool operator()(const std::shared_ptr<LegacyEvent>& a,
-                    const std::shared_ptr<LegacyEvent>& b) const {
-      if (a->time != b->time) return a->time > b->time;
-      return a->order > b->order;
-    }
-  };
-  EventId legacy_schedule(SimTime t, std::function<void()> fn);
-  void legacy_cancel(EventId id);
-  bool legacy_step();
-  void legacy_run_until(SimTime t, std::uint64_t max_events);
-  void legacy_compact();
-
-  EventId legacy_next_id_ = 1;
-  std::vector<std::shared_ptr<LegacyEvent>> legacy_heap_;
-  std::size_t legacy_tombstones_ = 0;
-  struct LegacyIndex;  // unordered_map<EventId, weak_ptr<LegacyEvent>>
-  std::unique_ptr<LegacyIndex> legacy_by_id_;
 };
 
 }  // namespace tfo::sim

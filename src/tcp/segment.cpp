@@ -1,6 +1,5 @@
 #include "tcp/segment.hpp"
 
-#include <cstring>
 #include <sstream>
 
 #include "common/checksum.hpp"
@@ -31,8 +30,6 @@ std::uint32_t pseudo_header_sum(ip::Ipv4 src, ip::Ipv4 dst,
 }
 
 /// Writes the TCP header (checksum placeholder zero) for `s` into `h`.
-/// Single writer shared by the copying and in-place serialization paths
-/// so they stay byte-identical.
 void write_header(std::uint8_t* h, const TcpSegment& s, std::size_t hdr) {
   std::uint8_t* p = h;
   p = write_u16(p, s.src_port);
@@ -82,17 +79,6 @@ std::size_t TcpSegment::header_bytes() const {
   // Pad options to a 32-bit boundary.
   opts = (opts + 3) & ~std::size_t{3};
   return 20 + opts;
-}
-
-Bytes TcpSegment::serialize(ip::Ipv4 src_ip, ip::Ipv4 dst_ip) const {
-  const std::size_t hdr = header_bytes();
-  Bytes out(hdr + payload.size());
-  write_header(out.data(), *this, hdr);
-  if (!payload.empty()) {
-    std::memcpy(out.data() + hdr, payload.data(), payload.size());
-  }
-  finish_checksum(out.data(), out.size(), src_ip, dst_ip);
-  return out;
 }
 
 wire::PacketBuffer TcpSegment::take_wire(ip::Ipv4 src_ip, ip::Ipv4 dst_ip) {

@@ -62,16 +62,10 @@ struct TcpSegment {
   std::size_t header_bytes() const;
 
   /// Serializes with a valid checksum over the RFC 793 pseudo-header for
-  /// the given IP endpoints. Legacy copying path, kept as the
-  /// byte-identical reference for take_wire() (and for callers that want
-  /// a detached copy).
-  Bytes serialize(ip::Ipv4 src_ip, ip::Ipv4 dst_ip) const;
-
-  /// Zero-copy serialization: prepends the TCP header (with valid
-  /// pseudo-header checksum) into the payload buffer's headroom — in
-  /// place when the storage is exclusively owned — and returns the
-  /// buffer. Consumes the payload (empty afterwards). Byte-identical to
-  /// serialize().
+  /// the given IP endpoints: prepends the TCP header into the payload
+  /// buffer's headroom — in place when the storage is exclusively owned —
+  /// and returns the buffer. Consumes the payload (empty afterwards); take
+  /// the wire of a copy to keep the segment.
   wire::PacketBuffer take_wire(ip::Ipv4 src_ip, ip::Ipv4 dst_ip);
 
   /// Parses and verifies the checksum against the pseudo-header. Returns

@@ -21,8 +21,8 @@ using test::run_until;
 std::string run_scenario(std::uint64_t lan_seed, double loss, std::uint64_t loss_seed) {
   apps::LanParams lp;
   lp.seed = lan_seed;
-  lp.medium.loss_probability = loss;
-  lp.medium.loss_seed = loss_seed;
+  lp.medium.impairment.loss = loss;
+  lp.medium.impairment.seed = loss_seed;
   lp.tcp.max_rto = seconds(5);
   auto r = test::make_replicated_lan(lp);
   apps::FrameTracer at_client(r->sim(), r->client().nic());
@@ -82,12 +82,11 @@ std::string canonical_metrics(const apps::Host& h) {
 }
 
 /// Full failover scenario (transfer, mid-way crash, completion) on the
-/// batched+GRO data path with the given scheduler.
-BatchedRunResult run_batched_scenario(sim::SchedulerKind kind) {
+/// batched+GRO data path.
+BatchedRunResult run_batched_scenario() {
   apps::LanParams lp;
   lp.seed = 11;
   lp.tcp.max_rto = seconds(5);
-  lp.scheduler = kind;
   lp.nic.rx_batch_max = 8;
   lp.nic.rx_batch_window = microseconds(150);
   auto r = test::make_replicated_lan(lp);
@@ -102,14 +101,11 @@ BatchedRunResult run_batched_scenario(sim::SchedulerKind kind) {
           canonical_metrics(r->client()) + canonical_metrics(r->secondary())};
 }
 
-/// 64-bit FNV-1a.
+/// 64-bit FNV-1a of a string's bytes.
 std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  test::Fnv1a f;
+  for (const unsigned char c : s) f.byte(c);
+  return f.h;
 }
 
 TEST(Determinism, BatchedFailoverTraceMatchesRecordedDigest) {
@@ -117,22 +113,13 @@ TEST(Determinism, BatchedFailoverTraceMatchesRecordedDigest) {
   // only with an intended change to what goes on the wire; re-record it
   // only then.
   constexpr std::uint64_t kRecordedTraceDigest = 0x85613b79cc3eb43eull;
-  const BatchedRunResult r = run_batched_scenario(sim::SchedulerKind::kTimingWheel);
+  const BatchedRunResult r = run_batched_scenario();
   ASSERT_FALSE(r.trace.empty());
   EXPECT_EQ(fnv1a64(r.trace), kRecordedTraceDigest);
   // Same seed, same bits — observability snapshot included.
-  const BatchedRunResult again = run_batched_scenario(sim::SchedulerKind::kTimingWheel);
+  const BatchedRunResult again = run_batched_scenario();
   EXPECT_EQ(again.trace, r.trace);
   EXPECT_EQ(again.metrics, r.metrics);
-}
-
-TEST(Determinism, SchedulerKindsAgreeOnTheBatchedPath) {
-  // The wheel and the legacy heap drain in the same order, so the batched
-  // data path's wire trace is identical across kinds. (Snapshots are
-  // compared within kind only: sim.wheel.* telemetry legitimately differs.)
-  const BatchedRunResult wheel = run_batched_scenario(sim::SchedulerKind::kTimingWheel);
-  const BatchedRunResult heap = run_batched_scenario(sim::SchedulerKind::kLegacyHeap);
-  EXPECT_EQ(wheel.trace, heap.trace);
 }
 
 TEST(Determinism, SimulatorTimeIsIndependentOfWallClock) {

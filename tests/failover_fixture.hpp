@@ -76,7 +76,7 @@ inline tcp::ConnKey inject_client_syn(apps::Host& client, ip::Ipv4 server,
   syn.flags = tcp::Flags::kSyn;
   syn.window = 65535;
   client.ip().send(ip::Proto::kTcp, client.address(), server,
-                   syn.serialize(client.address(), server));
+                   syn.take_wire(client.address(), server));
   return tcp::ConnKey{server, server_port, client.address(), client_port};
 }
 

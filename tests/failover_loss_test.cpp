@@ -200,8 +200,8 @@ class RandomLossSweep : public ::testing::TestWithParam<LossSweepParam> {};
 TEST_P(RandomLossSweep, StreamIntegrityUnderLoss) {
   const auto param = GetParam();
   apps::LanParams lp;
-  lp.medium.loss_probability = param.loss;
-  lp.medium.loss_seed = param.seed;
+  lp.medium.impairment.loss = param.loss;
+  lp.medium.impairment.seed = param.seed;
   // A diverted reply crosses the wire twice, so per-attempt delivery odds
   // compound; cap the RTO backoff at a LAN-appropriate bound so recovery
   // under heavy loss is measured in seconds, not minutes.

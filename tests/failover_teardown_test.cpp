@@ -67,7 +67,7 @@ TEST(Teardown, StrayClientFinIsAckedNotReset) {
   fin.window = 65535;
   r->client().ip().send(ip::Proto::kTcp, r->client().address(),
                         r->primary().address(),
-                        fin.serialize(r->client().address(), r->primary().address()));
+                        fin.take_wire(r->client().address(), r->primary().address()));
   r->sim().run_for(milliseconds(50));
 
   // The client got a pure ACK covering the FIN, and no RST.
@@ -98,7 +98,7 @@ TEST(Teardown, StraySecondaryFinIsAckedBackToSecondary) {
   fin.orig_dst = key.remote_ip;  // diverted-segment marking
   r->secondary().ip().send(
       ip::Proto::kTcp, r->secondary().address(), r->primary().address(),
-      fin.serialize(r->secondary().address(), r->primary().address()));
+      fin.take_wire(r->secondary().address(), r->primary().address()));
   r->sim().run_for(milliseconds(50));
 
   // The secondary received an ACK that *appears to come from the client*.
@@ -128,7 +128,7 @@ TEST(Teardown, StrayFinReplySequenceComesFromSendersAck) {
   fin.window = 65535;
   r->client().ip().send(ip::Proto::kTcp, r->client().address(),
                         r->primary().address(),
-                        fin.serialize(r->client().address(), r->primary().address()));
+                        fin.take_wire(r->client().address(), r->primary().address()));
   r->sim().run_for(milliseconds(50));
 
   EXPECT_GE(at_client.count([&](const apps::TraceRecord& rec) {
@@ -154,7 +154,7 @@ TEST(Teardown, StrayClientFinWithoutAckIsSuppressed) {
   fin.window = 65535;
   r->client().ip().send(ip::Proto::kTcp, r->client().address(),
                         r->primary().address(),
-                        fin.serialize(r->client().address(), r->primary().address()));
+                        fin.take_wire(r->client().address(), r->primary().address()));
   r->sim().run_for(milliseconds(50));
 
   EXPECT_EQ(at_client.count([&](const apps::TraceRecord& rec) {
@@ -181,7 +181,7 @@ TEST(Teardown, StraySecondaryFinWithoutAckIsSuppressed) {
   fin.orig_dst = key.remote_ip;
   r->secondary().ip().send(
       ip::Proto::kTcp, r->secondary().address(), r->primary().address(),
-      fin.serialize(r->secondary().address(), r->primary().address()));
+      fin.take_wire(r->secondary().address(), r->primary().address()));
   r->sim().run_for(milliseconds(50));
 
   EXPECT_EQ(at_secondary.count([&](const apps::TraceRecord& rec) {

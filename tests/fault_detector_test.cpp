@@ -93,7 +93,8 @@ TEST_F(FdFixture, IgnoresHeartbeatsFromWrongPeer) {
 
 TEST_F(FdFixture, SurvivesModerateHeartbeatLoss) {
   apps::LanParams lp;
-  lp.medium.loss_probability = 0.2;
+  lp.medium.impairment.loss = 0.2;
+  lp.medium.impairment.seed = 42;
   lan = apps::make_lan(lp);
   // Timeout of 10 periods tolerates long loss runs.
   build(milliseconds(10), milliseconds(100));

@@ -341,31 +341,6 @@ TEST(ImpairmentMedium, CorruptedCopyDiffersOnTheWire) {
   EXPECT_EQ(wire.impairment().counters().corrupted, 1u);
 }
 
-TEST(ImpairmentMedium, LegacyLossKnobStillConfiguresPipeline) {
-  // The pre-pipeline loss_probability/loss_seed pair must keep working as
-  // a thin wrapper over the uniform-loss stage.
-  sim::Simulator sim;
-  SharedMediumParams mp;
-  mp.loss_probability = 0.5;
-  mp.loss_seed = 7;
-  SharedMedium wire(sim, mp);
-  EXPECT_TRUE(wire.impairment().enabled());
-  EXPECT_DOUBLE_EQ(wire.impairment().params().loss, 0.5);
-  EXPECT_EQ(wire.impairment().params().seed, 7u);
-  auto a = quick_nic(sim, "a", 1);
-  auto b = quick_nic(sim, "b", 2);
-  a->attach(wire);
-  b->attach(wire);
-  int got = 0;
-  b->set_rx_handler([&](const EthernetFrame&, bool) { ++got; });
-  for (int i = 0; i < 100; ++i) a->send(frame_to(*b, 64));
-  sim.run();
-  EXPECT_GT(got, 20);
-  EXPECT_LT(got, 80);
-  EXPECT_EQ(wire.impairment().counters().dropped, 100u - got);
-  EXPECT_TRUE(wire.impairment().conserved());
-}
-
 // --------------------------------------------- frame-lifetime regressions
 
 TEST(FrameLifetime, SharedMediumSkipsNicDestroyedEarlierInSamePass) {

@@ -38,7 +38,18 @@ TEST(IpDatagram, SerializeParseRoundTrip) {
   d.ttl = 33;
   d.id = 777;
   d.payload = to_bytes("payload!");
-  const Bytes wire = d.serialize();
+  const Bytes wire = test::wire_of(d);
+  // Golden bytes, written out by hand from RFC 791 (header checksum
+  // computed independently).
+  const Bytes want = {
+      0x45, 0x00, 0x00, 0x1c,  // v4, IHL 5, total length 28
+      0x03, 0x09, 0x00, 0x00,  // id 777, no fragmentation
+      0x21, 0x06, 0x82, 0xd1,  // ttl 33, TCP, header checksum
+      0x0a, 0x00, 0x00, 0x01,  // src 10.0.0.1
+      0x0a, 0x00, 0x00, 0x02,  // dst 10.0.0.2
+      0x70, 0x61, 0x79, 0x6c, 0x6f, 0x61, 0x64, 0x21,  // "payload!"
+  };
+  EXPECT_EQ(wire, want);
   auto back = IpDatagram::parse(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->src, d.src);
@@ -53,7 +64,7 @@ TEST(IpDatagram, CorruptHeaderRejected) {
   IpDatagram d;
   d.src = Ipv4::parse("1.1.1.1");
   d.dst = Ipv4::parse("2.2.2.2");
-  Bytes wire = d.serialize();
+  Bytes wire = test::wire_of(d);
   wire[12] ^= 0x01;  // flip a source-address bit
   EXPECT_FALSE(IpDatagram::parse(wire).has_value());
 }
@@ -61,7 +72,7 @@ TEST(IpDatagram, CorruptHeaderRejected) {
 TEST(IpDatagram, TruncatedRejected) {
   IpDatagram d;
   d.payload = Bytes(100, 1);
-  Bytes wire = d.serialize();
+  Bytes wire = test::wire_of(d);
   wire.resize(50);
   EXPECT_FALSE(IpDatagram::parse(wire).has_value());
 }

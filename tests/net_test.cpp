@@ -161,8 +161,8 @@ TEST_F(NetFixture, PerReceiverLossRule) {
 }
 
 TEST_F(NetFixture, UniformLossDropsSomeFrames) {
-  mp.loss_probability = 0.5;
-  mp.loss_seed = 7;
+  mp.impairment.loss = 0.5;
+  mp.impairment.seed = 7;
   build();
   for (int i = 0; i < 100; ++i) a->send(frame_to(*b, 64));
   sim.run();

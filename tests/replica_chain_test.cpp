@@ -221,8 +221,8 @@ TEST_F(ChainFixture, PromotionCarriesHandshakeWatch) {
 
 TEST_F(ChainFixture, ChainWithLossStillExact) {
   apps::LanParams lp;
-  lp.medium.loss_probability = 0.03;
-  lp.medium.loss_seed = 99;
+  lp.medium.impairment.loss = 0.03;
+  lp.medium.impairment.seed = 99;
   lp.tcp.max_rto = seconds(5);
   build(3, lp);
   run_with_crashes({{0, 40 * 1024}}, 80 * 1024);

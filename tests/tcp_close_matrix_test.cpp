@@ -36,8 +36,8 @@ class CloseMatrix : public ::testing::TestWithParam<CloseParam> {};
 TEST_P(CloseMatrix, BothSidesReachClosedWithAllData) {
   const CloseParam& p = GetParam();
   LanParams lp;
-  lp.medium.loss_probability = p.loss;
-  lp.medium.loss_seed = 77;
+  lp.medium.impairment.loss = p.loss;
+  lp.medium.impairment.seed = 77;
   lp.tcp.max_rto = seconds(2);
   auto lan = make_lan(lp);
 

@@ -47,8 +47,8 @@ class TcpSweep : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(TcpSweep, StreamIntegrity) {
   const SweepParam& p = GetParam();
   LanParams lp;
-  lp.medium.loss_probability = p.loss;
-  lp.medium.loss_seed = p.seed;
+  lp.medium.impairment.loss = p.loss;
+  lp.medium.impairment.seed = p.seed;
   lp.tcp.send_buf = p.send_buf;
   lp.tcp.recv_buf = p.recv_buf;
   lp.tcp.nagle = p.nagle;

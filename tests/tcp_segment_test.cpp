@@ -5,12 +5,15 @@
 
 #include "common/rng.hpp"
 #include "tcp/segment.hpp"
+#include "test_util.hpp"
 
 namespace tfo::tcp {
 namespace {
 
 const ip::Ipv4 kSrc = ip::Ipv4::parse("10.0.0.10");
 const ip::Ipv4 kDst = ip::Ipv4::parse("10.0.0.1");
+
+using test::wire_of;
 
 TcpSegment sample() {
   TcpSegment s;
@@ -26,7 +29,7 @@ TcpSegment sample() {
 
 TEST(TcpSegment, RoundTripPlain) {
   const TcpSegment s = sample();
-  const Bytes wire = s.serialize(kSrc, kDst);
+  const Bytes wire = wire_of(s, kSrc, kDst);
   auto back = TcpSegment::parse(wire, kSrc, kDst);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->src_port, s.src_port);
@@ -45,7 +48,7 @@ TEST(TcpSegment, RoundTripWithMssOption) {
   s.flags = Flags::kSyn;
   s.mss = 1460;
   s.payload.clear();
-  auto back = TcpSegment::parse(s.serialize(kSrc, kDst), kSrc, kDst);
+  auto back = TcpSegment::parse(wire_of(s, kSrc, kDst), kSrc, kDst);
   ASSERT_TRUE(back.has_value());
   ASSERT_TRUE(back->mss.has_value());
   EXPECT_EQ(*back->mss, 1460);
@@ -55,7 +58,7 @@ TEST(TcpSegment, RoundTripWithMssOption) {
 TEST(TcpSegment, RoundTripWithOrigDstOption) {
   TcpSegment s = sample();
   s.orig_dst = ip::Ipv4::parse("192.168.1.10");
-  auto back = TcpSegment::parse(s.serialize(kSrc, kDst), kSrc, kDst);
+  auto back = TcpSegment::parse(wire_of(s, kSrc, kDst), kSrc, kDst);
   ASSERT_TRUE(back.has_value());
   ASSERT_TRUE(back->orig_dst.has_value());
   EXPECT_EQ(back->orig_dst->str(), "192.168.1.10");
@@ -65,16 +68,45 @@ TEST(TcpSegment, BothOptionsTogether) {
   TcpSegment s = sample();
   s.mss = 536;
   s.orig_dst = ip::Ipv4::parse("1.2.3.4");
-  auto back = TcpSegment::parse(s.serialize(kSrc, kDst), kSrc, kDst);
+  auto back = TcpSegment::parse(wire_of(s, kSrc, kDst), kSrc, kDst);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back->mss, 536);
   EXPECT_EQ(back->orig_dst->v, ip::Ipv4::parse("1.2.3.4").v);
   EXPECT_EQ(back->payload, s.payload);
 }
 
+// Golden bytes, written out by hand from RFC 793 (checksum computed
+// independently): all three options and an odd-length payload, so the
+// option padding and the checksum's trailing-byte pad are both covered.
+TEST(TcpSegment, GoldenBytesWithAllOptions) {
+  TcpSegment s = sample();
+  s.mss = 1460;
+  s.orig_dst = ip::Ipv4::parse("192.168.1.10");
+  s.migrate_from = ip::Ipv4::parse("10.0.0.99");
+  s.payload = to_bytes("abc");
+  const Bytes want = {
+      0x10, 0x92, 0x00, 0x50,  // ports 4242 -> 80
+      0xde, 0xad, 0xbe, 0xef,  // seq
+      0x01, 0x02, 0x03, 0x04,  // ack
+      0x90, 0x18, 0x20, 0x00,  // data offset 9 words, ACK|PSH, window 8192
+      0xf7, 0xea, 0x00, 0x00,  // checksum, urgent pointer
+      0x02, 0x04, 0x05, 0xb4,  // MSS 1460
+      0xfd, 0x06, 0xc0, 0xa8, 0x01, 0x0a,  // orig-dst 192.168.1.10
+      0xfc, 0x06, 0x0a, 0x00, 0x00, 0x63,  // migrate-from 10.0.0.99
+      0x61, 0x62, 0x63,                    // "abc"
+  };
+  EXPECT_EQ(wire_of(s, kSrc, kDst), want);
+  const auto back = TcpSegment::parse(want, kSrc, kDst);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->mss, s.mss);
+  EXPECT_EQ(back->orig_dst, s.orig_dst);
+  EXPECT_EQ(back->migrate_from, s.migrate_from);
+  EXPECT_EQ(back->payload, s.payload);
+}
+
 TEST(TcpSegment, ChecksumCoversPseudoHeader) {
   const TcpSegment s = sample();
-  const Bytes wire = s.serialize(kSrc, kDst);
+  const Bytes wire = wire_of(s, kSrc, kDst);
   // Same bytes, different claimed endpoints: checksum must fail.
   EXPECT_FALSE(TcpSegment::parse(wire, kSrc, ip::Ipv4::parse("10.0.0.2")).has_value());
   EXPECT_FALSE(TcpSegment::parse(wire, ip::Ipv4::parse("9.9.9.9"), kDst).has_value());
@@ -82,7 +114,7 @@ TEST(TcpSegment, ChecksumCoversPseudoHeader) {
 
 TEST(TcpSegment, PayloadCorruptionDetected) {
   const TcpSegment s = sample();
-  Bytes wire = s.serialize(kSrc, kDst);
+  Bytes wire = wire_of(s, kSrc, kDst);
   wire[wire.size() - 1] ^= 0xff;
   EXPECT_FALSE(TcpSegment::parse(wire, kSrc, kDst).has_value());
 }
@@ -113,12 +145,12 @@ TEST(TcpSegment, IncrementalPatchAfterDstRewrite) {
     s.payload = random;
 
     const ip::Ipv4 new_dst{rng.next_u32()};
-    Bytes wire = s.serialize(kSrc, kDst);
+    Bytes wire = wire_of(s, kSrc, kDst);
     patch_checksum_for_address_change(wire, kDst, new_dst);
     // Must now verify against the *new* pseudo-header...
     EXPECT_TRUE(TcpSegment::parse(wire, kSrc, new_dst).has_value()) << trial;
     // ...and equal a from-scratch serialization's checksum.
-    const Bytes fresh = s.serialize(kSrc, new_dst);
+    const Bytes fresh = wire_of(s, kSrc, new_dst);
     EXPECT_EQ(get_u16(wire, TcpSegment::kChecksumOffset),
               get_u16(fresh, TcpSegment::kChecksumOffset))
         << trial;
@@ -128,7 +160,7 @@ TEST(TcpSegment, IncrementalPatchAfterDstRewrite) {
 TEST(TcpSegment, IncrementalPatchAfterSrcRewrite) {
   TcpSegment s = sample();
   const ip::Ipv4 new_src = ip::Ipv4::parse("10.0.0.2");
-  Bytes wire = s.serialize(kSrc, kDst);
+  Bytes wire = wire_of(s, kSrc, kDst);
   patch_checksum_for_address_change(wire, kSrc, new_src);
   EXPECT_TRUE(TcpSegment::parse(wire, new_src, kDst).has_value());
 }

@@ -1,12 +1,15 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 
 #include "common/bytes.hpp"
 #include "common/time.hpp"
+#include "ip/datagram.hpp"
 #include "sim/simulator.hpp"
+#include "tcp/segment.hpp"
 
 namespace tfo::test {
 
@@ -57,5 +60,31 @@ inline Bytes pattern_bytes(std::size_t n, std::uint32_t seed = 0) {
   }
   return b;
 }
+
+/// Wire bytes of a segment or datagram, leaving the caller's copy intact.
+inline Bytes wire_of(tcp::TcpSegment s, ip::Ipv4 src, ip::Ipv4 dst) {
+  return wire::to_bytes(s.take_wire(src, dst));
+}
+inline Bytes wire_of(ip::IpDatagram d) { return wire::to_bytes(d.to_wire()); }
+
+/// 64-bit FNV-1a, fed incrementally: the digest recorded traces and wire
+/// bytes are pinned to.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+
+  void byte(std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  /// The low `n` bytes of `v`, little-endian.
+  void le(std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  /// A length-prefixed byte string (4-byte little-endian length).
+  void bytes(BytesView b) {
+    le(b.size(), 4);
+    for (const std::uint8_t c : b) byte(c);
+  }
+};
 
 }  // namespace tfo::test

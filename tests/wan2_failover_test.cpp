@@ -177,7 +177,7 @@ TEST(Mobility, ForgedMigrationRejected) {
   forged.ack = 0;
   attacker->ip().send(ip::Proto::kTcp, attacker->address(),
                       mob->primary->address(),
-                      forged.serialize(attacker->address(),
+                      forged.take_wire(attacker->address(),
                                        mob->primary->address()));
   mob->sim.run_for(seconds(1));
 
