@@ -141,7 +141,7 @@ int main() {
   std::printf(
       "expected shape: every reply crosses the wire once per chain hop, so\n"
       "latency and the bulk-rate penalty grow roughly linearly with the\n"
-      "replica count, while the failover stall stays flat (detection +\n"
-      "one retransmission cycle, §5) regardless of depth.\n");
+      "replica count, while the failover stall stays flat (the detection\n"
+      "time: head promotion runs the takeover kick) regardless of depth.\n");
   return 0;
 }

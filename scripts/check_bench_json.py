@@ -40,7 +40,6 @@ KNOWN_EVENTS = {
 
 HIST_KEYS = {"count", "sum", "min", "max", "mean", "p50", "p99"}
 
-
 class SchemaError(Exception):
     pass
 
@@ -121,8 +120,12 @@ def _check_profiles(profiles):
 
 def _check_storm(storm):
     _expect(isinstance(storm, dict), "'storm' is not an object")
-    for key in ("points", "alloc"):
+    for key in ("points", "alloc", "min_rto_ns", "rx_processing_ns"):
         _expect(key in storm, f"storm missing '{key}'")
+    for key in ("min_rto_ns", "rx_processing_ns"):
+        _expect(isinstance(storm[key], (int, float)) and storm[key] > 0,
+                f"storm.{key} is not a positive number")
+    min_rto = storm["min_rto_ns"]
     points = storm["points"]
     _expect(isinstance(points, list) and points,
             "storm.points must be a non-empty list")
@@ -139,6 +142,14 @@ def _check_storm(storm):
         prev_conns = p["conns"]
         _expect(p["takeover_p99_ns"] >= p["takeover_p50_ns"],
                 f"storm.points[{i}]: p99 below p50")
+        # With the takeover kick the clients do not wait out their RTO, so
+        # the tail stays below min_rto -- wherever the secondary can read
+        # the whole storm (one probe per connection) within min_rto. Past
+        # that the tail is receive-bound and only p99 >= p50 is checked.
+        if p["conns"] * storm["rx_processing_ns"] < min_rto:
+            _expect(p["takeover_p99_ns"] < min_rto,
+                    f"storm.points[{i}]: takeover p99 {p['takeover_p99_ns']:.0f} ns "
+                    f"is not below min_rto ({min_rto:.0f} ns)")
     alloc = storm["alloc"]
     _expect(isinstance(alloc, dict), "storm.alloc is not an object")
     for key in ("cycles", "wheel_allocs"):
@@ -360,11 +371,13 @@ def self_test():
         "storm": {
             "points": [
                 {"conns": 1000, "bytes_per_conn": 7000,
-                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 2.1e8},
+                 "takeover_p50_ns": 4.8e7, "takeover_p99_ns": 4.9e7},
                 {"conns": 100000, "bytes_per_conn": 6800,
-                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 3.5e8},
+                 "takeover_p50_ns": 6.0e7, "takeover_p99_ns": 3.9e8},
             ],
             "alloc": {"cycles": 200000, "wheel_allocs": 0},
+            "min_rto_ns": 2.0e8,
+            "rx_processing_ns": 2000,
         },
         "shard": {
             "gro": {"mss": 1460, "base_segments_per_s": 100000.0,
@@ -445,6 +458,11 @@ def self_test():
             "takeover_p99_ns")),
         ("storm p99 below p50", lambda d: d["storm"]["points"][0].update(
             takeover_p99_ns=1.0)),
+        ("storm p99 at min_rto", lambda d: d["storm"]["points"][0].update(
+            takeover_p99_ns=2.0e8)),
+        ("storm missing min_rto_ns", lambda d: d["storm"].pop("min_rto_ns")),
+        ("storm zero rx_processing_ns", lambda d: d["storm"].update(
+            rx_processing_ns=0)),
         ("storm conns not increasing", lambda d: d["storm"]["points"][1].update(
             conns=1000)),
         ("storm negative bytes", lambda d: d["storm"]["points"][0].update(

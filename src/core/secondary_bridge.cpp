@@ -17,6 +17,7 @@ SecondaryBridge::SecondaryBridge(apps::Host& host, FailoverConfig cfg)
   ctr_translated_ = &reg.counter("secondary.datagrams_translated");
   ctr_diverted_ = &reg.counter("secondary.segments_diverted");
   ctr_snooped_dropped_ = &reg.counter("secondary.snooped_dropped");
+  ctr_kicked_ = &reg.counter("secondary.connections_kicked");
   ctr_spoof_dropped_ = &reg.counter("bridge.spoof_dropped");
   // In mirror mode the primary replicates client datagrams to us over IP
   // (routed topologies): nothing to snoop, the NIC stays unicast.
@@ -173,28 +174,35 @@ void SecondaryBridge::take_over() {
   // its repeat schedule.
   host_.ip().add_alias(cfg_.primary_addr);
   cfg_.announcer->announce(host_, cfg_.primary_addr, cfg_);
-  host_.tcp().rekey_local_address(
+  auto rekeyed = host_.tcp().rekey_local_address(
       host_.address(), cfg_.primary_addr, [this](const tcp::Connection& c) {
         return c.failover_flagged() || cfg_.is_failover_port(c.key().local_port) ||
                host_.tcp().listener_is_failover(c.key().local_port);
       });
 
   // "After the change of IP address is completed, the bridge resumes
-  // sending TCP segments."
+  // sending TCP segments." Then the kick (decision 7): each rekeyed
+  // connection sends now — its unacked window, or an ACK — so the client
+  // does not wait out its RTO for a segment the dead primary swallowed.
   host_.simulator().schedule_after(cfg_.takeover_pause,
-                                   [this, w = std::weak_ptr<bool>(alive_)] {
+                                   [this, w = std::weak_ptr<bool>(alive_),
+                                    rekeyed = std::move(rekeyed)] {
     if (w.expired()) return;
     paused_ = false;
     auto held = std::move(pause_buffer_);
     pause_buffer_.clear();
-    host_.obs().timeline.record(host_.simulator().now(),
-                                obs::EventKind::kTakeoverComplete, {},
-                                "held_segments=" + std::to_string(held.size()));
     for (auto& h : held) {
       // Held segments were generated under a_s; they go out re-sourced
       // from the taken-over address.
       host_.tcp().send_segment_raw(h.seg, cfg_.primary_addr, h.dst);
     }
+    std::uint64_t kicked = 0;
+    for (const auto& conn : rekeyed) kicked += conn->kick() ? 1 : 0;
+    ctr_kicked_->inc(kicked);
+    host_.obs().timeline.record(host_.simulator().now(),
+                                obs::EventKind::kTakeoverComplete, {},
+                                "held_segments=" + std::to_string(held.size()) +
+                                    " kicked=" + std::to_string(kicked));
   });
 }
 

@@ -72,6 +72,7 @@ class SecondaryBridge {
   obs::Counter* ctr_translated_ = nullptr;
   obs::Counter* ctr_diverted_ = nullptr;
   obs::Counter* ctr_snooped_dropped_ = nullptr;
+  obs::Counter* ctr_kicked_ = nullptr;
   obs::Counter* ctr_spoof_dropped_ = nullptr;
 };
 

@@ -422,15 +422,45 @@ void Connection::on_rto() {
     cwnd_ = eff_mss_;
   }
   rto_ = std::min<SimDuration>(rto_ * 2, params_.max_rto);
+  go_back_n();
+  if (!rto_timer_.armed()) arm_rto();
+}
+
+void Connection::go_back_n() {
   // Tahoe-style go-back-N: rewind so the paced output engine refills the
-  // whole [snd_una, old snd_nxt) gap under slow start, instead of
-  // recovering one segment per timeout.
+  // whole [snd_una, old snd_nxt) gap (under slow start after an RTO),
+  // instead of recovering one segment per timeout.
   snd_nxt_ = snd_una_;
   if (fin_offset_ && *fin_offset_ >= snd_nxt_) {
     fin_offset_.reset();  // the FIN will be re-emitted at the right point
   }
   try_send();
-  if (!rto_timer_.armed()) arm_rto();
+}
+
+bool Connection::kick() {
+  if (state_ == TcpState::kClosed || state_ == TcpState::kTimeWait) return false;
+  if (state_ == TcpState::kSynSent || state_ == TcpState::kSynRcvd) {
+    send_syn(state_ == TcpState::kSynRcvd);
+    return true;
+  }
+  const std::uint64_t sent_before = stat_segments_sent_;
+  if (snd_una_ < snd_nxt_) {
+    // The on_rto() rewind, minus its backoff, cwnd collapse and retry.
+    // The new path's state is unknown, so the resend starts from the
+    // restart window (RFC 5681 §4.1: min(cwnd, IW)) with ssthresh kept:
+    // slow start, clocked by the client's ACKs, sends the rest.
+    if (params_.congestion_control) {
+      cwnd_ = std::min(cwnd_, params_.initial_cwnd_segments * eff_mss_);
+    }
+    go_back_n();
+    arm_rto();
+  }
+  if (stat_segments_sent_ == sent_before) send_ack_now();
+  // Karn: an ACK of the resent window is ambiguous — the measurement
+  // running before the kick and any that try_send() began on a resent
+  // segment must both yield no RTT sample.
+  rtt_measuring_ = false;
+  return true;
 }
 
 void Connection::retransmit_head() {

@@ -139,6 +139,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
     send_ack_now();
   }
   bool migration_pending() const { return migrate_pending_from_.has_value(); }
+  /// Takeover kick: after an IP takeover moved this connection onto a new
+  /// path, send now instead of waiting for a timer. Like an RTO without
+  /// its penalties: the unacked window goes out again (go-back-N, from
+  /// the restart window min(cwnd, IW)), or the SYN(-ACK) in the
+  /// handshake states, or a pure ACK when nothing is outstanding — with
+  /// no RTO backoff, no ssthresh cut, no retry counted, and the running
+  /// RTT measurement dropped (Karn). Returns
+  /// false, having done nothing, in TIME_WAIT and CLOSED.
+  bool kick();
 
  private:
   // Segment emission.
@@ -168,6 +177,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // Retransmission machinery.
   void arm_rto();
   void on_rto();
+  /// Rewinds SND.NXT to SND.UNA and resends from there (RTO and kick).
+  void go_back_n();
   void retransmit_head();
   void rtt_sample_maybe(std::uint64_t acked_to);
 

@@ -257,8 +257,8 @@ void TcpLayer::send_segment_raw(TcpSegment seg, ip::Ipv4 src, ip::Ipv4 dst) {
   ip_.send(ip::Proto::kTcp, src, dst, seg.take_wire(src, dst));
 }
 
-void TcpLayer::rekey_local_address(ip::Ipv4 from, ip::Ipv4 to,
-                                   const std::function<bool(const Connection&)>& filter) {
+std::vector<std::shared_ptr<Connection>> TcpLayer::rekey_local_address(
+    ip::Ipv4 from, ip::Ipv4 to, const std::function<bool(const Connection&)>& filter) {
   // Collect-then-move: FlatMap iterators do not survive erase, and the
   // move order must not depend on hash-table slot order. Sorting by the
   // stable connection id keeps the rekey deterministic.
@@ -268,13 +268,13 @@ void TcpLayer::rekey_local_address(ip::Ipv4 from, ip::Ipv4 to,
   });
   std::sort(moved.begin(), moved.end(),
             [](const auto& a, const auto& b) { return a->id() < b->id(); });
-  for (auto& conn : moved) {
+  for (const auto& conn : moved) {
     const ConnKey old_key = conn->key();
     if (conns_.erase(old_key)) release_port(old_key.local_port);
     conn->rebind_local_ip(to);
-    const ConnKey new_key = conn->key();  // read before the move nulls conn
-    insert_conn(new_key, std::move(conn));
+    insert_conn(conn->key(), conn);
   }
+  return moved;
 }
 
 void TcpLayer::rekey_remote_address(ip::Ipv4 from, ip::Ipv4 to,

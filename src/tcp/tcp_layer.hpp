@@ -101,8 +101,10 @@ class TcpLayer {
   /// Rebinds every connection whose local address is `from` — and for
   /// which `filter` returns true — to `to`, rekeying the demux table
   /// (IP takeover support, DESIGN.md §5.2). A null filter matches all.
-  void rekey_local_address(ip::Ipv4 from, ip::Ipv4 to,
-                           const std::function<bool(const Connection&)>& filter = {});
+  /// Returns the moved connections in connection-id order.
+  std::vector<std::shared_ptr<Connection>> rekey_local_address(
+      ip::Ipv4 from, ip::Ipv4 to,
+      const std::function<bool(const Connection&)>& filter = {});
 
   /// Rebinds every connection whose *remote* address is `from` — and for
   /// which `filter` returns true — to `to` (server-side view of a client
