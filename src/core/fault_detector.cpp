@@ -1,5 +1,7 @@
 #include "core/fault_detector.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace tfo::core {
@@ -44,88 +46,6 @@ bool hb_verify(std::uint64_t seed, const ip::IpDatagram& d, std::uint64_t& expec
 
 }  // namespace
 
-FaultDetector::FaultDetector(apps::Host& host, ip::Ipv4 peer, SimDuration period,
-                             SimDuration timeout, ip::Ipv4 src,
-                             std::uint64_t auth_seed)
-    : host_(host),
-      peer_(peer),
-      period_(period),
-      timeout_(timeout),
-      src_(src),
-      auth_seed_(auth_seed),
-      send_timer_(host.simulator()),
-      deadline_(host.simulator()) {
-  // Registry counters are cumulative across detector instances on the
-  // host; the accessors stay per-instance (a replaced detector restarts
-  // its own counts), so both are kept.
-  auto& reg = host_.obs().registry;
-  ctr_sent_ = &reg.counter("fd.heartbeats_sent");
-  ctr_received_ = &reg.counter("fd.heartbeats_received");
-  ctr_auth_failed_ = &reg.counter("fault.hb_auth_failed");
-  host_.ip().register_protocol(
-      ip::Proto::kHeartbeat,
-      [this, w = std::weak_ptr<bool>(alive_)](const ip::IpDatagram& d,
-                                              const ip::RxMeta&) {
-        if (w.expired()) return;  // stale registration of a replaced detector
-        if (!running_ || d.src != peer_) return;
-        if (!hb_verify(auth_seed_, d, expect_k_)) {
-          // Forged, replayed, or reflected: it must not refresh liveness
-          // (a forger could otherwise mask a dead peer forever).
-          ++auth_failed_;
-          ctr_auth_failed_->inc();
-          return;
-        }
-        ++received_;
-        ctr_received_->inc();
-        arm_deadline();
-      });
-}
-
-FaultDetector::~FaultDetector() { alive_.reset(); }
-
-void FaultDetector::start() {
-  running_ = true;
-  declared_ = false;
-  send_heartbeat();
-  arm_deadline();
-}
-
-void FaultDetector::stop() {
-  running_ = false;
-  send_timer_.stop();
-  deadline_.stop();
-}
-
-void FaultDetector::send_heartbeat() {
-  if (!running_) return;
-  ++sent_;
-  ctr_sent_->inc();
-  // k is the simulation clock: monotonic even across detector replacement
-  // (reintegration), so the peer's anti-replay mark never needs resetting.
-  const ip::Ipv4 effective_src = src_.is_any() ? host_.address() : src_;
-  host_.ip().send(ip::Proto::kHeartbeat, src_, peer_,
-                  hb_payload(auth_seed_, effective_src,
-                             static_cast<std::uint64_t>(host_.simulator().now())));
-  send_timer_.start(period_, [this] { send_heartbeat(); });
-}
-
-void FaultDetector::arm_deadline() {
-  deadline_.start(timeout_, [this] {
-    if (declared_) return;
-    declared_ = true;
-    running_ = false;
-    send_timer_.stop();
-    TFO_LOG(kInfo, "fd") << host_.name() << " declares peer " << peer_.str()
-                         << " FAILED";
-    host_.obs().timeline.record(host_.simulator().now(),
-                                obs::EventKind::kPeerDeclaredFailed, {},
-                                "peer=" + peer_.str());
-    if (on_peer_failed) on_peer_failed();
-  });
-}
-
-// ------------------------------------------------------- HeartbeatMesh
-
 HeartbeatMesh::HeartbeatMesh(apps::Host& host, SimDuration period, SimDuration timeout,
                              std::uint64_t auth_seed)
     : host_(host),
@@ -133,18 +53,23 @@ HeartbeatMesh::HeartbeatMesh(apps::Host& host, SimDuration period, SimDuration t
       timeout_(timeout),
       auth_seed_(auth_seed),
       send_timer_(host.simulator()) {
-  ctr_auth_failed_ = &host_.obs().registry.counter("fault.hb_auth_failed");
+  auto& reg = host_.obs().registry;
+  ctr_sent_ = &reg.counter("fd.heartbeats_sent");
+  ctr_received_ = &reg.counter("fd.heartbeats_received");
+  ctr_auth_failed_ = &reg.counter("fault.hb_auth_failed");
   host_.ip().register_protocol(
       ip::Proto::kHeartbeat,
-      [this, w = std::weak_ptr<bool>(alive_)](const ip::IpDatagram& d,
-                                              const ip::RxMeta&) {
-        if (w.expired() || !running_) return;
+      [this](const ip::IpDatagram& d, const ip::RxMeta&) {
+        if (!running_) return;
         for (auto& peer : peers_) {
           if (peer->addr == d.src && !peer->declared) {
             if (!hb_verify(auth_seed_, d, peer->expect_k)) {
+              // Forged, replayed, or reflected: it must not refresh
+              // liveness (a forger could otherwise mask a dead peer).
               ctr_auth_failed_->inc();
               return;
             }
+            ctr_received_->inc();
             arm(*peer);
             return;
           }
@@ -152,18 +77,22 @@ HeartbeatMesh::HeartbeatMesh(apps::Host& host, SimDuration period, SimDuration t
       });
 }
 
-HeartbeatMesh::~HeartbeatMesh() { alive_.reset(); }
+HeartbeatMesh::~HeartbeatMesh() {
+  // The host outlives the mesh, as it does the bridges; its protocol
+  // table must not keep a handler that reaches into this object.
+  host_.ip().register_protocol(ip::Proto::kHeartbeat,
+                               [](const ip::IpDatagram&, const ip::RxMeta&) {});
+}
 
 void HeartbeatMesh::watch(ip::Ipv4 peer, std::function<void()> on_failed) {
-  auto p = std::make_unique<Peer>();
-  p->addr = peer;
-  p->on_failed = std::move(on_failed);
-  p->deadline = std::make_unique<sim::Timer>(host_.simulator());
-  peers_.push_back(std::move(p));
-  // A peer registered after the mesh started (reintegration) would never
-  // get a deadline until its first heartbeat arrived — a permanently
-  // silent peer would go undetected. Arm it now.
-  if (running_) arm(*peers_.back());
+  peers_.push_back(
+      std::make_unique<Peer>(host_.simulator(), peer, std::move(on_failed)));
+  if (!running_) return;
+  // A peer registered after the mesh started (a recruit) would never get
+  // a deadline until its first heartbeat arrived — a permanently silent
+  // peer would go undetected. Arm it now, and wake an idle sender.
+  arm(*peers_.back());
+  if (!send_timer_.armed()) send_heartbeats();
 }
 
 void HeartbeatMesh::start() {
@@ -175,7 +104,7 @@ void HeartbeatMesh::start() {
 void HeartbeatMesh::stop() {
   running_ = false;
   send_timer_.stop();
-  for (auto& peer : peers_) peer->deadline->stop();
+  for (auto& peer : peers_) peer->deadline.stop();
 }
 
 bool HeartbeatMesh::peer_failed(ip::Ipv4 peer) const {
@@ -187,9 +116,12 @@ bool HeartbeatMesh::peer_failed(ip::Ipv4 peer) const {
 
 void HeartbeatMesh::send_heartbeats() {
   if (!running_) return;
+  // k is the simulation clock: monotonic for the life of the host, so a
+  // peer's anti-replay mark never needs resetting.
   const std::uint64_t k = static_cast<std::uint64_t>(host_.simulator().now());
   for (const auto& peer : peers_) {
     if (!peer->declared) {
+      ctr_sent_->inc();
       host_.ip().send(ip::Proto::kHeartbeat, ip::Ipv4::any(), peer->addr,
                       hb_payload(auth_seed_, host_.address(), k));
     }
@@ -201,10 +133,14 @@ void HeartbeatMesh::arm(Peer& peer) {
   // `peer` lives in stable unique_ptr storage (see peers_), so capturing
   // the raw pointer across later watch() calls is safe.
   Peer* p = &peer;
-  peer.deadline->start(timeout_, [this, p] {
+  peer.deadline.start(timeout_, [this, p] {
     if (p->declared) return;
     p->declared = true;
-    TFO_LOG(kInfo, "fd") << host_.name() << " declares chain peer "
+    if (std::all_of(peers_.begin(), peers_.end(),
+                    [](const auto& q) { return q->declared; })) {
+      send_timer_.stop();
+    }
+    TFO_LOG(kInfo, "fd") << host_.name() << " declares peer "
                          << p->addr.str() << " FAILED";
     host_.obs().timeline.record(host_.simulator().now(),
                                 obs::EventKind::kPeerDeclaredFailed, {},

@@ -1,6 +1,6 @@
 // Heartbeat-based fault detector (§2: "the system employs a fault
-// detector"). Each replica streams heartbeat datagrams to its peer over a
-// raw IP protocol; silence for `failure_timeout` declares the peer dead
+// detector"). Each replica streams heartbeat datagrams to its peers over a
+// raw IP protocol; silence for `failure_timeout` declares a peer dead
 // (fail-stop model). Detection latency is one of the knobs swept by the
 // failover-time bench (EXPERIMENTS.md E1).
 #pragma once
@@ -15,69 +15,21 @@
 
 namespace tfo::core {
 
-/// Key for the heartbeat nonce chain, shared by both ends of a detector
-/// pair (FailoverConfig::hb_auth_seed). Heartbeats carry
+/// Key for the heartbeat nonce chain, shared by every replica
+/// (FailoverConfig::hb_auth_seed). Heartbeats carry
 /// ["HB", k:u64, nonce:u64] where k is the sender's simulation clock
-/// (monotonic across detector replacement) and nonce is a keyed hash of
-/// (seed, sender address, k). A receiver accepts only a matching nonce
-/// with k at or above its high-water mark, so an off-path attacker can
-/// neither forge a heartbeat (to suppress a takeover) nor replay or
-/// reflect a captured one (fault.hb_auth_failed counts the attempts).
+/// (monotonic, so a peer watched late needs no resync) and nonce is a
+/// keyed hash of (seed, sender address, k). A receiver accepts only a
+/// matching nonce with k at or above its high-water mark, so an off-path
+/// attacker can neither forge a heartbeat (to suppress a takeover) nor
+/// replay or reflect a captured one (fault.hb_auth_failed counts the
+/// attempts).
 constexpr std::uint64_t kDefaultHbAuthSeed = 0x4842'6175'7468'2e31ull;
 
-class FaultDetector {
- public:
-  /// `src` is the source address stamped on outgoing heartbeats — it must
-  /// be the address the peer's detector watches (after an IP takeover the
-  /// serving host speaks as the service address, not its interface).
-  /// any() uses the egress interface address.
-  FaultDetector(apps::Host& host, ip::Ipv4 peer, SimDuration period,
-                SimDuration timeout, ip::Ipv4 src = ip::Ipv4::any(),
-                std::uint64_t auth_seed = kDefaultHbAuthSeed);
-  ~FaultDetector();
-
-  /// Fired exactly once when the peer is declared failed.
-  std::function<void()> on_peer_failed;
-
-  void start();
-  void stop();
-  bool running() const { return running_; }
-  bool peer_declared_failed() const { return declared_; }
-  std::uint64_t heartbeats_sent() const { return sent_; }
-  std::uint64_t heartbeats_received() const { return received_; }
-  std::uint64_t auth_failures() const { return auth_failed_; }
-
- private:
-  void send_heartbeat();
-  void arm_deadline();
-
-  apps::Host& host_;
-  ip::Ipv4 peer_;
-  SimDuration period_;
-  SimDuration timeout_;
-  ip::Ipv4 src_;
-  sim::Timer send_timer_;
-  sim::Timer deadline_;
-  bool running_ = false;
-  bool declared_ = false;
-  std::uint64_t sent_ = 0, received_ = 0, auth_failed_ = 0;
-  std::uint64_t auth_seed_;
-  /// Anti-replay high-water mark: smallest k the next heartbeat may carry.
-  std::uint64_t expect_k_ = 0;
-  obs::Counter* ctr_sent_ = nullptr;
-  obs::Counter* ctr_received_ = nullptr;
-  obs::Counter* ctr_auth_failed_ = nullptr;
-  /// Liveness sentinel: the protocol-handler registration on the host
-  /// outlives this object when a detector is replaced (reintegration);
-  /// the handler checks the sentinel before touching `this`.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-};
-
-/// Multi-peer heartbeat monitor for replica chains: one instance per host
-/// exchanges heartbeats with every other chain member and reports each
-/// peer's failure exactly once. (FaultDetector handles the two-replica
-/// case; only one of the two may be attached to a host, as each claims
-/// the host's heartbeat protocol number.)
+/// Heartbeat monitor: one instance per host exchanges heartbeats with
+/// every watched peer (the other replica of a pair, every other member of
+/// a chain) and reports each peer's failure exactly once. It claims the
+/// host's heartbeat protocol number, so a host carries at most one.
 class HeartbeatMesh {
  public:
   HeartbeatMesh(apps::Host& host, SimDuration period, SimDuration timeout,
@@ -85,7 +37,8 @@ class HeartbeatMesh {
   ~HeartbeatMesh();
 
   /// Registers a peer to watch. May be called after start() (e.g. when a
-  /// repaired member reintegrates); the new peer's deadline arms at once.
+  /// recruit joins the chain); the new peer's deadline arms at once, and
+  /// sending resumes if every earlier peer had been declared failed.
   void watch(ip::Ipv4 peer, std::function<void()> on_failed);
 
   void start();
@@ -95,10 +48,12 @@ class HeartbeatMesh {
 
  private:
   struct Peer {
+    Peer(sim::Simulator& sim, ip::Ipv4 a, std::function<void()> f)
+        : addr(a), on_failed(std::move(f)), deadline(sim) {}
     ip::Ipv4 addr;
-    std::function<void()> on_failed;
-    std::unique_ptr<sim::Timer> deadline;
     bool declared = false;
+    std::function<void()> on_failed;
+    sim::Timer deadline;
     std::uint64_t expect_k = 0;  // per-sender anti-replay high-water mark
   };
   void send_heartbeats();
@@ -109,13 +64,16 @@ class HeartbeatMesh {
   SimDuration timeout_;
   std::uint64_t auth_seed_;
   /// Peers get stable heap storage: armed deadline callbacks capture a
-  /// `Peer*`, and a `watch()` issued after timers are armed (reintegration)
-  /// must not invalidate it by reallocating the vector.
+  /// `Peer*`, and a `watch()` issued after timers are armed (a recruit
+  /// joining) must not invalidate it by reallocating the vector.
   std::vector<std::unique_ptr<Peer>> peers_;
+  /// Idle while every watched peer is declared failed: a survivor left
+  /// alone has nobody to heartbeat.
   sim::Timer send_timer_;
+  obs::Counter* ctr_sent_ = nullptr;
+  obs::Counter* ctr_received_ = nullptr;
   obs::Counter* ctr_auth_failed_ = nullptr;
   bool running_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace tfo::core

@@ -286,6 +286,17 @@ void PrimaryBridge::rekey_local(ip::Ipv4 from, ip::Ipv4 to) {
     const ConnKey key = conn->key();
     conns_.insert_or_assign(key, std::move(conn));
   }
+  // Exempt connections move with their TCP endpoints (the takeover rekeys
+  // those too), or they would be bridged mid-stream under the new key.
+  std::vector<ConnKey> exempt;
+  excluded_.for_each([&](const ConnKey& key) {
+    if (key.local_ip == from) exempt.push_back(key);
+  });
+  for (ConnKey key : exempt) {
+    excluded_.erase(key);
+    key.local_ip = to;
+    excluded_.insert(key);
+  }
 }
 
 void PrimaryBridge::rekey_remote(const ConnKey& old_key, ip::Ipv4 new_remote) {

@@ -45,8 +45,9 @@ class PrimaryBridge : public BridgeConnSink {
   void set_upstream(std::optional<ip::Ipv4> upstream) { upstream_ = upstream; }
 
   /// Re-aims the "secondary" this bridge merges with (the next replica
-  /// down the chain). Clears solo mode so merging resumes with the new
-  /// downstream.
+  /// down the chain, or a recruit behind a solo tail). Clears solo mode:
+  /// connections created from now on are bridged against `addr`;
+  /// previously-solo connections stay solo.
   void set_downstream(ip::Ipv4 addr) {
     cfg_.secondary_addr = addr;
     secondary_failed_ = false;
@@ -67,14 +68,6 @@ class PrimaryBridge : public BridgeConnSink {
   /// serving alone, the in-flight connections cannot be replicated
   /// retroactively and must keep flowing untouched.
   void exclude_existing_connections();
-
-  /// Re-arms merging against a replacement secondary after
-  /// on_secondary_failed(): connections created from now on are bridged
-  /// against `addr`; previously-solo connections stay solo.
-  void resume_with_secondary(ip::Ipv4 addr) {
-    cfg_.secondary_addr = addr;
-    secondary_failed_ = false;
-  }
 
   std::size_t connection_count() const { return conns_.size(); }
   std::size_t tombstone_count() const { return tombstones_.size(); }

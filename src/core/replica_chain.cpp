@@ -1,5 +1,7 @@
 #include "core/replica_chain.hpp"
 
+#include <cstdint>
+
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 
@@ -18,15 +20,11 @@ ReplicaChain::ReplicaChain(std::vector<apps::Host*> hosts, FailoverConfig cfg)
     // outbound tap must consume client-bound traffic before the divert
     // bridge's tap would.
     if (i + 1 < hosts.size()) {
-      FailoverConfig merge_cfg = cfg_;
-      merge_cfg.secondary_addr = hosts[i + 1]->address();
-      m.merge = std::make_unique<PrimaryBridge>(*m.host, merge_cfg);
+      m.merge = make_merge(*m.host, hosts[i + 1]->address());
       if (i > 0) m.merge->set_upstream(hosts[i - 1]->address());
     }
     if (i > 0) {
-      FailoverConfig divert_cfg = cfg_;
-      divert_cfg.secondary_addr = m.host->address();
-      m.divert = std::make_unique<SecondaryBridge>(*m.host, divert_cfg);
+      m.divert = make_divert(*m.host);
       // Initial upstream: i-1; the head is addressed by the service
       // address (== its interface address initially).
       m.divert->set_divert_to(i == 1 ? service_addr_ : hosts[i - 1]->address());
@@ -38,12 +36,32 @@ ReplicaChain::ReplicaChain(std::vector<apps::Host*> hosts, FailoverConfig cfg)
   }
   // Full-mesh watching: any member's detector may be first to notice.
   for (std::size_t i = 0; i < members_.size(); ++i) {
-    for (std::size_t j = 0; j < members_.size(); ++j) {
-      if (i == j) continue;
-      members_[i].mesh->watch(members_[j].host->address(),
-                              [this, i, j] { on_member_failed(i, j); });
-    }
+    for (std::size_t j = i + 1; j < members_.size(); ++j) watch_each_other(i, j);
   }
+}
+
+std::unique_ptr<PrimaryBridge> ReplicaChain::make_merge(apps::Host& host,
+                                                        ip::Ipv4 downstream) const {
+  FailoverConfig merge_cfg = cfg_;
+  merge_cfg.secondary_addr = downstream;
+  return std::make_unique<PrimaryBridge>(host, merge_cfg);
+}
+
+std::unique_ptr<SecondaryBridge> ReplicaChain::make_divert(apps::Host& host) const {
+  FailoverConfig divert_cfg = cfg_;
+  divert_cfg.secondary_addr = host.address();
+  return std::make_unique<SecondaryBridge>(host, divert_cfg);
+}
+
+void ReplicaChain::watch_each_other(std::size_t a, std::size_t b) {
+  // 32-bit indices keep each callback within std::function's inline
+  // buffer: no heap allocation per watched peer.
+  const auto ia = static_cast<std::uint32_t>(a);
+  const auto ib = static_cast<std::uint32_t>(b);
+  members_[a].mesh->watch(members_[b].host->address(),
+                          [this, ia, ib] { on_member_failed(ia, ib); });
+  members_[b].mesh->watch(members_[a].host->address(),
+                          [this, ia, ib] { on_member_failed(ib, ia); });
 }
 
 void ReplicaChain::start() {
@@ -65,6 +83,50 @@ apps::Host* ReplicaChain::head() const {
 
 void ReplicaChain::crash(std::size_t index) { members_.at(index).host->fail(); }
 
+void ReplicaChain::append_tail(apps::Host& recruit) {
+  TFO_ASSERT(!recruit.failed(), "cannot append a failed host");
+  const std::size_t tail = prev_alive(members_.size());
+  TFO_ASSERT(tail < members_.size(), "no live member to append behind");
+  const std::size_t up = prev_alive(tail);
+  Member& t = members_[tail];
+  TFO_ASSERT(t.host != &recruit, "the recruit must be a different host");
+  TFO_LOG(kInfo, "chain") << "appending " << recruit.name() << " behind "
+                          << t.host->name();
+
+  if (t.merge) {
+    // Solo since its downstream died (§6): connections created from now
+    // on merge with the recruit; solo connections stay solo.
+    t.merge->set_downstream(recruit.address());
+  } else {
+    // The tail has been running without a downstream: a fresh merge
+    // bridge, with the connections it already carries exempt. Its tap
+    // must see client-bound output before a divert tap re-aims it, so a
+    // divert bridge still in use is rebuilt behind it.
+    const bool rebuild_divert = t.divert && !t.divert->taken_over();
+    if (rebuild_divert) t.divert.reset();
+    t.merge = make_merge(*t.host, recruit.address());
+    t.merge->exclude_existing_connections();
+    if (up < members_.size()) t.merge->set_upstream(upstream_addr(up));
+    if (rebuild_divert) {
+      t.divert = make_divert(*t.host);
+      t.divert->set_divert_to(upstream_addr(up));
+    }
+  }
+
+  Member m;
+  m.host = &recruit;
+  m.divert = make_divert(recruit);
+  m.divert->set_divert_to(upstream_addr(tail));
+  m.mesh = std::make_unique<HeartbeatMesh>(recruit, cfg_.heartbeat_period,
+                                           cfg_.failure_timeout, cfg_.hb_auth_seed);
+  members_.push_back(std::move(m));
+  const std::size_t r = members_.size() - 1;
+  for (std::size_t i = 0; i < r; ++i) {
+    if (members_[i].alive) watch_each_other(i, r);
+  }
+  members_[r].mesh->start();
+}
+
 std::size_t ReplicaChain::prev_alive(std::size_t index) const {
   for (std::size_t i = index; i-- > 0;) {
     if (members_[i].alive) return i;
@@ -77,6 +139,11 @@ std::size_t ReplicaChain::next_alive(std::size_t index) const {
     if (members_[i].alive) return i;
   }
   return members_.size();
+}
+
+ip::Ipv4 ReplicaChain::upstream_addr(std::size_t i) const {
+  // The head is reached via the (possibly taken-over) service address.
+  return prev_alive(i) == members_.size() ? service_addr_ : members_[i].host->address();
 }
 
 void ReplicaChain::on_member_failed(std::size_t observer, std::size_t dead) {
@@ -111,13 +178,9 @@ void ReplicaChain::reconfigure(std::size_t i) {
     }
   } else {
     // The upstream may have moved closer: re-aim diversion and merged
-    // emission. The head is addressed via the (taken-over) service
-    // address; intermediates via their interface address.
-    const bool up_is_head = prev_alive(up) == members_.size();
-    const ip::Ipv4 up_addr =
-        up_is_head ? service_addr_ : members_[up].host->address();
-    if (m.divert) m.divert->set_divert_to(up_addr);
-    if (m.merge) m.merge->set_upstream(up_addr);
+    // emission.
+    if (m.divert) m.divert->set_divert_to(upstream_addr(up));
+    if (m.merge) m.merge->set_upstream(upstream_addr(up));
   }
 
   if (m.merge) {

@@ -20,9 +20,11 @@
 // tail — and the survivors re-aim their divert/merge targets without any
 // sequence rewriting. Head failure additionally runs the §5 IP takeover.
 //
-// Fail-stop model, like the paper: members never return. Determinism
-// requirements are unchanged (all replicas must produce identical
-// streams per connection).
+// The paper's replica pair is the two-member case (ReplicaGroup wraps
+// one). Fail-stop model, like the paper: members never return, but a
+// fresh host can be appended behind the live tail (append_tail).
+// Determinism requirements are unchanged (all replicas must produce
+// identical streams per connection).
 #pragma once
 
 #include <memory>
@@ -61,6 +63,15 @@ class ReplicaChain {
   /// Convenience fault injection: crashes member `index`.
   void crash(std::size_t index);
 
+  /// Reintegration (the paper leaves it out of scope; see DESIGN.md):
+  /// `recruit` — a fresh host already running the replicated application,
+  /// on the same segment with its listeners installed — becomes the new
+  /// tail, at index size() before the call. Connections established from
+  /// now on are replicated on it too; connections that predate the call
+  /// keep running on the survivors without it (their application state
+  /// cannot be reconstructed without state transfer).
+  void append_tail(apps::Host& recruit);
+
  private:
   struct Member {
     apps::Host* host = nullptr;
@@ -70,8 +81,16 @@ class ReplicaChain {
     bool alive = true;
   };
 
+  std::unique_ptr<PrimaryBridge> make_merge(apps::Host& host,
+                                            ip::Ipv4 downstream) const;
+  std::unique_ptr<SecondaryBridge> make_divert(apps::Host& host) const;
+  /// Watches between members `a` and `b`, both ways.
+  void watch_each_other(std::size_t a, std::size_t b);
   void on_member_failed(std::size_t observer, std::size_t dead);
   void reconfigure(std::size_t member_index);
+  /// Where member `i` is reached by its downstream: the service address
+  /// for the head, its interface address otherwise.
+  ip::Ipv4 upstream_addr(std::size_t i) const;
   std::size_t prev_alive(std::size_t index) const;  // size() if none
   std::size_t next_alive(std::size_t index) const;  // size() if none
 

@@ -1,61 +1,58 @@
-// Top-level convenience wiring: given a primary host and a secondary host
-// running the (actively replicated) server application, assemble the two
-// bridges and the fault detectors and react to failures with the paper's
-// §5/§6 procedures. This is the public entry point most users of the
-// library want; examples/quickstart.cpp shows the full flow.
+// The paper's replica pair: a primary host and a secondary host running
+// the (actively replicated) server application, with the §5/§6 recovery
+// procedures. The pair is the two-member ReplicaChain; this facade only
+// names its members by their pair roles. This is the public entry point
+// most users of the library want; examples/quickstart.cpp shows the full
+// flow.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <utility>
 
 #include "apps/host.hpp"
-#include "core/fault_detector.hpp"
 #include "core/failover_config.hpp"
-#include "core/primary_bridge.hpp"
-#include "core/secondary_bridge.hpp"
+#include "core/replica_chain.hpp"
 
 namespace tfo::core {
 
 class ReplicaGroup {
  public:
-  ReplicaGroup(apps::Host& primary, apps::Host& secondary, FailoverConfig cfg);
+  ReplicaGroup(apps::Host& primary, apps::Host& secondary, FailoverConfig cfg)
+      : chain_({&primary, &secondary}, std::move(cfg)) {}
 
   /// Starts the fault detectors. Call after the topology is in place.
-  void start();
+  void start() { chain_.start(); }
 
-  PrimaryBridge& primary_bridge() { return *primary_bridge_; }
-  SecondaryBridge& secondary_bridge() { return *secondary_bridge_; }
-  FaultDetector& detector_on_primary() { return *fd_primary_; }
-  FaultDetector& detector_on_secondary() { return *fd_secondary_; }
-  const FailoverConfig& config() const { return cfg_; }
+  /// The merge side: the primary until reintegration replaces the pair.
+  PrimaryBridge& primary_bridge() { return *chain_.merge_bridge(primary_index()); }
+  /// The divert side: the newest member.
+  SecondaryBridge& secondary_bridge() {
+    return *chain_.divert_bridge(chain_.size() - 1);
+  }
 
   /// Convenience fault injection: crashes the host; the surviving
   /// replica's detector notices and runs the corresponding recovery.
-  void crash_primary();
-  void crash_secondary();
+  void crash_primary() { chain_.crash(primary_index()); }
+  void crash_secondary() { chain_.crash(chain_.size() - 1); }
 
-  /// Reintegration (the paper leaves this out of scope; see DESIGN.md):
-  /// after one replica failed and the survivor recovered (§5 or §6),
-  /// `recruit` — a fresh host already running the replicated application —
-  /// becomes the new secondary. Connections established from now on are
-  /// fully replicated again; connections that predate the reintegration
-  /// keep running unreplicated on the survivor (their application state
-  /// cannot be reconstructed without state transfer). The recruit must be
-  /// on the same segment with its listeners installed before the call.
-  void reintegrate_secondary(apps::Host& recruit);
+  /// Reintegration: after one replica failed and the survivor recovered
+  /// (§5 or §6), `recruit` becomes the new secondary
+  /// (ReplicaChain::append_tail).
+  void reintegrate_secondary(apps::Host& recruit) { chain_.append_tail(recruit); }
 
   /// The host currently serving the service address.
-  apps::Host& current_server();
+  apps::Host& current_server() { return *chain_.head(); }
 
  private:
-  void wire_detectors();
+  /// The last member with a merge bridge: the primary host changes only
+  /// when a reintegration gives the survivor one.
+  std::size_t primary_index() {
+    std::size_t i = chain_.size() - 1;
+    while (chain_.merge_bridge(i) == nullptr) --i;
+    return i;
+  }
 
-  apps::Host* primary_host_;    // current merge-side host
-  apps::Host* secondary_host_;  // current divert-side host
-  FailoverConfig cfg_;
-  std::unique_ptr<PrimaryBridge> primary_bridge_;
-  std::unique_ptr<SecondaryBridge> secondary_bridge_;
-  std::unique_ptr<FaultDetector> fd_primary_;    // runs on P, watches S
-  std::unique_ptr<FaultDetector> fd_secondary_;  // runs on S, watches P
+  ReplicaChain chain_;
 };
 
 }  // namespace tfo::core

@@ -1,5 +1,8 @@
-// Unit tests for the heartbeat fault detector.
+// Unit tests for the heartbeat fault detector. FdFixture pairs two
+// one-peer meshes, P watching S and S watching P: the replica pair.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "apps/topology.hpp"
 #include "core/fault_detector.hpp"
@@ -10,33 +13,39 @@ namespace {
 
 struct FdFixture : ::testing::Test {
   std::unique_ptr<apps::Lan> lan = apps::make_lan();
-  std::unique_ptr<FaultDetector> on_p, on_s;
+  std::unique_ptr<HeartbeatMesh> on_p, on_s;
+  /// Peer-failure callbacks of on_p and on_s; tests assign them.
+  std::function<void()> p_failed, s_failed;
 
   void build(SimDuration period = milliseconds(10), SimDuration timeout = milliseconds(50)) {
-    on_p = std::make_unique<FaultDetector>(*lan->primary, lan->secondary->address(),
-                                           period, timeout);
-    on_s = std::make_unique<FaultDetector>(*lan->secondary, lan->primary->address(),
-                                           period, timeout);
+    on_p = std::make_unique<HeartbeatMesh>(*lan->primary, period, timeout);
+    on_s = std::make_unique<HeartbeatMesh>(*lan->secondary, period, timeout);
+    on_p->watch(lan->secondary->address(), [this] { if (p_failed) p_failed(); });
+    on_s->watch(lan->primary->address(), [this] { if (s_failed) s_failed(); });
+  }
+
+  static std::uint64_t counter(apps::Host& host, const char* name) {
+    return host.obs().registry.counter_value(name);
   }
 };
 
 TEST_F(FdFixture, NoFalsePositiveWhileBothAlive) {
   build();
   int p_fired = 0, s_fired = 0;
-  on_p->on_peer_failed = [&] { ++p_fired; };
-  on_s->on_peer_failed = [&] { ++s_fired; };
+  p_failed = [&] { ++p_fired; };
+  s_failed = [&] { ++s_fired; };
   on_p->start();
   on_s->start();
   lan->sim.run_for(seconds(5));
   EXPECT_EQ(p_fired, 0);
   EXPECT_EQ(s_fired, 0);
-  EXPECT_GT(on_p->heartbeats_received(), 400u);
+  EXPECT_GT(counter(*lan->primary, "fd.heartbeats_received"), 400u);
 }
 
 TEST_F(FdFixture, DetectsCrashWithinTimeout) {
   build(milliseconds(10), milliseconds(50));
   SimTime detected_at = 0;
-  on_s->on_peer_failed = [&] { detected_at = lan->sim.now(); };
+  s_failed = [&] { detected_at = lan->sim.now(); };
   on_p->start();
   on_s->start();
   lan->sim.run_for(seconds(1));
@@ -52,7 +61,7 @@ TEST_F(FdFixture, DetectsCrashWithinTimeout) {
 TEST_F(FdFixture, FiresExactlyOnce) {
   build();
   int fired = 0;
-  on_s->on_peer_failed = [&] { ++fired; };
+  s_failed = [&] { ++fired; };
   on_p->start();
   on_s->start();
   lan->primary->fail();
@@ -63,7 +72,7 @@ TEST_F(FdFixture, FiresExactlyOnce) {
 TEST_F(FdFixture, StopPreventsDetection) {
   build();
   int fired = 0;
-  on_s->on_peer_failed = [&] { ++fired; };
+  s_failed = [&] { ++fired; };
   on_p->start();
   on_s->start();
   lan->sim.run_for(milliseconds(100));
@@ -77,7 +86,7 @@ TEST_F(FdFixture, IgnoresHeartbeatsFromWrongPeer) {
   // Detector on S watches P; heartbeats from the client must not feed it.
   build(milliseconds(10), milliseconds(50));
   int fired = 0;
-  on_s->on_peer_failed = [&] { fired++; };
+  s_failed = [&] { fired++; };
   on_s->start();
   // Only the *client* sends heartbeat-protocol datagrams to S.
   for (int i = 0; i < 100; ++i) {
@@ -88,7 +97,7 @@ TEST_F(FdFixture, IgnoresHeartbeatsFromWrongPeer) {
   }
   lan->sim.run_for(seconds(1));
   EXPECT_EQ(fired, 1);  // P never spoke: declared failed despite client noise
-  EXPECT_EQ(on_s->heartbeats_received(), 0u);
+  EXPECT_EQ(counter(*lan->secondary, "fd.heartbeats_received"), 0u);
 }
 
 TEST_F(FdFixture, SurvivesModerateHeartbeatLoss) {
@@ -99,12 +108,32 @@ TEST_F(FdFixture, SurvivesModerateHeartbeatLoss) {
   // Timeout of 10 periods tolerates long loss runs.
   build(milliseconds(10), milliseconds(100));
   int fired = 0;
-  on_p->on_peer_failed = [&] { ++fired; };
-  on_s->on_peer_failed = [&] { ++fired; };
+  p_failed = [&] { ++fired; };
+  s_failed = [&] { ++fired; };
   on_p->start();
   on_s->start();
   lan->sim.run_for(seconds(10));
   EXPECT_EQ(fired, 0);
+}
+
+TEST_F(FdFixture, MeshIdlesWithNoLivePeer) {
+  // A survivor whose only peer is declared failed has nobody to
+  // heartbeat: its send timer stops. A later watch() (a recruit) wakes it.
+  build();
+  on_p->start();
+  on_s->start();
+  lan->sim.run_for(milliseconds(100));
+  lan->secondary->fail();
+  lan->sim.run_for(milliseconds(200));
+  ASSERT_TRUE(on_p->peer_failed(lan->secondary->address()));
+  const std::uint64_t idle = counter(*lan->primary, "fd.heartbeats_sent");
+  lan->sim.run_for(seconds(1));
+  EXPECT_EQ(counter(*lan->primary, "fd.heartbeats_sent"), idle);
+  EXPECT_EQ(lan->sim.pending(), 0u) << "an idle mesh must not keep a timer armed";
+
+  on_p->watch(lan->client->address(), [] {});
+  lan->sim.run_for(milliseconds(30));
+  EXPECT_GT(counter(*lan->primary, "fd.heartbeats_sent"), idle);
 }
 
 TEST_F(FdFixture, MeshSurvivesWatchAfterStart) {

@@ -53,6 +53,26 @@ struct ChainFixture : ::testing::Test {
     chain->start();
   }
 
+  /// A fresh host on the wire, running the echo service, ARP-warm with
+  /// every other host: a recruit for append_tail().
+  apps::Host& add_recruit() {
+    apps::HostParams hp;
+    hp.name = "recruit";
+    hp.addr = ip::Ipv4::parse("10.0.0.30");
+    hp.seed = 303;
+    auto host = std::make_unique<apps::Host>(lan->sim, hp, *lan->wire);
+    apps::Host& r = *host;
+    extra_hosts.push_back(std::move(host));
+    std::vector<apps::Host*> others = servers;
+    others.push_back(lan->client.get());
+    for (auto* o : others) {
+      o->arp().add_static(r.address(), r.nic().mac());
+      r.arp().add_static(o->address(), o->nic().mac());
+    }
+    echoes.push_back(std::make_unique<apps::EchoServer>(r.tcp(), kEchoPort));
+    return r;
+  }
+
   /// Runs a full transfer, crashing members at the given received-byte
   /// thresholds; returns driver success.
   void run_with_crashes(std::vector<std::pair<std::size_t, std::size_t>> crashes,
@@ -217,6 +237,65 @@ TEST_F(ChainFixture, PromotionCarriesHandshakeWatch) {
   EXPECT_EQ(bridge.find(after), nullptr) << "promoted embryonic entry never reaped";
   EXPECT_EQ(servers[1]->obs().registry.counter_value("bridge.embryonic_reaped"), 1u);
   EXPECT_EQ(bridge.connection_count(), 0u);
+}
+
+// Reintegration on a chain: the middle member dies and a recruit is
+// appended behind the tail, which has no merge bridge of its own yet.
+struct ChainAppendFixture : ChainFixture {
+  apps::Host* recruit = nullptr;
+  std::unique_ptr<test::EchoDriver> old_conn;
+
+  void crash_middle_and_append() {
+    build(3);
+    old_conn = std::make_unique<test::EchoDriver>(*lan->client, servers[0]->address(),
+                                                  kEchoPort, 400 * 1024, 4096);
+    ASSERT_TRUE(run_until(lan->sim, [&] { return old_conn->received().size() > 20000; },
+                          seconds(60)));
+    chain->crash(1);
+    ASSERT_TRUE(run_until(lan->sim, [&] { return !chain->is_alive(1); }, seconds(10)));
+    recruit = &add_recruit();
+    chain->append_tail(*recruit);
+    ASSERT_FALSE(old_conn->done()) << "the old connection must span the append";
+    EXPECT_EQ(chain->size(), 4u);
+    EXPECT_EQ(chain->divert_bridge(3)->divert_to(), servers[2]->address());
+  }
+};
+
+TEST_F(ChainAppendFixture, RecruitEchoesNewConnectionOldOneCompletes) {
+  crash_middle_and_append();
+  lan->sim.run_for(milliseconds(100));
+  test::EchoDriver new_conn(*lan->client, servers[0]->address(), kEchoPort, 30000, 2000);
+  ASSERT_TRUE(run_until(lan->sim, [&] { return new_conn.done(); }, seconds(120)));
+  EXPECT_TRUE(new_conn.verify());
+  EXPECT_EQ(echoes[3]->bytes_echoed(), 30000u);
+
+  ASSERT_TRUE(run_until(lan->sim, [&] { return old_conn->done(); }, seconds(300)));
+  EXPECT_TRUE(old_conn->verify());
+  EXPECT_FALSE(old_conn->close_reason().has_value());
+  EXPECT_EQ(chain->merge_bridge(0)->divergences(), 0u);
+  EXPECT_EQ(chain->merge_bridge(2)->divergences(), 0u);
+}
+
+TEST_F(ChainAppendFixture, HeadCrashAfterAppendKeepsNewStreamAndRecruit) {
+  crash_middle_and_append();
+  lan->sim.run_for(milliseconds(100));
+  test::EchoDriver new_conn(*lan->client, servers[0]->address(), kEchoPort,
+                            80 * 1024, 4096);
+  ASSERT_TRUE(run_until(lan->sim, [&] { return new_conn.received().size() > 30 * 1024; },
+                        seconds(120)));
+  ASSERT_FALSE(old_conn->done()) << "the old connection must span the takeover";
+  chain->crash(0);
+  ASSERT_TRUE(run_until(lan->sim, [&] { return new_conn.done(); }, seconds(300)));
+  EXPECT_TRUE(new_conn.verify());
+  EXPECT_FALSE(new_conn.close_reason().has_value());
+  EXPECT_EQ(chain->head(), servers[2]);
+  EXPECT_TRUE(chain->is_alive(3));
+  EXPECT_EQ(echoes[3]->bytes_echoed(), 80u * 1024);
+  EXPECT_FALSE(recruit->failed());
+  // The old connection, exempt from the tail's merge bridge, followed
+  // the tail through the takeover.
+  ASSERT_TRUE(run_until(lan->sim, [&] { return old_conn->done(); }, seconds(300)));
+  EXPECT_TRUE(old_conn->verify());
 }
 
 TEST_F(ChainFixture, ChainWithLossStillExact) {
