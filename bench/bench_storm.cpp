@@ -7,7 +7,9 @@
 //
 // Reported per population size N:
 //   * whole-system memory per connection (client + both replicas +
-//     bridges), from the process allocator;
+//     bridges), from the process allocator, and where it goes: the
+//     tcp::Connection and core::BridgeConn objects, live packet-buffer
+//     blocks, and the connections' send/receive buffer capacity;
 //   * per-connection takeover latency: each client connection sends a
 //     probe the instant the primary dies and the stall until its echo
 //     returns is one sample — p50/p99 over all N;
@@ -27,7 +29,9 @@
 #include <new>
 
 #include "bench_util.hpp"
+#include "core/bridge_conn.hpp"
 #include "sim/timer.hpp"
+#include "wire/packet_buffer.hpp"
 
 // ----------------------------------------------------------------------
 // Global allocation accounting. Counts every operator new/delete in the
@@ -122,9 +126,20 @@ std::uint64_t timer_cycle_allocs(int cycles) {
 
 // ------------------------------------------------------------ the storm
 
+/// Where the loaded population's bytes go, each per storm connection.
+/// Struct sizes count every live object (client, primary and secondary
+/// each hold a tcp::Connection per storm connection).
+struct MemBreakdown {
+  std::uint64_t tcp_conn = 0;       // sizeof(tcp::Connection) x live connections
+  std::uint64_t bridge_conn = 0;    // sizeof(core::BridgeConn) x bridged connections
+  std::uint64_t packet_buffers = 0; // live PacketBuffer block capacity (loaded - baseline)
+  std::uint64_t conn_buffers = 0;   // Connection::buffer_capacity() summed
+};
+
 struct StormResult {
   std::size_t conns = 0;
   std::uint64_t bytes_per_conn = 0;
+  MemBreakdown mem;
   double p50_ns = -1;
   double p99_ns = -1;
   double wall_s = 0;
@@ -192,6 +207,7 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   t.sim().run_for(milliseconds(100));  // detectors and ARP settle
 
   const std::uint64_t bytes_baseline = g_live_bytes.load(std::memory_order_relaxed);
+  const std::uint64_t buffers_baseline = wire::buffer_stats().live_bytes;
 
   std::vector<StormConn> conns(n_conns);
   std::size_t ready = 0;
@@ -229,6 +245,27 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   }
 
   const std::uint64_t bytes_loaded = g_live_bytes.load(std::memory_order_relaxed);
+  MemBreakdown mem;
+  {
+    const std::uint64_t buffers_loaded = wire::buffer_stats().live_bytes;
+    std::uint64_t tcp_conns = 0, conn_buffers = 0;
+    std::vector<apps::Host*> hosts = {t.lan->client.get(), t.lan->primary.get(),
+                                      t.lan->secondary.get()};
+    for (const auto& c : clients) hosts.push_back(c.get());
+    for (apps::Host* h : hosts) {
+      h->tcp().for_each_connection([&](const tcp::Connection& c) {
+        ++tcp_conns;
+        conn_buffers += c.buffer_capacity();
+      });
+    }
+    const std::uint64_t bridged = t.group->primary_bridge().connection_count();
+    mem.tcp_conn = tcp_conns * sizeof(tcp::Connection) / n_conns;
+    mem.bridge_conn = bridged * sizeof(core::BridgeConn) / n_conns;
+    mem.packet_buffers = buffers_loaded > buffers_baseline
+                             ? (buffers_loaded - buffers_baseline) / n_conns
+                             : 0;
+    mem.conn_buffers = conn_buffers / n_conns;
+  }
 
   // The crash. Every connection fires a probe at the same instant: the
   // secondary snoops it and answers, but the answer dies on the dark
@@ -270,6 +307,7 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   r.bytes_per_conn = bytes_loaded > bytes_baseline
                          ? (bytes_loaded - bytes_baseline) / n_conns
                          : 0;
+  r.mem = mem;
   r.p50_ns = latency.percentile(50);
   r.p99_ns = latency.percentile(99);
   r.sched = t.sim().stats();
@@ -320,6 +358,8 @@ int main(int argc, char** argv) {
   BenchJson json("storm");
   TextTable table({"conns", "mem/conn", "takeover p50 [ms]",
                    "takeover p99 [ms]", "wheel inserts", "cascades", "wall [s]"});
+  TextTable mem_table({"conns", "mem/conn", "tcp::Connection", "BridgeConn",
+                       "packet buffers", "conn buffers"});
   std::vector<StormResult> results;
   for (std::size_t n : sizes) {
     std::printf("\nrunning storm N=%zu ...\n", n);
@@ -335,6 +375,10 @@ int main(int argc, char** argv) {
                    TextTable::num(r.p99_ns / 1e6, 2),
                    std::to_string(r.sched.wheel_inserts),
                    std::to_string(r.sched.cascades), TextTable::num(r.wall_s, 1)});
+    mem_table.add_row({std::to_string(r.conns), size_label(r.bytes_per_conn),
+                       size_label(r.mem.tcp_conn), size_label(r.mem.bridge_conn),
+                       size_label(r.mem.packet_buffers),
+                       size_label(r.mem.conn_buffers)});
     results.push_back(r);
   }
   std::printf("%s", table.render().c_str());
@@ -344,6 +388,10 @@ int main(int argc, char** argv) {
               "within min_rto (conns x rx_processing; check_bench_json.py gate)\n"
               "and is receive-bound beyond; mem/conn flat in N.\n");
   json.add_table("failover storm: population size vs takeover latency", table);
+  std::printf("\nbytes per connection by table (sizeof x live objects, "
+              "live block bytes):\n%s",
+              mem_table.render().c_str());
+  json.add_table("failover storm: bytes per connection by table", mem_table);
 
   // Machine-readable storm section (validated by check_bench_json.py).
   {
@@ -354,6 +402,12 @@ int main(int argc, char** argv) {
       w.begin_object();
       w.key("conns").value(static_cast<std::uint64_t>(r.conns));
       w.key("bytes_per_conn").value(r.bytes_per_conn);
+      w.key("bytes_per_conn_by_table").begin_object();
+      w.key("tcp_connection").value(r.mem.tcp_conn);
+      w.key("bridge_conn").value(r.mem.bridge_conn);
+      w.key("packet_buffers").value(r.mem.packet_buffers);
+      w.key("conn_buffers").value(r.mem.conn_buffers);
+      w.end_object();
       w.key("takeover_p50_ns").value(r.p50_ns);
       w.key("takeover_p99_ns").value(r.p99_ns);
       w.end_object();

@@ -118,6 +118,17 @@ def _check_profiles(profiles):
                     f"profiles[{i}].oracles['{name}'] is not a bool")
 
 
+# Heap per storm connection at scale (bench_storm's allocator figure,
+# client + both replicas + bridge): 5,043 B at 20k connections after the
+# per-connection memory diet, 6,700 B before it. Small populations carry
+# fixed overhead (the 1k point measures ~5.9 KB) and are not gated.
+STORM_BYTES_PER_CONN_MAX = 5600
+STORM_BYTES_GATE_MIN_CONNS = 10000
+# Where those bytes go (bench_storm's per-table breakdown).
+STORM_TABLES = ("tcp_connection", "bridge_conn", "packet_buffers",
+                "conn_buffers")
+
+
 def _check_storm(storm):
     _expect(isinstance(storm, dict), "'storm' is not an object")
     for key in ("points", "alloc", "min_rto_ns", "rx_processing_ns"):
@@ -142,6 +153,20 @@ def _check_storm(storm):
         prev_conns = p["conns"]
         _expect(p["takeover_p99_ns"] >= p["takeover_p50_ns"],
                 f"storm.points[{i}]: p99 below p50")
+        if p["conns"] >= STORM_BYTES_GATE_MIN_CONNS:
+            _expect(p["bytes_per_conn"] <= STORM_BYTES_PER_CONN_MAX,
+                    f"storm.points[{i}]: bytes_per_conn {p['bytes_per_conn']} "
+                    f"above the {STORM_BYTES_PER_CONN_MAX} B ceiling")
+        tables = p.get("bytes_per_conn_by_table")
+        _expect(isinstance(tables, dict),
+                f"storm.points[{i}] missing 'bytes_per_conn_by_table'")
+        for key in STORM_TABLES:
+            _expect(isinstance(tables.get(key), (int, float)) and tables[key] >= 0,
+                    f"storm.points[{i}].bytes_per_conn_by_table.{key} is not a "
+                    "non-negative number")
+        # Each table is a part of the allocator's total.
+        _expect(sum(tables[key] for key in STORM_TABLES) <= p["bytes_per_conn"],
+                f"storm.points[{i}]: per-table bytes exceed bytes_per_conn")
         # With the takeover kick the clients do not wait out their RTO, so
         # the tail stays below min_rto -- wherever the secondary can read
         # the whole storm (one probe per connection) within min_rto. Past
@@ -370,9 +395,15 @@ def self_test():
         }],
         "storm": {
             "points": [
-                {"conns": 1000, "bytes_per_conn": 7000,
+                {"conns": 1000, "bytes_per_conn": 5900,
+                 "bytes_per_conn_by_table": {
+                     "tcp_connection": 3264, "bridge_conn": 480,
+                     "packet_buffers": 5, "conn_buffers": 312},
                  "takeover_p50_ns": 4.8e7, "takeover_p99_ns": 4.9e7},
-                {"conns": 100000, "bytes_per_conn": 6800,
+                {"conns": 100000, "bytes_per_conn": 5200,
+                 "bytes_per_conn_by_table": {
+                     "tcp_connection": 3264, "bridge_conn": 480,
+                     "packet_buffers": 0, "conn_buffers": 312},
                  "takeover_p50_ns": 6.0e7, "takeover_p99_ns": 3.9e8},
             ],
             "alloc": {"cycles": 200000, "wheel_allocs": 0},
@@ -467,6 +498,16 @@ def self_test():
             conns=1000)),
         ("storm negative bytes", lambda d: d["storm"]["points"][0].update(
             bytes_per_conn=-1)),
+        ("storm bytes_per_conn above ceiling at scale",
+         lambda d: d["storm"]["points"][1].update(bytes_per_conn=6700)),
+        ("storm missing table breakdown", lambda d: d["storm"]["points"][0].pop(
+            "bytes_per_conn_by_table")),
+        ("storm table breakdown missing packet_buffers",
+         lambda d: d["storm"]["points"][1]["bytes_per_conn_by_table"].pop(
+             "packet_buffers")),
+        ("storm tables exceed bytes_per_conn",
+         lambda d: d["storm"]["points"][0]["bytes_per_conn_by_table"].update(
+             tcp_connection=9000)),
         ("storm alloc missing wheel_allocs", lambda d: d["storm"]["alloc"].pop(
             "wheel_allocs")),
         ("storm wheel allocs nonzero", lambda d: d["storm"]["alloc"].update(

@@ -242,12 +242,19 @@ TapVerdict PrimaryBridge::inbound_tap(TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& 
     return TapVerdict::kContinue;
   }
   if (tombstoned(key)) {
-    if (seg.fin()) {
-      // §8: ACK a client FIN retransmitted after teardown, and keep it
-      // away from the TCP layer (which would answer with a RST).
-      ack_stray_fin_from_remote(seg, src, dst);
+    if (!opens_new_incarnation(key, seg)) {
+      if (seg.fin()) {
+        // §8: ACK a client FIN retransmitted after teardown, and keep it
+        // away from the TCP layer (which would answer with a RST).
+        ack_stray_fin_from_remote(seg, src, dst);
+      }
+      return TapVerdict::kDrop;
     }
-    return TapVerdict::kDrop;
+    // A client reusing the 4-tuple: the tombstone has served its purpose
+    // (our TCP will not confuse the new SYN with the old connection), and
+    // the new connection is bridged afresh below.
+    tombstones_.erase(key);
+    publish_gauges();
   }
   if (!secondary_failed_ && seg.syn() && !seg.has_ack() && is_failover(key)) {
     conn_for(key).on_remote_segment(seg);
@@ -440,6 +447,13 @@ void PrimaryBridge::sweep_tombstones() {
 
 bool PrimaryBridge::tombstoned(const ConnKey& key) const {
   return tombstones_.contains(key);
+}
+
+bool PrimaryBridge::opens_new_incarnation(const ConnKey& key,
+                                          const TcpSegment& seg) const {
+  if (!seg.syn() || seg.has_ack() || seg.rst()) return false;
+  const auto tc = host_.tcp().find(key);
+  return !tc || tc->syn_recycles_time_wait(seg.seq);
 }
 
 // §8 stray-FIN replies. The reply ACK is unsolicited, so its sequence

@@ -108,6 +108,12 @@ class PrimaryBridge : public BridgeConnSink {
   BridgeConn& conn_for(const tcp::ConnKey& key);
   void schedule_removal(const tcp::ConnKey& key);
   bool tombstoned(const tcp::ConnKey& key) const;
+  /// True for a SYN (no ACK) that our TCP would accept as a new
+  /// connection on `key`: it holds none, or only one in TIME_WAIT that the
+  /// SYN may recycle (tcp::Connection::syn_recycles_time_wait). Such a SYN
+  /// passes a tombstone: the bridge is no stricter than TCP.
+  bool opens_new_incarnation(const tcp::ConnKey& key,
+                             const tcp::TcpSegment& seg) const;
   /// Queues `e` in deadline order and arms the sweep for it.
   void enqueue_expiry(const Expiry& e);
   /// Re-enqueues a rekeyed connection's handshake watch under its new key

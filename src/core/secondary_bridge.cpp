@@ -99,11 +99,19 @@ HookVerdict SecondaryBridge::ip_inbound(ip::IpDatagram& dgram, const ip::RxMeta&
       // TCP layer's own SYN_SENT rule (ACK must equal ISS+1) gates
       // forgeries there.
       constexpr std::int32_t kSlack = 2 * 65536;
-      const std::int32_t rel =
-          seq_diff(Seq32{get_u32(dgram.payload, 4)}, conn->rcv_nxt_abs());
-      const bool state_changing =
-          get_u8(dgram.payload, 13) & (tcp::Flags::kRst | tcp::Flags::kSyn);
-      if (state_changing ? rel != 0 : (rel < -kSlack || rel > kSlack)) {
+      const Seq32 seq{get_u32(dgram.payload, 4)};
+      const std::int32_t rel = seq_diff(seq, conn->rcv_nxt_abs());
+      const std::uint8_t flags = get_u8(dgram.payload, 13);
+      const bool state_changing = flags & (tcp::Flags::kRst | tcp::Flags::kSyn);
+      // Exception: a reconnect on a 4-tuple whose replica sits in
+      // TIME_WAIT. Its SYN is newer than RCV.NXT by design, and the
+      // replica's TCP recycles the tuple for it, as the primary's does.
+      const bool new_incarnation =
+          (flags & (tcp::Flags::kSyn | tcp::Flags::kAck | tcp::Flags::kRst)) ==
+              tcp::Flags::kSyn &&
+          conn->syn_recycles_time_wait(seq);
+      if (!new_incarnation &&
+          (state_changing ? rel != 0 : (rel < -kSlack || rel > kSlack))) {
         ctr_spoof_dropped_->inc();
         return HookVerdict::kDrop;
       }

@@ -84,6 +84,11 @@ std::size_t Connection::send_queue_pending() const {
   return n;
 }
 
+std::size_t Connection::buffer_capacity() const {
+  return send_buf_.capacity() + rx_buf_.capacity() +
+         app_writes_.capacity() * sizeof(PendingWrite);
+}
+
 Connection::Info Connection::info() const {
   Info i;
   i.timeouts = stat_timeouts_;
@@ -198,8 +203,11 @@ void Connection::abort() {
 // ---------------------------------------------------------- send engine
 
 void Connection::pump_app_writes() {
-  while (!app_writes_.empty()) {
-    PendingWrite& w = app_writes_.front();
+  // Callbacks are deferred, never run here, so nothing pushes onto the
+  // queue mid-loop; the finished prefix is erased once at the end.
+  std::size_t done = 0;
+  for (; done < app_writes_.size(); ++done) {
+    PendingWrite& w = app_writes_[done];
     const std::size_t space =
         params_.send_buf > send_buf_.size() ? params_.send_buf - send_buf_.size() : 0;
     const std::size_t take = std::min(space, w.data.size() - w.moved);
@@ -208,23 +216,20 @@ void Connection::pump_app_writes() {
                        w.data.begin() + static_cast<long>(w.moved + take));
       w.moved += take;
     }
-    if (w.moved == w.data.size()) {
-      auto cb = std::move(w.on_accepted);
-      // Completion happens no earlier than the user→kernel copy of the
-      // whole message would take (Figure 3's sub-buffer slope), and is
-      // always deferred so it cannot re-enter try_send mid-flight.
+    if (w.moved != w.data.size()) break;  // buffer full
+    // Completion happens no earlier than the user→kernel copy of the
+    // whole message would take (Figure 3's sub-buffer slope), and is
+    // always deferred so it cannot re-enter try_send mid-flight.
+    if (w.on_accepted) {
       const SimTime copy_done =
           w.enqueued_at + static_cast<SimTime>(params_.send_copy_ns_per_byte) *
                               w.data.size();
-      app_writes_.pop_front();
-      if (cb) {
-        owner_.simulator().schedule_at(std::max(copy_done, owner_.simulator().now()),
-                                       std::move(cb));
-      }
-    } else {
-      break;  // buffer full
+      owner_.simulator().schedule_at(std::max(copy_done, owner_.simulator().now()),
+                                     std::move(w.on_accepted));
     }
   }
+  app_writes_.erase(app_writes_.begin(),
+                    app_writes_.begin() + static_cast<long>(done));
 }
 
 std::uint32_t Connection::usable_window() const {
@@ -938,6 +943,13 @@ void Connection::enter_time_wait() {
   delack_timer_.stop();
   persist_timer_.stop();
   time_wait_timer_.start(2 * params_.msl, [this] { teardown(CloseReason::kGraceful); });
+  release_drained_buffers();
+}
+
+void Connection::release_drained_buffers() {
+  if (send_buf_.empty()) Bytes().swap(send_buf_);
+  if (rx_buf_.empty()) Bytes().swap(rx_buf_);
+  if (app_writes_.empty()) std::vector<PendingWrite>().swap(app_writes_);
 }
 
 void Connection::teardown(CloseReason reason) {
@@ -953,6 +965,7 @@ void Connection::teardown(CloseReason reason) {
   // connection must not keep frame storage alive until destruction.
   app_writes_.clear();
   release_all_ooo();
+  release_drained_buffers();
   if (on_closed) on_closed(reason);
   owner_.connection_closed(key_, id_);
 }

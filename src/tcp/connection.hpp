@@ -8,11 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/seq32.hpp"
@@ -95,6 +95,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// layer's TIME_WAIT recycle check compares a new SYN's ISN against
   /// this: strictly newer means no old segment can enter the new window.
   Seq32 rcv_nxt_abs() const { return seq_add(irs_, static_cast<std::int64_t>(rcv_nxt_)); }
+  /// True when this connection is in TIME_WAIT and a SYN with sequence
+  /// `syn_seq` is strictly newer than RCV.NXT: no old segment can then
+  /// enter the new incarnation's window, so a listener may recycle the
+  /// 4-tuple (TcpLayer::maybe_recycle_time_wait). The failover bridges
+  /// let exactly such a SYN through, so they are no stricter than TCP.
+  bool syn_recycles_time_wait(Seq32 syn_seq) const {
+    return state_ == TcpState::kTimeWait && seq_diff(syn_seq, rcv_nxt_abs()) > 0;
+  }
   /// PacketBuffer bytes currently pinned by the out-of-order stash.
   std::size_t ooo_bytes_pinned() const { return ooo_bytes_; }
   bool failover_flagged() const { return failover_flagged_; }
@@ -105,6 +113,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::uint16_t advertised_window() const { return last_adv_wnd_; }
   std::size_t send_buffer_used() const { return send_buf_.size(); }
   std::size_t send_queue_pending() const;
+  /// Heap bytes reserved by the send buffer, the receive buffer and the
+  /// write queue (their capacity, not their contents).
+  std::size_t buffer_capacity() const;
 
   /// Introspection snapshot (diagnostics, tests, benches).
   struct Info {
@@ -203,6 +214,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void enter_established();
   void enter_time_wait();
   void teardown(CloseReason reason);
+  /// Frees the capacity of the send buffer, the receive buffer and the
+  /// write queue where they are empty (TIME_WAIT and CLOSED keep no use
+  /// for it). Unread receive data stays.
+  void release_drained_buffers();
   void maybe_advance_close_states();
   /// Releases this connection's listen-backlog slot (first exit from
   /// SYN_RCVD only; idempotent).
@@ -243,7 +258,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
     std::function<void()> on_accepted;
     SimTime enqueued_at = 0;  // when the app issued the send()
   };
-  std::deque<PendingWrite> app_writes_;
+  // Holds 0 to 2 writes; a vector allocates nothing while it is empty.
+  std::vector<PendingWrite> app_writes_;
   bool fin_queued_ = false;
   bool close_requested_ = false;  // close() arrived during the handshake
   std::optional<std::uint64_t> fin_offset_;  // stream offset of our FIN

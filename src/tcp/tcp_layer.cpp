@@ -414,10 +414,9 @@ bool TcpLayer::maybe_recycle_time_wait(const std::shared_ptr<Connection>& conn,
   // is the whole point of the quiet period. RFC 6528 ISNs make the
   // criterion hold for every genuine reconnect; old duplicate SYNs fail
   // it and fall through to the RFC 1337 handling in the connection.
-  if (conn->state() != TcpState::kTimeWait) return false;
   if (!seg.syn() || seg.has_ack()) return false;
   if (!listeners_.contains(seg.dst_port)) return false;
-  if (seq_diff(seg.seq, conn->rcv_nxt_abs()) <= 0) return false;
+  if (!conn->syn_recycles_time_wait(seg.seq)) return false;
   if (ctr_tw_recycled_) ctr_tw_recycled_->inc();
   TFO_LOG(kDebug, "tcp") << conn->key().str() << " TIME_WAIT recycled by newer SYN";
   // Evict synchronously so the listener path can claim the 4-tuple now;

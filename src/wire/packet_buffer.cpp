@@ -17,6 +17,7 @@ struct AtomicBufferStats {
   std::atomic<std::uint64_t> deep_copies{0};
   std::atomic<std::uint64_t> copied_bytes{0};
   std::atomic<std::uint64_t> shares{0};
+  std::atomic<std::uint64_t> live_bytes{0};
 };
 AtomicBufferStats g_stats;
 
@@ -26,20 +27,26 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
   c.fetch_add(n, kRelaxed);
 }
 
-/// Thread-local recycling pool for MTU-class storage blocks. The data
-/// path churns one block per segment; recycling the backing vectors
-/// avoids a malloc/free pair and the zero-fill of ~2 KB per packet.
+/// Thread-local recycling pool for storage blocks, in three size
+/// classes. The data path churns one block per segment; recycling the
+/// backing vectors avoids a malloc/free pair and the zero-fill per packet.
 /// Recycled blocks keep their stale bytes — every allocation site writes
 /// its full visible range (header prepends included), which the
 /// determinism suite would expose if violated. Per-thread on purpose:
 /// allocation needs no synchronization.
 ///
-/// A second, smaller class recycles jumbo blocks (GRO-merged frames: up
-/// to 32 coalesced MSS payloads plus headers). Jumbo blocks keep their
-/// high-water size across reuse — a block is never shrunk on reuse nor
-/// regrown on recycle — so in steady state a merged-frame allocation
-/// costs no zero-fill at all; `vector::resize` only value-initializes
-/// when an allocation exceeds every size the block has served before.
+///   * small (256 B): any allocation of at most 256 B — every SYN, ACK,
+///     FIN and short segment (96 B headroom + 46 B tailroom leave room for
+///     114 payload bytes). Without this class each of them pinned an MTU
+///     block for as long as a queue retained it. The pool keeps at most
+///     1 MB of them, so a burst of frees does not become resident heap;
+///   * MTU (2048 B): a full-MSS segment with its reserves;
+///   * jumbo (64 KB): GRO-merged frames, up to 32 coalesced MSS payloads
+///     plus headers. Jumbo blocks keep their high-water size across reuse
+///     — a block is never shrunk on reuse nor regrown on recycle — so in
+///     steady state a merged-frame allocation costs no zero-fill at all;
+///     `vector::resize` only value-initializes when an allocation exceeds
+///     every size the block has served before.
 constexpr std::size_t kPoolBlockBytes = 2048;
 constexpr std::size_t kPoolMaxBlocks = 1024;
 constexpr std::size_t kJumboBlockBytes = 64 * 1024;
@@ -51,6 +58,7 @@ constexpr std::size_t kJumboMaxBlocks = 32;
 thread_local bool g_pool_alive = false;
 
 struct StoragePool {
+  std::vector<Bytes> small;
   std::vector<Bytes> blocks;
   std::vector<Bytes> jumbo;
   StoragePool() { g_pool_alive = true; }
@@ -62,50 +70,72 @@ StoragePool& pool() {
   return p;
 }
 
-std::shared_ptr<PacketBuffer::Storage> make_storage(std::size_t cap) {
-  bump(g_stats.allocations);
-  bump(g_stats.allocated_bytes, cap);
-  auto s = std::make_shared<PacketBuffer::Storage>();
-  if (cap <= kPoolBlockBytes) {
-    StoragePool& p = pool();
-    if (!p.blocks.empty()) {
-      s->buf = std::move(p.blocks.back());
-      p.blocks.pop_back();
-      s->buf.resize(cap);  // shrink within the block: no fill, no realloc
-      return s;
-    }
-    s->buf.reserve(kPoolBlockBytes);  // fresh block, pool-class capacity
-  } else if (cap <= kJumboBlockBytes) {
-    StoragePool& p = pool();
-    if (!p.jumbo.empty()) {
-      s->buf = std::move(p.jumbo.back());
-      p.jumbo.pop_back();
-      // Grow only past the block's high-water mark; a smaller request
-      // keeps the larger size (the excess is just extra tailroom), so
-      // steady-state reuse never value-initializes a byte.
-      if (s->buf.size() < cap) s->buf.resize(cap);
-      return s;
-    }
-    s->buf.reserve(kJumboBlockBytes);  // fresh block, jumbo-class capacity
+/// Pops a recycled block of the class, or reserves a fresh one of
+/// `block` bytes. Returns the vector at its recycled (or zero) size.
+Bytes take_block(std::vector<Bytes>& cls, std::size_t block) {
+  if (!cls.empty()) {
+    Bytes b = std::move(cls.back());
+    cls.pop_back();
+    return b;
   }
-  s->buf.resize(cap);
+  Bytes b;
+  b.reserve(block);
+  return b;
+}
+
+/// Counts a new storage block: its reserved capacity, not the request.
+void count_block(const Bytes& buf) {
+  bump(g_stats.allocations);
+  bump(g_stats.allocated_bytes, buf.capacity());
+  bump(g_stats.live_bytes, buf.capacity());
+}
+
+std::shared_ptr<PacketBuffer::Storage> make_storage(std::size_t cap) {
+  auto s = std::make_shared<PacketBuffer::Storage>();
+  if (cap <= kSmallBlockBytes) {
+    s->buf = take_block(pool().small, kSmallBlockBytes);
+  } else if (cap <= kPoolBlockBytes) {
+    s->buf = take_block(pool().blocks, kPoolBlockBytes);
+  } else if (cap <= kJumboBlockBytes) {
+    s->buf = take_block(pool().jumbo, kJumboBlockBytes);
+    // Grow only past the block's high-water mark; a smaller request
+    // keeps the larger size (the excess is just extra tailroom), so
+    // steady-state reuse never value-initializes a byte.
+    if (s->buf.size() < cap) s->buf.resize(cap);
+    count_block(s->buf);
+    return s;
+  }
+  s->buf.resize(cap);  // within a pooled block: shrinks, no fill, no realloc
+  count_block(s->buf);
   return s;
 }
 }  // namespace
 
 PacketBuffer::Storage::~Storage() {
-  if (!g_pool_alive || buf.capacity() < kPoolBlockBytes) return;
+  const std::size_t cap = buf.capacity();
+  g_stats.live_bytes.fetch_sub(cap, kRelaxed);
+  if (!g_pool_alive || cap < kSmallBlockBytes) return;
   StoragePool& p = pool();
-  if (buf.capacity() >= kJumboBlockBytes) {
+  if (cap >= kJumboBlockBytes) {
     // Recycled at current (high-water) size on purpose — see the pool
     // comment above.
     if (p.jumbo.size() < kJumboMaxBlocks) p.jumbo.push_back(std::move(buf));
     return;
   }
-  if (p.blocks.size() >= kPoolMaxBlocks) return;
-  buf.resize(kPoolBlockBytes);
-  p.blocks.push_back(std::move(buf));
+  if (cap >= kPoolBlockBytes) {
+    if (p.blocks.size() >= kPoolMaxBlocks) return;
+    buf.resize(kPoolBlockBytes);
+    p.blocks.push_back(std::move(buf));
+    return;
+  }
+  // Only true small blocks: an adopted vector of some other capacity
+  // below the MTU class is freed, never pooled under the wrong size.
+  if (cap != kSmallBlockBytes || p.small.size() >= kSmallPoolMaxBlocks) return;
+  buf.resize(kSmallBlockBytes);
+  p.small.push_back(std::move(buf));
 }
+
+std::size_t pooled_small_blocks() { return pool().small.size(); }
 
 BufferStats buffer_stats() {
   BufferStats out;
@@ -114,6 +144,7 @@ BufferStats buffer_stats() {
   out.deep_copies = g_stats.deep_copies.load(kRelaxed);
   out.copied_bytes = g_stats.copied_bytes.load(kRelaxed);
   out.shares = g_stats.shares.load(kRelaxed);
+  out.live_bytes = g_stats.live_bytes.load(kRelaxed);
   return out;
 }
 
@@ -130,8 +161,7 @@ PacketBuffer::PacketBuffer(Bytes b) {
   head_ = 0;
   storage_ = std::make_shared<Storage>();
   storage_->buf = std::move(b);
-  bump(g_stats.allocations);  // adopted, but a distinct storage block
-  bump(g_stats.allocated_bytes, len_);
+  count_block(storage_->buf);  // adopted, but a distinct storage block
 }
 
 PacketBuffer PacketBuffer::copy_of(BytesView src) {

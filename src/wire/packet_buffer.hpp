@@ -24,6 +24,13 @@
 // All mutating entry points funnel through the refcount discipline;
 // offset-only trims never touch bytes and are therefore always safe on
 // shared storage.
+//
+// Storage comes in three size classes, each recycled through a
+// thread-local pool: 256 B for any block of at most 256 B (every SYN,
+// ACK, FIN and short segment with its default reserves), 2048 B for a
+// full-MSS segment, and 64 KB for GRO-merged frames. A block sized to
+// its packet matters because queues retain packets: a retained 142-B ACK
+// used to pin a 2048-B block.
 #pragma once
 
 #include <cstdint>
@@ -42,20 +49,30 @@ namespace tfo::wire {
 /// so buffers stay safe to allocate from more than one thread.
 struct BufferStats {
   std::uint64_t allocations = 0;    ///< fresh storage blocks created
-  std::uint64_t allocated_bytes = 0;///< capacity of those blocks
+  std::uint64_t allocated_bytes = 0;///< capacity of those blocks (size class)
   std::uint64_t deep_copies = 0;    ///< CoW / reallocation byte copies
   std::uint64_t copied_bytes = 0;   ///< bytes moved by those copies
   std::uint64_t shares = 0;         ///< zero-copy duplications (refcount bumps)
+  /// Capacity of the blocks live buffers hold right now (pooled blocks
+  /// excluded). A level, not a count: reset_buffer_stats leaves it alone.
+  std::uint64_t live_bytes = 0;
 };
 
 BufferStats buffer_stats();
 void reset_buffer_stats();
 
+/// The small storage class: blocks for allocations of at most this many
+/// bytes, and how many of them a thread's pool retains (1 MB).
+inline constexpr std::size_t kSmallBlockBytes = 256;
+inline constexpr std::size_t kSmallPoolMaxBlocks = (1 << 20) / kSmallBlockBytes;
+/// Small blocks the calling thread's pool holds for reuse.
+std::size_t pooled_small_blocks();
+
 class PacketBuffer {
  public:
   /// Reference-counted backing block. Public only so the allocation
   /// helper in the .cpp can construct it; not part of the API. The
-  /// destructor recycles MTU-class blocks into a thread-local pool.
+  /// destructor recycles the block into its class's thread-local pool.
   struct Storage {
     Bytes buf;
     ~Storage();

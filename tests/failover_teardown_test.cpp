@@ -238,6 +238,59 @@ TEST(Teardown, ManySequentialSessionsLeaveNoResidue) {
   }, seconds(60)));
 }
 
+// The replicated form of TimeWaitFixture.TupleReuseRecyclesTimeWait: the
+// servers close first, so both replicas sit in TIME_WAIT and the primary
+// bridge holds a tombstone when the client reconnects on the same 4-tuple.
+// The new SYN is one both TCPs recycle the tuple for, so neither the
+// tombstone nor the secondary's snoop gate may drop it: the connection
+// establishes at once instead of after a 1 s SYN retransmission.
+TEST(Teardown, TupleReuseRecyclesTimeWaitOnBothReplicas) {
+  auto r = make_replicated_lan({}, {}, /*with_echo=*/false);
+  std::vector<std::shared_ptr<tcp::Connection>> served;
+  for (apps::Host* h : {&r->primary(), &r->secondary()}) {
+    h->tcp().listen(kEchoPort, [&served](std::shared_ptr<tcp::Connection> c) {
+      c->close();  // the server closes first and ends in TIME_WAIT
+      served.push_back(std::move(c));
+    });
+  }
+  r->client().tcp().set_ephemeral_range(50000, 50000);
+  PrimaryBridge& bridge = r->group->primary_bridge();
+
+  const auto session = [&] {
+    auto c = r->client().tcp().connect(r->primary().address(), kEchoPort);
+    bool closed = false;
+    c->on_peer_fin = [raw = c.get()] { raw->close(); };
+    c->on_closed = [&closed](tcp::CloseReason why) {
+      closed = why == tcp::CloseReason::kGraceful;
+    };
+    const SimTime start = r->sim().now();
+    EXPECT_TRUE(run_until(r->sim(), [&] {
+      return c->state() != tcp::TcpState::kSynSent;
+    }, seconds(10)));
+    const SimDuration setup = static_cast<SimDuration>(r->sim().now() - start);
+    EXPECT_TRUE(run_until(r->sim(), [&] { return closed; }, seconds(10)));
+    // Port release is deferred; settle one tick so the port is reusable.
+    r->sim().run_for(milliseconds(1));
+    return setup;
+  };
+
+  session();
+  ASSERT_EQ(served.size(), 2u);
+  for (const auto& s : served) EXPECT_EQ(s->state(), tcp::TcpState::kTimeWait);
+  ASSERT_EQ(bridge.tombstone_count(), 1u);
+
+  const SimDuration setup = session();
+  EXPECT_LT(setup, milliseconds(50));  // the SYN RTO is 1 s
+  ASSERT_EQ(served.size(), 4u);
+  for (apps::Host* h : {&r->primary(), &r->secondary()}) {
+    EXPECT_EQ(h->obs().registry.counter_value("tcp.time_wait_recycled"), 1u)
+        << h->name();
+    EXPECT_EQ(h->obs().registry.counter_value("bridge.spoof_dropped"), 0u)
+        << h->name();
+  }
+  EXPECT_EQ(bridge.divergences(), 0u);
+}
+
 // --------------------------------------------------------- expiry queue
 // Tombstones and handshake watches share one deadline-ordered queue; every
 // entry lives exactly 4*MSL from the instant it was made.

@@ -12,7 +12,9 @@
 //     parse, leaving the TCP checksum valid.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ip/datagram.hpp"
@@ -130,6 +132,68 @@ TEST(PacketBuffer, AssignReservesHeadroom) {
   b.assign(src.begin(), src.end());
   EXPECT_EQ(b.headroom(), PacketBuffer::kDefaultHeadroom);
   EXPECT_EQ(to_bytes(b), src);
+}
+
+/// Block bytes one allocation of `len` payload bytes reserves.
+std::uint64_t block_bytes_for(std::size_t len) {
+  const BufferStats before = buffer_stats();
+  PacketBuffer b = PacketBuffer::alloc(len);
+  EXPECT_EQ(buffer_stats().allocations, before.allocations + 1);
+  return buffer_stats().allocated_bytes - before.allocated_bytes;
+}
+
+// A header-only buffer (a pure ACK: 96 B headroom + 46 B tailroom) takes a
+// small block, a full-MSS segment an MTU block, a GRO merge a jumbo one;
+// net.alloc.bytes counts the block, not the request.
+TEST(PacketBuffer, AllocationTakesItsSizeClass) {
+  EXPECT_EQ(block_bytes_for(0), kSmallBlockBytes);
+  EXPECT_EQ(block_bytes_for(kSmallBlockBytes - PacketBuffer::kDefaultHeadroom -
+                            PacketBuffer::kDefaultTailroom),
+            kSmallBlockBytes);
+  EXPECT_EQ(block_bytes_for(1460), 2048u);
+  EXPECT_EQ(block_bytes_for(20 * 1460), 64u * 1024);
+}
+
+// A small buffer grown past its block by a prepend or an append moves to
+// a larger block with its bytes intact, and sharing still copies on write.
+TEST(PacketBuffer, SmallBufferGrowsPastItsBlock) {
+  PacketBuffer a = PacketBuffer::copy_of(seq_bytes(40));
+  ASSERT_TRUE(a.unique());
+  const std::size_t hdr = PacketBuffer::kDefaultHeadroom + 200;  // past the block
+  std::memset(a.prepend(hdr), 0xaa, hdr);
+  ASSERT_EQ(a.size(), hdr + 40);
+  EXPECT_GT(a.headroom() + a.size() + a.tailroom(), kSmallBlockBytes);
+  EXPECT_EQ(a[0], 0xaau);
+  EXPECT_EQ(a[hdr], 0u);
+  EXPECT_EQ(a[hdr + 39], 39u);
+
+  PacketBuffer b = PacketBuffer::copy_of(seq_bytes(40));
+  std::uint8_t* t = b.append(300);  // past the tailroom and the block
+  ASSERT_EQ(b.size(), 340u);
+  EXPECT_GT(b.headroom() + b.size() + b.tailroom(), kSmallBlockBytes);
+  for (int i = 0; i < 300; ++i) ASSERT_EQ(t[i], 0u) << i;
+  EXPECT_EQ(b[39], 39u);
+
+  PacketBuffer sibling = b;
+  sibling[0] = 0xff;  // copy-on-write
+  EXPECT_EQ(b[0], 0u);
+  EXPECT_EQ(sibling[0], 0xffu);
+  EXPECT_EQ(to_bytes(sibling).size(), 340u);
+  EXPECT_TRUE(b.unique());
+}
+
+// Freeing more small buffers than the pool retains leaves the pool at its
+// bound: a burst of short packets does not become resident heap.
+TEST(PacketBuffer, SmallPoolKeepsAtMostItsBound) {
+  std::vector<PacketBuffer> burst;
+  for (std::size_t i = 0; i < kSmallPoolMaxBlocks + 500; ++i) {
+    burst.push_back(PacketBuffer::alloc(16));
+  }
+  burst.clear();
+  EXPECT_EQ(pooled_small_blocks(), kSmallPoolMaxBlocks);
+  // Reuse drains the pool without a fresh block.
+  PacketBuffer again = PacketBuffer::alloc(16);
+  EXPECT_EQ(pooled_small_blocks(), kSmallPoolMaxBlocks - 1);
 }
 
 }  // namespace

@@ -228,6 +228,61 @@ TEST_F(TimeWaitFixture, OldDuplicateSynDoesNotRecycle) {
   EXPECT_EQ(accepted.size(), 1u);  // the listener did not re-accept
 }
 
+// A server connection entering TIME_WAIT frees its drained send and
+// receive buffers: it holds no data for its 2*MSL, only sequence state.
+TEST_F(TimeWaitFixture, TimeWaitReleasesDrainedBuffers) {
+  build();
+  listen();
+  auto client = connect();
+  ASSERT_TRUE(run_until(lan->sim, [&] {
+    return client->state() == TcpState::kEstablished && !accepted.empty();
+  }));
+  auto server = accepted.back();
+  server->on_readable = [s = server.get()] {
+    Bytes b;
+    s->recv(b);
+  };
+  client->on_readable = [c = client.get()] {
+    Bytes b;
+    c->recv(b);
+  };
+  client->send(Bytes(4000, 0x5a));
+  server->send(Bytes(4000, 0xa5));
+  ASSERT_TRUE(run_until(lan->sim, [&] {
+    return server->bytes_received_total() == 4000 &&
+           client->bytes_received_total() == 4000 && server->send_buffer_used() == 0;
+  }));
+  EXPECT_GT(server->buffer_capacity(), 0u);  // the exchange reserved space
+
+  client->on_peer_fin = [c = client.get()] { c->close(); };
+  server->close();
+  ASSERT_TRUE(run_until(lan->sim, [&] { return server->state() == TcpState::kTimeWait; }));
+  EXPECT_EQ(server->buffer_capacity(), 0u);
+}
+
+// Data that arrived but was never read survives the entry to TIME_WAIT:
+// only empty buffers are released.
+TEST_F(TimeWaitFixture, TimeWaitKeepsUnreadData) {
+  build();
+  listen();
+  auto client = connect();
+  ASSERT_TRUE(run_until(lan->sim, [&] {
+    return client->state() == TcpState::kEstablished && !accepted.empty();
+  }));
+  auto server = accepted.back();  // the server application never reads
+  client->on_peer_fin = [c = client.get()] {
+    c->send(Bytes(300, 0x42));
+    c->close();
+  };
+  server->close();
+  ASSERT_TRUE(run_until(lan->sim, [&] { return server->state() == TcpState::kTimeWait; }));
+  EXPECT_EQ(server->rx_available(), 300u);
+  EXPECT_GE(server->buffer_capacity(), 300u);
+  Bytes out;
+  EXPECT_EQ(server->recv(out), 300u);
+  EXPECT_EQ(out, Bytes(300, 0x42));
+}
+
 // Ephemeral-port exhaustion: connect() refuses (returns null) instead of
 // corrupting the use table, and a port freed by a full teardown is
 // allocatable again.
