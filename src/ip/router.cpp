@@ -4,8 +4,6 @@
 
 namespace tfo::ip {
 
-std::uint32_t Router::next_router_id_ = 0x70000000;
-
 Router::Router(sim::Simulator& sim, std::string name)
     : sim_(sim), name_(std::move(name)), ip_(sim) {
   ip_.set_forwarding(true);
@@ -17,8 +15,6 @@ Router::Router(sim::Simulator& sim, std::string name)
                         [this](const IpDatagram& d, const RxMeta&) {
                           handle_route_advert(d);
                         });
-  next_mac_id_ = next_router_id_;
-  next_router_id_ += 0x100;
 }
 
 std::size_t Router::add_port(net::Medium& medium, Ipv4 addr, int prefix_len,
@@ -27,7 +23,7 @@ std::size_t Router::add_port(net::Medium& medium, Ipv4 addr, int prefix_len,
   auto port = std::make_unique<Port>();
   port->nic = std::make_unique<net::Nic>(
       sim_, name_ + ".eth" + std::to_string(ports_.size()),
-      net::MacAddress::from_id(next_mac_id_++), nic_params);
+      net::MacAddress::from_id(addr.v), nic_params);
   port->arp = std::make_unique<ArpEntity>(
       sim_, *port->nic, [this] { return ip_.local_addresses(); }, arp_params);
 

@@ -30,7 +30,9 @@ class Router {
   Router(sim::Simulator& sim, std::string name);
 
   /// Attaches a port to `medium` with the given address/prefix and
-  /// egress MTU. Returns the interface index.
+  /// egress MTU. The port's MAC is derived from its address, as a host's
+  /// is, so it does not depend on what else the process built. Returns
+  /// the interface index.
   std::size_t add_port(net::Medium& medium, Ipv4 addr, int prefix_len,
                        net::NicParams nic_params = {}, ArpParams arp_params = {},
                        int mtu = 1500);
@@ -63,8 +65,6 @@ class Router {
   obs::Counter* ctr_adverts_received_ = nullptr;
   obs::Counter* ctr_updates_applied_ = nullptr;
   obs::Counter* ctr_adverts_propagated_ = nullptr;
-  std::uint32_t next_mac_id_;
-  static std::uint32_t next_router_id_;
 };
 
 }  // namespace tfo::ip
