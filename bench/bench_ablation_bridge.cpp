@@ -22,30 +22,30 @@ namespace {
 // ------------------------------------------------------------------- A
 
 double send_rate_with_slow_secondary(SimDuration extra_proc) {
-  apps::LanParams lp = paper_lan_params();
+  apps::TopologyParams lp = paper_lan_params();
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::SinkServer> s1, s2;
-  t = make_testbed(true, [&](apps::Host& h) {
+  t = test::make_replicated(lp, {}, [&](apps::Host& h) {
     auto s = std::make_unique<apps::SinkServer>(h.tcp(), kPort);
     (s1 ? s2 : s1) = std::move(s);
-  }, lp);
+  });
   // The secondary's application drains its receive buffer slowly: model a
   // slower replica by shrinking its receive buffer (less drain headroom).
   // extra_proc scales the handicap.
   const double slowdown = 1.0 + to_seconds(extra_proc) * 1e3;  // ms -> factor
-  t.lan->secondary->tcp().mutable_params().recv_buf =
+  t->topo->secondary->tcp().mutable_params().recv_buf =
       static_cast<std::size_t>(65536 / slowdown);
 
-  t.sim().run_for(milliseconds(100));
-  auto conn = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+  t->sim().run_for(milliseconds(100));
+  auto conn = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
   bool established = false;
   conn->on_established = [&] { established = true; };
-  t.run_until([&] { return established; }, seconds(10));
+  test::run_until(t->sim(), [&] { return established; }, seconds(10));
 
   constexpr std::size_t kTotal = 20 * 1000 * 1000;
-  const SimTime start = t.sim().now();
+  const SimTime start = t->sim().now();
   std::size_t queued = 0;
   std::function<void()> feed = [&] {
     if (queued >= kTotal) return;
@@ -54,12 +54,12 @@ double send_rate_with_slow_secondary(SimDuration extra_proc) {
     conn->send(apps::deterministic_payload(n, 1), [&] { feed(); });
   };
   feed();
-  if (!t.run_until([&] {
+  if (!test::run_until(t->sim(), [&] {
         return s1->bytes_received() >= kTotal && s2->bytes_received() >= kTotal;
       }, seconds(3600))) {
     return -1;
   }
-  const double secs = to_seconds(static_cast<SimDuration>(t.sim().now() - start));
+  const double secs = to_seconds(static_cast<SimDuration>(t->sim().now() - start));
   return static_cast<double>(kTotal) / 1000.0 / secs;
 }
 
@@ -68,21 +68,21 @@ double send_rate_with_slow_secondary(SimDuration extra_proc) {
 std::size_t peak_queue_bytes(std::size_t reply_size, SimDuration secondary_delack) {
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::BlastServer> b1, b2;
-  apps::LanParams lp = paper_lan_params();
-  t = make_testbed(true, [&](apps::Host& h) {
+  apps::TopologyParams lp = paper_lan_params();
+  t = test::make_replicated(lp, {}, [&](apps::Host& h) {
     auto b = std::make_unique<apps::BlastServer>(h.tcp(), kPort);
     (b1 ? b2 : b1) = std::move(b);
-  }, lp);
-  t.lan->secondary->tcp().mutable_params().delayed_ack = secondary_delack;
-  t.lan->secondary->nic();  // (secondary skew comes from delack alone)
-  t.sim().run_for(milliseconds(100));
+  });
+  t->topo->secondary->tcp().mutable_params().delayed_ack = secondary_delack;
+  t->topo->secondary->nic();  // (secondary skew comes from delack alone)
+  t->sim().run_for(milliseconds(100));
 
-  auto conn = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+  auto conn = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
   bool established = false;
   conn->on_established = [&] { established = true; };
-  t.run_until([&] { return established; }, seconds(10));
+  test::run_until(t->sim(), [&] { return established; }, seconds(10));
 
   std::size_t received = 0;
   conn->on_readable = [&] {
@@ -95,11 +95,11 @@ std::size_t peak_queue_bytes(std::size_t reply_size, SimDuration secondary_delac
   conn->send(to_bytes(req));
 
   std::size_t peak = 0;
-  const tcp::ConnKey key{t.server_addr(), kPort, t.client().address(),
+  const tcp::ConnKey key{t->primary().address(), kPort, t->client().address(),
                          conn->key().local_port};
-  while (received < reply_size && t.sim().pending() > 0) {
-    t.sim().step();
-    if (auto* bc = t.group->primary_bridge().find(key)) {
+  while (received < reply_size && t->sim().pending() > 0) {
+    t->sim().step();
+    if (auto* bc = t->group->primary_bridge().find(key)) {
       peak = std::max(peak, bc->primary_queue_bytes() + bc->secondary_queue_bytes());
     }
   }
@@ -111,7 +111,7 @@ std::size_t peak_queue_bytes(std::size_t reply_size, SimDuration secondary_delac
 /// Returns true if the client finished its transfer after a primary crash
 /// with the given number of gratuitous-ARP repeats under heavy loss.
 bool takeover_succeeds(int repeats, double loss, std::uint64_t seed) {
-  apps::LanParams lp;  // default fast params: this is a yes/no experiment
+  apps::TopologyParams lp;  // default fast params: this is a yes/no experiment
   lp.medium.impairment.loss = loss;
   lp.medium.impairment.seed = seed;
   lp.tcp.max_rto = seconds(5);
@@ -121,39 +121,39 @@ bool takeover_succeeds(int repeats, double loss, std::uint64_t seed) {
   cfg.gratuitous_arp_repeats = repeats;
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(true, [&](apps::Host& h) {
+  t = test::make_replicated(lp, cfg, [&](apps::Host& h) {
     auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
     (e1 ? e2 : e1) = std::move(e);
-  }, lp, cfg);
-  t.sim().run_for(milliseconds(100));
-  test::EchoDriver d(t.client(), t.server_addr(), kPort, 30000, 1500);
-  if (!t.run_until([&] { return d.received().size() > 10000; }, seconds(300))) {
+  });
+  t->sim().run_for(milliseconds(100));
+  test::EchoDriver d(t->client(), t->primary().address(), kPort, 30000, 1500);
+  if (!test::run_until(t->sim(), [&] { return d.received().size() > 10000; }, seconds(300))) {
     return false;
   }
-  t.lan->primary->fail();
-  return t.run_until([&] { return d.done(); }, seconds(300)) && d.verify();
+  t->topo->primary->fail();
+  return test::run_until(t->sim(), [&] { return d.done(); }, seconds(300)) && d.verify();
 }
 
 // ------------------------------------------------------------------- D
 
 double receive_rate_kbs(bool failover, bool half_duplex) {
-  apps::LanParams lp = paper_lan_params();
+  apps::TopologyParams lp = paper_lan_params();
   lp.medium.half_duplex = half_duplex;
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::BlastServer> b1, b2;
-  t = make_testbed(failover, [&](apps::Host& h) {
+  t = test::make_replicated(lp, {}, [&](apps::Host& h) {
     auto b = std::make_unique<apps::BlastServer>(h.tcp(), kPort);
     (b1 ? b2 : b1) = std::move(b);
-  }, lp);
-  t.sim().run_for(milliseconds(100));
-  auto conn = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+  }, failover);
+  t->sim().run_for(milliseconds(100));
+  auto conn = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
   bool established = false;
   conn->on_established = [&] { established = true; };
-  t.run_until([&] { return established; }, seconds(10));
+  test::run_until(t->sim(), [&] { return established; }, seconds(10));
   std::size_t received = 0;
   conn->on_readable = [&] {
     Bytes b;
@@ -161,13 +161,13 @@ double receive_rate_kbs(bool failover, bool half_duplex) {
     received += b.size();
   };
   constexpr std::size_t kBytes = 20 * 1000 * 1000;
-  const SimTime start = t.sim().now();
+  const SimTime start = t->sim().now();
   char req[48];
   std::snprintf(req, sizeof(req), "GET %zu 1\n", kBytes);
   conn->send(to_bytes(req));
-  if (!t.run_until([&] { return received >= kBytes; }, seconds(3600))) return -1;
+  if (!test::run_until(t->sim(), [&] { return received >= kBytes; }, seconds(3600))) return -1;
   return static_cast<double>(kBytes) / 1000.0 /
-         to_seconds(static_cast<SimDuration>(t.sim().now() - start));
+         to_seconds(static_cast<SimDuration>(t->sim().now() - start));
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ namespace tfo::bench {
 namespace {
 
 struct ChainBed {
-  std::unique_ptr<apps::Lan> lan;
+  std::unique_ptr<apps::Topology> lan;
   std::vector<std::unique_ptr<apps::Host>> extra;
   std::vector<apps::Host*> servers;
   std::vector<std::unique_ptr<apps::EchoServer>> echoes;
@@ -29,7 +29,7 @@ struct ChainBed {
 
 ChainBed make_chain(std::size_t n) {
   ChainBed bed;
-  bed.lan = apps::make_lan(paper_lan_params());
+  bed.lan = apps::make_topology(paper_lan_params());
   bed.servers = {bed.lan->primary.get()};
   if (n >= 2) bed.servers.push_back(bed.lan->secondary.get());
   for (std::size_t i = 2; i < n; ++i) {

@@ -130,7 +130,7 @@ struct ChurnResult {
 ChurnResult run_churn(double cps, SimDuration duration, BenchJson* json) {
   const auto wall_start = std::chrono::steady_clock::now();
 
-  apps::LanParams lp = paper_lan_params();
+  apps::TopologyParams lp = paper_lan_params();
   // Churn measures the accept path, not the paper's 100 Mb/s testbed:
   // gigabit wire, light per-frame processing. MSL is raised to 1 s so
   // that at 10k conn/s the client's 16384-port ephemeral space wraps
@@ -144,19 +144,19 @@ ChurnResult run_churn(double cps, SimDuration duration, BenchJson* json) {
   core::FailoverConfig cfg;
   cfg.ports = {kHttpPort};
 
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::HttpServer> w1, w2;
-  t = make_testbed(true, [&](apps::Host& h) {
+  t = test::make_replicated(lp, cfg, [&](apps::Host& h) {
     auto w = std::make_unique<apps::HttpServer>(h.tcp(), kHttpPort);
     w->add_document("/", apps::deterministic_payload(512, 7));
     w->add_document("/small", apps::deterministic_payload(128, 8));
     w->add_document("/big", apps::deterministic_payload(4096, 9));
     (w1 ? w2 : w1) = std::move(w);
-  }, lp, cfg);
-  t.sim().run_for(milliseconds(100));  // detectors and ARP settle
+  });
+  t->sim().run_for(milliseconds(100));  // detectors and ARP settle
 
   apps::LoadGenConfig lg_cfg;
-  lg_cfg.server = t.server_addr();
+  lg_cfg.server = t->primary().address();
   lg_cfg.port = kHttpPort;
   lg_cfg.conns_per_sec = cps;
   lg_cfg.duration = duration;
@@ -164,23 +164,23 @@ ChurnResult run_churn(double cps, SimDuration duration, BenchJson* json) {
   lg_cfg.think_time = microseconds(200);
   lg_cfg.mix = {{"/", 6}, {"/small", 3}, {"/big", 1}};
   lg_cfg.seed = 42;
-  apps::LoadGen lg(t.sim(), {&t.client().tcp()}, lg_cfg, &t.client().obs());
+  apps::LoadGen lg(t->sim(), {&t->client().tcp()}, lg_cfg, &t->client().obs());
 
   const std::uint64_t bytes_baseline = g_live_bytes.load(std::memory_order_relaxed);
 
   lg.start();
   // The mid-run crash: half the arrival window is served by the primary,
   // the rest lands on (or diverts to) the secondary.
-  t.sim().schedule_after(duration / 2, [&] { t.group->crash_primary(); });
+  t->sim().schedule_after(duration / 2, [&] { t->group->crash_primary(); });
 
-  if (!t.run_until([&] { return lg.done(); }, seconds(120))) {
+  if (!test::run_until(t->sim(), [&] { return lg.done(); }, seconds(120))) {
     std::fprintf(stderr, "churn %.0f conn/s: %llu connections still live\n", cps,
                  static_cast<unsigned long long>(lg.live_conns()));
     return {};
   }
   // Drain: let server-side TIME_WAIT expire and sweeps run so the growth
   // figure measures leaks, not the quiet period.
-  t.sim().run_for(2 * lp.tcp.msl + milliseconds(600));
+  t->sim().run_for(2 * lp.tcp.msl + milliseconds(600));
 
   const std::uint64_t bytes_end = g_live_bytes.load(std::memory_order_relaxed);
 
@@ -211,11 +211,11 @@ ChurnResult run_churn(double cps, SimDuration duration, BenchJson* json) {
   const auto host_ctr = [](const apps::Host& h, const char* name) {
     return h.obs().registry.counter_value(name);
   };
-  r.listen_overflows = host_ctr(*t.lan->primary, "tcp.listen_overflows") +
-                       host_ctr(*t.lan->secondary, "tcp.listen_overflows");
-  r.tw_recycled = host_ctr(*t.lan->primary, "tcp.time_wait_recycled") +
-                  host_ctr(*t.lan->secondary, "tcp.time_wait_recycled");
-  r.embryonic_reaped = host_ctr(*t.lan->primary, "bridge.embryonic_reaped");
+  r.listen_overflows = host_ctr(*t->topo->primary, "tcp.listen_overflows") +
+                       host_ctr(*t->topo->secondary, "tcp.listen_overflows");
+  r.tw_recycled = host_ctr(*t->topo->primary, "tcp.time_wait_recycled") +
+                  host_ctr(*t->topo->secondary, "tcp.time_wait_recycled");
+  r.embryonic_reaped = host_ctr(*t->topo->primary, "bridge.embryonic_reaped");
   r.growth_bytes = bytes_end > bytes_baseline ? bytes_end - bytes_baseline : 0;
   r.growth_per_conn =
       r.started ? static_cast<double>(r.growth_bytes) / static_cast<double>(r.started)
@@ -225,9 +225,9 @@ ChurnResult run_churn(double cps, SimDuration duration, BenchJson* json) {
                  .count();
   r.ok = true;
   if (json) {
-    json->capture_host(*t.lan->primary);
-    json->capture_host(*t.lan->secondary);
-    json->capture_host(*t.lan->client);
+    json->capture_host(*t->topo->primary);
+    json->capture_host(*t->topo->secondary);
+    json->capture_host(*t->topo->client);
   }
   return r;
 }

@@ -15,29 +15,29 @@ struct Result {
 Result measure(bool failover, int samples) {
   // Declared before the accepted-connection holder: the LAN (and its
   // simulator) must outlive the connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::vector<std::shared_ptr<tcp::Connection>> held;
-  t = make_testbed(failover, [&held](apps::Host& h) {
+  t = test::make_replicated(paper_lan_params(), {}, [&held](apps::Host& h) {
     h.tcp().listen(kPort, [&held](std::shared_ptr<tcp::Connection> c) {
       held.push_back(std::move(c));
     });
-  });
+  }, failover);
   // Let fault detectors settle.
-  t.sim().run_for(milliseconds(100));
+  t->sim().run_for(milliseconds(100));
 
   Result r;
   for (int i = 0; i < samples; ++i) {
-    const SimTime start = t.sim().now();
-    auto conn = t.client().tcp().connect(t.server_addr(), kPort);
+    const SimTime start = t->sim().now();
+    auto conn = t->client().tcp().connect(t->primary().address(), kPort);
     bool established = false;
     conn->on_established = [&] { established = true; };
-    if (!t.run_until([&] { return established; }, seconds(10))) {
+    if (!test::run_until(t->sim(), [&] { return established; }, seconds(10))) {
       std::fprintf(stderr, "connection %d failed to establish\n", i);
       continue;
     }
-    r.us.add(to_microseconds(static_cast<SimDuration>(t.sim().now() - start)));
+    r.us.add(to_microseconds(static_cast<SimDuration>(t->sim().now() - start)));
     conn->abort();  // RST: no TIME_WAIT pile-up between samples
-    t.sim().run_for(milliseconds(5));
+    t->sim().run_for(milliseconds(5));
   }
   return r;
 }

@@ -21,7 +21,7 @@ struct FailoverMeasurement {
 
 FailoverMeasurement measure(SimDuration fd_timeout, SimDuration arp_latency,
                             std::uint64_t seed, BenchJson* json = nullptr) {
-  apps::LanParams lp = paper_lan_params();
+  apps::TopologyParams lp = paper_lan_params();
   lp.arp.update_latency = arp_latency;
   lp.seed = seed;
   core::FailoverConfig cfg;
@@ -30,47 +30,47 @@ FailoverMeasurement measure(SimDuration fd_timeout, SimDuration arp_latency,
 
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(true, [&](apps::Host& h) {
+  t = test::make_replicated(lp, cfg, [&](apps::Host& h) {
     auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
     (e1 ? e2 : e1) = std::move(e);
-  }, lp, cfg);
-  t.sim().run_for(milliseconds(100));
+  });
+  t->sim().run_for(milliseconds(100));
 
-  test::EchoDriver d(t.client(), t.server_addr(), kPort, 300 * 1024, 8192);
-  if (!t.run_until([&] { return d.received().size() > 100 * 1024; }, seconds(600))) {
+  test::EchoDriver d(t->client(), t->primary().address(), kPort, 300 * 1024, 8192);
+  if (!test::run_until(t->sim(), [&] { return d.received().size() > 100 * 1024; }, seconds(600))) {
     return {};
   }
-  const SimTime crash_at = t.sim().now();
-  t.lan->primary->fail();
+  const SimTime crash_at = t->sim().now();
+  t->topo->primary->fail();
 
   FailoverMeasurement m;
-  SimTime last_progress = t.sim().now();
+  SimTime last_progress = t->sim().now();
   std::size_t last_size = d.received().size();
   SimDuration longest = 0;
-  const SimTime deadline = t.sim().now() + static_cast<SimTime>(seconds(600));
-  while (!d.done() && t.sim().pending() > 0 && t.sim().now() < deadline) {
-    t.sim().step();
+  const SimTime deadline = t->sim().now() + static_cast<SimTime>(seconds(600));
+  while (!d.done() && t->sim().pending() > 0 && t->sim().now() < deadline) {
+    t->sim().step();
     if (d.received().size() != last_size) {
       longest = std::max<SimDuration>(
-          longest, static_cast<SimDuration>(t.sim().now() - last_progress));
+          longest, static_cast<SimDuration>(t->sim().now() - last_progress));
       last_size = d.received().size();
-      last_progress = t.sim().now();
+      last_progress = t->sim().now();
     }
   }
   if (!d.done() || !d.verify()) return {};
   m.longest_stall_ms = to_milliseconds(longest);
-  m.complete_ms = to_milliseconds(static_cast<SimDuration>(t.sim().now() - crash_at));
+  m.complete_ms = to_milliseconds(static_cast<SimDuration>(t->sim().now() - crash_at));
   m.detect_ms = to_milliseconds(
-      static_cast<SimDuration>(t.group->secondary_bridge().takeover_time() - crash_at));
+      static_cast<SimDuration>(t->group->secondary_bridge().takeover_time() - crash_at));
   if (json) {
     // Snapshot every host's registry and failover timeline while the
     // testbed is still alive: the crashed primary's event log shows the
     // pre-crash merge activity, the secondary's shows the takeover.
-    json->capture_host(*t.lan->primary);
-    json->capture_host(*t.lan->secondary);
-    json->capture_host(t.client());
+    json->capture_host(*t->topo->primary);
+    json->capture_host(*t->topo->secondary);
+    json->capture_host(t->client());
   }
   return m;
 }

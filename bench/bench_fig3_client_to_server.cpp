@@ -14,32 +14,32 @@ namespace {
 double median_send_time_us(bool failover, std::size_t msg_size, int samples) {
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::SinkServer> sink_p, sink_s;
-  t = make_testbed(failover, [&](apps::Host& h) {
+  t = test::make_replicated(paper_lan_params(), {}, [&](apps::Host& h) {
     auto sink = std::make_unique<apps::SinkServer>(h.tcp(), kPort);
     (sink_p ? sink_s : sink_p) = std::move(sink);
-  });
-  t.sim().run_for(milliseconds(100));
+  }, failover);
+  t->sim().run_for(milliseconds(100));
 
   Sampler us;
   for (int i = 0; i < samples; ++i) {
-    auto conn = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+    auto conn = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
     bool established = false;
     conn->on_established = [&] { established = true; };
-    if (!t.run_until([&] { return established; }, seconds(10))) continue;
+    if (!test::run_until(t->sim(), [&] { return established; }, seconds(10))) continue;
 
-    const SimTime start = t.sim().now();
+    const SimTime start = t->sim().now();
     bool accepted = false;
     conn->send(apps::deterministic_payload(msg_size, static_cast<std::uint32_t>(i)),
                [&] { accepted = true; });
-    if (!t.run_until([&] { return accepted; }, seconds(120))) continue;
-    us.add(to_microseconds(static_cast<SimDuration>(t.sim().now() - start)));
+    if (!test::run_until(t->sim(), [&] { return accepted; }, seconds(120))) continue;
+    us.add(to_microseconds(static_cast<SimDuration>(t->sim().now() - start)));
 
     // Drain fully so the next sample starts clean.
-    t.run_until([&] { return conn->send_buffer_used() == 0; }, seconds(120));
+    test::run_until(t->sim(), [&] { return conn->send_buffer_used() == 0; }, seconds(120));
     conn->abort();
-    t.sim().run_for(milliseconds(5));
+    t->sim().run_for(milliseconds(5));
   }
   return us.empty() ? -1.0 : us.median();
 }

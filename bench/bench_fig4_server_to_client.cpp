@@ -13,20 +13,20 @@ namespace {
 double median_reply_time_us(bool failover, std::size_t reply_size, int samples) {
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::BlastServer> blast_p, blast_s;
-  t = make_testbed(failover, [&](apps::Host& h) {
+  t = test::make_replicated(paper_lan_params(), {}, [&](apps::Host& h) {
     auto blast = std::make_unique<apps::BlastServer>(h.tcp(), kPort);
     (blast_p ? blast_s : blast_p) = std::move(blast);
-  });
-  t.sim().run_for(milliseconds(100));
+  }, failover);
+  t->sim().run_for(milliseconds(100));
 
   Sampler us;
   for (int i = 0; i < samples; ++i) {
-    auto conn = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+    auto conn = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
     bool established = false;
     conn->on_established = [&] { established = true; };
-    if (!t.run_until([&] { return established; }, seconds(10))) continue;
+    if (!test::run_until(t->sim(), [&] { return established; }, seconds(10))) continue;
 
     std::size_t received = 0;
     conn->on_readable = [&] {
@@ -34,15 +34,15 @@ double median_reply_time_us(bool failover, std::size_t reply_size, int samples) 
       conn->recv(b);
       received += b.size();
     };
-    const SimTime start = t.sim().now();
+    const SimTime start = t->sim().now();
     // The paper's 4-byte request plus our framing.
     char req[48];
     std::snprintf(req, sizeof(req), "GET %zu %d\n", reply_size, i);
     conn->send(to_bytes(req));
-    if (!t.run_until([&] { return received >= reply_size; }, seconds(300))) continue;
-    us.add(to_microseconds(static_cast<SimDuration>(t.sim().now() - start)));
+    if (!test::run_until(t->sim(), [&] { return received >= reply_size; }, seconds(300))) continue;
+    us.add(to_microseconds(static_cast<SimDuration>(t->sim().now() - start)));
     conn->abort();
-    t.sim().run_for(milliseconds(5));
+    t->sim().run_for(milliseconds(5));
   }
   return us.empty() ? -1.0 : us.median();
 }

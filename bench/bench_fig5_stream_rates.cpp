@@ -22,21 +22,21 @@ constexpr std::size_t kStreamBytes = 100 * 1000 * 1000;
 double send_rate_kbs(bool failover) {
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::SinkServer> s1, s2;
-  t = make_testbed(failover, [&](apps::Host& h) {
+  t = test::make_replicated(paper_lan_params(), {}, [&](apps::Host& h) {
     auto s = std::make_unique<apps::SinkServer>(h.tcp(), kPort);
     (s1 ? s2 : s1) = std::move(s);
-  });
-  t.sim().run_for(milliseconds(100));
+  }, failover);
+  t->sim().run_for(milliseconds(100));
 
-  auto conn = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+  auto conn = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
   bool established = false;
   conn->on_established = [&] { established = true; };
-  t.run_until([&] { return established; }, seconds(10));
+  test::run_until(t->sim(), [&] { return established; }, seconds(10));
 
   // Stream in 256KB application writes, keeping the send buffer fed.
-  const SimTime start = t.sim().now();
+  const SimTime start = t->sim().now();
   std::size_t queued = 0;
   std::function<void()> feed = [&] {
     if (queued >= kStreamBytes) return;
@@ -46,29 +46,29 @@ double send_rate_kbs(bool failover) {
                [&] { feed(); });
   };
   feed();
-  if (!t.run_until([&] { return s1->bytes_received() >= kStreamBytes; },
+  if (!test::run_until(t->sim(), [&] { return s1->bytes_received() >= kStreamBytes; },
                    seconds(3600))) {
     return -1;
   }
-  const double secs = to_seconds(static_cast<SimDuration>(t.sim().now() - start));
+  const double secs = to_seconds(static_cast<SimDuration>(t->sim().now() - start));
   return static_cast<double>(kStreamBytes) / 1000.0 / secs;
 }
 
 double receive_rate_kbs(bool failover) {
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::BlastServer> b1, b2;
-  t = make_testbed(failover, [&](apps::Host& h) {
+  t = test::make_replicated(paper_lan_params(), {}, [&](apps::Host& h) {
     auto b = std::make_unique<apps::BlastServer>(h.tcp(), kPort);
     (b1 ? b2 : b1) = std::move(b);
-  });
-  t.sim().run_for(milliseconds(100));
+  }, failover);
+  t->sim().run_for(milliseconds(100));
 
-  auto conn = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+  auto conn = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
   bool established = false;
   conn->on_established = [&] { established = true; };
-  t.run_until([&] { return established; }, seconds(10));
+  test::run_until(t->sim(), [&] { return established; }, seconds(10));
 
   std::size_t received = 0;
   conn->on_readable = [&] {
@@ -76,12 +76,12 @@ double receive_rate_kbs(bool failover) {
     conn->recv(b);
     received += b.size();
   };
-  const SimTime start = t.sim().now();
+  const SimTime start = t->sim().now();
   char req[48];
   std::snprintf(req, sizeof(req), "GET %zu 1\n", kStreamBytes);
   conn->send(to_bytes(req));
-  if (!t.run_until([&] { return received >= kStreamBytes; }, seconds(3600))) return -1;
-  const double secs = to_seconds(static_cast<SimDuration>(t.sim().now() - start));
+  if (!test::run_until(t->sim(), [&] { return received >= kStreamBytes; }, seconds(3600))) return -1;
+  const double secs = to_seconds(static_cast<SimDuration>(t->sim().now() - start));
   return static_cast<double>(kStreamBytes) / 1000.0 / secs;
 }
 

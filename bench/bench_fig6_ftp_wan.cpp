@@ -20,15 +20,14 @@
 // longer per definition of done).
 #include "apps/ftp.hpp"
 #include "bench_util.hpp"
-#include "core/replica_group.hpp"
 
 namespace tfo::bench {
 namespace {
 
 constexpr double kFileSizesKb[] = {0.2, 1.3, 18.2, 144.9, 1738.1};
 
-apps::WanParams wan_params() {
-  apps::WanParams wp;
+apps::TopologyParams wan_params() {
+  apps::TopologyParams wp{.seed = 12, .hops = 1};
   // A ~1.5 Mb/s WAN path with 10 ms one-way delay and light loss —
   // matches the paper's observed ~175 KB/s ceiling for large files.
   wp.wan_link.bandwidth_bps = 1'500'000;
@@ -50,35 +49,23 @@ struct Rates {
 };
 
 Rates measure(bool failover, double file_kb) {
-  auto wan = apps::make_wan(wan_params());
-  std::unique_ptr<core::ReplicaGroup> group;
-  apps::FtpServer ftp_p(wan->primary->tcp());
-  std::unique_ptr<apps::FtpServer> ftp_s;
-  if (failover) {
-    core::FailoverConfig cfg;
-    cfg.ports = {21, 20};
-    group = std::make_unique<core::ReplicaGroup>(*wan->primary, *wan->secondary, cfg);
-    ftp_s = std::make_unique<apps::FtpServer>(wan->secondary->tcp());
-    group->start();
-  }
   const std::size_t bytes = static_cast<std::size_t>(file_kb * 1000);
   const Bytes content = apps::deterministic_payload(bytes, 17);
-  ftp_p.add_file("f.bin", content);
-  if (ftp_s) ftp_s->add_file("f.bin", content);
+  core::FailoverConfig cfg;
+  cfg.ports = {21, 20};
+  std::unique_ptr<test::Replicated> t;  // outlives the servers
+  std::vector<std::unique_ptr<apps::FtpServer>> ftp;
+  t = test::make_replicated(wan_params(), cfg, [&](apps::Host& h) {
+    ftp.push_back(std::make_unique<apps::FtpServer>(h.tcp()));
+    ftp.back()->add_file("f.bin", content);
+  }, failover);
+  auto& wan = t->topo;
 
   apps::FtpClient client(wan->client->tcp(), wan->primary->address());
-  auto run_until = [&](const std::function<bool()>& pred, SimDuration to) {
-    const SimTime deadline = wan->sim.now() + static_cast<SimTime>(to);
-    while (!pred()) {
-      if (wan->sim.now() > deadline || wan->sim.pending() == 0) return pred();
-      wan->sim.step();
-    }
-    return true;
-  };
 
   bool login_done = false;
   client.login([&](bool) { login_done = true; });
-  if (!run_until([&] { return login_done; }, seconds(60))) return {};
+  if (!test::run_until(wan->sim, [&] { return login_done; }, seconds(60))) return {};
   wan->sim.run_for(milliseconds(200));
 
   Rates r;
@@ -90,7 +77,7 @@ Rates measure(bool failover, double file_kb) {
     if (ok) got = std::move(b);
     get_done = true;
   });
-  if (!run_until([&] { return get_done; }, seconds(3600)) || got.size() != bytes) {
+  if (!test::run_until(wan->sim, [&] { return get_done; }, seconds(3600)) || got.size() != bytes) {
     return {};
   }
   (void)get_start;
@@ -111,7 +98,7 @@ Rates measure(bool failover, double file_kb) {
     put_ok = ok;
     put_done = true;
   });
-  if (!run_until([&] { return put_done; }, seconds(3600)) || !put_ok) return r;
+  if (!test::run_until(wan->sim, [&] { return put_done; }, seconds(3600)) || !put_ok) return r;
   {
     // Client-reported rate: from data-connection open until the client
     // finished writing the file into the socket — the measurement that

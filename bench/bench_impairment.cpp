@@ -58,15 +58,15 @@ struct RunResult {
 RunResult run_profile(const net::ImpairmentParams& imp, std::uint64_t seed,
                       bool fail_primary, std::size_t total,
                       BenchJson* json = nullptr) {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.medium.impairment = imp;
   lp.medium.impairment.seed = seed;
   lp.tcp.max_rto = seconds(5);  // keep recovery seconds-scale under loss
   core::FailoverConfig cfg;
   cfg.heartbeat_period = milliseconds(5);
   cfg.failure_timeout = milliseconds(200);
-  auto r = test::make_replicated_lan(lp, cfg);
-  auto& eng = r->lan->wire->impairment();
+  auto r = test::make_replicated(lp, cfg);
+  auto& eng = r->topo->wire->impairment();
   eng.set_target(test::processed_by);
   eng.bind_registry(r->client().metrics());
   test::RstCounter rsts(r->sim(), r->client().nic());
@@ -111,8 +111,8 @@ RunResult run_profile(const net::ImpairmentParams& imp, std::uint64_t seed,
       reg.counter_value("net.impairment.detached") == res.c.detached;
 
   if (json) {
-    json->capture_host(*r->lan->primary);
-    json->capture_host(*r->lan->secondary);
+    json->capture_host(*r->topo->primary);
+    json->capture_host(*r->topo->secondary);
     json->capture_host(r->client());
   }
   return res;

@@ -173,24 +173,24 @@ int main(int argc, char** argv) {
   // Macro phase: a real replicated echo transfer — every secondary reply
   // crosses the diversion path — measured live, with the net.alloc.*
   // mirror landing in the captured host snapshots.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(true, [&](apps::Host& h) {
+  t = test::make_replicated(paper_lan_params(), {}, [&](apps::Host& h) {
     auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
     (e1 ? e2 : e1) = std::move(e);
   });
-  t.sim().run_for(milliseconds(100));
+  t->sim().run_for(milliseconds(100));
 
   const std::size_t total = quick ? 64 * 1024 : 512 * 1024;
   const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
   const auto w0 = std::chrono::steady_clock::now();
-  test::EchoDriver d(t.client(), t.server_addr(), kPort, total, 4096);
-  const bool done = t.run_until([&] { return d.done(); }, seconds(600));
+  test::EchoDriver d(t->client(), t->primary().address(), kPort, total, 4096);
+  const bool done = test::run_until(t->sim(), [&] { return d.done(); }, seconds(600));
   const auto w1 = std::chrono::steady_clock::now();
   const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - a0;
   const double wall_ms =
       std::chrono::duration_cast<std::chrono::microseconds>(w1 - w0).count() / 1e3;
-  const std::uint64_t diverted = t.group->secondary_bridge().segments_diverted();
+  const std::uint64_t diverted = t->group->secondary_bridge().segments_diverted();
 
   TextTable macro({"transfer", "diverted segs", "heap allocs", "allocs/div seg",
                    "wall [ms]", "verified"});
@@ -205,9 +205,9 @@ int main(int argc, char** argv) {
   json.add_table("live replicated echo transfer (whole-simulation heap "
                  "allocations per diverted segment)", macro);
 
-  json.capture_host(*t.lan->primary);
-  json.capture_host(*t.lan->secondary);
-  json.capture_host(t.client());
+  json.capture_host(*t->topo->primary);
+  json.capture_host(*t->topo->secondary);
+  json.capture_host(t->client());
   if (!json.write()) return 1;
 
   const bool green = done && d.verify() && zc.allocs_per_seg <= kMaxAllocsPerSeg;

@@ -17,55 +17,55 @@ namespace {
 double aggregate_rate_kbs(bool failover, int conns) {
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(failover, [&](apps::Host& h) {
+  t = test::make_replicated(paper_lan_params(), {}, [&](apps::Host& h) {
     auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
     (e1 ? e2 : e1) = std::move(e);
-  });
-  t.sim().run_for(milliseconds(100));
+  }, failover);
+  t->sim().run_for(milliseconds(100));
 
   const std::size_t per_conn = 2 * 1000 * 1000 / static_cast<std::size_t>(conns);
   std::vector<std::unique_ptr<test::EchoDriver>> drivers;
-  const SimTime start = t.sim().now();
+  const SimTime start = t->sim().now();
   for (int i = 0; i < conns; ++i) {
     drivers.push_back(std::make_unique<test::EchoDriver>(
-        t.client(), t.server_addr(), kPort, per_conn, 8192));
+        t->client(), t->primary().address(), kPort, per_conn, 8192));
   }
-  const bool ok = t.run_until([&] {
+  const bool ok = test::run_until(t->sim(), [&] {
     for (auto& d : drivers) {
       if (!d->done()) return false;
     }
     return true;
   }, seconds(3600));
   if (!ok) return -1;
-  const double secs = to_seconds(static_cast<SimDuration>(t.sim().now() - start));
+  const double secs = to_seconds(static_cast<SimDuration>(t->sim().now() - start));
   return static_cast<double>(per_conn) * conns / 1000.0 / secs;
 }
 
 double churn_per_second(bool failover, int sessions) {
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(failover, [&](apps::Host& h) {
+  t = test::make_replicated(paper_lan_params(), {}, [&](apps::Host& h) {
     auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
     (e1 ? e2 : e1) = std::move(e);
-  });
-  t.sim().run_for(milliseconds(100));
+  }, failover);
+  t->sim().run_for(milliseconds(100));
 
-  const SimTime start = t.sim().now();
+  const SimTime start = t->sim().now();
   int completed = 0;
   for (int i = 0; i < sessions; ++i) {
-    auto conn = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+    auto conn = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
     Bytes got;
     // Raw captures: a shared_ptr self-capture in the connection's own
     // callbacks is an ownership cycle and leaks one connection per session.
     conn->on_established = [c = conn.get()] { c->send(to_bytes("hi")); };
     conn->on_readable = [&got, c = conn.get()] { c->recv(got); };
-    if (!t.run_until([&] { return got.size() == 2; }, seconds(30))) break;
+    if (!test::run_until(t->sim(), [&] { return got.size() == 2; }, seconds(30))) break;
     conn->close();
-    if (!t.run_until([&] {
+    if (!test::run_until(t->sim(), [&] {
           return conn->state() == tcp::TcpState::kClosed ||
                  conn->state() == tcp::TcpState::kTimeWait;
         }, seconds(30))) {
@@ -73,7 +73,7 @@ double churn_per_second(bool failover, int sessions) {
     }
     ++completed;
   }
-  const double secs = to_seconds(static_cast<SimDuration>(t.sim().now() - start));
+  const double secs = to_seconds(static_cast<SimDuration>(t->sim().now() - start));
   return completed / secs;
 }
 
@@ -89,7 +89,7 @@ struct FastChurnResult {
 /// is where the rx path's cost shows up.
 FastChurnResult churn_at_scale(int sessions, bool batching) {
   const auto wall_start = std::chrono::steady_clock::now();
-  apps::LanParams lp = paper_lan_params();
+  apps::TopologyParams lp = paper_lan_params();
   lp.medium.bandwidth_bps = 1'000'000'000;
   lp.nic.rx_processing = microseconds(2);
   lp.nic.rx_jitter = 0;
@@ -100,28 +100,28 @@ FastChurnResult churn_at_scale(int sessions, bool batching) {
     lp.nic.gro.max_merged = 32;
   }
 
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(true, [&](apps::Host& h) {
+  t = test::make_replicated(lp, {}, [&](apps::Host& h) {
     auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
     (e1 ? e2 : e1) = std::move(e);
-  }, lp);
-  t.sim().run_for(milliseconds(100));
+  });
+  t->sim().run_for(milliseconds(100));
 
   constexpr int kWave = 64;
-  const SimTime start = t.sim().now();
+  const SimTime start = t->sim().now();
   int completed = 0;
   for (int base = 0; base < sessions; base += kWave) {
     const int wave = std::min(kWave, sessions - base);
     std::vector<std::shared_ptr<tcp::Connection>> conns(wave);
     std::vector<Bytes> got(wave);
     for (int i = 0; i < wave; ++i) {
-      conns[i] = t.client().tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+      conns[i] = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
       tcp::Connection* c = conns[i].get();
       c->on_established = [c] { c->send(to_bytes("hi")); };
       c->on_readable = [&got, i, c] { c->recv(got[i]); };
     }
-    const bool echoed = t.run_until([&] {
+    const bool echoed = test::run_until(t->sim(), [&] {
       for (const Bytes& g : got) {
         if (g.size() != 2) return false;
       }
@@ -129,7 +129,7 @@ FastChurnResult churn_at_scale(int sessions, bool batching) {
     }, seconds(60));
     if (!echoed) break;
     for (auto& c : conns) c->close();
-    if (!t.run_until([&] {
+    if (!test::run_until(t->sim(), [&] {
           for (const auto& c : conns) {
             if (c->state() != tcp::TcpState::kClosed &&
                 c->state() != tcp::TcpState::kTimeWait) {
@@ -143,7 +143,7 @@ FastChurnResult churn_at_scale(int sessions, bool batching) {
     completed += wave;
   }
   FastChurnResult r;
-  const double secs = to_seconds(static_cast<SimDuration>(t.sim().now() - start));
+  const double secs = to_seconds(static_cast<SimDuration>(t->sim().now() - start));
   r.sessions_per_s = completed / secs;
   r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            wall_start)

@@ -52,8 +52,8 @@ constexpr bool kSanitized = false;
 /// Storm-style scale knobs: gigabit wire, light per-frame host cost. The
 /// bench measures data-path execution cost, not the paper's 100 Mb/s
 /// testbed, and must not be bandwidth-bound.
-apps::LanParams shard_lan_params(bool batching) {
-  apps::LanParams lp = paper_lan_params();
+apps::TopologyParams shard_lan_params(bool batching) {
+  apps::TopologyParams lp = paper_lan_params();
   lp.medium.bandwidth_bps = 1'000'000'000;
   lp.nic.rx_processing = microseconds(2);
   lp.nic.rx_jitter = 0;
@@ -128,19 +128,19 @@ bool echo_tcp_frame(const net::EthernetFrame& f, EchoFrameInfo* info) {
 /// the wire buffers (CoW), so the capture costs refcounts, not byte
 /// copies. With `json`, the run's primary and client land in the artifact.
 WireCapture capture_echo_stream(std::size_t bytes, BenchJson* json) {
-  const apps::LanParams lp = shard_lan_params(false);
-  Testbed t;
+  const apps::TopologyParams lp = shard_lan_params(false);
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(true, [&](apps::Host& h) {
+  t = test::make_replicated(lp, {}, [&](apps::Host& h) {
     auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
     (e1 ? e2 : e1) = std::move(e);
-  }, lp);
-  t.sim().run_for(milliseconds(100));
+  });
+  t->sim().run_for(milliseconds(100));
 
   WireCapture cap;
   cap.stream_bytes = bytes;
-  cap.server_ip = t.server_addr();
-  t.lan->secondary->nic().add_observer(
+  cap.server_ip = t->primary().address();
+  t->topo->secondary->nic().add_observer(
       [&cap](const net::EthernetFrame& f, bool /*to_us*/) {
         EchoFrameInfo fi;
         if (!echo_tcp_frame(f, &fi)) return;
@@ -160,15 +160,15 @@ WireCapture capture_echo_stream(std::size_t bytes, BenchJson* json) {
         if (fi.payload_len > 0) ++cap.data_segments;
         cap.payload_bytes += fi.payload_len;
       });
-  test::EchoDriver d(t.client(), t.server_addr(), kPort, bytes, 32768);
-  if (!t.run_until([&] { return d.done(); }, seconds(3600)) || !d.verify() ||
+  test::EchoDriver d(t->client(), t->primary().address(), kPort, bytes, 32768);
+  if (!test::run_until(t->sim(), [&] { return d.done(); }, seconds(3600)) || !d.verify() ||
       !cap.have_isn) {
     std::fprintf(stderr, "capture transfer did not complete\n");
     cap.frames.clear();
   }
   if (json != nullptr) {
-    json->capture_host(*t.lan->primary);
-    json->capture_host(*t.lan->client);
+    json->capture_host(*t->topo->primary);
+    json->capture_host(*t->topo->client);
   }
   return cap;
 }
@@ -185,7 +185,7 @@ WireCapture capture_echo_stream(std::size_t bytes, BenchJson* json) {
 /// conservation requires it to equal the capture's unique payload exactly.
 XferResult replay_rx_path(const WireCapture& cap, bool batching,
                           std::uint64_t* echoed_bytes) {
-  const apps::LanParams lp = shard_lan_params(batching);
+  const apps::TopologyParams lp = shard_lan_params(batching);
   sim::Simulator sim;
   net::Nic nic(sim, "rx-rig", cap.server_mac, lp.nic);
   ip::IpLayer ip(sim);

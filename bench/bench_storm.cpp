@@ -159,8 +159,8 @@ struct StormConn {
   SimTime replied_at = 0;  // probe echo completed (0 = still waiting)
 };
 
-apps::LanParams storm_lan_params() {
-  apps::LanParams lp = paper_lan_params();
+apps::TopologyParams storm_lan_params() {
+  apps::TopologyParams lp = paper_lan_params();
   // Scale knobs: the storm measures scheduler/table behaviour, not the
   // paper's 100 Mb/s testbed, so the wire is gigabit and per-frame host
   // processing light — otherwise N=100k is bandwidth-bound and every
@@ -174,14 +174,14 @@ apps::LanParams storm_lan_params() {
 StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   const auto wall_start = std::chrono::steady_clock::now();
 
-  const apps::LanParams lp = storm_lan_params();
+  const apps::TopologyParams lp = storm_lan_params();
 
-  Testbed t;
+  std::unique_ptr<test::Replicated> t;
   std::unique_ptr<apps::EchoServer> e1, e2;
-  t = make_testbed(true, [&](apps::Host& h) {
+  t = test::make_replicated(lp, {}, [&](apps::Host& h) {
     auto e = std::make_unique<apps::EchoServer>(h.tcp(), kPort);
     (e1 ? e2 : e1) = std::move(e);
-  }, lp);
+  });
 
   // Extra client hosts: one ephemeral-port space holds ~16k connections,
   // so the population is spread over ceil(N / 15k) hosts on the segment.
@@ -197,14 +197,14 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
       hp.addr = ip::Ipv4::parse(("10.0.0." + std::to_string(100 + i)).c_str());
       hp.seed = 1000 + i;
       clients.push_back(
-          std::make_unique<apps::Host>(t.sim(), hp, *t.lan->wire));
-      clients.back()->arp().add_static(t.lan->primary->address(),
-                                       t.lan->primary->nic().mac());
-      clients.back()->arp().add_static(t.lan->secondary->address(),
-                                       t.lan->secondary->nic().mac());
+          std::make_unique<apps::Host>(t->sim(), hp, *t->topo->wire));
+      clients.back()->arp().add_static(t->topo->primary->address(),
+                                       t->topo->primary->nic().mac());
+      clients.back()->arp().add_static(t->topo->secondary->address(),
+                                       t->topo->secondary->nic().mac());
     }
   }
-  t.sim().run_for(milliseconds(100));  // detectors and ARP settle
+  t->sim().run_for(milliseconds(100));  // detectors and ARP settle
 
   const std::uint64_t bytes_baseline = g_live_bytes.load(std::memory_order_relaxed);
   const std::uint64_t buffers_baseline = wire::buffer_stats().live_bytes;
@@ -214,14 +214,14 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
 
   // Ramp the population up: one open per 2 µs keeps the handshake burst
   // from overflowing queues while still exercising bulk insertion.
-  apps::Host* client0 = t.lan->client.get();
+  apps::Host* client0 = t->topo->client.get();
   for (std::size_t i = 0; i < n_conns; ++i) {
     apps::Host* ch = (i / kConnsPerClientHost) == 0
                          ? client0
                          : clients[i / kConnsPerClientHost - 1].get();
-    t.sim().schedule_after(static_cast<SimDuration>(i) * 2'000, [&, i, ch] {
+    t->sim().schedule_after(static_cast<SimDuration>(i) * 2'000, [&, i, ch] {
       StormConn& sc = conns[i];
-      sc.conn = ch->tcp().connect(t.server_addr(), kPort, {.nodelay = true});
+      sc.conn = ch->tcp().connect(t->primary().address(), kPort, {.nodelay = true});
       tcp::Connection* raw = sc.conn.get();
       raw->on_established = [raw] {
         raw->send(apps::deterministic_payload(kProbeBytes, 1));
@@ -238,7 +238,7 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
       };
     });
   }
-  if (!t.run_until([&] { return ready == n_conns; }, seconds(1200))) {
+  if (!test::run_until(t->sim(), [&] { return ready == n_conns; }, seconds(1200))) {
     std::fprintf(stderr, "storm N=%zu: only %zu/%zu connections ready\n",
                  n_conns, ready, n_conns);
     return {};
@@ -249,8 +249,8 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   {
     const std::uint64_t buffers_loaded = wire::buffer_stats().live_bytes;
     std::uint64_t tcp_conns = 0, conn_buffers = 0;
-    std::vector<apps::Host*> hosts = {t.lan->client.get(), t.lan->primary.get(),
-                                      t.lan->secondary.get()};
+    std::vector<apps::Host*> hosts = {t->topo->client.get(), t->topo->primary.get(),
+                                      t->topo->secondary.get()};
     for (const auto& c : clients) hosts.push_back(c.get());
     for (apps::Host* h : hosts) {
       h->tcp().for_each_connection([&](const tcp::Connection& c) {
@@ -258,7 +258,7 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
         conn_buffers += c.buffer_capacity();
       });
     }
-    const std::uint64_t bridged = t.group->primary_bridge().connection_count();
+    const std::uint64_t bridged = t->group->primary_bridge().connection_count();
     mem.tcp_conn = tcp_conns * sizeof(tcp::Connection) / n_conns;
     mem.bridge_conn = bridged * sizeof(core::BridgeConn) / n_conns;
     mem.packet_buffers = buffers_loaded > buffers_baseline
@@ -271,10 +271,10 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   // secondary snoops it and answers, but the answer dies on the dark
   // primary; the detector declares the primary dead, the secondary takes
   // over the service address and its takeover kick resends each answer.
-  const SimTime crash_at = t.sim().now();
+  const SimTime crash_at = t->sim().now();
   std::size_t replied = 0;
   for (std::size_t i = 0; i < n_conns; ++i) {
-    t.sim().schedule_after(0, [&, i] {
+    t->sim().schedule_after(0, [&, i] {
       StormConn& sc = conns[i];
       tcp::Connection* raw = sc.conn.get();
       raw->on_readable = [&, i, raw] {
@@ -283,15 +283,15 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
         StormConn& c = conns[i];
         c.rx_bytes += data.size();
         if (c.replied_at == 0 && c.rx_bytes >= 2 * kProbeBytes) {
-          c.replied_at = t.sim().now();
+          c.replied_at = t->sim().now();
           ++replied;
         }
       };
       raw->send(apps::deterministic_payload(kProbeBytes, 2));
     });
   }
-  t.group->crash_primary();
-  if (!t.run_until([&] { return replied == n_conns; }, seconds(1200))) {
+  t->group->crash_primary();
+  if (!test::run_until(t->sim(), [&] { return replied == n_conns; }, seconds(1200))) {
     std::fprintf(stderr, "storm N=%zu: only %zu/%zu probes answered\n",
                  n_conns, replied, n_conns);
     return {};
@@ -310,14 +310,14 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   r.mem = mem;
   r.p50_ns = latency.percentile(50);
   r.p99_ns = latency.percentile(99);
-  r.sched = t.sim().stats();
+  r.sched = t->sim().stats();
   r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            wall_start)
                  .count();
   r.ok = true;
   if (json) {
-    json->capture_host(*t.lan->secondary);
-    json->capture_host(*t.lan->client);
+    json->capture_host(*t->topo->secondary);
+    json->capture_host(*t->topo->client);
   }
   // Teardown hygiene: drop the connections before the testbed leaves
   // scope (their destructors cancel timers on the simulator).
@@ -417,7 +417,7 @@ int main(int argc, char** argv) {
     w.key("cycles").value(static_cast<std::uint64_t>(cycles));
     w.key("wheel_allocs").value(wheel_allocs);
     w.end_object();
-    const apps::LanParams lp = storm_lan_params();
+    const apps::TopologyParams lp = storm_lan_params();
     w.key("min_rto_ns").value(static_cast<std::uint64_t>(lp.tcp.min_rto));
     w.key("rx_processing_ns").value(static_cast<std::uint64_t>(lp.nic.rx_processing));
     w.end_object();

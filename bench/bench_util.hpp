@@ -5,16 +5,13 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "apps/echo.hpp"
-#include "apps/topology.hpp"
 #include "common/stats.hpp"
-#include "core/replica_group.hpp"
+#include "failover_fixture.hpp"
 #include "obs/json.hpp"
 
 namespace tfo::bench {
@@ -22,8 +19,8 @@ namespace tfo::bench {
 /// LAN parameters calibrated so that standard-TCP connection setup lands
 /// near the paper's 294 µs median on 566 MHz/100 Mb/s hardware: the
 /// dominant term is per-frame host protocol processing.
-inline apps::LanParams paper_lan_params() {
-  apps::LanParams lp;
+inline apps::TopologyParams paper_lan_params() {
+  apps::TopologyParams lp;
   lp.medium.bandwidth_bps = 100'000'000;  // the paper's 100 Mb/s Ethernet
   lp.medium.propagation = microseconds(1);
   lp.nic.rx_processing = microseconds(120);
@@ -37,53 +34,6 @@ inline apps::LanParams paper_lan_params() {
 }
 
 constexpr std::uint16_t kPort = 7777;
-
-/// A LAN plus (optionally) the full failover machinery and a server app
-/// factory applied to the replicas (or to the primary only, for the
-/// standard-TCP baseline).
-///
-/// Lifetime rule: declare the Testbed *before* any server apps or held
-/// connections, so the simulator outlives them — a Connection destructor
-/// cancels its timers on the simulator it was created on.
-struct Testbed {
-  std::unique_ptr<apps::Lan> lan;
-  std::unique_ptr<core::ReplicaGroup> group;  // null for standard TCP
-
-  sim::Simulator& sim() { return lan->sim; }
-  apps::Host& client() { return *lan->client; }
-  ip::Ipv4 server_addr() { return lan->primary->address(); }
-
-  /// Runs the simulator until `pred` or `timeout`; returns success.
-  bool run_until(const std::function<bool()>& pred, SimDuration timeout = seconds(600)) {
-    const SimTime deadline = lan->sim.now() + static_cast<SimTime>(timeout);
-    while (!pred()) {
-      if (lan->sim.now() > deadline || lan->sim.pending() == 0) return pred();
-      lan->sim.step();
-    }
-    return true;
-  }
-};
-
-/// Builds a testbed. `install` is called once per server host: once (P)
-/// for standard TCP, twice (P and S) for failover.
-inline Testbed make_testbed(bool failover,
-                            const std::function<void(apps::Host&)>& install,
-                            apps::LanParams lp = paper_lan_params(),
-                            core::FailoverConfig cfg = {}) {
-  Testbed t;
-  t.lan = apps::make_lan(lp);
-  if (failover) {
-    if (cfg.ports.empty()) cfg.ports = {kPort};
-    t.group = std::make_unique<core::ReplicaGroup>(*t.lan->primary, *t.lan->secondary,
-                                                   cfg);
-    install(*t.lan->primary);
-    install(*t.lan->secondary);
-    t.group->start();
-  } else {
-    install(*t.lan->primary);
-  }
-  return t;
-}
 
 /// Formats a byte count the way the paper's x-axes do (64B ... 1MB).
 inline std::string size_label(std::size_t bytes) {

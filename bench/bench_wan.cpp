@@ -20,24 +20,18 @@ struct WanMeasurement {
 
 WanMeasurement measure(int hops, bool route_announcer, std::uint64_t seed,
                        BenchJson* json = nullptr) {
-  apps::Wan2Params wp;
-  wp.hops = hops;
-  wp.wan_link.bandwidth_bps = 20'000'000;
-  wp.wan_link.propagation = milliseconds(1);
-  wp.seed = 100 * seed + static_cast<std::uint64_t>(hops);
-  auto wan = apps::make_wan2(wp);
-
+  apps::TopologyParams tp{.seed = 100 * seed + static_cast<std::uint64_t>(hops),
+                          .hops = hops};
+  tp.wan_link.bandwidth_bps = 20'000'000;
+  tp.wan_link.propagation = milliseconds(1);
   core::FailoverConfig cfg;
-  cfg.ports = {kPort};
   std::shared_ptr<core::RouteAnnouncer> ra;
   if (route_announcer) {
     ra = std::make_shared<core::RouteAnnouncer>();
     cfg.announcer = ra;
   }
-  core::ReplicaGroup group(*wan->primary, *wan->secondary, cfg);
-  apps::EchoServer echo_p(wan->primary->tcp(), kPort);
-  apps::EchoServer echo_s(wan->secondary->tcp(), kPort);
-  group.start();
+  auto r = test::make_replicated(tp, cfg);
+  auto& wan = r->topo;
   wan->sim.run_for(milliseconds(50));
 
   test::RstCounter rsts(wan->sim, wan->client->nic());
@@ -50,7 +44,7 @@ WanMeasurement measure(int hops, bool route_announcer, std::uint64_t seed,
     wan->sim.step();
   }
   if (d.received().size() < 48 * 1024) return {};
-  group.crash_primary();
+  r->group->crash_primary();
 
   SimTime last_progress = wan->sim.now();
   std::size_t last_size = d.received().size();

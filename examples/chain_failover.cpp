@@ -13,7 +13,7 @@
 using namespace tfo;
 
 int main() {
-  auto lan = apps::make_lan();
+  auto lan = apps::make_topology();
 
   // A third replica on the same segment.
   apps::HostParams hp;

@@ -14,7 +14,7 @@
 using namespace tfo;
 
 int main() {
-  auto lan = apps::make_lan();
+  auto lan = apps::make_topology();
   core::FailoverConfig cfg;
   cfg.ports = {21, 20};  // control + data are both failover connections
   core::ReplicaGroup group(*lan->primary, *lan->secondary, cfg);

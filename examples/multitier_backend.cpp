@@ -14,9 +14,9 @@
 using namespace tfo;
 
 int main() {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.with_backend = true;  // the unreplicated database host T
-  auto lan = apps::make_lan(lp);
+  auto lan = apps::make_topology(lp);
 
   core::FailoverConfig cfg;
   cfg.ports = {9100};  // the replicas connect out from this fixed port

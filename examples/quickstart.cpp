@@ -17,7 +17,7 @@ using namespace tfo;
 
 int main() {
   // 1. The network: a 100 Mb/s shared Ethernet with three hosts.
-  auto lan = apps::make_lan();
+  auto lan = apps::make_topology();
 
   // 2. The failover group: bridges on P and S plus fault detectors.
   //    Port 7 is declared a failover port (§7 method 2 of the paper).

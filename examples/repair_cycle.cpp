@@ -17,7 +17,7 @@
 using namespace tfo;
 
 int main() {
-  auto lan = apps::make_lan();
+  auto lan = apps::make_topology();
 
   apps::HostParams hp;
   hp.name = "recruit";

@@ -15,7 +15,7 @@ using namespace tfo;
 
 namespace {
 
-void shop(apps::Lan& lan, apps::StoreClient& client, const char* request) {
+void shop(apps::Topology& lan, apps::StoreClient& client, const char* request) {
   const std::size_t before = client.replies().size();
   client.request(request);
   while (client.replies().size() == before && lan.sim.pending() > 0) lan.sim.step();
@@ -26,7 +26,7 @@ void shop(apps::Lan& lan, apps::StoreClient& client, const char* request) {
 }  // namespace
 
 int main() {
-  auto lan = apps::make_lan();
+  auto lan = apps::make_topology();
   core::FailoverConfig cfg;
   cfg.ports = {8000};
   core::ReplicaGroup group(*lan->primary, *lan->secondary, cfg);

@@ -1,10 +1,22 @@
 #include "apps/topology.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace tfo::apps {
 
 namespace {
 
-HostParams host_params(const char* name, const char* addr, const LanParams& p,
+constexpr const char* kLanClientAddr = "10.0.0.10";
+constexpr const char* kClientAddr = "192.168.1.10";
+constexpr const char* kClientGw = "192.168.1.254";
+constexpr const char* kPrimaryAddr = "10.0.0.1";
+constexpr const char* kSecondaryAddr = "10.0.0.2";     // shared LAN
+constexpr const char* kSecondaryLanAddr = "10.0.2.2";  // own LAN
+constexpr const char* kSecondaryGw = "10.0.2.254";
+constexpr const char* kBackendAddr = "10.0.0.3";
+
+HostParams host_params(const char* name, const char* addr, const TopologyParams& p,
                        std::uint64_t seed) {
   HostParams hp;
   hp.name = name;
@@ -21,92 +33,20 @@ void warm_pair(Host& a, Host& b) {
   b.arp().add_static(a.address(), a.nic().mac());
 }
 
-}  // namespace
-
-std::unique_ptr<Lan> make_lan(LanParams params) {
-  auto lan = std::make_unique<Lan>();
-  lan->wire = std::make_unique<net::SharedMedium>(lan->sim, params.medium);
-  lan->client = std::make_unique<Host>(
-      lan->sim, host_params("client", Lan::kClientAddr, params, params.seed + 1),
-      *lan->wire);
-  lan->primary = std::make_unique<Host>(
-      lan->sim, host_params("primary", Lan::kPrimaryAddr, params, params.seed + 2),
-      *lan->wire);
-  lan->secondary = std::make_unique<Host>(
-      lan->sim, host_params("secondary", Lan::kSecondaryAddr, params, params.seed + 3),
-      *lan->wire);
-  if (params.with_backend) {
-    lan->backend = std::make_unique<Host>(
-        lan->sim, host_params("backend", Lan::kBackendAddr, params, params.seed + 4),
-        *lan->wire);
-  }
-  if (params.warm_arp) {
-    warm_pair(*lan->client, *lan->primary);
-    warm_pair(*lan->client, *lan->secondary);
-    warm_pair(*lan->primary, *lan->secondary);
-    if (lan->backend) {
-      warm_pair(*lan->backend, *lan->primary);
-      warm_pair(*lan->backend, *lan->secondary);
-      warm_pair(*lan->backend, *lan->client);
-    }
-  }
-  return lan;
+/// Warms a host and the router port that is its gateway.
+void warm_gateway(Host& h, ip::Router& r, std::size_t port) {
+  h.arp().add_static(r.ip().interface(port).addr, r.nic(port).mac());
+  r.arp(port).add_static(h.address(), h.nic().mac());
 }
 
-std::unique_ptr<Wan> make_wan(WanParams params) {
-  auto wan = std::make_unique<Wan>();
-  wan->lan_wire = std::make_unique<net::SharedMedium>(wan->sim, params.lan_medium);
-  wan->wan_wire = std::make_unique<net::PointToPointLink>(wan->sim, params.wan_link);
-
-  LanParams lp;
-  lp.nic = params.nic;
-  lp.arp = params.arp;
-  lp.tcp = params.tcp;
-
-  wan->primary = std::make_unique<Host>(
-      wan->sim, host_params("primary", Wan::kPrimaryAddr, lp, params.seed + 2),
-      *wan->lan_wire);
-  wan->secondary = std::make_unique<Host>(
-      wan->sim, host_params("secondary", Wan::kSecondaryAddr, lp, params.seed + 3),
-      *wan->lan_wire);
-  wan->client = std::make_unique<Host>(
-      wan->sim, host_params("client", Wan::kClientAddr, lp, params.seed + 1),
-      *wan->wan_wire);
-
-  wan->router = std::make_unique<ip::Router>(wan->sim, "router");
-  wan->router->add_port(*wan->lan_wire, ip::Ipv4::parse(Wan::kRouterLanAddr), 24,
-                        params.nic, params.router_arp);
-  wan->router->add_port(*wan->wan_wire, ip::Ipv4::parse(Wan::kRouterWanAddr), 24,
-                        params.nic, params.router_arp);
-
-  const auto gw_lan = ip::Ipv4::parse(Wan::kRouterLanAddr);
-  const auto gw_wan = ip::Ipv4::parse(Wan::kRouterWanAddr);
-  wan->primary->set_default_gateway(gw_lan);
-  wan->secondary->set_default_gateway(gw_lan);
-  wan->client->set_default_gateway(gw_wan);
-
-  if (params.warm_arp) {
-    wan->primary->arp().add_static(wan->secondary->address(),
-                                   wan->secondary->nic().mac());
-    wan->secondary->arp().add_static(wan->primary->address(),
-                                     wan->primary->nic().mac());
-    wan->primary->arp().add_static(gw_lan, wan->router->nic(0).mac());
-    wan->secondary->arp().add_static(gw_lan, wan->router->nic(0).mac());
-    wan->client->arp().add_static(gw_wan, wan->router->nic(1).mac());
-    wan->router->arp(0).add_static(wan->primary->address(),
-                                   wan->primary->nic().mac());
-    wan->router->arp(0).add_static(wan->secondary->address(),
-                                   wan->secondary->nic().mac());
-    wan->router->arp(1).add_static(wan->client->address(),
-                                   wan->client->nic().mac());
-  }
-  return wan;
+/// Warms the two router ports facing each other across a transit link.
+void warm_ports(ip::Router& a, std::size_t pa, ip::Router& b, std::size_t pb) {
+  a.arp(pa).add_static(b.ip().interface(pb).addr, b.nic(pb).mac());
+  b.arp(pb).add_static(a.ip().interface(pa).addr, a.nic(pa).mac());
 }
 
-namespace {
-
-/// Address of router `r` (0-based) on transit link `link` (0-based,
-/// joining routers link and link+1): 10.1.<link+1>.<1|2>.
+/// Address of a router on transit link `link` (0-based, joining routers
+/// link and link+1): 10.1.<link+1>.<1|2>.
 ip::Ipv4 transit_addr(std::size_t link, bool near_side) {
   return ip::Ipv4{(10u << 24) | (1u << 16) |
                   (static_cast<std::uint32_t>(link + 1) << 8) |
@@ -115,200 +55,117 @@ ip::Ipv4 transit_addr(std::size_t link, bool near_side) {
 
 }  // namespace
 
-std::unique_ptr<Wan2> make_wan2(Wan2Params params) {
-  const int hops = params.hops < 1 ? 1 : params.hops;
-  auto wan = std::make_unique<Wan2>();
-  wan->lan_wire = std::make_unique<net::SharedMedium>(wan->sim, params.lan_medium);
-  if (params.separate_secondary_lan) {
-    wan->secondary_wire =
-        std::make_unique<net::SharedMedium>(wan->sim, params.lan_medium);
+std::unique_ptr<Topology> make_topology(TopologyParams params) {
+  if (params.hops < 0) throw std::invalid_argument("make_topology: hops < 0");
+  const int hops = params.hops;
+  const bool routed = hops > 0;
+  const bool own_lan = params.separate_secondary_lan;
+  if (own_lan && !routed) {
+    throw std::invalid_argument("make_topology: a separate secondary LAN needs a router");
   }
+  auto t = std::make_unique<Topology>();
+  t->params = params;
+  t->wire = std::make_unique<net::SharedMedium>(t->sim, params.medium);
+  if (own_lan) t->secondary_wire = std::make_unique<net::SharedMedium>(t->sim, params.medium);
   for (int i = 0; i + 1 < hops; ++i) {
-    wan->transit.push_back(
-        std::make_unique<net::PointToPointLink>(wan->sim, params.wan_link));
+    t->transit.push_back(std::make_unique<net::PointToPointLink>(t->sim, params.wan_link));
   }
-  wan->client_wire =
-      std::make_unique<net::PointToPointLink>(wan->sim, params.wan_link);
+  if (routed) t->client_wire = std::make_unique<net::PointToPointLink>(t->sim, params.wan_link);
 
-  LanParams lp;
-  lp.nic = params.nic;
-  lp.arp = params.arp;
-  lp.tcp = params.tcp;
+  auto host = [&](const char* name, const char* addr, std::uint64_t seed_offset,
+                  net::Medium& medium) {
+    return std::make_unique<Host>(
+        t->sim, host_params(name, addr, params, params.seed + seed_offset), medium);
+  };
+  if (!routed) t->client = host("client", kLanClientAddr, 1, *t->wire);
+  t->primary = host("primary", kPrimaryAddr, 2, *t->wire);
+  t->secondary = own_lan ? host("secondary", kSecondaryLanAddr, 3, *t->secondary_wire)
+                         : host("secondary", kSecondaryAddr, 3, *t->wire);
+  if (params.with_backend) t->backend = host("backend", kBackendAddr, 4, *t->wire);
+  if (routed) t->client = host("client", kClientAddr, 1, *t->client_wire);
 
-  wan->primary = std::make_unique<Host>(
-      wan->sim, host_params("primary", Wan2::kPrimaryAddr, lp, params.seed + 2),
-      *wan->lan_wire);
-  const char* s_addr = params.separate_secondary_lan ? Wan2::kSecondaryLanAddr
-                                                     : Wan2::kSecondaryAddr;
-  wan->secondary = std::make_unique<Host>(
-      wan->sim, host_params("secondary", s_addr, lp, params.seed + 3),
-      params.separate_secondary_lan ? *wan->secondary_wire : *wan->lan_wire);
-  wan->client = std::make_unique<Host>(
-      wan->sim, host_params("client", Wan2::kClientAddr, lp, params.seed + 1),
-      *wan->client_wire);
-
-  const auto lan_subnet = ip::Ipv4::parse("10.0.0.0");
-  const auto s_subnet = ip::Ipv4::parse("10.0.2.0");
-  const auto client_subnet = ip::Ipv4::parse("192.168.1.0");
-
-  // Per-router interface bookkeeping: the port index facing the server
-  // LAN direction ("near") and the client direction ("far").
+  // Each router's port toward the server LAN ("near") and toward the
+  // client ("far").
   std::vector<std::size_t> near_port(hops, 0), far_port(hops, 0);
   for (int i = 0; i < hops; ++i) {
-    auto router = std::make_unique<ip::Router>(
-        wan->sim, "router" + std::to_string(i));
-    if (i == 0) {
-      near_port[0] = router->add_port(*wan->lan_wire,
-                                      ip::Ipv4::parse(Wan2::kRouterLanAddr), 24,
-                                      params.nic, params.router_arp);
-      if (params.separate_secondary_lan) {
-        router->add_port(*wan->secondary_wire,
-                         ip::Ipv4::parse(Wan2::kSecondaryGw), 24, params.nic,
-                         params.router_arp);
-      }
-    } else {
-      near_port[i] =
-          router->add_port(*wan->transit[i - 1], transit_addr(i - 1, false), 24,
-                           params.nic, params.router_arp);
-    }
-    if (i + 1 < hops) {
-      far_port[i] = router->add_port(*wan->transit[i], transit_addr(i, true), 24,
-                                     params.nic, params.router_arp);
-    } else {
-      far_port[i] = router->add_port(*wan->client_wire,
-                                     ip::Ipv4::parse(Wan2::kClientGw), 24,
-                                     params.nic, params.router_arp);
-    }
-    wan->routers.push_back(std::move(router));
+    auto r = std::make_unique<ip::Router>(t->sim, "router" + std::to_string(i));
+    auto port = [&](net::Medium& medium, ip::Ipv4 addr) {
+      return r->add_port(medium, addr, 24, params.nic, params.router_arp);
+    };
+    near_port[i] = i == 0 ? port(*t->wire, ip::Ipv4::parse(Topology::kRouterLanAddr))
+                          : port(*t->transit[i - 1], transit_addr(i - 1, false));
+    if (i == 0 && own_lan) port(*t->secondary_wire, ip::Ipv4::parse(kSecondaryGw));
+    far_port[i] = i + 1 < hops ? port(*t->transit[i], transit_addr(i, true))
+                               : port(*t->client_wire, ip::Ipv4::parse(kClientGw));
+    t->routers.push_back(std::move(r));
   }
 
   // Static inter-subnet routes and neighbor lists. Router i reaches the
   // server-side subnets via router i-1 and the client subnet via router
   // i+1; the adjacent subnets are connected routes installed by add_port.
   for (int i = 0; i < hops; ++i) {
-    auto& r = *wan->routers[i];
+    auto& r = *t->routers[i];
     if (i > 0) {
-      const auto prev = transit_addr(i - 1, true);  // router i-1's side
-      r.ip().add_route({lan_subnet, 24, prev, near_port[i], 1, false});
-      if (params.separate_secondary_lan) {
-        r.ip().add_route({s_subnet, 24, prev, near_port[i], 1, false});
+      const auto prev = transit_addr(i - 1, true);
+      r.ip().add_route({ip::Ipv4::parse("10.0.0.0"), 24, prev, near_port[i], 1, false});
+      if (own_lan) {
+        r.ip().add_route({ip::Ipv4::parse("10.0.2.0"), 24, prev, near_port[i], 1, false});
       }
       r.add_neighbor(prev);
     }
     if (i + 1 < hops) {
-      const auto next = transit_addr(i, false);  // router i+1's side
-      r.ip().add_route({client_subnet, 24, next, far_port[i], 1, false});
+      const auto next = transit_addr(i, false);
+      r.ip().add_route({ip::Ipv4::parse("192.168.1.0"), 24, next, far_port[i], 1, false});
       r.add_neighbor(next);
     }
   }
 
-  const auto gw_lan = ip::Ipv4::parse(Wan2::kRouterLanAddr);
-  wan->primary->set_default_gateway(gw_lan);
-  wan->secondary->set_default_gateway(params.separate_secondary_lan
-                                          ? ip::Ipv4::parse(Wan2::kSecondaryGw)
-                                          : gw_lan);
-  wan->client->set_default_gateway(ip::Ipv4::parse(Wan2::kClientGw));
-
+  // Hosts on the server LAN (with the client when there is no router).
+  std::vector<Host*> lan = {t->primary.get()};
+  if (!own_lan) lan.push_back(t->secondary.get());
+  if (t->backend) lan.push_back(t->backend.get());
+  if (!routed) lan.push_back(t->client.get());
+  if (routed) {
+    const auto gw_lan = ip::Ipv4::parse(Topology::kRouterLanAddr);
+    for (Host* h : lan) h->set_default_gateway(gw_lan);
+    if (own_lan) t->secondary->set_default_gateway(ip::Ipv4::parse(kSecondaryGw));
+    t->client->set_default_gateway(ip::Ipv4::parse(kClientGw));
+  }
   if (params.warm_arp) {
-    auto& edge = *wan->routers.front();
-    wan->primary->arp().add_static(gw_lan, edge.nic(near_port[0]).mac());
-    edge.arp(near_port[0])
-        .add_static(wan->primary->address(), wan->primary->nic().mac());
-    if (params.separate_secondary_lan) {
-      // Port 1 on the edge router is the secondary LAN (added right
-      // after the server-LAN port above).
-      wan->secondary->arp().add_static(ip::Ipv4::parse(Wan2::kSecondaryGw),
-                                       edge.nic(1).mac());
-      edge.arp(1).add_static(wan->secondary->address(),
-                             wan->secondary->nic().mac());
-    } else {
-      wan->secondary->arp().add_static(gw_lan, edge.nic(near_port[0]).mac());
-      edge.arp(near_port[0])
-          .add_static(wan->secondary->address(), wan->secondary->nic().mac());
-      wan->primary->arp().add_static(wan->secondary->address(),
-                                     wan->secondary->nic().mac());
-      wan->secondary->arp().add_static(wan->primary->address(),
-                                       wan->primary->nic().mac());
+    for (std::size_t a = 0; a < lan.size(); ++a) {
+      for (std::size_t b = a + 1; b < lan.size(); ++b) warm_pair(*lan[a], *lan[b]);
     }
-    auto& last = *wan->routers.back();
-    wan->client->arp().add_static(ip::Ipv4::parse(Wan2::kClientGw),
-                                  last.nic(far_port[hops - 1]).mac());
-    last.arp(far_port[hops - 1])
-        .add_static(wan->client->address(), wan->client->nic().mac());
-    for (int i = 0; i + 1 < hops; ++i) {
-      auto& a = *wan->routers[i];
-      auto& b = *wan->routers[i + 1];
-      a.arp(far_port[i]).add_static(transit_addr(i, false),
-                                    b.nic(near_port[i + 1]).mac());
-      b.arp(near_port[i + 1])
-          .add_static(transit_addr(i, true), a.nic(far_port[i]).mac());
+    if (routed) {
+      for (Host* h : lan) warm_gateway(*h, t->edge(), near_port[0]);
+      if (own_lan) warm_gateway(*t->secondary, t->edge(), 1);  // the port after the LAN's
+      warm_gateway(*t->client, t->access(), far_port[hops - 1]);
+      for (int i = 0; i + 1 < hops; ++i) {
+        warm_ports(*t->routers[i], far_port[i], *t->routers[i + 1], near_port[i + 1]);
+      }
     }
   }
-  return wan;
+  return t;
 }
 
-std::unique_ptr<Mobile> make_mobile(MobileParams params) {
-  auto mob = std::make_unique<Mobile>();
-  mob->warm_arp = params.warm_arp;
-  mob->lan_wire = std::make_unique<net::SharedMedium>(mob->sim, params.lan_medium);
-  mob->wan_a = std::make_unique<net::PointToPointLink>(mob->sim, params.wan_link);
-  mob->wan_b = std::make_unique<net::PointToPointLink>(mob->sim, params.wan_link);
-
-  LanParams lp;
-  lp.nic = params.nic;
-  lp.arp = params.arp;
-  lp.tcp = params.tcp;
-
-  mob->primary = std::make_unique<Host>(
-      mob->sim, host_params("primary", Mobile::kPrimaryAddr, lp, params.seed + 2),
-      *mob->lan_wire);
-  mob->secondary = std::make_unique<Host>(
-      mob->sim,
-      host_params("secondary", Mobile::kSecondaryAddr, lp, params.seed + 3),
-      *mob->lan_wire);
-  mob->client = std::make_unique<Host>(
-      mob->sim, host_params("client", Mobile::kClientAddrA, lp, params.seed + 1),
-      *mob->wan_a);
-
-  mob->router = std::make_unique<ip::Router>(mob->sim, "router");
-  mob->router->add_port(*mob->lan_wire, ip::Ipv4::parse(Mobile::kRouterLanAddr),
-                        24, params.nic, params.router_arp);
-  mob->router->add_port(*mob->wan_a, ip::Ipv4::parse(Mobile::kGwA), 24,
-                        params.nic, params.router_arp);
-  mob->router->add_port(*mob->wan_b, ip::Ipv4::parse(Mobile::kGwB), 24,
-                        params.nic, params.router_arp);
-
-  const auto gw_lan = ip::Ipv4::parse(Mobile::kRouterLanAddr);
-  mob->primary->set_default_gateway(gw_lan);
-  mob->secondary->set_default_gateway(gw_lan);
-  mob->client->set_default_gateway(ip::Ipv4::parse(Mobile::kGwA));
-
-  if (params.warm_arp) {
-    mob->primary->arp().add_static(mob->secondary->address(),
-                                   mob->secondary->nic().mac());
-    mob->secondary->arp().add_static(mob->primary->address(),
-                                     mob->primary->nic().mac());
-    mob->primary->arp().add_static(gw_lan, mob->router->nic(0).mac());
-    mob->secondary->arp().add_static(gw_lan, mob->router->nic(0).mac());
-    mob->client->arp().add_static(ip::Ipv4::parse(Mobile::kGwA),
-                                  mob->router->nic(1).mac());
-    mob->router->arp(0).add_static(mob->primary->address(),
-                                   mob->primary->nic().mac());
-    mob->router->arp(0).add_static(mob->secondary->address(),
-                                   mob->secondary->nic().mac());
-    mob->router->arp(1).add_static(mob->client->address(),
-                                   mob->client->nic().mac());
+net::PointToPointLink& Topology::segment_b() {
+  if (routers.empty()) throw std::logic_error("segment_b: no router on the client side");
+  if (client_wire_b) return *client_wire_b;
+  client_wire_b = std::make_unique<net::PointToPointLink>(sim, params.wan_link);
+  port_b = access().add_port(*client_wire_b, ip::Ipv4::parse(kClientGwB), 24, params.nic,
+                             params.router_arp);
+  // The upstream routers reach segment B the way they reach segment A.
+  for (std::size_t i = 0; i + 1 < routers.size(); ++i) {
+    ip::RouteEntry e = *routers[i]->ip().routes().find(ip::Ipv4::parse("192.168.1.0"), 24);
+    e.prefix = ip::Ipv4::parse("192.168.2.0");
+    routers[i]->ip().add_route(e);
   }
-  return mob;
+  return *client_wire_b;
 }
 
-void Mobile::move_client() {
-  client->move_to(*wan_b, ip::Ipv4::parse(kClientAddrB), 24,
-                  ip::Ipv4::parse(kGwB));
-  if (warm_arp) {
-    client->arp().add_static(ip::Ipv4::parse(kGwB), router->nic(2).mac());
-    router->arp(2).add_static(client->address(), client->nic().mac());
-  }
+void Topology::move_client() {
+  client->move_to(segment_b(), ip::Ipv4::parse(kClientAddrB), 24,
+                  ip::Ipv4::parse(kClientGwB));
+  if (params.warm_arp) warm_gateway(*client, access(), port_b);
 }
 
 }  // namespace tfo::apps

@@ -14,7 +14,7 @@ namespace {
 using test::run_until;
 
 struct AppsFixture : ::testing::Test {
-  std::unique_ptr<Lan> lan = make_lan();
+  std::unique_ptr<Topology> lan = make_topology();
   sim::Simulator& sim() { return lan->sim; }
 };
 
@@ -186,10 +186,10 @@ TEST_F(FtpFixture, SequentialTransfersReuseControlConnection) {
 
 TEST_F(FtpFixture, WorksAcrossWan) {
   // The paper's Figure 6 environment: FTP across a router + WAN link.
-  WanParams wp;
-  wp.wan_link.propagation = milliseconds(10);
-  wp.wan_link.bandwidth_bps = 8'000'000;
-  auto wan = make_wan(wp);
+  TopologyParams tp{.seed = 12, .hops = 1};
+  tp.wan_link.propagation = milliseconds(10);
+  tp.wan_link.bandwidth_bps = 8'000'000;
+  auto wan = make_topology(tp);
   FtpServer srv(wan->primary->tcp());
   srv.add_file("wan.bin", deterministic_payload(50 * 1024, 3));
   FtpClient cli(wan->client->tcp(), wan->primary->address());

@@ -91,7 +91,7 @@ TEST(AttackScenario, ForgedIcmpFragNeededClampsAtMinPmtu) {
   // accept path must clamp at min_pmtu (552 → MSS 512), never at the
   // claimed value — the transfer slows but completes; an unclamped
   // implementation would crawl at MSS 28.
-  auto lan = apps::make_lan();
+  auto lan = apps::make_topology();
   std::shared_ptr<tcp::Connection> server;
   lan->primary->tcp().listen(kEchoPort, [&](std::shared_ptr<tcp::Connection> c) {
     server = std::move(c);

@@ -124,13 +124,13 @@ struct AttackRunResult {
 inline AttackRunResult run_attack_scenario(
     const AttackProfile& prof, std::uint64_t seed, bool fail_primary,
     std::size_t total, std::string* trace_out = nullptr,
-    apps::LanParams lp = {},
+    apps::TopologyParams lp = {},
     const std::function<void(apps::Host&)>& capture = nullptr) {
   lp.tcp.max_rto = seconds(5);
   core::FailoverConfig cfg;
   cfg.heartbeat_period = milliseconds(5);
   cfg.failure_timeout = milliseconds(200);
-  auto r = make_replicated_lan(lp, cfg);
+  auto r = make_replicated(lp, cfg);
   auto tracer = trace_out
                     ? std::make_unique<apps::FrameTracer>(r->sim(), r->client().nic())
                     : nullptr;

@@ -13,13 +13,13 @@ namespace {
 using test::run_until;
 
 struct ChainAppsFixture : ::testing::Test {
-  std::unique_ptr<apps::Lan> lan;
+  std::unique_ptr<apps::Topology> lan;
   std::unique_ptr<apps::Host> backup2;
   std::vector<apps::Host*> servers;
   std::unique_ptr<ReplicaChain> chain;
 
   void build(std::uint16_t port) {
-    lan = apps::make_lan();
+    lan = apps::make_topology();
     apps::HostParams hp;
     hp.name = "backup2";
     hp.addr = ip::Ipv4::parse("10.0.0.22");

@@ -21,12 +21,12 @@ using test::run_until;
 /// Runs a full scenario (transfer + mid-way primary crash + completion)
 /// and returns a canonical trace of every frame the client saw.
 std::string run_scenario(std::uint64_t lan_seed, double loss, std::uint64_t loss_seed) {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.seed = lan_seed;
   lp.medium.impairment.loss = loss;
   lp.medium.impairment.seed = loss_seed;
   lp.tcp.max_rto = seconds(5);
-  auto r = test::make_replicated_lan(lp);
+  auto r = test::make_replicated(lp);
   apps::FrameTracer at_client(r->sim(), r->client().nic());
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 30000, 1500);
   EXPECT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 10000; },
@@ -86,12 +86,12 @@ std::string canonical_metrics(const apps::Host& h) {
 /// Full failover scenario (transfer, mid-way crash, completion) on the
 /// batched+GRO data path.
 BatchedRunResult run_batched_scenario() {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.seed = 11;
   lp.tcp.max_rto = seconds(5);
   lp.nic.rx_batch_max = 8;
   lp.nic.rx_batch_window = microseconds(150);
-  auto r = test::make_replicated_lan(lp);
+  auto r = test::make_replicated(lp);
   apps::FrameTracer at_client(r->sim(), r->client().nic());
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 24000, 4096);
   EXPECT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 8000; },
@@ -129,25 +129,19 @@ TEST(Determinism, BatchedFailoverTraceMatchesRecordedDigest) {
 /// Echo transfer from the client across the routers with a mid-transfer
 /// primary crash; with `move`, the client changes access segment first.
 /// Returns every frame the client saw, canonical form.
-template <class Topo>
-std::string routed_failover_trace(Topo& t, core::FailoverConfig cfg,
-                                  const std::function<void()>& move = {}) {
-  cfg.ports = {kEchoPort};
-  core::ReplicaGroup group(*t.primary, *t.secondary, cfg);
-  apps::EchoServer ep(t.primary->tcp(), kEchoPort);
-  apps::EchoServer es(t.secondary->tcp(), kEchoPort);
-  group.start();
-  apps::FrameTracer at_client(t.sim, t.client->nic());
-  test::EchoDriver d(*t.client, t.primary->address(), kEchoPort, 30000, 1500);
+std::string routed_failover_trace(apps::TopologyParams tp, bool move = false) {
+  auto r = test::make_replicated(tp);
+  apps::FrameTracer at_client(r->sim(), r->client().nic());
+  test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 30000, 1500);
   if (move) {
-    EXPECT_TRUE(run_until(t.sim, [&] { return d.received().size() > 6000; },
+    EXPECT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 6000; },
                           seconds(300)));
-    move();
+    r->topo->move_client();
   }
-  EXPECT_TRUE(run_until(t.sim, [&] { return d.received().size() > 12000; },
+  EXPECT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 12000; },
                         seconds(300)));
-  group.crash_primary();
-  EXPECT_TRUE(run_until(t.sim, [&] { return d.done(); }, seconds(600)));
+  r->group->crash_primary();
+  EXPECT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(600)));
   EXPECT_TRUE(d.verify());
   return at_client.dump();
 }
@@ -155,14 +149,8 @@ std::string routed_failover_trace(Topo& t, core::FailoverConfig cfg,
 TEST(Determinism, ArpColdRoutedRunsRepeatInOneProcess) {
   // Every run resolves the router by ARP, so the router's MACs are on the
   // client's wire. They must not depend on what the process built before.
-  auto trace = [] {
-    apps::WanParams wp;
-    wp.warm_arp = false;
-    auto wan = apps::make_wan(wp);
-    return routed_failover_trace(*wan, {});
-  };
-  const std::string a = trace();
-  const std::string b = trace();
+  const std::string a = routed_failover_trace({.seed = 12, .warm_arp = false, .hops = 1});
+  const std::string b = routed_failover_trace({.seed = 12, .warm_arp = false, .hops = 1});
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }
@@ -170,62 +158,54 @@ TEST(Determinism, ArpColdRoutedRunsRepeatInOneProcess) {
 // Digests of the client's wire trace on each routed shape. Like the LAN
 // digest above they move only with an intended change to the wire.
 TEST(Determinism, RoutedFailoverTraceMatchesRecordedDigest) {
-  apps::WanParams wp;
-  wp.seed = 12;
-  auto wan = apps::make_wan(wp);
-  EXPECT_EQ(fnv1a64(routed_failover_trace(*wan, {})), 0x042be0e5f7c40453ull);
+  EXPECT_EQ(fnv1a64(routed_failover_trace({.seed = 12, .hops = 1})),
+            0x042be0e5f7c40453ull);
 }
 
 TEST(Determinism, RouteAnnouncedTraceMatchesRecordedDigest) {
   // The secondary on its own LAN, takeover by host route: an FTP get with
   // the primary crashing mid-transfer, as in the Wan2Failover matrix.
-  apps::Wan2Params wp;
-  wp.hops = 2;
-  wp.separate_secondary_lan = true;
-  wp.wan_link.bandwidth_bps = 4'000'000;
-  wp.wan_link.propagation = milliseconds(5);
-  auto wan = apps::make_wan2(wp);
+  apps::TopologyParams tp{.seed = 13, .hops = 2, .separate_secondary_lan = true};
+  tp.wan_link.bandwidth_bps = 4'000'000;
+  tp.wan_link.propagation = milliseconds(5);
   core::FailoverConfig cfg;
   cfg.ports = {21, 20};
   cfg.announcer = std::make_shared<core::RouteAnnouncer>();
   cfg.mirror_inbound = true;
-  core::ReplicaGroup group(*wan->primary, *wan->secondary, cfg);
-  apps::FtpServer ftp_p(wan->primary->tcp());
-  apps::FtpServer ftp_s(wan->secondary->tcp());
   const Bytes file = apps::deterministic_payload(100 * 1024, 10);
-  ftp_p.add_file("f.bin", file);
-  ftp_s.add_file("f.bin", file);
-  group.start();
-  apps::FrameTracer at_client(wan->sim, wan->client->nic());
-  apps::FtpClient client(wan->client->tcp(), wan->primary->address());
+  std::unique_ptr<test::Replicated> r;  // outlives the servers
+  std::vector<std::unique_ptr<apps::FtpServer>> ftp;
+  r = test::make_replicated(tp, cfg, [&](apps::Host& h) {
+    ftp.push_back(std::make_unique<apps::FtpServer>(h.tcp()));
+    ftp.back()->add_file("f.bin", file);
+  });
+  apps::FrameTracer at_client(r->sim(), r->client().nic());
+  apps::FtpClient client(r->client().tcp(), r->primary().address());
   bool logged_in = false, done = false;
   Bytes got;
   client.login([&](bool ok) { logged_in = ok; });
-  ASSERT_TRUE(run_until(wan->sim, [&] { return logged_in; }, seconds(120)));
+  ASSERT_TRUE(run_until(r->sim(), [&] { return logged_in; }, seconds(120)));
   client.get("f.bin", [&](bool, Bytes b) {
     got = std::move(b);
     done = true;
   });
-  ASSERT_TRUE(run_until(wan->sim, [&] {
-    return wan->client->tcp().connection_count() >= 2;
+  ASSERT_TRUE(run_until(r->sim(), [&] {
+    return r->client().tcp().connection_count() >= 2;
   }, seconds(120)));
-  wan->sim.run_for(milliseconds(100));
-  group.crash_primary();
-  ASSERT_TRUE(run_until(wan->sim, [&] { return done; }, seconds(1200)));
+  r->sim().run_for(milliseconds(100));
+  r->group->crash_primary();
+  ASSERT_TRUE(run_until(r->sim(), [&] { return done; }, seconds(1200)));
   EXPECT_EQ(got, file);
   EXPECT_EQ(fnv1a64(at_client.dump()), 0x9835513cc354a25aull);
 }
 
 TEST(Determinism, ThreeHopTraceMatchesRecordedDigest) {
-  apps::Wan2Params wp;
-  wp.hops = 3;
-  auto wan = apps::make_wan2(wp);
-  EXPECT_EQ(fnv1a64(routed_failover_trace(*wan, {})), 0xbb9e9beebdb175bfull);
+  EXPECT_EQ(fnv1a64(routed_failover_trace({.seed = 13, .hops = 3})),
+            0xbb9e9beebdb175bfull);
 }
 
 TEST(Determinism, MovedClientTraceMatchesRecordedDigest) {
-  auto mob = apps::make_mobile({});
-  EXPECT_EQ(fnv1a64(routed_failover_trace(*mob, {}, [&] { mob->move_client(); })),
+  EXPECT_EQ(fnv1a64(routed_failover_trace({.seed = 14, .hops = 1}, /*move=*/true)),
             0x026cfdba482e2928ull);
 }
 

@@ -18,33 +18,31 @@ using test::run_until;
 // ----------------------------------------------------------------- store
 
 struct StoreFailover : ::testing::Test {
-  std::unique_ptr<apps::Lan> lan = apps::make_lan();
-  std::unique_ptr<ReplicaGroup> group;
+  std::unique_ptr<test::Replicated> r;
   std::unique_ptr<apps::StoreServer> store_p, store_s;
 
   void build() {
     FailoverConfig cfg;
     cfg.ports = {8000};
-    group = std::make_unique<ReplicaGroup>(*lan->primary, *lan->secondary, cfg);
-    store_p = std::make_unique<apps::StoreServer>(lan->primary->tcp(), 8000);
-    store_s = std::make_unique<apps::StoreServer>(lan->secondary->tcp(), 8000);
-    group->start();
+    r = test::make_replicated({}, cfg, [&](apps::Host& h) {
+      (store_p ? store_s : store_p) = std::make_unique<apps::StoreServer>(h.tcp(), 8000);
+    });
   }
 };
 
 TEST_F(StoreFailover, SessionSurvivesPrimaryCrashMidShopping) {
   build();
-  apps::StoreClient client(lan->client->tcp(), lan->primary->address(), 8000);
+  apps::StoreClient client(r->client().tcp(), r->primary().address(), 8000);
   client.request("BROWSE grinder");
   client.request("BUY grinder 1");
-  ASSERT_TRUE(run_until(lan->sim, [&] { return client.replies().size() >= 2; }));
+  ASSERT_TRUE(run_until(r->sim(), [&] { return client.replies().size() >= 2; }));
   EXPECT_EQ(client.replies()[1], "OK 1 8999");
 
-  group->crash_primary();
+  r->group->crash_primary();
   // Continue the same session: order counter and stock view persist.
   client.request("BUY grinder 2");
   client.request("BROWSE grinder");
-  ASSERT_TRUE(run_until(lan->sim, [&] { return client.replies().size() >= 4; },
+  ASSERT_TRUE(run_until(r->sim(), [&] { return client.replies().size() >= 4; },
                         seconds(120)));
   EXPECT_EQ(client.replies()[2], "OK 2 17998");
   EXPECT_EQ(client.replies()[3], "ITEM grinder 8999 37");
@@ -53,53 +51,50 @@ TEST_F(StoreFailover, SessionSurvivesPrimaryCrashMidShopping) {
 
 TEST_F(StoreFailover, SessionSurvivesSecondaryCrash) {
   build();
-  apps::StoreClient client(lan->client->tcp(), lan->primary->address(), 8000);
+  apps::StoreClient client(r->client().tcp(), r->primary().address(), 8000);
   client.request("BUY kettle 5");
-  ASSERT_TRUE(run_until(lan->sim, [&] { return client.replies().size() >= 1; }));
-  group->crash_secondary();
+  ASSERT_TRUE(run_until(r->sim(), [&] { return client.replies().size() >= 1; }));
+  r->group->crash_secondary();
   client.request("BROWSE kettle");
-  ASSERT_TRUE(run_until(lan->sim, [&] { return client.replies().size() >= 2; },
+  ASSERT_TRUE(run_until(r->sim(), [&] { return client.replies().size() >= 2; },
                         seconds(120)));
   EXPECT_EQ(client.replies()[1], "ITEM kettle 3499 95");
 }
 
 TEST_F(StoreFailover, ReplicasStayByteIdentical) {
   build();
-  apps::StoreClient client(lan->client->tcp(), lan->primary->address(), 8000);
+  apps::StoreClient client(r->client().tcp(), r->primary().address(), 8000);
   for (int i = 0; i < 10; ++i) {
     client.request("BUY filter-papers 3");
     client.request("LIST");
   }
-  ASSERT_TRUE(run_until(lan->sim, [&] { return client.replies().size() >= 70; },
+  ASSERT_TRUE(run_until(r->sim(), [&] { return client.replies().size() >= 70; },
                         seconds(120)));
   EXPECT_EQ(store_p->orders_placed(), 10u);
   EXPECT_EQ(store_s->orders_placed(), 10u);
   EXPECT_EQ(store_p->requests_served(), store_s->requests_served());
-  EXPECT_EQ(group->primary_bridge().divergences(), 0u);
+  EXPECT_EQ(r->group->primary_bridge().divergences(), 0u);
 }
 
 // ------------------------------------------------------------------- ftp
 
 struct FtpFailover : ::testing::Test {
-  std::unique_ptr<apps::Lan> lan = apps::make_lan();
-  std::unique_ptr<ReplicaGroup> group;
+  std::unique_ptr<test::Replicated> r;
   std::unique_ptr<apps::FtpServer> ftp_p, ftp_s;
   std::unique_ptr<apps::FtpClient> client;
 
   void build() {
     FailoverConfig cfg;
     cfg.ports = {21, 20};  // control and (server-initiated) data connections
-    group = std::make_unique<ReplicaGroup>(*lan->primary, *lan->secondary, cfg);
-    ftp_p = std::make_unique<apps::FtpServer>(lan->primary->tcp());
-    ftp_s = std::make_unique<apps::FtpServer>(lan->secondary->tcp());
     const Bytes big = apps::deterministic_payload(400 * 1024, 5);
-    for (auto* s : {ftp_p.get(), ftp_s.get()}) {
+    r = test::make_replicated({}, cfg, [&](apps::Host& h) {
+      auto& s = ftp_p ? ftp_s : ftp_p;
+      s = std::make_unique<apps::FtpServer>(h.tcp());
       s->add_file("small.txt", to_bytes("replicated file content"));
       s->add_file("big.bin", big);
-    }
-    group->start();
-    client = std::make_unique<apps::FtpClient>(lan->client->tcp(),
-                                               lan->primary->address());
+    });
+    client = std::make_unique<apps::FtpClient>(r->client().tcp(),
+                                               r->primary().address());
   }
 
   bool login() {
@@ -108,7 +103,7 @@ struct FtpFailover : ::testing::Test {
       ok = r;
       done = true;
     });
-    return run_until(lan->sim, [&] { return done; }, seconds(60)) && ok;
+    return run_until(r->sim(), [&] { return done; }, seconds(60)) && ok;
   }
 };
 
@@ -122,13 +117,13 @@ TEST_F(FtpFailover, ReplicatedGetUsesServerInitiatedConnection) {
     content = std::move(b);
     done = true;
   });
-  ASSERT_TRUE(run_until(lan->sim, [&] { return done; }, seconds(120)));
+  ASSERT_TRUE(run_until(r->sim(), [&] { return done; }, seconds(120)));
   EXPECT_EQ(to_string(content), "replicated file content");
   // Both replicas ran the transfer; the bridge merged two data conns.
   EXPECT_EQ(ftp_p->transfers_completed(), 1u);
   EXPECT_EQ(ftp_s->transfers_completed(), 1u);
   // Control (client-initiated) + data (server-initiated) both bridged.
-  EXPECT_GE(group->primary_bridge().merged_segments_sent(), 4u);
+  EXPECT_GE(r->group->primary_bridge().merged_segments_sent(), 4u);
 }
 
 TEST_F(FtpFailover, GetSurvivesPrimaryCrashMidTransfer) {
@@ -142,12 +137,12 @@ TEST_F(FtpFailover, GetSurvivesPrimaryCrashMidTransfer) {
     done = true;
   });
   // Crash the primary partway through the data transfer.
-  ASSERT_TRUE(run_until(lan->sim, [&] {
-    return lan->client->tcp().connection_count() >= 2;  // ctrl + data live
+  ASSERT_TRUE(run_until(r->sim(), [&] {
+    return r->client().tcp().connection_count() >= 2;  // ctrl + data live
   }, seconds(60)));
-  lan->sim.run_for(milliseconds(30));
-  group->crash_primary();
-  ASSERT_TRUE(run_until(lan->sim, [&] { return done; }, seconds(300)));
+  r->sim().run_for(milliseconds(30));
+  r->group->crash_primary();
+  ASSERT_TRUE(run_until(r->sim(), [&] { return done; }, seconds(300)));
   EXPECT_EQ(content, apps::deterministic_payload(400 * 1024, 5));
 }
 
@@ -160,12 +155,12 @@ TEST_F(FtpFailover, PutSurvivesSecondaryCrashMidTransfer) {
     ok = r;
     done = true;
   });
-  ASSERT_TRUE(run_until(lan->sim, [&] {
-    return lan->client->tcp().connection_count() >= 2;
+  ASSERT_TRUE(run_until(r->sim(), [&] {
+    return r->client().tcp().connection_count() >= 2;
   }, seconds(60)));
-  lan->sim.run_for(milliseconds(20));
-  group->crash_secondary();
-  ASSERT_TRUE(run_until(lan->sim, [&] { return done; }, seconds(300)));
+  r->sim().run_for(milliseconds(20));
+  r->group->crash_secondary();
+  ASSERT_TRUE(run_until(r->sim(), [&] { return done; }, seconds(300)));
   EXPECT_TRUE(ok);
   ASSERT_TRUE(ftp_p->files().contains("upload.bin"));
   EXPECT_EQ(ftp_p->files().at("upload.bin"), payload);
@@ -180,10 +175,10 @@ TEST_F(FtpFailover, SequentialTransfersAfterFailover) {
     first = std::move(b);
     first_done = true;
   });
-  ASSERT_TRUE(run_until(lan->sim, [&] { return first_done; }, seconds(120)));
-  group->crash_primary();
-  ASSERT_TRUE(run_until(lan->sim, [&] {
-    return group->secondary_bridge().taken_over();
+  ASSERT_TRUE(run_until(r->sim(), [&] { return first_done; }, seconds(120)));
+  r->group->crash_primary();
+  ASSERT_TRUE(run_until(r->sim(), [&] {
+    return r->group->secondary_bridge().taken_over();
   }, seconds(10)));
   // New data connection after takeover: the survivor serves it alone.
   Bytes second;
@@ -193,7 +188,7 @@ TEST_F(FtpFailover, SequentialTransfersAfterFailover) {
     second = std::move(b);
     second_done = true;
   });
-  ASSERT_TRUE(run_until(lan->sim, [&] { return second_done; }, seconds(300)));
+  ASSERT_TRUE(run_until(r->sim(), [&] { return second_done; }, seconds(300)));
   EXPECT_EQ(to_string(first), "replicated file content");
   EXPECT_EQ(second, apps::deterministic_payload(400 * 1024, 5));
 }
@@ -204,20 +199,16 @@ TEST(MultiTier, ReplicatedServerConnectsToUnreplicatedBackend) {
   // The paper's §7.2 scenario: the replicated application is the TCP
   // *client* toward an unreplicated back-end T. Both replicas connect;
   // the bridge merges their SYNs and T sees a single client.
-  apps::LanParams lp;
-  lp.with_backend = true;
-  auto lan = apps::make_lan(lp);
   FailoverConfig cfg;
   cfg.ports = {9100};  // the replicas connect *from* this local port
-  ReplicaGroup group(*lan->primary, *lan->secondary, cfg);
-  apps::EchoServer backend(lan->backend->tcp(), 5432);
-  group.start();
+  auto r = test::make_replicated({.with_backend = true}, cfg, test::no_app);
+  apps::EchoServer backend(r->topo->backend->tcp(), 5432);
 
   // Replicated "application": each replica sends a query to the backend
   // and stores the reply.
   Bytes reply_p, reply_s;
   auto run_replica = [&](apps::Host& h, Bytes& reply) {
-    auto conn = h.tcp().connect(lan->backend->address(), 5432, {.nodelay = true}, 9100);
+    auto conn = h.tcp().connect(r->topo->backend->address(), 5432, {.nodelay = true}, 9100);
     // Raw captures: a connection's own callback holding its shared_ptr is
     // an ownership cycle (the callbacks are never cleared), which leaks
     // the connection. The local shared_ptr keeps it alive for the test.
@@ -225,9 +216,9 @@ TEST(MultiTier, ReplicatedServerConnectsToUnreplicatedBackend) {
     conn->on_readable = [c = conn.get(), &reply] { c->recv(reply); };
     return conn;
   };
-  auto cp = run_replica(*lan->primary, reply_p);
-  auto cs = run_replica(*lan->secondary, reply_s);
-  ASSERT_TRUE(test::run_until(lan->sim, [&] {
+  auto cp = run_replica(r->primary(), reply_p);
+  auto cs = run_replica(r->secondary(), reply_s);
+  ASSERT_TRUE(test::run_until(r->sim(), [&] {
     return reply_p.size() == 9 && reply_s.size() == 9;
   }, seconds(60)));
   EXPECT_EQ(to_string(reply_p), "SELECT 42");
@@ -238,19 +229,15 @@ TEST(MultiTier, ReplicatedServerConnectsToUnreplicatedBackend) {
 }
 
 TEST(MultiTier, BackendSessionSurvivesPrimaryCrash) {
-  apps::LanParams lp;
-  lp.with_backend = true;
-  auto lan = apps::make_lan(lp);
   FailoverConfig cfg;
   cfg.ports = {9100};
-  ReplicaGroup group(*lan->primary, *lan->secondary, cfg);
-  apps::EchoServer backend(lan->backend->tcp(), 5432);
-  group.start();
+  auto r = test::make_replicated({.with_backend = true}, cfg, test::no_app);
+  apps::EchoServer backend(r->topo->backend->tcp(), 5432);
 
   Bytes reply_p, reply_s;
-  auto cp = lan->primary->tcp().connect(lan->backend->address(), 5432,
+  auto cp = r->primary().tcp().connect(r->topo->backend->address(), 5432,
                                         {.nodelay = true}, 9100);
-  auto cs = lan->secondary->tcp().connect(lan->backend->address(), 5432,
+  auto cs = r->secondary().tcp().connect(r->topo->backend->address(), 5432,
                                           {.nodelay = true}, 9100);
   // Raw captures: see ReplicatedServerConnectsToUnreplicatedBackend — a
   // shared_ptr self-capture cycle leaks the crashed primary's connection.
@@ -258,17 +245,17 @@ TEST(MultiTier, BackendSessionSurvivesPrimaryCrash) {
   cs->on_established = [c = cs.get()] { c->send(to_bytes("q1")); };
   cp->on_readable = [c = cp.get(), &reply_p] { c->recv(reply_p); };
   cs->on_readable = [c = cs.get(), &reply_s] { c->recv(reply_s); };
-  ASSERT_TRUE(test::run_until(lan->sim, [&] {
+  ASSERT_TRUE(test::run_until(r->sim(), [&] {
     return reply_p.size() == 2 && reply_s.size() == 2;
   }, seconds(60)));
 
-  group.crash_primary();
-  ASSERT_TRUE(test::run_until(lan->sim, [&] {
-    return group.secondary_bridge().taken_over();
+  r->group->crash_primary();
+  ASSERT_TRUE(test::run_until(r->sim(), [&] {
+    return r->group->secondary_bridge().taken_over();
   }, seconds(10)));
   // The surviving replica keeps the backend session.
   cs->send(to_bytes("q2-after-failover"));
-  ASSERT_TRUE(test::run_until(lan->sim, [&] { return reply_s.size() == 19; },
+  ASSERT_TRUE(test::run_until(r->sim(), [&] { return reply_s.size() == 19; },
                               seconds(120)));
   EXPECT_EQ(to_string(reply_s).substr(2), "q2-after-failover");
   EXPECT_EQ(backend.live_sessions(), 1u);
@@ -277,28 +264,21 @@ TEST(MultiTier, BackendSessionSurvivesPrimaryCrash) {
 // -------------------------------------------------------------------- wan
 
 TEST(WanFailover, TakeoverFlipsRouterArpAndClientContinues) {
-  apps::WanParams wp;
-  wp.wan_link.propagation = milliseconds(10);
-  auto wan = apps::make_wan(wp);
-  FailoverConfig cfg;
-  cfg.ports = {test::kEchoPort};
-  ReplicaGroup group(*wan->primary, *wan->secondary, cfg);
-  apps::EchoServer ep(wan->primary->tcp(), test::kEchoPort);
-  apps::EchoServer es(wan->secondary->tcp(), test::kEchoPort);
-  group.start();
-
-  test::EchoDriver d(*wan->client, wan->primary->address(), test::kEchoPort,
+  apps::TopologyParams tp{.seed = 12, .hops = 1};
+  tp.wan_link.propagation = milliseconds(10);
+  auto r = test::make_replicated(tp);
+  test::EchoDriver d(r->client(), r->primary().address(), test::kEchoPort,
                      100 * 1024, 4096);
-  ASSERT_TRUE(test::run_until(wan->sim, [&] {
+  ASSERT_TRUE(test::run_until(r->sim(), [&] {
     return d.received().size() > 30 * 1024;
   }, seconds(300)));
-  group.crash_primary();
-  ASSERT_TRUE(test::run_until(wan->sim, [&] { return d.done(); }, seconds(600)));
+  r->group->crash_primary();
+  ASSERT_TRUE(test::run_until(r->sim(), [&] { return d.done(); }, seconds(600)));
   EXPECT_TRUE(d.verify());
   // The router's LAN-side ARP entry for a_p now names the secondary.
   net::MacAddress m{};
-  ASSERT_TRUE(wan->router->arp(0).lookup(wan->primary->address(), &m));
-  EXPECT_EQ(m, wan->secondary->nic().mac());
+  ASSERT_TRUE(r->topo->edge().arp(0).lookup(r->primary().address(), &m));
+  EXPECT_EQ(m, r->secondary().nic().mac());
 }
 
 struct WanRun {
@@ -310,29 +290,22 @@ struct WanRun {
 // Runs a WAN transfer, crashing the primary in the middle unless `crash`
 // is false. The transfer must complete intact, with no reset.
 WanRun run_wan_transfer(SimDuration router_update_latency, bool crash = true) {
-  apps::WanParams wp;
-  wp.router_arp.update_latency = router_update_latency;
-  auto wan = apps::make_wan(wp);
-  FailoverConfig cfg;
-  cfg.ports = {test::kEchoPort};
-  ReplicaGroup group(*wan->primary, *wan->secondary, cfg);
-  apps::EchoServer ep(wan->primary->tcp(), test::kEchoPort);
-  apps::EchoServer es(wan->secondary->tcp(), test::kEchoPort);
-  group.start();
-
-  test::EchoDriver d(*wan->client, wan->primary->address(), test::kEchoPort,
+  apps::TopologyParams tp{.seed = 12, .hops = 1};
+  tp.router_arp.update_latency = router_update_latency;
+  auto r = test::make_replicated(tp);
+  test::EchoDriver d(r->client(), r->primary().address(), test::kEchoPort,
                      60 * 1024, 4096);
-  EXPECT_TRUE(test::run_until(wan->sim, [&] {
+  EXPECT_TRUE(test::run_until(r->sim(), [&] {
     return d.received().size() > 20 * 1024;
   }, seconds(300)));
   WanRun run;
-  run.crash_at = wan->sim.now();
-  if (crash) group.crash_primary();
-  EXPECT_TRUE(test::run_until(wan->sim, [&] { return d.done(); }, seconds(600)));
+  run.crash_at = r->sim().now();
+  if (crash) r->group->crash_primary();
+  EXPECT_TRUE(test::run_until(r->sim(), [&] { return d.done(); }, seconds(600)));
   EXPECT_TRUE(d.verify());
   EXPECT_FALSE(d.close_reason().has_value());
-  run.takeover_at = group.secondary_bridge().takeover_time();
-  run.done_at = wan->sim.now();
+  run.takeover_at = r->group->secondary_bridge().takeover_time();
+  run.done_at = r->sim().now();
   return run;
 }
 

@@ -11,11 +11,11 @@ namespace {
 
 using test::EchoDriver;
 using test::kEchoPort;
-using test::make_replicated_lan;
+using test::make_replicated;
 using test::run_until;
 
 TEST(FailoverBasic, HandshakeEstablishesOnBothReplicas) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   auto conn = r->client().tcp().connect(r->primary().address(), kEchoPort);
   ASSERT_TRUE(run_until(r->sim(), [&] {
     return conn->state() == tcp::TcpState::kEstablished;
@@ -36,7 +36,7 @@ TEST(FailoverBasic, HandshakeEstablishesOnBothReplicas) {
 }
 
 TEST(FailoverBasic, ClientSeesSecondarySequenceSpace) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   // Force distinguishable ISNs.
   r->primary().tcp().set_next_isn(1000000);
   r->secondary().tcp().set_next_isn(5000000);
@@ -58,7 +58,7 @@ TEST(FailoverBasic, ClientSeesSecondarySequenceSpace) {
 }
 
 TEST(FailoverBasic, EchoRoundTripSmall) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 64, 64);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }));
   EXPECT_TRUE(d.verify());
@@ -68,7 +68,7 @@ TEST(FailoverBasic, EchoRoundTripSmall) {
 }
 
 TEST(FailoverBasic, EchoLargeStream) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 300 * 1024, 8192);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(300)));
   EXPECT_TRUE(d.verify());
@@ -77,8 +77,8 @@ TEST(FailoverBasic, EchoLargeStream) {
 }
 
 TEST(FailoverBasic, MergedSynUsesMinimumMss) {
-  apps::LanParams lp;
-  auto r = make_replicated_lan(lp);
+  apps::TopologyParams lp;
+  auto r = make_replicated(lp);
   r->secondary().tcp().mutable_params().mss = 700;  // asymmetric replicas
   auto conn = r->client().tcp().connect(r->primary().address(), kEchoPort);
   ASSERT_TRUE(run_until(r->sim(), [&] {
@@ -92,7 +92,7 @@ TEST(FailoverBasic, DifferentReplicaSegmentationStillMerges) {
   // multiple TCP segments, whereas the other ... might pack the entire
   // reply into a single segment." Different MSS values force exactly
   // that; the byte-granular merge must still produce a correct stream.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   r->secondary().tcp().mutable_params().mss = 536;
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 64 * 1024, 4096);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(120)));
@@ -103,7 +103,7 @@ TEST(FailoverBasic, PrimaryNeverAcksBeyondSecondary) {
   // Requirement 2 (§2): the primary must not acknowledge a client segment
   // until the secondary has acknowledged it. With the secondary's ACKs
   // observable at the bridge, the client-visible ACK is the minimum.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   // Slow the secondary's delayed-ACK down so its ACKs lag.
   r->secondary().tcp().mutable_params().delayed_ack = milliseconds(400);
 
@@ -134,8 +134,8 @@ TEST(FailoverBasic, PrimaryNeverAcksBeyondSecondary) {
 }
 
 TEST(FailoverBasic, WindowIsMinimumOfReplicas) {
-  apps::LanParams lp;
-  auto r = make_replicated_lan(lp, {}, /*with_echo=*/false);
+  apps::TopologyParams lp;
+  auto r = make_replicated(lp, {}, test::no_app);
   // Secondary has a tiny receive buffer and a non-reading app.
   r->secondary().tcp().mutable_params().recv_buf = 2048;
   std::shared_ptr<tcp::Connection> sp, ss;
@@ -155,7 +155,7 @@ TEST(FailoverBasic, WindowIsMinimumOfReplicas) {
 }
 
 TEST(FailoverBasic, ClientInitiatedCloseCompletesFourWay) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 1024, 1024);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }));
   d.connection().close();
@@ -177,7 +177,7 @@ TEST(FailoverBasic, ClientInitiatedCloseCompletesFourWay) {
 }
 
 TEST(FailoverBasic, ServerInitiatedCloseCompletes) {
-  auto r = make_replicated_lan({}, {}, /*with_echo=*/false);
+  auto r = make_replicated({}, {}, test::no_app);
   // Servers that send a fixed reply then close.
   std::vector<std::shared_ptr<tcp::Connection>> held;
   auto serve = [&](apps::Host& h) {
@@ -211,7 +211,7 @@ TEST(FailoverBasic, ServerInitiatedCloseCompletes) {
 TEST(FailoverBasic, HalfCloseServerKeepsSending) {
   // §8: after the client's FIN the server side may keep transmitting; the
   // bridge keeps merging in the half-closed state.
-  auto r = make_replicated_lan({}, {}, /*with_echo=*/false);
+  auto r = make_replicated({}, {}, test::no_app);
   const Bytes big = apps::deterministic_payload(100 * 1024, 9);
   std::vector<std::shared_ptr<tcp::Connection>> held;
   auto serve = [&](apps::Host& h) {
@@ -243,7 +243,7 @@ TEST(FailoverBasic, HalfCloseServerKeepsSending) {
 }
 
 TEST(FailoverBasic, MultipleConcurrentConnections) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   std::vector<std::unique_ptr<EchoDriver>> drivers;
   for (int i = 0; i < 8; ++i) {
     drivers.push_back(std::make_unique<EchoDriver>(
@@ -260,7 +260,7 @@ TEST(FailoverBasic, MultipleConcurrentConnections) {
 }
 
 TEST(FailoverBasic, NonFailoverPortBypassesBridge) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   apps::EchoServer plain(r->primary().tcp(), 9999);  // not in the port set
   auto conn = r->client().tcp().connect(r->primary().address(), 9999);
   Bytes got;
@@ -276,7 +276,7 @@ TEST(FailoverBasic, SocketOptionMethodMarksConnection) {
   // with the failover socket option instead.
   core::FailoverConfig cfg;
   cfg.ports = {1};  // dummy so the fixture doesn't install the echo port
-  auto r = make_replicated_lan({}, cfg, /*with_echo=*/false);
+  auto r = make_replicated({}, cfg, test::no_app);
   apps::EchoServer ep(r->primary().tcp(), 8080, {.failover = true});
   apps::EchoServer es(r->secondary().tcp(), 8080, {.failover = true});
   EchoDriver d(r->client(), r->primary().address(), 8080, 50000, 5000);
@@ -288,7 +288,7 @@ TEST(FailoverBasic, SocketOptionMethodMarksConnection) {
 }
 
 TEST(FailoverBasic, SecondarySnoopsViaPromiscuousMode) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EXPECT_TRUE(r->secondary().nic().promiscuous());
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 1000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }));

@@ -12,11 +12,11 @@ namespace {
 
 using test::EchoDriver;
 using test::kEchoPort;
-using test::make_replicated_lan;
+using test::make_replicated;
 using test::run_until;
 
 TEST(PrimaryFailure, MidTransferIsTransparent) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 200 * 1024, 4096);
   // Let roughly half the transfer happen, then crash the primary.
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 100 * 1024; },
@@ -29,7 +29,7 @@ TEST(PrimaryFailure, MidTransferIsTransparent) {
 }
 
 TEST(PrimaryFailure, TakeoverClaimsPrimaryAddress) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 10000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 2000; }));
   r->group->crash_primary();
@@ -47,7 +47,7 @@ TEST(PrimaryFailure, TakeoverClaimsPrimaryAddress) {
 }
 
 TEST(PrimaryFailure, DuringHandshakeStillConnects) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   // Crash the primary the instant the client starts connecting: the SYN
   // may or may not have been processed by P. §1: "failover can occur at
   // any time during the lifetime of a connection."
@@ -62,7 +62,7 @@ TEST(PrimaryFailure, DuringHandshakeStillConnects) {
 }
 
 TEST(PrimaryFailure, JustAfterEstablishment) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   auto conn = r->client().tcp().connect(r->primary().address(), kEchoPort,
                                         {.nodelay = true});
   ASSERT_TRUE(run_until(r->sim(), [&] {
@@ -77,7 +77,7 @@ TEST(PrimaryFailure, JustAfterEstablishment) {
 }
 
 TEST(PrimaryFailure, NewConnectionsServedAfterTakeover) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   r->group->crash_primary();
   ASSERT_TRUE(run_until(r->sim(), [&] {
     return r->group->secondary_bridge().taken_over();
@@ -90,7 +90,7 @@ TEST(PrimaryFailure, NewConnectionsServedAfterTakeover) {
 }
 
 TEST(PrimaryFailure, CloseAfterFailoverCompletes) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 20000, 2000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 4000; }));
   r->group->crash_primary();
@@ -107,7 +107,7 @@ TEST(PrimaryFailure, ClientStallBoundedByDetectionAndRetransmission) {
   core::FailoverConfig cfg;
   cfg.heartbeat_period = milliseconds(5);
   cfg.failure_timeout = milliseconds(25);
-  auto r = make_replicated_lan({}, cfg);
+  auto r = make_replicated({}, cfg);
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 500 * 1024, 8192);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 50 * 1024; },
                         seconds(120)));
@@ -129,7 +129,7 @@ TEST(PrimaryFailure, ClientStallBoundedByDetectionAndRetransmission) {
 class PrimaryFailureSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PrimaryFailureSweep, TransparentAtAnyPoint) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   const std::size_t total = 64 * 1024;
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, total, 2048);
   const std::size_t fail_after = GetParam();
@@ -148,7 +148,7 @@ INSTANTIATE_TEST_SUITE_P(BytePositions, PrimaryFailureSweep,
 // ------------------------------------------------------------- secondary
 
 TEST(SecondaryFailure, MidTransferIsTransparent) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 200 * 1024, 4096);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 100 * 1024; },
                         seconds(120)));
@@ -162,7 +162,7 @@ TEST(SecondaryFailure, MidTransferIsTransparent) {
 TEST(SecondaryFailure, PrimaryQueueIsFlushed) {
   // §6 step 1: bytes waiting in the primary output queue for the (now
   // dead) secondary's copies must be sent to the client immediately.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   // Slow the secondary's reply path so the primary queue is non-empty:
   // secondary delays ACKs and has a smaller MSS (more segments).
   r->secondary().tcp().mutable_params().delayed_ack = milliseconds(300);
@@ -179,7 +179,7 @@ TEST(SecondaryFailure, SequenceOffsetStillCompensated) {
   // subtracting Δseq forever — the client is locked to S's sequence
   // space. Detectable by the transfer simply continuing to work with
   // wildly different ISNs.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   r->primary().tcp().set_next_isn(0xf0000000);
   r->secondary().tcp().set_next_isn(0x10000000);
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 50 * 1024, 2048);
@@ -190,7 +190,7 @@ TEST(SecondaryFailure, SequenceOffsetStillCompensated) {
 }
 
 TEST(SecondaryFailure, DuringHandshake) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   auto conn = r->client().tcp().connect(r->primary().address(), kEchoPort,
                                         {.nodelay = true});
   r->group->crash_secondary();
@@ -202,7 +202,7 @@ TEST(SecondaryFailure, DuringHandshake) {
 }
 
 TEST(SecondaryFailure, CloseCompletesInSoloMode) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 10000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 3000; }));
   r->group->crash_secondary();
@@ -217,7 +217,7 @@ TEST(SecondaryFailure, CloseCompletesInSoloMode) {
 class SecondaryFailureSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SecondaryFailureSweep, TransparentAtAnyPoint) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   const std::size_t total = 64 * 1024;
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, total, 2048);
   ASSERT_TRUE(run_until(r->sim(), [&] {
@@ -236,7 +236,7 @@ INSTANTIATE_TEST_SUITE_P(BytePositions, SecondaryFailureSweep,
 TEST(Failover, TakeoverPauseDelaysResumption) {
   core::FailoverConfig cfg;
   cfg.takeover_pause = milliseconds(200);
-  auto r = make_replicated_lan({}, cfg);
+  auto r = make_replicated({}, cfg);
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 50000, 2000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 10000; }));
   r->group->crash_primary();
@@ -248,7 +248,7 @@ TEST(Failover, TakeoverPauseDelaysResumption) {
 }
 
 TEST(Failover, MultipleConnectionsSurvivePrimaryFailure) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   std::vector<std::unique_ptr<EchoDriver>> drivers;
   for (int i = 0; i < 5; ++i) {
     drivers.push_back(std::make_unique<EchoDriver>(

@@ -1,8 +1,10 @@
-// Shared fixture for failover integration tests: a LAN with client C,
-// primary P, secondary S (per the paper's Figure 1), a ReplicaGroup
-// wiring the bridges and fault detectors, and replicated servers on P+S.
+// Shared fixture for failover integration tests and benches: any
+// apps::Topology (by default the paper's Figure 1 LAN with client C,
+// primary P and secondary S), a ReplicaGroup wiring the bridges and fault
+// detectors, and the server application installed on P and S.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "apps/echo.hpp"
@@ -15,25 +17,28 @@ namespace tfo::test {
 
 constexpr std::uint16_t kEchoPort = 7777;
 
-struct ReplicatedLan {
-  std::unique_ptr<apps::Lan> lan;
-  /// Additional hosts on the same wire (recruits, extra clients).
-  /// Declared after `lan` and before `group` so destruction order is:
+/// Lifetime rule: declare the fixture *before* any server apps or held
+/// connections, so the simulator outlives them — a Connection destructor
+/// cancels its timers on the simulator it was created on.
+struct Replicated {
+  std::unique_ptr<apps::Topology> topo;
+  /// Additional hosts on the server LAN (recruits, extra clients).
+  /// Declared after `topo` and before `group` so destruction order is:
   /// group/bridges first, then these hosts, then the network.
   std::vector<std::unique_ptr<apps::Host>> extra_hosts;
-  std::unique_ptr<core::ReplicaGroup> group;
+  std::unique_ptr<core::ReplicaGroup> group;  // null for standard TCP
   std::unique_ptr<apps::EchoServer> echo_p, echo_s;
 
-  /// Adds a host on the LAN with warm ARP to/from the three base hosts.
+  /// Adds a host on the server LAN with warm ARP to/from the three base
+  /// hosts.
   apps::Host& add_host(const std::string& name, const char* addr,
                        std::uint64_t seed) {
     apps::HostParams hp;
     hp.name = name;
     hp.addr = ip::Ipv4::parse(addr);
     hp.seed = seed;
-    auto host = std::make_unique<apps::Host>(lan->sim, hp, *lan->wire);
-    for (apps::Host* h : {lan->client.get(), lan->primary.get(),
-                          lan->secondary.get()}) {
+    auto host = std::make_unique<apps::Host>(topo->sim, hp, *topo->wire);
+    for (apps::Host* h : {&client(), &primary(), &secondary()}) {
       h->arp().add_static(host->address(), host->nic().mac());
       host->arp().add_static(h->address(), h->nic().mac());
     }
@@ -41,25 +46,42 @@ struct ReplicatedLan {
     return *extra_hosts.back();
   }
 
-  sim::Simulator& sim() { return lan->sim; }
-  apps::Host& client() { return *lan->client; }
-  apps::Host& primary() { return *lan->primary; }
-  apps::Host& secondary() { return *lan->secondary; }
+  sim::Simulator& sim() { return topo->sim; }
+  apps::Host& client() { return *topo->client; }
+  apps::Host& primary() { return *topo->primary; }
+  apps::Host& secondary() { return *topo->secondary; }
 };
 
-inline std::unique_ptr<ReplicatedLan> make_replicated_lan(
-    apps::LanParams lp = {}, core::FailoverConfig cfg = {}, bool with_echo = true) {
-  auto r = std::make_unique<ReplicatedLan>();
-  r->lan = apps::make_lan(lp);
-  if (cfg.ports.empty()) cfg.ports = {kEchoPort};
-  cfg.primary_addr = r->lan->primary->address();
-  cfg.secondary_addr = r->lan->secondary->address();
-  r->group = std::make_unique<core::ReplicaGroup>(*r->lan->primary, *r->lan->secondary,
-                                                  cfg);
-  if (with_echo) {
-    r->echo_p = std::make_unique<apps::EchoServer>(r->lan->primary->tcp(), kEchoPort);
-    r->echo_s = std::make_unique<apps::EchoServer>(r->lan->secondary->tcp(), kEchoPort);
+/// Installs a server application on one server host.
+using Install = std::function<void(apps::Host&)>;
+
+/// Installs nothing: the test drives the server hosts itself.
+inline void no_app(apps::Host&) {}
+
+/// Builds `tp`'s topology with a ReplicaGroup over P and S configured by
+/// `cfg` (its ports default to kEchoPort), or, with `replicate` false,
+/// none: the standard-TCP baseline. `install` runs once per server host,
+/// P then S (P alone without a group), before the group starts; by
+/// default it installs the fixture's echo servers on kEchoPort.
+inline std::unique_ptr<Replicated> make_replicated(apps::TopologyParams tp = {},
+                                                   core::FailoverConfig cfg = {},
+                                                   const Install& install = nullptr,
+                                                   bool replicate = true) {
+  auto r = std::make_unique<Replicated>();
+  r->topo = apps::make_topology(tp);
+  const Install echo = [&r](apps::Host& h) {
+    (r->echo_p ? r->echo_s : r->echo_p) =
+        std::make_unique<apps::EchoServer>(h.tcp(), kEchoPort);
+  };
+  const Install& app = install ? install : echo;
+  if (!replicate) {
+    app(r->primary());
+    return r;
   }
+  if (cfg.ports.empty()) cfg.ports = {kEchoPort};
+  r->group = std::make_unique<core::ReplicaGroup>(r->primary(), r->secondary(), cfg);
+  app(r->primary());
+  app(r->secondary());
   r->group->start();
   return r;
 }

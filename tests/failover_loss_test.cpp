@@ -12,7 +12,7 @@ namespace {
 
 using test::EchoDriver;
 using test::kEchoPort;
-using test::make_replicated_lan;
+using test::make_replicated;
 using test::run_until;
 
 /// Parsed view of a frame for loss targeting.
@@ -39,11 +39,11 @@ std::optional<FrameInfo> classify(const net::EthernetFrame& f) {
 
 /// Installs a rule dropping the first `count` TCP *data* frames matching
 /// (src, receiver-name) after `skip` matches.
-void drop_data_frames(test::ReplicatedLan& r, ip::Ipv4 from, const std::string& rx_nic,
+void drop_data_frames(test::Replicated& r, ip::Ipv4 from, const std::string& rx_nic,
                       int skip, int count) {
   auto dropped = std::make_shared<int>(0);
   auto seen = std::make_shared<int>(0);
-  r.lan->wire->set_loss_fn([=](const net::Nic&, const net::Nic& rx,
+  r.topo->wire->set_loss_fn([=](const net::Nic&, const net::Nic& rx,
                                const net::EthernetFrame& f) {
     if (rx.name() != rx_nic) return false;
     auto info = classify(f);
@@ -57,7 +57,7 @@ void drop_data_frames(test::ReplicatedLan& r, ip::Ipv4 from, const std::string& 
 
 // §4 case 1: "The primary server does not receive a client segment m."
 TEST(LossCases, PrimaryMissesClientSegment) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   drop_data_frames(*r, r->client().address(), "primary.eth0", 2, 3);
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 40000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(240)));
@@ -70,7 +70,7 @@ TEST(LossCases, PrimaryMissesClientSegment) {
 // §4 case 2: "The secondary server drops the client segment although the
 // primary server receives it."
 TEST(LossCases, SecondaryMissesClientSegment) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   drop_data_frames(*r, r->client().address(), "secondary.eth0", 2, 3);
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 40000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(240)));
@@ -82,10 +82,10 @@ TEST(LossCases, SecondaryMissesClientSegment) {
 // replicas miss it; the bridge ends up forwarding the retransmission of
 // the server segment twice — harmless duplicates for the client).
 TEST(LossCases, BothServersMissClientSegment) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   auto dropped = std::make_shared<int>(0);
   auto seen = std::make_shared<int>(0);
-  r->lan->wire->set_loss_fn([&, dropped, seen](const net::Nic&, const net::Nic& rx,
+  r->topo->wire->set_loss_fn([&, dropped, seen](const net::Nic&, const net::Nic& rx,
                                                const net::EthernetFrame& f) {
     if (rx.name() != "primary.eth0" && rx.name() != "secondary.eth0") return false;
     auto info = classify(f);
@@ -110,7 +110,7 @@ TEST(LossCases, BothServersMissClientSegment) {
 
 // §4 case 4: "The secondary server's segment is dropped by the primary."
 TEST(LossCases, PrimaryMissesSecondarysDivertedSegment) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   drop_data_frames(*r, r->secondary().address(), "primary.eth0", 2, 3);
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 40000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(240)));
@@ -121,7 +121,7 @@ TEST(LossCases, PrimaryMissesSecondarysDivertedSegment) {
 // client" (a merged segment vanishes; both replicas retransmit; the
 // client sees duplicate copies and discards one).
 TEST(LossCases, ClientMissesMergedSegment) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   drop_data_frames(*r, r->primary().address(), "client.eth0", 2, 3);
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 40000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(240)));
@@ -133,9 +133,9 @@ TEST(LossCases, ClientMissesMergedSegment) {
 
 // The lost-SYN variants of connection establishment (§7.1).
 TEST(LossCases, ClientSynLostAtPrimary) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   auto dropped = std::make_shared<bool>(false);
-  r->lan->wire->set_loss_fn([&, dropped](const net::Nic&, const net::Nic& rx,
+  r->topo->wire->set_loss_fn([&, dropped](const net::Nic&, const net::Nic& rx,
                                          const net::EthernetFrame& f) {
     if (*dropped || rx.name() != "primary.eth0") return false;
     auto info = classify(f);
@@ -152,9 +152,9 @@ TEST(LossCases, ClientSynLostAtPrimary) {
 }
 
 TEST(LossCases, ClientSynLostAtSecondary) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   auto dropped = std::make_shared<bool>(false);
-  r->lan->wire->set_loss_fn([&, dropped](const net::Nic&, const net::Nic& rx,
+  r->topo->wire->set_loss_fn([&, dropped](const net::Nic&, const net::Nic& rx,
                                          const net::EthernetFrame& f) {
     if (*dropped || rx.name() != "secondary.eth0") return false;
     auto info = classify(f);
@@ -170,9 +170,9 @@ TEST(LossCases, ClientSynLostAtSecondary) {
 }
 
 TEST(LossCases, MergedSynAckLost) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   auto dropped = std::make_shared<bool>(false);
-  r->lan->wire->set_loss_fn([&, dropped](const net::Nic&, const net::Nic& rx,
+  r->topo->wire->set_loss_fn([&, dropped](const net::Nic&, const net::Nic& rx,
                                          const net::EthernetFrame& f) {
     if (*dropped || rx.name() != "client.eth0") return false;
     auto info = classify(f);
@@ -199,7 +199,7 @@ class RandomLossSweep : public ::testing::TestWithParam<LossSweepParam> {};
 
 TEST_P(RandomLossSweep, StreamIntegrityUnderLoss) {
   const auto param = GetParam();
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.medium.impairment.loss = param.loss;
   lp.medium.impairment.seed = param.seed;
   // A diverted reply crosses the wire twice, so per-attempt delivery odds
@@ -211,7 +211,7 @@ TEST_P(RandomLossSweep, StreamIntegrityUnderLoss) {
   // alone does not trigger spurious failovers.
   cfg.heartbeat_period = milliseconds(5);
   cfg.failure_timeout = milliseconds(200);
-  auto r = make_replicated_lan(lp, cfg);
+  auto r = make_replicated(lp, cfg);
   const std::size_t total = 30000;
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, total, 1500);
   if (param.fail_primary) {

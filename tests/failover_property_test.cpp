@@ -11,7 +11,7 @@ namespace tfo::core {
 namespace {
 
 using test::kEchoPort;
-using test::make_replicated_lan;
+using test::make_replicated;
 using test::run_until;
 
 // ----------------------------------------------- crash-at-time property
@@ -30,7 +30,7 @@ class CrashTimeSweep : public ::testing::TestWithParam<CrashParam> {};
 
 TEST_P(CrashTimeSweep, ByteStreamIntact) {
   const CrashParam& p = GetParam();
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 80 * 1024, 4096);
   r->sim().run_for(p.at);
   if (p.crash_primary) {
@@ -64,13 +64,13 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------------- multiple hosts
 
 TEST(MultiClient, TwoClientHostsBothSurviveFailover) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   // A second, independent client machine on the same segment.
   apps::HostParams hp;
   hp.name = "client2";
   hp.addr = ip::Ipv4::parse("10.0.0.11");
   hp.seed = 77;
-  apps::Host client2(r->sim(), hp, *r->lan->wire);
+  apps::Host client2(r->sim(), hp, *r->topo->wire);
   client2.arp().add_static(r->primary().address(), r->primary().nic().mac());
   client2.arp().add_static(r->secondary().address(), r->secondary().nic().mac());
   r->primary().arp().add_static(hp.addr, client2.nic().mac());
@@ -93,10 +93,10 @@ TEST(MultiClient, TwoClientHostsBothSurviveFailover) {
 // -------------------------------------------------------- double failure
 
 TEST(DoubleFailure, BothReplicasDieConnectionTimesOutCleanly) {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.tcp.max_retries = 4;
   lp.tcp.max_rto = seconds(2);
-  auto r = make_replicated_lan(lp);
+  auto r = make_replicated(lp);
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 40000, 2000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 5000; }));
   r->group->crash_primary();
@@ -112,10 +112,10 @@ TEST(DoubleFailure, BothReplicasDieConnectionTimesOutCleanly) {
 }
 
 TEST(DoubleFailure, SecondaryThenPrimaryServesUntilSecondCrash) {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.tcp.max_retries = 4;
   lp.tcp.max_rto = seconds(2);
-  auto r = make_replicated_lan(lp);
+  auto r = make_replicated(lp);
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 60000, 2000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 10000; }));
   r->group->crash_secondary();
@@ -133,7 +133,7 @@ TEST(DoubleFailure, SecondaryThenPrimaryServesUntilSecondCrash) {
 // ---------------------------------------------- secondary bridge filters
 
 TEST(SecondaryFilter, NonFailoverSnoopedTrafficIsDiscarded) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   apps::EchoServer plain(r->primary().tcp(), 9999);  // not a failover port
   const auto dropped_before = r->group->secondary_bridge().snooped_dropped();
   auto conn = r->client().tcp().connect(r->primary().address(), 9999,
@@ -149,7 +149,7 @@ TEST(SecondaryFilter, NonFailoverSnoopedTrafficIsDiscarded) {
 }
 
 TEST(SecondaryFilter, SnoopedNonTcpDatagramsAreDiscarded) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   const auto dropped_before = r->group->secondary_bridge().snooped_dropped();
   // A heartbeat-protocol datagram from the client to the primary: TCP-less.
   r->client().ip().send(ip::Proto::kHeartbeat, ip::Ipv4::any(),
@@ -159,7 +159,7 @@ TEST(SecondaryFilter, SnoopedNonTcpDatagramsAreDiscarded) {
 }
 
 TEST(SecondaryFilter, TranslationCountsOnlyFailoverTraffic) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   apps::EchoServer plain(r->primary().tcp(), 9999);
   const auto translated_before = r->group->secondary_bridge().datagrams_translated();
 
@@ -184,7 +184,7 @@ TEST(SecondaryFilter, TranslationCountsOnlyFailoverTraffic) {
 }
 
 TEST(SecondaryFilter, AfterTakeoverSnoopFilterIsInert) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   r->group->crash_primary();
   ASSERT_TRUE(run_until(r->sim(), [&] {
     return r->group->secondary_bridge().taken_over();

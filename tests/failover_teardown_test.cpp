@@ -13,12 +13,12 @@ namespace tfo::core {
 namespace {
 
 using test::kEchoPort;
-using test::make_replicated_lan;
+using test::make_replicated;
 using test::run_until;
 
 /// Runs a complete echo session through close, so the bridge tombstones
 /// the connection. Returns the connection key (client view).
-tcp::ConnKey run_full_session(test::ReplicatedLan& r) {
+tcp::ConnKey run_full_session(test::Replicated& r) {
   test::EchoDriver d(r.client(), r.primary().address(), kEchoPort, 2000, 500);
   EXPECT_TRUE(run_until(r.sim(), [&] { return d.done(); }, seconds(60)));
   const tcp::ConnKey key{r.primary().address(), kEchoPort, r.client().address(),
@@ -32,14 +32,14 @@ tcp::ConnKey run_full_session(test::ReplicatedLan& r) {
 }
 
 TEST(Teardown, BridgeTombstonesAfterFullClose) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   run_full_session(*r);
   EXPECT_EQ(r->group->primary_bridge().connection_count(), 0u);
   EXPECT_GE(r->group->primary_bridge().tombstone_count(), 1u);
 }
 
 TEST(Teardown, TombstoneExpiresEventually) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   run_full_session(*r);
   ASSERT_GE(r->group->primary_bridge().tombstone_count(), 1u);
   // Tombstones live 4*MSL (2s at the default 500ms MSL).
@@ -51,7 +51,7 @@ TEST(Teardown, StrayClientFinIsAckedNotReset) {
   // §8: "When the primary server bridge receives a FIN sent by the client
   // C after it removed all internal data structures associated with the
   // connection, it creates an ACK and sends the ACK back to C."
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   const tcp::ConnKey key = run_full_session(*r);
 
   apps::FrameTracer at_client(r->sim(), r->client().nic());
@@ -85,7 +85,7 @@ TEST(Teardown, StrayClientFinIsAckedNotReset) {
 TEST(Teardown, StraySecondaryFinIsAckedBackToSecondary) {
   // §8, other direction: the secondary's TCP retransmits its FIN after
   // the bridge tore down; the bridge manufactures the client's ACK.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   const tcp::ConnKey key = run_full_session(*r);
 
   apps::FrameTracer at_secondary(r->sim(), r->secondary().nic());
@@ -115,7 +115,7 @@ TEST(Teardown, StrayFinReplySequenceComesFromSendersAck) {
   // in-window value is the stray FIN's own ACK field (the sender's
   // RCV.NXT) — a seq=0 fabrication would be silently discarded by a
   // conforming peer.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   const tcp::ConnKey key = run_full_session(*r);
 
   apps::FrameTracer at_client(r->sim(), r->client().nic());
@@ -142,7 +142,7 @@ TEST(Teardown, StrayClientFinWithoutAckIsSuppressed) {
   // A stray FIN with no ACK flag gives the bridge nothing to anchor an
   // in-window reply on: it must stay silent (no fabricated seq=0 ACK,
   // and certainly no RST) and count the suppression.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   const tcp::ConnKey key = run_full_session(*r);
 
   apps::FrameTracer at_client(r->sim(), r->client().nic());
@@ -169,7 +169,7 @@ TEST(Teardown, StrayClientFinWithoutAckIsSuppressed) {
 TEST(Teardown, StraySecondaryFinWithoutAckIsSuppressed) {
   // Same rule on the diverted path: the secondary's FIN retransmission
   // without an ACK field gets no manufactured reply.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   const tcp::ConnKey key = run_full_session(*r);
 
   apps::FrameTracer at_secondary(r->sim(), r->secondary().nic());
@@ -193,7 +193,7 @@ TEST(Teardown, StraySecondaryFinWithoutAckIsSuppressed) {
 }
 
 TEST(Teardown, CloseRacingPrimaryCrashStillCompletes) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 4000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(60)));
   // Close and crash at the same instant: the FIN handshake must finish
@@ -207,7 +207,7 @@ TEST(Teardown, CloseRacingPrimaryCrashStillCompletes) {
 }
 
 TEST(Teardown, CloseRacingSecondaryCrashStillCompletes) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 4000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(60)));
   d.connection().close();
@@ -219,7 +219,7 @@ TEST(Teardown, CloseRacingSecondaryCrashStillCompletes) {
 }
 
 TEST(Teardown, ManySequentialSessionsLeaveNoResidue) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   for (int i = 0; i < 10; ++i) {
     test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 1000, 500);
     ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(60))) << i;
@@ -245,7 +245,7 @@ TEST(Teardown, ManySequentialSessionsLeaveNoResidue) {
 // tombstone nor the secondary's snoop gate may drop it: the connection
 // establishes at once instead of after a 1 s SYN retransmission.
 TEST(Teardown, TupleReuseRecyclesTimeWaitOnBothReplicas) {
-  auto r = make_replicated_lan({}, {}, /*with_echo=*/false);
+  auto r = make_replicated({}, {}, test::no_app);
   std::vector<std::shared_ptr<tcp::Connection>> served;
   for (apps::Host* h : {&r->primary(), &r->secondary()}) {
     h->tcp().listen(kEchoPort, [&served](std::shared_ptr<tcp::Connection> c) {
@@ -311,9 +311,9 @@ std::uint64_t embryonic_reaped(apps::Host& host) {
 }
 
 TEST(ExpiryQueue, SynLostToBacklogOverflowIsReapedAfterFourMsl) {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.tcp.listen_backlog = 0;  // every SYN overflows, on both replicas
-  auto r = make_replicated_lan(lp);
+  auto r = make_replicated(lp);
   PrimaryBridge& bridge = r->group->primary_bridge();
   const SimDuration ttl = 4 * lp.tcp.msl;
 
@@ -332,7 +332,7 @@ TEST(ExpiryQueue, SynLostToBacklogOverflowIsReapedAfterFourMsl) {
 }
 
 TEST(ExpiryQueue, HandshakenConnectionIsNeverReaped) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 2000, 500);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(60)));
   // Idle well past the handshake deadline with the connection still open.
@@ -346,7 +346,7 @@ TEST(ExpiryQueue, HandshakenConnectionIsNeverReaped) {
 }
 
 TEST(ExpiryQueue, KeyTombstonedTwiceExpiresAtTheLaterDeadline) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   PrimaryBridge& bridge = r->group->primary_bridge();
   const SimTime ttl = static_cast<SimTime>(4 * r->primary().tcp().params().msl);
   const tcp::ConnKey key = run_full_session(*r);
@@ -373,25 +373,20 @@ TEST(ExpiryQueue, KeyTombstonedTwiceExpiresAtTheLaterDeadline) {
 }
 
 TEST(ExpiryQueue, RekeyedHandshakeWatchKeepsItsDeadline) {
-  apps::MobileParams mp;
-  mp.tcp.listen_backlog = 0;  // the handshake never completes
-  auto mob = apps::make_mobile(mp);
-  FailoverConfig cfg;
-  cfg.ports = {7};
-  ReplicaGroup group(*mob->primary, *mob->secondary, cfg);
-  apps::EchoServer echo_p(mob->primary->tcp(), 7);
-  apps::EchoServer echo_s(mob->secondary->tcp(), 7);
-  group.start();
-  PrimaryBridge& bridge = group.primary_bridge();
-  const SimTime ttl = static_cast<SimTime>(4 * mp.tcp.msl);
+  apps::TopologyParams tp{.seed = 14, .hops = 1};
+  tp.tcp.listen_backlog = 0;  // the handshake never completes
+  auto r = make_replicated(tp);
+  auto& mob = r->topo;
+  PrimaryBridge& bridge = r->group->primary_bridge();
+  const SimTime ttl = static_cast<SimTime>(4 * tp.tcp.msl);
 
   const tcp::ConnKey old_key =
-      inject_client_syn(*mob->client, mob->primary->address(), 7, 40000);
+      inject_client_syn(*mob->client, mob->primary->address(), kEchoPort, 40000);
   const SimTime created = run_until_tracked(mob->sim, bridge, old_key);
 
   // The client moves halfway through the watch.
   mob->sim.run_until(created + ttl / 2);
-  const ip::Ipv4 moved_to = ip::Ipv4::parse(apps::Mobile::kClientAddrB);
+  const ip::Ipv4 moved_to = ip::Ipv4::parse(apps::Topology::kClientAddrB);
   bridge.rekey_remote(old_key, moved_to);
   tcp::ConnKey new_key = old_key;
   new_key.remote_ip = moved_to;
@@ -435,7 +430,7 @@ class TaggedEchoServer {
 };
 
 TEST(Divergence, NonDeterministicRepliesAreDetectedAndReset) {
-  auto r = make_replicated_lan({}, {}, /*with_echo=*/false);
+  auto r = make_replicated({}, {}, test::no_app);
   TaggedEchoServer bad_p(r->primary().tcp(), kEchoPort, "P!");
   TaggedEchoServer bad_s(r->secondary().tcp(), kEchoPort, "S!");
 
@@ -457,7 +452,7 @@ TEST(Divergence, DifferentReplyLengthsDetectedAtFinMismatch) {
   // reply. Byte comparison alone cannot flag a pure length difference —
   // the divergent tail simply never matches — but the replicas' FIN
   // positions disagree, and that is detected.
-  auto r = make_replicated_lan({}, {}, /*with_echo=*/false);
+  auto r = make_replicated({}, {}, test::no_app);
   class OneShotServer {
    public:
     OneShotServer(tcp::TcpLayer& tcp, std::uint16_t port, std::string suffix)
@@ -496,7 +491,7 @@ TEST(Divergence, ResetCarriesInWindowSequence) {
   // number to be the client-facing SND.NXT — the client silently discards
   // out-of-window resets (the simulated client enforces this), so a
   // seq=0 RST would leave it hanging until its own timers give up.
-  auto r = make_replicated_lan({}, {}, /*with_echo=*/false);
+  auto r = make_replicated({}, {}, test::no_app);
   TaggedEchoServer bad_p(r->primary().tcp(), kEchoPort, "P!");
   TaggedEchoServer bad_s(r->secondary().tcp(), kEchoPort, "S!");
 
@@ -541,7 +536,7 @@ TEST(Divergence, ResetCarriesInWindowSequence) {
 }
 
 TEST(Divergence, DeterministicReplicasNeverTrigger) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   for (int i = 0; i < 3; ++i) {
     test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 30000, 1500);
     ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(120)));

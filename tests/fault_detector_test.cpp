@@ -12,7 +12,7 @@ namespace tfo::core {
 namespace {
 
 struct FdFixture : ::testing::Test {
-  std::unique_ptr<apps::Lan> lan = apps::make_lan();
+  std::unique_ptr<apps::Topology> lan = apps::make_topology();
   std::unique_ptr<HeartbeatMesh> on_p, on_s;
   /// Peer-failure callbacks of on_p and on_s; tests assign them.
   std::function<void()> p_failed, s_failed;
@@ -101,10 +101,10 @@ TEST_F(FdFixture, IgnoresHeartbeatsFromWrongPeer) {
 }
 
 TEST_F(FdFixture, SurvivesModerateHeartbeatLoss) {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.medium.impairment.loss = 0.2;
   lp.medium.impairment.seed = 42;
-  lan = apps::make_lan(lp);
+  lan = apps::make_topology(lp);
   // Timeout of 10 periods tolerates long loss runs.
   build(milliseconds(10), milliseconds(100));
   int fired = 0;

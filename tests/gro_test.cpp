@@ -263,8 +263,8 @@ TEST(Gro, MaxMergedCapsRunLength) {
 
 // ------------------------------------------------------------- property
 
-apps::LanParams batching_params(std::uint64_t seed, bool batching) {
-  apps::LanParams lp;
+apps::TopologyParams batching_params(std::uint64_t seed, bool batching) {
+  apps::TopologyParams lp;
   lp.seed = seed;
   lp.tcp.max_rto = seconds(5);
   if (batching) {
@@ -276,7 +276,7 @@ apps::LanParams batching_params(std::uint64_t seed, bool batching) {
 
 /// Runs a steady-state echo transfer and returns the received stream.
 Bytes run_steady(std::uint64_t seed, bool batching, std::uint64_t* coalesced) {
-  auto r = test::make_replicated_lan(batching_params(seed, batching));
+  auto r = test::make_replicated(batching_params(seed, batching));
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 120000, 8192);
   EXPECT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(300)));
   EXPECT_TRUE(d.verify());
@@ -302,7 +302,7 @@ TEST(GroProperty, FailoverRewritePathSurvivesCoalescing) {
   // segments flow through the same batch+GRO path and must still verify,
   // coalesce, and complete the stream intact.
   for (std::uint64_t seed : {21u, 22u}) {
-    auto r = test::make_replicated_lan(batching_params(seed, true));
+    auto r = test::make_replicated(batching_params(seed, true));
     test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 90000,
                        8192);
     ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 30000; },
@@ -319,7 +319,7 @@ TEST(GroProperty, BatchingDeliversFewerStackInvocations) {
   // The point of the exercise: one batch, one processing charge. The
   // batched run must hand the stack strictly fewer (bigger) frames.
   auto run = [](bool batching) {
-    auto r = test::make_replicated_lan(batching_params(31, batching));
+    auto r = test::make_replicated(batching_params(31, batching));
     test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 120000,
                        8192);
     EXPECT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(300)));

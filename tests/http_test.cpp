@@ -12,7 +12,7 @@ namespace {
 using test::run_until;
 
 struct HttpFixture : ::testing::Test {
-  std::unique_ptr<Lan> lan = make_lan();
+  std::unique_ptr<Topology> lan = make_topology();
   std::unique_ptr<HttpServer> server;
 
   void build() {
@@ -91,7 +91,7 @@ TEST_F(HttpFixture, SequentialRequestsUseFreshConnections) {
 TEST(HttpFailover, DownloadSurvivesPrimaryCrash) {
   core::FailoverConfig cfg;
   cfg.ports = {80};
-  auto r = test::make_replicated_lan({}, cfg, /*with_echo=*/false);
+  auto r = test::make_replicated({}, cfg, test::no_app);
   HttpServer web_p(r->primary().tcp(), 80);
   HttpServer web_s(r->secondary().tcp(), 80);
   const Bytes page = deterministic_payload(500 * 1024, 3);
@@ -120,7 +120,7 @@ TEST(HttpFailover, DownloadSurvivesPrimaryCrash) {
 TEST(HttpFailover, BothReplicasServeEveryRequest) {
   core::FailoverConfig cfg;
   cfg.ports = {80};
-  auto r = test::make_replicated_lan({}, cfg, /*with_echo=*/false);
+  auto r = test::make_replicated({}, cfg, test::no_app);
   HttpServer web_p(r->primary().tcp(), 80);
   HttpServer web_s(r->secondary().tcp(), 80);
   web_p.add_document("/", to_bytes("root"));

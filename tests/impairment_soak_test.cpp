@@ -25,7 +25,7 @@ using test::checksum_rejects;
 using test::EchoDriver;
 using test::impairment_profiles;
 using test::kEchoPort;
-using test::make_replicated_lan;
+using test::make_replicated;
 using test::processed_by;
 using test::RstCounter;
 using test::run_until;
@@ -54,7 +54,7 @@ class ImpairmentSoak : public ::testing::TestWithParam<SoakParam> {};
 
 TEST_P(ImpairmentSoak, StreamSurvivesImpairedWire) {
   const SoakParam param = GetParam();
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.medium.impairment = param.imp;
   lp.medium.impairment.seed = param.seed;
   // Diverted replies cross the wire twice; cap RTO backoff so recovery
@@ -64,8 +64,8 @@ TEST_P(ImpairmentSoak, StreamSurvivesImpairedWire) {
   core::FailoverConfig cfg;
   cfg.heartbeat_period = milliseconds(5);
   cfg.failure_timeout = milliseconds(200);
-  auto r = make_replicated_lan(lp, cfg);
-  auto& eng = r->lan->wire->impairment();
+  auto r = make_replicated(lp, cfg);
+  auto& eng = r->topo->wire->impairment();
   eng.set_target(processed_by);
   eng.bind_registry(r->client().metrics());
   RstCounter rsts(r->sim(), r->client().nic());
@@ -126,11 +126,11 @@ TEST(ImpairmentScenario, DuplicatedClientFinAfterTeardownIsAckedNotReset) {
   // with a one-second echo — long after the bridge removed the connection
   // (but inside the tombstone's 4*MSL lifetime). §8 requires the stray FIN
   // be ACKed from the tombstone, never RST.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 2000, 500);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(60)));
 
-  auto& eng = r->lan->wire->impairment();
+  auto& eng = r->topo->wire->impairment();
   net::ImpairmentParams imp;
   imp.duplicate = 1.0;
   imp.duplicate_delay = seconds(1);
@@ -166,8 +166,8 @@ TEST(ImpairmentScenario, ReorderedDivertedSegmentRacesRetransmission) {
   // milliseconds of extra jitter — so retransmitted server data races its
   // own late diverted counterpart at the merge point. §4's retransmission
   // recognition must keep the merged stream exact.
-  auto r = make_replicated_lan();
-  auto& eng = r->lan->wire->impairment();
+  auto r = make_replicated();
+  auto& eng = r->topo->wire->impairment();
   net::ImpairmentParams imp;
   imp.reorder = 1.0;
   imp.reorder_delay = milliseconds(4);
@@ -183,7 +183,7 @@ TEST(ImpairmentScenario, ReorderedDivertedSegmentRacesRetransmission) {
   auto dropped = std::make_shared<int>(0);
   auto seen = std::make_shared<int>(0);
   const ip::Ipv4 from = r->primary().address();
-  r->lan->wire->set_loss_fn([=](const net::Nic&, const net::Nic& rx,
+  r->topo->wire->set_loss_fn([=](const net::Nic&, const net::Nic& rx,
                                 const net::EthernetFrame& f) {
     if (rx.name() != "client.eth0" || f.type != net::EtherType::kIpv4) return false;
     auto dg = ip::IpDatagram::parse(f.payload);
@@ -221,12 +221,12 @@ TEST(ImpairmentScenario, CorruptedMergedSegmentDroppedByChecksumThenRecovered) {
   // (single-byte flips: always checksum-detectable). The client must drop
   // them at the IP/TCP receive path — never surface a damaged byte — and
   // the normal retransmission machinery must repair the stream.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   EchoDriver d(r->client(), r->primary().address(), kEchoPort, 20000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 5000; },
                         seconds(60)));
 
-  auto& eng = r->lan->wire->impairment();
+  auto& eng = r->topo->wire->impairment();
   net::ImpairmentParams imp;
   imp.corrupt = 1.0;
   imp.corrupt_max_bytes = 1;

@@ -38,10 +38,9 @@ class RstCounter {
 /// failing their pseudo-header checksum plus frames rejected by IP header
 /// validation (`datagrams_parse_failed` never counts routing drops, so the
 /// promiscuous secondary's snooping does not pollute it).
-inline std::uint64_t checksum_rejects(ReplicatedLan& r) {
+inline std::uint64_t checksum_rejects(Replicated& r) {
   std::uint64_t n = 0;
-  for (apps::Host* h : {r.lan->client.get(), r.lan->primary.get(),
-                        r.lan->secondary.get()}) {
+  for (apps::Host* h : {&r.client(), &r.primary(), &r.secondary()}) {
     n += h->obs().registry.counter_value("tcp.segments_malformed");
     n += h->ip().datagrams_parse_failed();
   }

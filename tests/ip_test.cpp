@@ -255,8 +255,7 @@ TEST_F(IpFixture, HookRemovalStopsInterception) {
 // ---------------------------------------------------------------- Router
 
 TEST(Router, ForwardsAcrossSegmentsWithTtlDecrement) {
-  apps::WanParams wp;
-  auto wan = apps::make_wan(wp);
+  auto wan = apps::make_topology({.seed = 12, .hops = 1});
   Bytes got;
   std::uint8_t got_ttl = 0;
   wan->primary->ip().register_protocol(
@@ -272,8 +271,7 @@ TEST(Router, ForwardsAcrossSegmentsWithTtlDecrement) {
 }
 
 TEST(Router, TtlExpiryDropsDatagram) {
-  apps::WanParams wp;
-  auto wan = apps::make_wan(wp);
+  auto wan = apps::make_topology({.seed = 12, .hops = 1});
   int got = 0;
   wan->primary->ip().register_protocol(
       Proto::kHeartbeat, [&](const IpDatagram&, const RxMeta&) { ++got; });

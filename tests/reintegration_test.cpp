@@ -11,16 +11,16 @@ namespace tfo::core {
 namespace {
 
 using test::kEchoPort;
-using test::make_replicated_lan;
+using test::make_replicated;
 using test::run_until;
 
 struct ReintegrationFixture : ::testing::Test {
-  std::unique_ptr<test::ReplicatedLan> r;
+  std::unique_ptr<test::Replicated> r;
   apps::Host* recruit = nullptr;
   std::unique_ptr<apps::EchoServer> echo_recruit;
 
   void build() {
-    r = make_replicated_lan();
+    r = make_replicated();
     recruit = &r->add_host("recruit", "10.0.0.30", 303);
     echo_recruit = std::make_unique<apps::EchoServer>(recruit->tcp(), kEchoPort);
   }
@@ -82,7 +82,7 @@ TEST_F(ReintegrationFixture, AfterPrimaryFailureSurvivorPairsWithRecruit) {
   EXPECT_TRUE(old_conn.verify());
 
   r->group->reintegrate_secondary(*recruit);
-  EXPECT_EQ(&r->group->current_server(), r->lan->secondary.get());
+  EXPECT_EQ(&r->group->current_server(), r->topo->secondary.get());
   r->sim().run_for(milliseconds(100));
 
   // The surviving old connection still flows, unreplicated.

@@ -14,7 +14,7 @@ using test::kEchoPort;
 using test::run_until;
 
 struct ChainFixture : ::testing::Test {
-  std::unique_ptr<apps::Lan> lan;
+  std::unique_ptr<apps::Topology> lan;
   std::vector<std::unique_ptr<apps::Host>> extra_hosts;
   std::vector<apps::Host*> servers;
   std::vector<std::unique_ptr<apps::EchoServer>> echoes;
@@ -22,8 +22,8 @@ struct ChainFixture : ::testing::Test {
 
   /// Builds a chain of `n` replicas: H0 = lan->primary (service address),
   /// H1 = lan->secondary, H2+ are extra hosts on the same wire.
-  void build(std::size_t n, apps::LanParams lp = {}) {
-    lan = apps::make_lan(lp);
+  void build(std::size_t n, apps::TopologyParams lp = {}) {
+    lan = apps::make_topology(lp);
     servers = {lan->primary.get(), lan->secondary.get()};
     for (std::size_t i = 2; i < n; ++i) {
       apps::HostParams hp;
@@ -208,7 +208,7 @@ TEST_F(ChainFixture, NewConnectionsServedAfterHeadPromotion) {
 // must carry its handshake watch along: a SYN that never completes is
 // reaped 4*MSL after it arrived, under its new key.
 TEST_F(ChainFixture, PromotionCarriesHandshakeWatch) {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.tcp.listen_backlog = 0;  // every SYN overflows: no handshake completes
   build(3, lp);
   const SimTime ttl = static_cast<SimTime>(4 * lp.tcp.msl);
@@ -299,7 +299,7 @@ TEST_F(ChainAppendFixture, HeadCrashAfterAppendKeepsNewStreamAndRecruit) {
 }
 
 TEST_F(ChainFixture, ChainWithLossStillExact) {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.medium.impairment.loss = 0.03;
   lp.medium.impairment.seed = 99;
   lp.tcp.max_rto = seconds(5);

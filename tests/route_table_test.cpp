@@ -85,7 +85,7 @@ TEST(RoutingTable, RemoveAndFind) {
 // --------------------------------------------- forwarding-path ICMP errors
 
 TEST(RouterIcmp, TtlExpiryAnswersWithTimeExceeded) {
-  auto wan = apps::make_wan({});
+  auto wan = apps::make_topology({.seed = 12, .hops = 1});
   std::optional<IcmpMessage> err;
   // Replaces the TCP layer's ICMP handler on the client — fine here, the
   // test owns the host.
@@ -106,12 +106,12 @@ TEST(RouterIcmp, TtlExpiryAnswersWithTimeExceeded) {
   EXPECT_EQ(err->code, kIcmpTtlExpired);
   EXPECT_EQ(err->quoted_src, wan->client->address());
   EXPECT_EQ(err->quoted_dst, wan->primary->address());
-  EXPECT_EQ(wan->router->ip().ttl_expired(), 1u);
-  EXPECT_EQ(wan->router->obs().registry.counter_value("router.ttl_expired"), 1u);
+  EXPECT_EQ(wan->edge().ip().ttl_expired(), 1u);
+  EXPECT_EQ(wan->edge().obs().registry.counter_value("router.ttl_expired"), 1u);
 }
 
 TEST(RouterIcmp, NoIcmpAboutIcmp) {
-  auto wan = apps::make_wan({});
+  auto wan = apps::make_topology({.seed = 12, .hops = 1});
   int icmp_at_client = 0;
   wan->client->ip().register_protocol(
       Proto::kIcmp, [&](const IpDatagram&, const RxMeta&) { ++icmp_at_client; });
@@ -123,13 +123,13 @@ TEST(RouterIcmp, NoIcmpAboutIcmp) {
   d.payload = IcmpMessage{}.serialize();
   wan->client->ip().send_datagram(std::move(d));
   wan->sim.run();
-  EXPECT_EQ(wan->router->ip().ttl_expired(), 1u);
+  EXPECT_EQ(wan->edge().ip().ttl_expired(), 1u);
   EXPECT_EQ(icmp_at_client, 0);  // dropped silently, no error storm
 }
 
 TEST(RouterIcmp, OversizedDatagramAnswersWithFragNeeded) {
-  auto wan = apps::make_wan({});
-  wan->router->ip().interface(1).mtu = 600;  // WAN egress toward the client
+  auto wan = apps::make_topology({.seed = 12, .hops = 1});
+  wan->edge().ip().interface(1).mtu = 600;  // WAN egress toward the client
   std::optional<IcmpMessage> err;
   wan->primary->ip().register_protocol(
       Proto::kIcmp, [&](const IpDatagram& d, const RxMeta&) {
@@ -147,8 +147,8 @@ TEST(RouterIcmp, OversizedDatagramAnswersWithFragNeeded) {
   EXPECT_EQ(err->code, kIcmpFragNeeded);
   EXPECT_EQ(err->mtu, 600);
   EXPECT_EQ(err->quoted_dst, wan->client->address());
-  EXPECT_EQ(wan->router->ip().frag_needed_sent(), 1u);
-  EXPECT_EQ(wan->router->obs().registry.counter_value("router.frag_needed_sent"),
+  EXPECT_EQ(wan->edge().ip().frag_needed_sent(), 1u);
+  EXPECT_EQ(wan->edge().obs().registry.counter_value("router.frag_needed_sent"),
             1u);
 }
 
@@ -157,8 +157,8 @@ TEST(RouterIcmp, OversizedDatagramAnswersWithFragNeeded) {
 // (quoted segment is in flight, so validation accepts it) and the transfer
 // then completes through the narrow link.
 TEST(RouterIcmp, FragNeededDrivesPmtudClamp) {
-  auto wan = apps::make_wan({});
-  wan->router->ip().interface(1).mtu = 600;
+  auto wan = apps::make_topology({.seed = 12, .hops = 1});
+  wan->edge().ip().interface(1).mtu = 600;
 
   std::shared_ptr<tcp::Connection> server;
   wan->primary->tcp().listen(
@@ -177,7 +177,7 @@ TEST(RouterIcmp, FragNeededDrivesPmtudClamp) {
                       seconds(600)));
   EXPECT_EQ(got, blob);
   EXPECT_EQ(server->effective_mss(), 600u - 40u);
-  EXPECT_GT(wan->router->ip().frag_needed_sent(), 0u);
+  EXPECT_GT(wan->edge().ip().frag_needed_sent(), 0u);
 }
 
 // ------------------------------------------------ route-advert protocol
@@ -216,7 +216,7 @@ TEST(RouteAdvert, WireRoundTripAndRejection) {
 // single router, and the router acks the originator: the §5 takeover
 // redirect without any bridge machinery involved.
 TEST(RouteAdvert, RouterInstallsHostRouteAndAcks) {
-  auto wan = apps::make_wan({});
+  auto wan = apps::make_topology({.seed = 12, .hops = 1});
   const Ipv4 a_p = wan->primary->address();
   const Ipv4 a_s = wan->secondary->address();
 
@@ -239,11 +239,11 @@ TEST(RouteAdvert, RouterInstallsHostRouteAndAcks) {
   m.origin = a_s;
   m.seq = 1;
   wan->secondary->ip().send(Proto::kRouteAdvert, Ipv4::any(),
-                            Ipv4::parse(apps::Wan::kRouterLanAddr),
+                            Ipv4::parse(apps::Topology::kRouterLanAddr),
                             m.serialize());
   wan->sim.run();
 
-  const RouteEntry* e = wan->router->ip().routes().find(a_p, 32);
+  const RouteEntry* e = wan->edge().ip().routes().find(a_p, 32);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->next_hop, a_s);
   EXPECT_EQ(e->metric, 1);  // advertised 0, one hop added on install
@@ -252,9 +252,9 @@ TEST(RouteAdvert, RouterInstallsHostRouteAndAcks) {
   EXPECT_EQ(ack->kind, RouteAdvertMessage::kAck);
   EXPECT_EQ(ack->seq, 1u);
   EXPECT_EQ(
-      wan->router->obs().registry.counter_value("route.adverts_received"), 1u);
+      wan->edge().obs().registry.counter_value("route.adverts_received"), 1u);
   EXPECT_EQ(
-      wan->router->obs().registry.counter_value("route.updates_applied"), 1u);
+      wan->edge().obs().registry.counter_value("route.updates_applied"), 1u);
 
   // Client traffic to a_p now lands on the secondary.
   wan->client->ip().send(Proto::kHeartbeat, Ipv4::any(), a_p, to_bytes("hi"));
@@ -262,12 +262,16 @@ TEST(RouteAdvert, RouterInstallsHostRouteAndAcks) {
   EXPECT_EQ(delivered_at_secondary, 1);
 }
 
-// --------------------------------------------------- Wan2 router chain
+// ------------------------------------------------- a line of routers
 
-TEST(Wan2, StaticRoutesCarryTrafficAcrossTheChain) {
-  apps::Wan2Params wp;
-  wp.hops = 3;
-  auto wan = apps::make_wan2(wp);
+TEST(RouterLine, NegativeHopCountIsRejected) {
+  EXPECT_THROW(apps::make_topology({.hops = -1}), std::invalid_argument);
+  EXPECT_THROW(apps::make_topology({.separate_secondary_lan = true}),
+               std::invalid_argument);
+}
+
+TEST(RouterLine, StaticRoutesCarryTrafficAcrossTheChain) {
+  auto wan = apps::make_topology({.seed = 13, .hops = 3});
   Bytes got;
   std::uint8_t got_ttl = 0;
   wan->primary->ip().register_protocol(
@@ -290,10 +294,8 @@ TEST(Wan2, StaticRoutesCarryTrafficAcrossTheChain) {
   EXPECT_EQ(back, 1);
 }
 
-TEST(Wan2, AdvertPropagatesDownTheChainWithSplitHorizon) {
-  apps::Wan2Params wp;
-  wp.hops = 2;
-  auto wan = apps::make_wan2(wp);
+TEST(RouterLine, AdvertPropagatesDownTheChainWithSplitHorizon) {
+  auto wan = apps::make_topology({.seed = 13, .hops = 2});
   const Ipv4 a_p = wan->primary->address();
   const Ipv4 a_s = wan->secondary->address();
   wan->secondary->ip().add_alias(a_p);
@@ -312,11 +314,11 @@ TEST(Wan2, AdvertPropagatesDownTheChainWithSplitHorizon) {
   m.origin = a_s;
   m.seq = 5;
   wan->secondary->ip().send(Proto::kRouteAdvert, Ipv4::any(),
-                            Ipv4::parse(apps::Wan2::kRouterLanAddr),
+                            Ipv4::parse(apps::Topology::kRouterLanAddr),
                             m.serialize());
   wan->sim.run();
 
-  auto& edge = *wan->routers[0];
+  auto& edge = wan->edge();
   auto& upstream = *wan->routers[1];
   // Edge router: installed via the secondary, re-advertised upstream.
   const RouteEntry* e0 = edge.ip().routes().find(a_p, 32);
@@ -339,7 +341,7 @@ TEST(Wan2, AdvertPropagatesDownTheChainWithSplitHorizon) {
   // A replayed (identical) advert changes nothing and does not propagate.
   m.seq = 6;
   wan->secondary->ip().send(Proto::kRouteAdvert, Ipv4::any(),
-                            Ipv4::parse(apps::Wan2::kRouterLanAddr),
+                            Ipv4::parse(apps::Topology::kRouterLanAddr),
                             m.serialize());
   wan->sim.run();
   EXPECT_EQ(edge.obs().registry.counter_value("route.adverts_propagated"), 1u);

@@ -10,7 +10,7 @@ namespace tfo::core {
 namespace {
 
 using test::kEchoPort;
-using test::make_replicated_lan;
+using test::make_replicated;
 using test::run_until;
 
 struct WrapParam {
@@ -25,7 +25,7 @@ class SeqWrapSweep : public ::testing::TestWithParam<WrapParam> {};
 
 TEST_P(SeqWrapSweep, TransferCrossesTheWrapIntact) {
   const WrapParam& p = GetParam();
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   r->client().tcp().set_next_isn(p.isn_client);
   r->primary().tcp().set_next_isn(p.isn_primary);
   r->secondary().tcp().set_next_isn(p.isn_secondary);
@@ -61,7 +61,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SeqWrap, DeltaSeqZeroWorks) {
   // Identical ISNs make Δseq == 0 — the degenerate case where translation
   // is the identity; nothing may assume Δseq != 0.
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   r->primary().tcp().set_next_isn(42);
   r->secondary().tcp().set_next_isn(42);
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 20000, 2000);
@@ -70,7 +70,7 @@ TEST(SeqWrap, DeltaSeqZeroWorks) {
 }
 
 TEST(SeqWrap, CloseHandshakeAcrossWrap) {
-  auto r = make_replicated_lan();
+  auto r = make_replicated();
   r->secondary().tcp().set_next_isn(0xffffffe0u);  // FIN lands past the wrap
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 1000, 500);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(60)));

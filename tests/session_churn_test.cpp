@@ -31,7 +31,7 @@ namespace {
 using test::run_until;
 
 struct ChurnFixture : ::testing::Test {
-  std::unique_ptr<Lan> lan = make_lan();
+  std::unique_ptr<Topology> lan = make_topology();
   sim::Simulator& sim() { return lan->sim; }
 };
 
@@ -110,7 +110,7 @@ TEST_F(ChurnFixture, ConnectionIdsAreNeverReused) {
 // through its promiscuous tap — takes over, finishes the handshake via
 // SYN-ACK retransmission, and serves the connection's first request.
 TEST(SessionChurnFailover, HandshakeStartedOnPrimaryServedBySecondary) {
-  auto r = test::make_replicated_lan({}, {.ports = {8080}}, /*with_echo=*/false);
+  auto r = test::make_replicated({}, {.ports = {8080}}, test::no_app);
   HttpServer web_p(r->primary().tcp(), 8080);
   HttpServer web_s(r->secondary().tcp(), 8080);
   for (HttpServer* w : {&web_p, &web_s}) {
@@ -153,7 +153,7 @@ TEST(SessionChurnFailover, HandshakeStartedOnPrimaryServedBySecondary) {
 // connection and tombstone tables are back to empty, every tombstone that
 // was created has expired, and they expired in the order they were made.
 TEST(SessionChurnFailover, BridgeTablesDrainAfterChurn) {
-  auto r = test::make_replicated_lan({}, {.ports = {8080}}, /*with_echo=*/false);
+  auto r = test::make_replicated({}, {.ports = {8080}}, test::no_app);
   HttpServer web_p(r->primary().tcp(), 8080);
   HttpServer web_s(r->secondary().tcp(), 8080);
   for (HttpServer* w : {&web_p, &web_s}) {
@@ -207,7 +207,7 @@ struct ChurnRun {
 };
 
 ChurnRun run_churn(bool attacked, std::uint64_t seed) {
-  auto lan = make_lan();
+  auto lan = make_topology();
   HttpServer web(lan->primary->tcp(), 8080);
   web.add_document("/", to_bytes("<html>churn-under-fire</html>"));
 

@@ -34,7 +34,7 @@ struct ClientConn {
 
 /// Opens an echo connection, completes one round trip and lets the
 /// connection go idle.
-std::unique_ptr<ClientConn> warm_echo(test::ReplicatedLan& r) {
+std::unique_ptr<ClientConn> warm_echo(test::Replicated& r) {
   auto c = std::make_unique<ClientConn>(r.client(), r.primary().address(), kEchoPort);
   EXPECT_TRUE(run_until(r.sim(), [&] { return c->established(); }));
   c->conn->send(to_bytes("warm"));
@@ -43,13 +43,13 @@ std::unique_ptr<ClientConn> warm_echo(test::ReplicatedLan& r) {
   return c;
 }
 
-SimDuration detection(test::ReplicatedLan& r, SimTime crash_at) {
+SimDuration detection(test::Replicated& r, SimTime crash_at) {
   return static_cast<SimDuration>(r.group->secondary_bridge().takeover_time() - crash_at);
 }
 
 /// Crashes the primary, sends a probe at the crash instant and returns the
 /// time until its echo reached the client.
-SimDuration probe_echo_after_crash(test::ReplicatedLan& r, ClientConn& c) {
+SimDuration probe_echo_after_crash(test::Replicated& r, ClientConn& c) {
   const SimTime crash_at = r.sim().now();
   r.group->crash_primary();
   c.conn->send(to_bytes("probe"));
@@ -59,7 +59,7 @@ SimDuration probe_echo_after_crash(test::ReplicatedLan& r, ClientConn& c) {
 }
 
 TEST(TakeoverKick, BlackoutProbeEchoedWithinDetection) {
-  auto r = test::make_replicated_lan();
+  auto r = test::make_replicated();
   auto c = warm_echo(*r);
   const SimTime crash_at = r->sim().now();
   const SimDuration echoed = probe_echo_after_crash(*r, *c);
@@ -73,7 +73,7 @@ TEST(TakeoverKick, BlackoutSynEstablishesAtTakeover) {
   // The client's SYN reaches the secondary by snooping; its SYN|ACK goes
   // to the dead primary. The kick resends the SYN|ACK at takeover instead
   // of leaving the handshake to an initial_rto retransmission.
-  auto r = test::make_replicated_lan();
+  auto r = test::make_replicated();
   r->sim().run_for(milliseconds(100));
   const SimTime crash_at = r->sim().now();
   r->group->crash_primary();
@@ -96,7 +96,7 @@ TEST(TakeoverKick, NothingOutstandingSendsPureAck) {
   constexpr std::uint16_t kPort = 7200;
   FailoverConfig cfg;
   cfg.ports = {kPort};
-  auto r = test::make_replicated_lan({}, cfg, /*with_echo=*/false);
+  auto r = test::make_replicated({}, cfg, test::no_app);
   apps::SinkServer sp(r->primary().tcp(), kPort);
   apps::SinkServer ss(r->secondary().tcp(), kPort);
   ClientConn c(r->client(), r->primary().address(), kPort);
@@ -139,7 +139,7 @@ TEST(TakeoverKick, FinLostInFinWait1IsResent) {
   constexpr std::uint16_t kPort = 7100;
   FailoverConfig cfg;
   cfg.ports = {kPort};
-  auto r = test::make_replicated_lan({}, cfg, /*with_echo=*/false);
+  auto r = test::make_replicated({}, cfg, test::no_app);
   CloseOnDataServer sp(r->primary().tcp(), kPort);
   CloseOnDataServer ss(r->secondary().tcp(), kPort);
   ClientConn c(r->client(), r->primary().address(), kPort);
@@ -164,7 +164,7 @@ TEST(TakeoverKick, FinLostInFinWait1IsResent) {
 TEST(TakeoverKick, FinLostInLastAckIsResent) {
   // The client closes at the crash instant; the secondary's echo server
   // closes in turn, and its FIN goes to the dead primary from LAST_ACK.
-  auto r = test::make_replicated_lan();
+  auto r = test::make_replicated();
   auto c = warm_echo(*r);
   const SimTime crash_at = r->sim().now();
   r->group->crash_primary();
@@ -188,7 +188,7 @@ TEST(TakeoverKick, ResendStartsFromRestartWindow) {
   constexpr std::size_t kBytes = 400'000;
   FailoverConfig cfg;
   cfg.ports = {kPort};
-  auto r = test::make_replicated_lan({}, cfg, /*with_echo=*/false);
+  auto r = test::make_replicated({}, cfg, test::no_app);
   apps::BlastServer bp(r->primary().tcp(), kPort);
   apps::BlastServer bs(r->secondary().tcp(), kPort);
   ClientConn c(r->client(), r->primary().address(), kPort);
@@ -220,7 +220,7 @@ TEST(TakeoverKick, KickLeavesSrttUnchanged) {
   // The probe's echo is first sent (and timed) during the blackout and
   // lost with the primary; the kick resends it. Karn: the client's ACK of
   // the resend must not yield an RTT sample — it would be ~detection long.
-  auto r = test::make_replicated_lan();
+  auto r = test::make_replicated();
   auto c = warm_echo(*r);
   const tcp::ConnKey key{r->primary().address(), kEchoPort, r->client().address(),
                          c->conn->key().local_port};
@@ -240,7 +240,7 @@ TEST(TakeoverKick, KickLeavesSrttUnchanged) {
 }
 
 TEST(TakeoverKick, ChainHeadCrashResumesThroughKick) {
-  auto lan = apps::make_lan({});
+  auto lan = apps::make_topology({});
   apps::HostParams hp;
   hp.name = "backup2";
   hp.addr = ip::Ipv4::parse("10.0.0.22");

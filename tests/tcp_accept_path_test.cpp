@@ -14,16 +14,16 @@
 namespace tfo::tcp {
 namespace {
 
-using apps::Lan;
-using apps::LanParams;
-using apps::make_lan;
+using apps::Topology;
+using apps::TopologyParams;
+using apps::make_topology;
 using test::run_until;
 
 struct AcceptPathFixture : ::testing::Test {
-  std::unique_ptr<Lan> lan;
+  std::unique_ptr<Topology> lan;
   std::vector<std::shared_ptr<Connection>> accepted;
 
-  void build(LanParams p = {}) { lan = make_lan(p); }
+  void build(TopologyParams p = {}) { lan = make_topology(p); }
 
   void listen(std::uint16_t port = 80, SocketOptions opts = {}) {
     lan->primary->tcp().listen(

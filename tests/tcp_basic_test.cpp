@@ -10,16 +10,16 @@
 namespace tfo::tcp {
 namespace {
 
-using apps::Lan;
-using apps::LanParams;
-using apps::make_lan;
+using apps::Topology;
+using apps::TopologyParams;
+using apps::make_topology;
 
 struct TcpFixture : ::testing::Test {
-  std::unique_ptr<Lan> lan;
+  std::unique_ptr<Topology> lan;
   std::shared_ptr<Connection> server;  // accepted connection on primary
   std::shared_ptr<Connection> client;
 
-  void build(LanParams p = {}) { lan = make_lan(p); }
+  void build(TopologyParams p = {}) { lan = make_topology(p); }
 
   /// Starts an echo-less listener capturing the accepted connection.
   void listen(std::uint16_t port = 80, SocketOptions opts = {}) {
@@ -79,7 +79,7 @@ TEST_F(TcpFixture, SmallDataRoundTrip) {
 }
 
 TEST_F(TcpFixture, MssNegotiationTakesMinimum) {
-  LanParams p;
+  TopologyParams p;
   p.tcp.mss = 1460;
   build(p);
   // Client advertises a smaller MSS.
@@ -286,7 +286,7 @@ TEST_F(TcpFixture, BidirectionalSimultaneousTransfer) {
 }
 
 TEST_F(TcpFixture, ZeroWindowRecoveryViaPersist) {
-  LanParams p;
+  TopologyParams p;
   p.tcp.recv_buf = 4096;  // tiny receiver
   build(p);
   listen();

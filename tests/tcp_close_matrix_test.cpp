@@ -12,9 +12,9 @@
 namespace tfo::tcp {
 namespace {
 
-using apps::Lan;
-using apps::LanParams;
-using apps::make_lan;
+using apps::Topology;
+using apps::TopologyParams;
+using apps::make_topology;
 using test::run_until;
 
 // gtest prints a parameter without a PrintTo overload as a byte dump, and
@@ -35,11 +35,11 @@ class CloseMatrix : public ::testing::TestWithParam<CloseParam> {};
 
 TEST_P(CloseMatrix, BothSidesReachClosedWithAllData) {
   const CloseParam& p = GetParam();
-  LanParams lp;
+  TopologyParams lp;
   lp.medium.impairment.loss = p.loss;
   lp.medium.impairment.seed = 77;
   lp.tcp.max_rto = seconds(2);
-  auto lan = make_lan(lp);
+  auto lan = make_topology(lp);
 
   std::shared_ptr<Connection> server;
   lan->primary->tcp().listen(80, [&](std::shared_ptr<Connection> c) {
@@ -132,7 +132,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Abort (RST) interactions with pending data: the peer learns promptly
 // and pending writes are dropped, never half-delivered as corruption.
 TEST(CloseEdge, AbortDuringTransferResetsPeer) {
-  auto lan = make_lan();
+  auto lan = make_topology();
   std::shared_ptr<Connection> server;
   lan->primary->tcp().listen(80, [&](std::shared_ptr<Connection> c) {
     server = std::move(c);
@@ -160,7 +160,7 @@ TEST(CloseEdge, AbortDuringTransferResetsPeer) {
 }
 
 TEST(CloseEdge, CloseListenerStopsNewConnectionsOnly) {
-  auto lan = make_lan();
+  auto lan = make_topology();
   std::shared_ptr<Connection> server;
   lan->primary->tcp().listen(80, [&](std::shared_ptr<Connection> c) {
     server = std::move(c);

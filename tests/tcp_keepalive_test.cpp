@@ -8,19 +8,19 @@
 namespace tfo::tcp {
 namespace {
 
-using apps::LanParams;
+using apps::TopologyParams;
 using test::run_until;
 
 struct KeepaliveFixture : ::testing::Test {
-  std::unique_ptr<apps::Lan> lan;
+  std::unique_ptr<apps::Topology> lan;
   std::shared_ptr<Connection> server, client;
 
   void build(SimDuration idle, SimDuration interval = seconds(1), int probes = 3) {
-    LanParams lp;
+    TopologyParams lp;
     lp.tcp.keepalive_idle = idle;
     lp.tcp.keepalive_interval = interval;
     lp.tcp.keepalive_probes = probes;
-    lan = apps::make_lan(lp);
+    lan = apps::make_topology(lp);
     lan->primary->tcp().listen(80, [this](std::shared_ptr<Connection> c) {
       server = std::move(c);
     });
@@ -82,11 +82,11 @@ TEST(KeepaliveFailover, IdleSessionSurvivesFailoverThanksToKeepalive) {
   // An idle client with keepalive enabled: the probes traverse the bridge
   // (and after the crash, the takeover), so the session stays verified
   // alive across the failover with zero application traffic.
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.tcp.keepalive_idle = seconds(1);
   lp.tcp.keepalive_interval = seconds(1);
   lp.tcp.keepalive_probes = 5;
-  auto r = test::make_replicated_lan(lp);
+  auto r = test::make_replicated(lp);
   test::EchoDriver d(r->client(), r->primary().address(), test::kEchoPort, 1000, 500);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(60)));
 

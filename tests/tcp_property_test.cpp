@@ -12,9 +12,9 @@
 namespace tfo::tcp {
 namespace {
 
-using apps::Lan;
-using apps::LanParams;
-using apps::make_lan;
+using apps::Topology;
+using apps::TopologyParams;
+using apps::make_topology;
 using test::run_until;
 
 // gtest prints a parameter without a PrintTo overload as a byte dump, and
@@ -46,7 +46,7 @@ class TcpSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(TcpSweep, StreamIntegrity) {
   const SweepParam& p = GetParam();
-  LanParams lp;
+  TopologyParams lp;
   lp.medium.impairment.loss = p.loss;
   lp.medium.impairment.seed = p.seed;
   lp.tcp.send_buf = p.send_buf;
@@ -55,7 +55,7 @@ TEST_P(TcpSweep, StreamIntegrity) {
   lp.tcp.congestion_control = p.congestion_control;
   lp.tcp.delayed_ack = p.delack;
   lp.tcp.max_rto = seconds(5);
-  auto lan = make_lan(lp);
+  auto lan = make_topology(lp);
   lan->client->tcp().mutable_params().mss = p.mss_client;
   lan->primary->tcp().mutable_params().mss = p.mss_server;
 
@@ -127,7 +127,7 @@ class WritePatternSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WritePatternSweep, ChunkedWritesCoalesceCorrectly) {
   const int chunk = GetParam();
-  auto lan = make_lan();
+  auto lan = make_topology();
   std::shared_ptr<Connection> server;
   lan->primary->tcp().listen(80, [&](std::shared_ptr<Connection> c) {
     server = std::move(c);
@@ -161,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(Chunks, WritePatternSweep,
 
 struct Rfc5961Fixture : ::testing::Test {
   void SetUp() override {
-    lan = make_lan();
+    lan = make_topology();
     lan->primary->tcp().listen(80, [&](std::shared_ptr<Connection> c) {
       server = std::move(c);
     });
@@ -195,7 +195,7 @@ struct Rfc5961Fixture : ::testing::Test {
     return lan->primary->obs().registry.counter_value("tcp.challenge_acks_limited");
   }
 
-  std::unique_ptr<Lan> lan;
+  std::unique_ptr<Topology> lan;
   std::shared_ptr<Connection> server, client;
 };
 

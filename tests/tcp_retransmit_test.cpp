@@ -12,17 +12,17 @@
 namespace tfo::tcp {
 namespace {
 
-using apps::Lan;
-using apps::LanParams;
-using apps::make_lan;
+using apps::Topology;
+using apps::TopologyParams;
+using apps::make_topology;
 using test::run_until;
 
 struct RetxFixture : ::testing::Test {
-  std::unique_ptr<Lan> lan;
+  std::unique_ptr<Topology> lan;
   std::shared_ptr<Connection> server, client;
 
-  void build(LanParams p = {}) {
-    lan = make_lan(p);
+  void build(TopologyParams p = {}) {
+    lan = make_topology(p);
     lan->primary->tcp().listen(80, [this](std::shared_ptr<Connection> c) {
       server = std::move(c);
     });
@@ -102,7 +102,7 @@ TEST_F(RetxFixture, RetransmissionSpacingBacksOffExponentially) {
 }
 
 TEST_F(RetxFixture, BackoffCollapsesAfterRecovery) {
-  LanParams p;
+  TopologyParams p;
   build(p);
   drop_next_data(lan->client->address(), "primary.eth0", 4);  // several timeouts
   Bytes got;
@@ -153,7 +153,7 @@ TEST_F(RetxFixture, FastRetransmitOnTripleDupack) {
 }
 
 TEST_F(RetxFixture, GoBackNRefillsWholeGapQuickly) {
-  LanParams p;
+  TopologyParams p;
   p.tcp.congestion_control = false;  // whole 64KB window in flight at once
   build(p);
   // Drop a 20-segment hole out of the initial flight: frames 5..24 of the
@@ -187,7 +187,7 @@ TEST_F(RetxFixture, GoBackNRefillsWholeGapQuickly) {
 }
 
 TEST_F(RetxFixture, SynLossDelaysButCompletesConnect) {
-  auto lan2 = make_lan();
+  auto lan2 = make_topology();
   auto first = std::make_shared<bool>(true);
   lan2->wire->set_loss_fn([=](const net::Nic&, const net::Nic& rx,
                               const net::EthernetFrame& f) {
@@ -207,7 +207,7 @@ TEST_F(RetxFixture, SynLossDelaysButCompletesConnect) {
 }
 
 TEST_F(RetxFixture, RetransmissionLimitAbortsConnection) {
-  LanParams p;
+  TopologyParams p;
   p.tcp.max_retries = 3;
   p.tcp.min_rto = milliseconds(50);
   p.tcp.initial_rto = milliseconds(100);
@@ -254,7 +254,7 @@ TEST_F(RetxFixture, SrttConvergesToPathRtt) {
 }
 
 TEST_F(RetxFixture, PersistProbesAreSpacedAndBounded) {
-  LanParams p;
+  TopologyParams p;
   p.tcp.recv_buf = 2048;
   build(p);
   // Fill the receiver without draining: window goes to zero.

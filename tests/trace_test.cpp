@@ -12,7 +12,7 @@ namespace {
 using test::run_until;
 
 TEST(FrameTracer, DecodesTcpSegments) {
-  auto lan = make_lan();
+  auto lan = make_topology();
   FrameTracer at_primary(lan->sim, lan->primary->nic());
   EchoServer echo(lan->primary->tcp(), 80);
   auto conn = lan->client->tcp().connect(lan->primary->address(), 80, {.nodelay = true});
@@ -33,9 +33,9 @@ TEST(FrameTracer, DecodesTcpSegments) {
 }
 
 TEST(FrameTracer, SeesArpTraffic) {
-  apps::LanParams lp;
+  apps::TopologyParams lp;
   lp.warm_arp = false;  // force a real ARP exchange
-  auto lan = make_lan(lp);
+  auto lan = make_topology(lp);
   FrameTracer at_primary(lan->sim, lan->primary->nic());
   bool resolved = false;
   lan->client->arp().resolve(lan->primary->address(),
@@ -47,7 +47,7 @@ TEST(FrameTracer, SeesArpTraffic) {
 }
 
 TEST(FrameTracer, PromiscuousCaptureFlagged) {
-  auto r = test::make_replicated_lan();
+  auto r = test::make_replicated();
   FrameTracer at_secondary(r->sim(), r->secondary().nic());
   test::EchoDriver d(r->client(), r->primary().address(), test::kEchoPort, 2000, 500);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }));
@@ -61,7 +61,7 @@ TEST(FrameTracer, PromiscuousCaptureFlagged) {
 // transmits a frame addressed (at the IP layer) to the client — all its
 // TCP output is diverted to the primary carrying the orig-dst option.
 TEST(WireProperties, SecondaryNeverAddressesClientBeforeFailover) {
-  auto r = test::make_replicated_lan();
+  auto r = test::make_replicated();
   FrameTracer at_client(r->sim(), r->client().nic());
   test::EchoDriver d(r->client(), r->primary().address(), test::kEchoPort, 20000, 2000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(120)));
@@ -76,7 +76,7 @@ TEST(WireProperties, SecondaryNeverAddressesClientBeforeFailover) {
 // Wire-level §3.1 property: diverted segments carry the original
 // destination as a TCP option.
 TEST(WireProperties, DivertedSegmentsCarryOrigDstOption) {
-  auto r = test::make_replicated_lan();
+  auto r = test::make_replicated();
   FrameTracer at_primary(r->sim(), r->primary().nic());
   test::EchoDriver d(r->client(), r->primary().address(), test::kEchoPort, 5000, 1000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(60)));
@@ -96,7 +96,7 @@ TEST(WireProperties, DivertedSegmentsCarryOrigDstOption) {
 // Wire-level §5 property: after takeover the secondary sources frames
 // from the primary's IP address.
 TEST(WireProperties, AfterTakeoverSecondarySpeaksAsPrimary) {
-  auto r = test::make_replicated_lan();
+  auto r = test::make_replicated();
   test::EchoDriver d(r->client(), r->primary().address(), test::kEchoPort, 40000, 2000);
   ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 10000; }));
   r->group->crash_primary();

@@ -6,11 +6,9 @@
 
 #include "apps/echo.hpp"
 #include "apps/ftp.hpp"
-#include "apps/topology.hpp"
-#include "core/replica_group.hpp"
 #include "core/takeover_announcer.hpp"
+#include "failover_fixture.hpp"
 #include "impairment_util.hpp"
-#include "test_util.hpp"
 
 namespace tfo::core {
 namespace {
@@ -19,13 +17,13 @@ using test::run_until;
 
 // ------------------------------------------- routed takeover, multi-subnet
 
-struct Wan2Param {
+struct HopParam {
   int hops;
   bool separate_lan;
   const char* label;
 };
 
-class Wan2Failover : public ::testing::TestWithParam<Wan2Param> {};
+class Wan2Failover : public ::testing::TestWithParam<HopParam> {};
 
 // FTP download with the primary crashing mid-transfer, the client `hops`
 // routers away. Takeover is announced as a /32 host route instead of a
@@ -33,25 +31,23 @@ class Wan2Failover : public ::testing::TestWithParam<Wan2Param> {};
 // of promiscuous snooping. The client must see zero resets and a complete,
 // intact file.
 TEST_P(Wan2Failover, MidTransferCrashInvisibleToClient) {
-  const Wan2Param& p = GetParam();
-  apps::Wan2Params wp;
-  wp.hops = p.hops;
-  wp.separate_secondary_lan = p.separate_lan;
-  wp.wan_link.bandwidth_bps = 4'000'000;
-  wp.wan_link.propagation = milliseconds(5);
-  auto wan = apps::make_wan2(wp);
-
+  const HopParam& p = GetParam();
+  apps::TopologyParams tp{
+      .seed = 13, .hops = p.hops, .separate_secondary_lan = p.separate_lan};
+  tp.wan_link.bandwidth_bps = 4'000'000;
+  tp.wan_link.propagation = milliseconds(5);
   FailoverConfig cfg;
   cfg.ports = {21, 20};
   cfg.announcer = std::make_shared<RouteAnnouncer>();
   cfg.mirror_inbound = true;
-  ReplicaGroup group(*wan->primary, *wan->secondary, cfg);
-  apps::FtpServer ftp_p(wan->primary->tcp());
-  apps::FtpServer ftp_s(wan->secondary->tcp());
   const Bytes file = apps::deterministic_payload(200 * 1024, 10);
-  ftp_p.add_file("f.bin", file);
-  ftp_s.add_file("f.bin", file);
-  group.start();
+  std::unique_ptr<test::Replicated> r;  // outlives the servers
+  std::vector<std::unique_ptr<apps::FtpServer>> ftp;
+  r = test::make_replicated(tp, cfg, [&](apps::Host& h) {
+    ftp.push_back(std::make_unique<apps::FtpServer>(h.tcp()));
+    ftp.back()->add_file("f.bin", file);
+  });
+  auto& wan = r->topo;
 
   test::RstCounter rsts(wan->sim, wan->client->nic());
   apps::FtpClient client(wan->client->tcp(), wan->primary->address());
@@ -70,7 +66,7 @@ TEST_P(Wan2Failover, MidTransferCrashInvisibleToClient) {
     return wan->client->tcp().connection_count() >= 2;
   }, seconds(120)));
   wan->sim.run_for(milliseconds(100));
-  group.crash_primary();
+  r->group->crash_primary();
 
   ASSERT_TRUE(run_until(wan->sim, [&] { return done; }, seconds(1200)));
   EXPECT_TRUE(ok);
@@ -80,7 +76,7 @@ TEST_P(Wan2Failover, MidTransferCrashInvisibleToClient) {
   // The takeover left a /32 host route for a_p pointing at the secondary
   // on the server-side router...
   const ip::RouteEntry* e =
-      wan->routers[0]->ip().routes().find(wan->primary->address(), 32);
+      wan->edge().ip().routes().find(wan->primary->address(), 32);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->next_hop, wan->secondary->address());
   // ...and its convergence was observed: the announcer saw a router ack
@@ -96,11 +92,11 @@ TEST_P(Wan2Failover, MidTransferCrashInvisibleToClient) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, Wan2Failover,
-    ::testing::Values(Wan2Param{1, false, "one_hop"},
-                      Wan2Param{2, false, "two_hops"},
-                      Wan2Param{3, false, "three_hops"},
-                      Wan2Param{2, true, "two_hops_secondary_own_lan"}),
-    [](const ::testing::TestParamInfo<Wan2Param>& info) {
+    ::testing::Values(HopParam{1, false, "one_hop"},
+                      HopParam{2, false, "two_hops"},
+                      HopParam{3, false, "three_hops"},
+                      HopParam{2, true, "two_hops_secondary_own_lan"}),
+    [](const ::testing::TestParamInfo<HopParam>& info) {
       return info.param.label;
     });
 
@@ -112,7 +108,7 @@ Bytes bytes_of(const char* s) { return to_bytes(s); }
 // detaching, re-attaching on a different subnet, and continuing — the
 // server rekeys on the migrate-from option (DESIGN.md §11).
 TEST(Mobility, ClientMovesMidStream) {
-  auto mob = apps::make_mobile({});
+  auto mob = apps::make_topology({.seed = 14, .hops = 1});
   apps::EchoServer echo(mob->primary->tcp(), 7);
   auto client = mob->client->tcp().connect(mob->primary->address(), 7);
   Bytes got;
@@ -128,7 +124,7 @@ TEST(Mobility, ClientMovesMidStream) {
       run_until(mob->sim, [&] { return got.size() == 11; }, seconds(30)));
 
   mob->move_client();
-  EXPECT_EQ(mob->client->address(), ip::Ipv4::parse(apps::Mobile::kClientAddrB));
+  EXPECT_EQ(mob->client->address(), ip::Ipv4::parse(apps::Topology::kClientAddrB));
   client->send(bytes_of("after-move"));
   ASSERT_TRUE(
       run_until(mob->sim, [&] { return got.size() == 21; }, seconds(30)));
@@ -150,7 +146,7 @@ TEST(Mobility, ClientMovesMidStream) {
 // number is dropped (silently — a RST would leak state), counted, and the
 // connection stays bound to the real client.
 TEST(Mobility, ForgedMigrationRejected) {
-  auto mob = apps::make_mobile({});
+  auto mob = apps::make_topology({.seed = 14, .hops = 1});
   apps::EchoServer echo(mob->primary->tcp(), 7);
   auto client = mob->client->tcp().connect(mob->primary->address(), 7);
   ASSERT_TRUE(run_until(mob->sim, [&] {
@@ -162,11 +158,11 @@ TEST(Mobility, ForgedMigrationRejected) {
   apps::HostParams hp;
   hp.name = "attacker";
   hp.addr = ip::Ipv4::parse("192.168.2.66");
-  auto attacker = std::make_unique<apps::Host>(mob->sim, hp, *mob->wan_b);
-  attacker->set_default_gateway(ip::Ipv4::parse(apps::Mobile::kGwB));
-  attacker->arp().add_static(ip::Ipv4::parse(apps::Mobile::kGwB),
-                             mob->router->nic(2).mac());
-  mob->router->arp(2).add_static(attacker->address(), attacker->nic().mac());
+  auto attacker = std::make_unique<apps::Host>(mob->sim, hp, mob->segment_b());
+  attacker->set_default_gateway(ip::Ipv4::parse(apps::Topology::kClientGwB));
+  attacker->arp().add_static(ip::Ipv4::parse(apps::Topology::kClientGwB),
+                             mob->access().nic(mob->port_b).mac());
+  mob->access().arp(mob->port_b).add_static(attacker->address(), attacker->nic().mac());
 
   tcp::TcpSegment forged;
   forged.src_port = client->key().local_port;
@@ -198,17 +194,11 @@ TEST(Mobility, ForgedMigrationRejected) {
 // mid-stream. Every layer that tracks the 4-tuple — both bridges, both
 // server TCP stacks — must follow the move.
 TEST(Mobility, MoveThenFailover) {
-  apps::MobileParams mp;
-  auto mob = apps::make_mobile(mp);
-  FailoverConfig cfg;
-  cfg.ports = {7};
-  ReplicaGroup group(*mob->primary, *mob->secondary, cfg);
-  apps::EchoServer echo_p(mob->primary->tcp(), 7);
-  apps::EchoServer echo_s(mob->secondary->tcp(), 7);
-  group.start();
+  auto r = test::make_replicated({.seed = 14, .hops = 1});
+  auto& mob = r->topo;
 
   test::RstCounter rsts(mob->sim, mob->client->nic());
-  auto client = mob->client->tcp().connect(mob->primary->address(), 7);
+  auto client = mob->client->tcp().connect(mob->primary->address(), test::kEchoPort);
   Bytes got;
   client->on_readable = [&] { client->recv(got); };
   ASSERT_TRUE(run_until(mob->sim, [&] {
@@ -222,7 +212,7 @@ TEST(Mobility, MoveThenFailover) {
   client->send(bytes_of("two."));
   ASSERT_TRUE(run_until(mob->sim, [&] { return got.size() == 8; }, seconds(30)));
 
-  group.crash_primary();
+  r->group->crash_primary();
   mob->sim.run_for(milliseconds(500));  // let takeover finish
   client->send(bytes_of("three."));
   ASSERT_TRUE(
@@ -236,16 +226,11 @@ TEST(Mobility, MoveThenFailover) {
 }
 
 TEST(Mobility, FailoverThenMove) {
-  auto mob = apps::make_mobile({});
-  FailoverConfig cfg;
-  cfg.ports = {7};
-  ReplicaGroup group(*mob->primary, *mob->secondary, cfg);
-  apps::EchoServer echo_p(mob->primary->tcp(), 7);
-  apps::EchoServer echo_s(mob->secondary->tcp(), 7);
-  group.start();
+  auto r = test::make_replicated({.seed = 14, .hops = 1});
+  auto& mob = r->topo;
 
   test::RstCounter rsts(mob->sim, mob->client->nic());
-  auto client = mob->client->tcp().connect(mob->primary->address(), 7);
+  auto client = mob->client->tcp().connect(mob->primary->address(), test::kEchoPort);
   Bytes got;
   client->on_readable = [&] { client->recv(got); };
   ASSERT_TRUE(run_until(mob->sim, [&] {
@@ -254,7 +239,7 @@ TEST(Mobility, FailoverThenMove) {
   client->send(bytes_of("one."));
   ASSERT_TRUE(run_until(mob->sim, [&] { return got.size() == 4; }, seconds(30)));
 
-  group.crash_primary();
+  r->group->crash_primary();
   mob->sim.run_for(milliseconds(500));
   client->send(bytes_of("two."));
   ASSERT_TRUE(run_until(mob->sim, [&] { return got.size() == 8; }, seconds(60)));
