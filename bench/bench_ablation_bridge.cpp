@@ -35,7 +35,7 @@ double send_rate_with_slow_secondary(SimDuration extra_proc) {
   // slower replica by shrinking its receive buffer (less drain headroom).
   // extra_proc scales the handicap.
   const double slowdown = 1.0 + to_seconds(extra_proc) * 1e3;  // ms -> factor
-  t->topo->secondary->tcp().mutable_params().recv_buf =
+  t->secondary().tcp().mutable_params().recv_buf =
       static_cast<std::size_t>(65536 / slowdown);
 
   t->sim().run_for(milliseconds(100));
@@ -75,8 +75,8 @@ std::size_t peak_queue_bytes(std::size_t reply_size, SimDuration secondary_delac
     auto b = std::make_unique<apps::BlastServer>(h.tcp(), kPort);
     (b1 ? b2 : b1) = std::move(b);
   });
-  t->topo->secondary->tcp().mutable_params().delayed_ack = secondary_delack;
-  t->topo->secondary->nic();  // (secondary skew comes from delack alone)
+  t->secondary().tcp().mutable_params().delayed_ack = secondary_delack;
+  t->secondary().nic();  // (secondary skew comes from delack alone)
   t->sim().run_for(milliseconds(100));
 
   auto conn = t->client().tcp().connect(t->primary().address(), kPort, {.nodelay = true});
@@ -132,7 +132,7 @@ bool takeover_succeeds(int repeats, double loss, std::uint64_t seed) {
   if (!test::run_until(t->sim(), [&] { return d.received().size() > 10000; }, seconds(300))) {
     return false;
   }
-  t->topo->primary->fail();
+  t->primary().fail();
   return test::run_until(t->sim(), [&] { return d.done(); }, seconds(300)) && d.verify();
 }
 

@@ -211,11 +211,11 @@ ChurnResult run_churn(double cps, SimDuration duration, BenchJson* json) {
   const auto host_ctr = [](const apps::Host& h, const char* name) {
     return h.obs().registry.counter_value(name);
   };
-  r.listen_overflows = host_ctr(*t->topo->primary, "tcp.listen_overflows") +
-                       host_ctr(*t->topo->secondary, "tcp.listen_overflows");
-  r.tw_recycled = host_ctr(*t->topo->primary, "tcp.time_wait_recycled") +
-                  host_ctr(*t->topo->secondary, "tcp.time_wait_recycled");
-  r.embryonic_reaped = host_ctr(*t->topo->primary, "bridge.embryonic_reaped");
+  r.listen_overflows = host_ctr(t->primary(), "tcp.listen_overflows") +
+                       host_ctr(t->secondary(), "tcp.listen_overflows");
+  r.tw_recycled = host_ctr(t->primary(), "tcp.time_wait_recycled") +
+                  host_ctr(t->secondary(), "tcp.time_wait_recycled");
+  r.embryonic_reaped = host_ctr(t->primary(), "bridge.embryonic_reaped");
   r.growth_bytes = bytes_end > bytes_baseline ? bytes_end - bytes_baseline : 0;
   r.growth_per_conn =
       r.started ? static_cast<double>(r.growth_bytes) / static_cast<double>(r.started)
@@ -225,9 +225,9 @@ ChurnResult run_churn(double cps, SimDuration duration, BenchJson* json) {
                  .count();
   r.ok = true;
   if (json) {
-    json->capture_host(*t->topo->primary);
-    json->capture_host(*t->topo->secondary);
-    json->capture_host(*t->topo->client);
+    json->capture_host(t->primary());
+    json->capture_host(t->secondary());
+    json->capture_host(t->client());
   }
   return r;
 }

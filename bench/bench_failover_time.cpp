@@ -43,7 +43,7 @@ FailoverMeasurement measure(SimDuration fd_timeout, SimDuration arp_latency,
     return {};
   }
   const SimTime crash_at = t->sim().now();
-  t->topo->primary->fail();
+  t->primary().fail();
 
   FailoverMeasurement m;
   SimTime last_progress = t->sim().now();
@@ -68,8 +68,8 @@ FailoverMeasurement measure(SimDuration fd_timeout, SimDuration arp_latency,
     // Snapshot every host's registry and failover timeline while the
     // testbed is still alive: the crashed primary's event log shows the
     // pre-crash merge activity, the secondary's shows the takeover.
-    json->capture_host(*t->topo->primary);
-    json->capture_host(*t->topo->secondary);
+    json->capture_host(t->primary());
+    json->capture_host(t->secondary());
     json->capture_host(t->client());
   }
   return m;

@@ -80,7 +80,9 @@ double receive_rate_kbs(bool failover) {
   char req[48];
   std::snprintf(req, sizeof(req), "GET %zu 1\n", kStreamBytes);
   conn->send(to_bytes(req));
-  if (!test::run_until(t->sim(), [&] { return received >= kStreamBytes; }, seconds(3600))) return -1;
+  if (!test::run_until(t->sim(), [&] { return received >= kStreamBytes; }, seconds(3600))) {
+    return -1;
+  }
   const double secs = to_seconds(static_cast<SimDuration>(t->sim().now() - start));
   return static_cast<double>(kStreamBytes) / 1000.0 / secs;
 }

@@ -205,8 +205,8 @@ int main(int argc, char** argv) {
   json.add_table("live replicated echo transfer (whole-simulation heap "
                  "allocations per diverted segment)", macro);
 
-  json.capture_host(*t->topo->primary);
-  json.capture_host(*t->topo->secondary);
+  json.capture_host(t->primary());
+  json.capture_host(t->secondary());
   json.capture_host(t->client());
   if (!json.write()) return 1;
 

@@ -140,7 +140,7 @@ WireCapture capture_echo_stream(std::size_t bytes, BenchJson* json) {
   WireCapture cap;
   cap.stream_bytes = bytes;
   cap.server_ip = t->primary().address();
-  t->topo->secondary->nic().add_observer(
+  t->secondary().nic().add_observer(
       [&cap](const net::EthernetFrame& f, bool /*to_us*/) {
         EchoFrameInfo fi;
         if (!echo_tcp_frame(f, &fi)) return;
@@ -167,8 +167,8 @@ WireCapture capture_echo_stream(std::size_t bytes, BenchJson* json) {
     cap.frames.clear();
   }
   if (json != nullptr) {
-    json->capture_host(*t->topo->primary);
-    json->capture_host(*t->topo->client);
+    json->capture_host(t->primary());
+    json->capture_host(t->client());
   }
   return cap;
 }

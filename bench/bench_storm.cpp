@@ -198,10 +198,10 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
       hp.seed = 1000 + i;
       clients.push_back(
           std::make_unique<apps::Host>(t->sim(), hp, *t->topo->wire));
-      clients.back()->arp().add_static(t->topo->primary->address(),
-                                       t->topo->primary->nic().mac());
-      clients.back()->arp().add_static(t->topo->secondary->address(),
-                                       t->topo->secondary->nic().mac());
+      clients.back()->arp().add_static(t->primary().address(),
+                                       t->primary().nic().mac());
+      clients.back()->arp().add_static(t->secondary().address(),
+                                       t->secondary().nic().mac());
     }
   }
   t->sim().run_for(milliseconds(100));  // detectors and ARP settle
@@ -316,8 +316,8 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
                  .count();
   r.ok = true;
   if (json) {
-    json->capture_host(*t->topo->secondary);
-    json->capture_host(*t->topo->client);
+    json->capture_host(t->secondary());
+    json->capture_host(t->client());
   }
   // Teardown hygiene: drop the connections before the testbed leaves
   // scope (their destructors cancel timers on the simulator).
