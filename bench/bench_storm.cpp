@@ -9,7 +9,8 @@
 //   * whole-system memory per connection (client + both replicas +
 //     bridges), from the process allocator, and where it goes: the
 //     tcp::Connection and core::BridgeConn objects, live packet-buffer
-//     blocks, and the connections' send/receive buffer capacity;
+//     blocks, the connections' send/receive buffer capacity, and the
+//     scheduler's event-pool growth;
 //   * per-connection takeover latency: each client connection sends a
 //     probe the instant the primary dies and the stall until its echo
 //     returns is one sample — p50/p99 over all N;
@@ -134,6 +135,7 @@ struct MemBreakdown {
   std::uint64_t bridge_conn = 0;    // sizeof(core::BridgeConn) x bridged connections
   std::uint64_t packet_buffers = 0; // live PacketBuffer block capacity (loaded - baseline)
   std::uint64_t conn_buffers = 0;   // Connection::buffer_capacity() summed
+  std::uint64_t sim_events = 0;     // scheduler pool growth x sizeof(Event)
 };
 
 struct StormResult {
@@ -208,6 +210,7 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
 
   const std::uint64_t bytes_baseline = g_live_bytes.load(std::memory_order_relaxed);
   const std::uint64_t buffers_baseline = wire::buffer_stats().live_bytes;
+  const std::uint64_t events_baseline = t->sim().stats().pool_events;
 
   std::vector<StormConn> conns(n_conns);
   std::size_t ready = 0;
@@ -265,6 +268,8 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
                              ? (buffers_loaded - buffers_baseline) / n_conns
                              : 0;
     mem.conn_buffers = conn_buffers / n_conns;
+    mem.sim_events = (t->sim().stats().pool_events - events_baseline) *
+                     sim::Simulator::event_bytes() / n_conns;
   }
 
   // The crash. Every connection fires a probe at the same instant: the
@@ -359,7 +364,7 @@ int main(int argc, char** argv) {
   TextTable table({"conns", "mem/conn", "takeover p50 [ms]",
                    "takeover p99 [ms]", "wheel inserts", "cascades", "wall [s]"});
   TextTable mem_table({"conns", "mem/conn", "tcp::Connection", "BridgeConn",
-                       "packet buffers", "conn buffers"});
+                       "packet buffers", "conn buffers", "sim events"});
   std::vector<StormResult> results;
   for (std::size_t n : sizes) {
     std::printf("\nrunning storm N=%zu ...\n", n);
@@ -378,7 +383,8 @@ int main(int argc, char** argv) {
     mem_table.add_row({std::to_string(r.conns), size_label(r.bytes_per_conn),
                        size_label(r.mem.tcp_conn), size_label(r.mem.bridge_conn),
                        size_label(r.mem.packet_buffers),
-                       size_label(r.mem.conn_buffers)});
+                       size_label(r.mem.conn_buffers),
+                       size_label(r.mem.sim_events)});
     results.push_back(r);
   }
   std::printf("%s", table.render().c_str());
@@ -407,6 +413,7 @@ int main(int argc, char** argv) {
       w.key("bridge_conn").value(r.mem.bridge_conn);
       w.key("packet_buffers").value(r.mem.packet_buffers);
       w.key("conn_buffers").value(r.mem.conn_buffers);
+      w.key("sim_events").value(r.mem.sim_events);
       w.end_object();
       w.key("takeover_p50_ns").value(r.p50_ns);
       w.key("takeover_p99_ns").value(r.p99_ns);

@@ -119,14 +119,16 @@ def _check_profiles(profiles):
 
 
 # Heap per storm connection at scale (bench_storm's allocator figure,
-# client + both replicas + bridge): 5,043 B at 20k connections after the
-# per-connection memory diet, 6,700 B before it. Small populations carry
-# fixed overhead (the 1k point measures ~5.9 KB) and are not gated.
-STORM_BYTES_PER_CONN_MAX = 5600
+# client + both replicas + bridge): 3,506 B at 20k connections (3,509 B
+# at 10k, 3,630 B at 100k) since the tcp::Connection diet to 632 B; the
+# cap keeps the ~11 % headroom the previous one (5,600 B) had over
+# 5,043 B. Small populations carry fixed overhead (the 1k point measures
+# ~4.4 KB) and are not gated.
+STORM_BYTES_PER_CONN_MAX = 3900
 STORM_BYTES_GATE_MIN_CONNS = 10000
 # Where those bytes go (bench_storm's per-table breakdown).
 STORM_TABLES = ("tcp_connection", "bridge_conn", "packet_buffers",
-                "conn_buffers")
+                "conn_buffers", "sim_events")
 
 
 def _check_storm(storm):
@@ -395,15 +397,17 @@ def self_test():
         }],
         "storm": {
             "points": [
-                {"conns": 1000, "bytes_per_conn": 5900,
+                {"conns": 1000, "bytes_per_conn": 4400,
                  "bytes_per_conn_by_table": {
-                     "tcp_connection": 3264, "bridge_conn": 480,
-                     "packet_buffers": 5, "conn_buffers": 312},
+                     "tcp_connection": 1896, "bridge_conn": 416,
+                     "packet_buffers": 5, "conn_buffers": 312,
+                     "sim_events": 141},
                  "takeover_p50_ns": 4.8e7, "takeover_p99_ns": 4.9e7},
-                {"conns": 100000, "bytes_per_conn": 5200,
+                {"conns": 100000, "bytes_per_conn": 3630,
                  "bytes_per_conn_by_table": {
-                     "tcp_connection": 3264, "bridge_conn": 480,
-                     "packet_buffers": 0, "conn_buffers": 312},
+                     "tcp_connection": 1896, "bridge_conn": 416,
+                     "packet_buffers": 0, "conn_buffers": 312,
+                     "sim_events": 72},
                  "takeover_p50_ns": 6.0e7, "takeover_p99_ns": 3.9e8},
             ],
             "alloc": {"cycles": 200000, "wheel_allocs": 0},
@@ -499,12 +503,15 @@ def self_test():
         ("storm negative bytes", lambda d: d["storm"]["points"][0].update(
             bytes_per_conn=-1)),
         ("storm bytes_per_conn above ceiling at scale",
-         lambda d: d["storm"]["points"][1].update(bytes_per_conn=6700)),
+         lambda d: d["storm"]["points"][1].update(bytes_per_conn=5043)),
         ("storm missing table breakdown", lambda d: d["storm"]["points"][0].pop(
             "bytes_per_conn_by_table")),
         ("storm table breakdown missing packet_buffers",
          lambda d: d["storm"]["points"][1]["bytes_per_conn_by_table"].pop(
              "packet_buffers")),
+        ("storm table breakdown missing sim_events",
+         lambda d: d["storm"]["points"][1]["bytes_per_conn_by_table"].pop(
+             "sim_events")),
         ("storm tables exceed bytes_per_conn",
          lambda d: d["storm"]["points"][0]["bytes_per_conn_by_table"].update(
              tcp_connection=9000)),

@@ -13,28 +13,16 @@ using tcp::TcpSegment;
 BridgeConn::BridgeConn(BridgeConnSink& sink, tcp::ConnKey key, ip::Ipv4 secondary_addr)
     : sink_(sink), key_(key), secondary_addr_(secondary_addr) {}
 
-void BridgeConn::attach_obs(obs::Hub* hub, sim::Simulator* sim) {
-  obs_ = hub;
-  obs_sim_ = sim;
-  if (!hub) {
-    ctr_retransmits_ = ctr_empty_acks_ = nullptr;
-    hist_merged_bytes_ = nullptr;
-    return;
-  }
-  key_str_ = key_.str();
-  auto& reg = hub->registry;
-  ctr_retransmits_ = &reg.counter("bridge.retransmissions_forwarded");
-  ctr_empty_acks_ = &reg.counter("bridge.empty_acks_emitted");
-  hist_merged_bytes_ = &reg.histogram("bridge.merged_payload_bytes");
-  p_queue_.bind_gauges(&reg.gauge("bridge.pqueue_bytes"),
-                       &reg.gauge("bridge.pqueue_depth"));
-  s_queue_.bind_gauges(&reg.gauge("bridge.squeue_bytes"),
-                       &reg.gauge("bridge.squeue_depth"));
+void BridgeConn::attach_obs(const BridgeConnObs* obs) {
+  obs_ = obs;
+  if (!obs) return;
+  p_queue_.bind_gauges(obs->pqueue_bytes, obs->pqueue_depth);
+  s_queue_.bind_gauges(obs->squeue_bytes, obs->squeue_depth);
 }
 
 void BridgeConn::note_event(obs::EventKind kind, std::string detail) {
-  if (!obs_ || !obs_sim_) return;
-  obs_->timeline.record(obs_sim_->now(), kind, key_str_, std::move(detail));
+  if (!obs_) return;
+  obs_->hub->timeline.record(obs_->sim->now(), kind, key_.str(), std::move(detail));
 }
 
 tfo::Seq32 BridgeConn::remote_facing_seq() const {
@@ -397,7 +385,7 @@ void BridgeConn::emit_payload(std::uint64_t offset, wire::PacketBuffer payload,
   next_to_client_ = offset + seg.payload.size() + (fin ? 1 : 0);
   if (fin) fin_sent_to_remote_ = true;
   TFO_LOG(kTrace, "bridge") << key_.str() << " to-remote " << seg.summary();
-  if (hist_merged_bytes_) hist_merged_bytes_->observe(seg.payload.size());
+  if (obs_) obs_->merged_bytes->observe(seg.payload.size());
   note_event(obs::EventKind::kSegmentMerged,
              "off=" + std::to_string(offset) +
                  " len=" + std::to_string(seg.payload.size()) +
@@ -416,7 +404,7 @@ void BridgeConn::emit_retransmission(std::uint64_t offset,
   seg.ack = remote_isn_known_ ? unwrap_c_.wrap(min_ack()) : 0;
   seg.window = min_win();
   TFO_LOG(kTrace, "bridge") << key_.str() << " to-remote(rexmit) " << seg.summary();
-  if (ctr_retransmits_) ctr_retransmits_->inc();
+  if (obs_) obs_->retransmits->inc();
   note_event(obs::EventKind::kRetransmitForwarded,
              "off=" + std::to_string(offset) +
                  " len=" + std::to_string(payload.size()));
@@ -439,7 +427,7 @@ void BridgeConn::emit_empty_ack_if_progress() {
   seg.window = w;
   last_ack_to_remote_ = m;
   last_win_to_remote_ = w;
-  if (ctr_empty_acks_) ctr_empty_acks_->inc();
+  if (obs_) obs_->empty_acks->inc();
   note_event(obs::EventKind::kEmptyAckEmitted,
              "ack=" + std::to_string(m) + " win=" + std::to_string(w));
   sink_.emit(seg, key_.local_ip, key_.remote_ip);

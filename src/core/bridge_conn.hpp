@@ -44,6 +44,21 @@ class BridgeConnSink {
   virtual void fully_closed(const tcp::ConnKey& key) = 0;
 };
 
+/// Observability handles every BridgeConn of one bridge shares: resolved
+/// once by the owning bridge, so opening a connection does no registry
+/// lookup. `hub` receives timeline events stamped from `sim`.
+struct BridgeConnObs {
+  obs::Hub* hub = nullptr;
+  sim::Simulator* sim = nullptr;
+  obs::Counter* retransmits = nullptr;
+  obs::Counter* empty_acks = nullptr;
+  obs::Histogram* merged_bytes = nullptr;
+  obs::Gauge* pqueue_bytes = nullptr;
+  obs::Gauge* pqueue_depth = nullptr;
+  obs::Gauge* squeue_bytes = nullptr;
+  obs::Gauge* squeue_depth = nullptr;
+};
+
 class BridgeConn {
  public:
   /// `key` is the client's view: local = a_p (primary), remote = client.
@@ -76,10 +91,10 @@ class BridgeConn {
   /// sequence/ACK state is address-independent and carries over.
   void rebind_remote(ip::Ipv4 addr) { key_.remote_ip = addr; }
 
-  /// Attaches this connection to a host observability hub (counters,
-  /// queue gauges, timeline events). `sim` supplies event timestamps.
+  /// Attaches this connection to its bridge's observability handles
+  /// (counters, queue gauges, timeline events); `obs` must outlive it.
   /// Bare connections (unit tests) simply skip instrumentation.
-  void attach_obs(obs::Hub* hub, sim::Simulator* sim);
+  void attach_obs(const BridgeConnObs* obs);
 
   // ---- bridge-constructed control segments (§8 teardown, divergence).
   /// Wire sequence number an unsolicited bridge-constructed segment
@@ -173,15 +188,10 @@ class BridgeConn {
   bool solo_ = false;  // §6 mode after secondary failure
   bool dead_ = false;
 
-  // Observability (null when unattached). Counter/histogram handles are
-  // resolved once in attach_obs; the timeline caches the key string.
+  // Observability (null when unattached). The key string is built only
+  // when a timeline record is written.
   void note_event(obs::EventKind kind, std::string detail = {});
-  obs::Hub* obs_ = nullptr;
-  sim::Simulator* obs_sim_ = nullptr;
-  std::string key_str_;
-  obs::Counter* ctr_retransmits_ = nullptr;
-  obs::Counter* ctr_empty_acks_ = nullptr;
-  obs::Histogram* hist_merged_bytes_ = nullptr;
+  const BridgeConnObs* obs_ = nullptr;
 };
 
 }  // namespace tfo::core

@@ -86,7 +86,7 @@ HeartbeatMesh::~HeartbeatMesh() {
 
 void HeartbeatMesh::watch(ip::Ipv4 peer, std::function<void()> on_failed) {
   peers_.push_back(
-      std::make_unique<Peer>(host_.simulator(), peer, std::move(on_failed)));
+      std::make_unique<Peer>(*this, peer, std::move(on_failed)));
   if (!running_) return;
   // A peer registered after the mesh started (a recruit) would never get
   // a deadline until its first heartbeat arrived — a permanently silent
@@ -130,23 +130,27 @@ void HeartbeatMesh::send_heartbeats() {
 }
 
 void HeartbeatMesh::arm(Peer& peer) {
-  // `peer` lives in stable unique_ptr storage (see peers_), so capturing
-  // the raw pointer across later watch() calls is safe.
+  // `peer` lives in stable unique_ptr storage (see peers_), so the raw
+  // pointer stays valid across later watch() calls. It is the callback's
+  // only capture: the mesh is reached through it, which keeps the
+  // scheduler event allocation-free (sim/timer.hpp).
   Peer* p = &peer;
-  peer.deadline.start(timeout_, [this, p] {
-    if (p->declared) return;
-    p->declared = true;
-    if (std::all_of(peers_.begin(), peers_.end(),
-                    [](const auto& q) { return q->declared; })) {
-      send_timer_.stop();
-    }
-    TFO_LOG(kInfo, "fd") << host_.name() << " declares peer "
-                         << p->addr.str() << " FAILED";
-    host_.obs().timeline.record(host_.simulator().now(),
-                                obs::EventKind::kPeerDeclaredFailed, {},
-                                "peer=" + p->addr.str());
-    if (p->on_failed) p->on_failed();
-  });
+  peer.deadline.start(timeout_, [p] { p->mesh->declare_failed(*p); });
+}
+
+void HeartbeatMesh::declare_failed(Peer& peer) {
+  if (peer.declared) return;
+  peer.declared = true;
+  if (std::all_of(peers_.begin(), peers_.end(),
+                  [](const auto& q) { return q->declared; })) {
+    send_timer_.stop();
+  }
+  TFO_LOG(kInfo, "fd") << host_.name() << " declares peer "
+                       << peer.addr.str() << " FAILED";
+  host_.obs().timeline.record(host_.simulator().now(),
+                              obs::EventKind::kPeerDeclaredFailed, {},
+                              "peer=" + peer.addr.str());
+  if (peer.on_failed) peer.on_failed();
 }
 
 }  // namespace tfo::core

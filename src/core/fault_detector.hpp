@@ -48,8 +48,9 @@ class HeartbeatMesh {
 
  private:
   struct Peer {
-    Peer(sim::Simulator& sim, ip::Ipv4 a, std::function<void()> f)
-        : addr(a), on_failed(std::move(f)), deadline(sim) {}
+    Peer(HeartbeatMesh& m, ip::Ipv4 a, std::function<void()> f)
+        : mesh(&m), addr(a), on_failed(std::move(f)), deadline(m.host_.simulator()) {}
+    HeartbeatMesh* mesh;
     ip::Ipv4 addr;
     bool declared = false;
     std::function<void()> on_failed;
@@ -58,6 +59,8 @@ class HeartbeatMesh {
   };
   void send_heartbeats();
   void arm(Peer& peer);
+  /// The peer's deadline passed without a heartbeat: report it, once.
+  void declare_failed(Peer& peer);
 
   apps::Host& host_;
   SimDuration period_;

@@ -27,6 +27,15 @@ PrimaryBridge::PrimaryBridge(apps::Host& host, FailoverConfig cfg)
   ctr_client_migrated_ = &reg.counter("bridge.client_migrated");
   gau_connections_ = &reg.gauge("bridge.connections");
   gau_tombstones_ = &reg.gauge("bridge.tombstones");
+  conn_obs_ = {&host_.obs(),
+               &host_.simulator(),
+               &reg.counter("bridge.retransmissions_forwarded"),
+               &reg.counter("bridge.empty_acks_emitted"),
+               &reg.histogram("bridge.merged_payload_bytes"),
+               &reg.gauge("bridge.pqueue_bytes"),
+               &reg.gauge("bridge.pqueue_depth"),
+               &reg.gauge("bridge.squeue_bytes"),
+               &reg.gauge("bridge.squeue_depth")};
   out_tap_ = host_.tcp().add_outbound_tap(
       [this](TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& dst) {
         return outbound_tap(seg, src, dst);
@@ -102,7 +111,7 @@ BridgeConn& PrimaryBridge::conn_for(const ConnKey& key) {
   auto r = conns_.try_emplace(key);
   if (r.second) {
     *r.first = std::make_unique<BridgeConn>(*this, key, cfg_.secondary_addr);
-    (*r.first)->attach_obs(&host_.obs(), &host_.simulator());
+    (*r.first)->attach_obs(&conn_obs_);
     if (secondary_failed_) (*r.first)->on_secondary_failed();
     // Watch the handshake: if it never completes (SYN dropped in a
     // backlog overflow, client gone), the sweep reaps this entry — a SYN

@@ -137,6 +137,10 @@ class PrimaryBridge : public BridgeConnSink {
   apps::Host& host_;
   FailoverConfig cfg_;
   std::optional<ip::Ipv4> upstream_;
+  /// Handles every BridgeConn reports through (BridgeConn::attach_obs),
+  /// resolved in the constructor. Declared before conns_, which points
+  /// into it.
+  BridgeConnObs conn_obs_;
   /// Bridged-connection state. Order-sensitive sweeps over it sort by key
   /// first: slot iteration order is hash-dependent and must never reach
   /// the wire.

@@ -90,6 +90,10 @@ class Simulator {
   };
   const Stats& stats() const;
 
+  /// Bytes one pooled event occupies, closure included (memory
+  /// breakdowns: Stats::pool_events x this is the pool's footprint).
+  static constexpr std::size_t event_bytes() { return sizeof(Event); }
+
   static constexpr std::uint64_t kDefaultMaxEvents = 500'000'000;
 
   // Wheel geometry (public for the property test / docs).

@@ -5,15 +5,21 @@
 // called back — the idiomatic fix for the classic "timer fires into freed
 // TCB" lifetime bug.
 //
-// The callback is stored in the Timer itself and the simulator event is
-// just `[this] { fire(); }` — small enough for std::function's inline
-// buffer. On the timing-wheel scheduler an arm/cancel/re-arm cycle
-// therefore performs no heap allocation at all (the dominant timer pattern
-// in a TCP stack: every ACKed segment re-arms the retransmit timer).
+// A Timer is only {Simulator*, EventId, deadline}: the callback lives in
+// the scheduler event, as `[timer, fn]`. `fn` must be trivially copyable
+// and at most a pointer wide (in practice `[this]` or one captured
+// pointer), so the event closure is 16 B and fits std::function's inline
+// buffer. An arm/cancel/re-arm cycle therefore performs no heap allocation
+// (the dominant timer pattern in a TCP stack: every ACKed segment re-arms
+// the retransmit timer), and a Timer member costs 24 B.
+//
+// The simulator moves an event's closure out of its pool slot and frees
+// the slot before calling it, and the closure clears the timer's id before
+// calling `fn`. So a callback may restart its own timer, or destroy the
+// object that owns it: after `fn` returns nothing touches the timer again.
 #pragma once
 
-#include <functional>
-#include <utility>
+#include <type_traits>
 
 #include "sim/simulator.hpp"
 
@@ -27,11 +33,17 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   /// (Re)arms the timer to fire `d` from now. A pending arm is cancelled.
-  void start(SimDuration d, std::function<void()> fn) {
+  template <typename F>
+  void start(SimDuration d, F fn) {
+    static_assert(std::is_trivially_copyable_v<F> && sizeof(F) <= sizeof(void*),
+                  "a Timer callback captures at most one pointer, so the "
+                  "scheduler event stays inside std::function's inline buffer");
     stop();
-    fn_ = std::move(fn);
     deadline_ = sim_->now() + static_cast<SimTime>(d < 0 ? 0 : d);
-    id_ = sim_->schedule_at(deadline_, [this] { fire(); });
+    id_ = sim_->schedule_at(deadline_, [this, fn] {
+      id_ = kNoEvent;
+      fn();
+    });
   }
 
   /// Cancels the pending callback, if any, releasing it eagerly.
@@ -40,7 +52,6 @@ class Timer {
       sim_->cancel(id_);
       id_ = kNoEvent;
     }
-    fn_ = nullptr;
   }
 
   bool armed() const { return id_ != kNoEvent; }
@@ -49,17 +60,7 @@ class Timer {
   SimTime deadline() const { return deadline_; }
 
  private:
-  void fire() {
-    id_ = kNoEvent;
-    // Run from a local so the callback may restart — or even destroy —
-    // this Timer: after the move, fire() never touches members again.
-    std::function<void()> fn = std::move(fn_);
-    fn_ = nullptr;
-    fn();
-  }
-
   Simulator* sim_;
-  std::function<void()> fn_;
   EventId id_ = kNoEvent;
   SimTime deadline_ = 0;
 };

@@ -2,7 +2,9 @@
 // uniquely identified by the 4-tuple").
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <iterator>
 #include <functional>
 #include <string>
 
@@ -23,9 +25,24 @@ struct ConnKey {
 
   ConnKey reversed() const { return {remote_ip, remote_port, local_ip, local_port}; }
 
+  /// "a.b.c.d:p<->e.f.g.h:q". Formatted in place with std::to_chars: the
+  /// bridge builds one per timeline record (one per merged segment), so
+  /// this costs one allocation and no stream or printf machinery.
   std::string str() const {
-    return local_ip.str() + ":" + std::to_string(local_port) + "<->" +
-           remote_ip.str() + ":" + std::to_string(remote_port);
+    char buf[48];  // two 15-char addresses, two 5-digit ports and ":<->:"
+    char* p = buf;
+    const auto num = [&](unsigned v) { p = std::to_chars(p, std::end(buf), v).ptr; };
+    const auto addr_port = [&](ip::Ipv4 a, std::uint16_t port) {
+      for (int shift = 24; shift >= 0; shift -= 8) {
+        num((a.v >> shift) & 0xffu);
+        *p++ = shift > 0 ? '.' : ':';
+      }
+      num(port);
+    };
+    addr_port(local_ip, local_port);
+    for (char c : {'<', '-', '>'}) *p++ = c;
+    addr_port(remote_ip, remote_port);
+    return std::string(buf, p);
   }
 };
 

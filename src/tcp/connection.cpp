@@ -24,25 +24,25 @@ const char* state_name(TcpState s) {
   return "?";
 }
 
-Connection::Connection(TcpLayer& owner, ConnKey key, TcpParams params,
-                       bool failover_flagged)
+Connection::Connection(TcpLayer& owner, ConnKey key,
+                       std::shared_ptr<const TcpParams> params, bool failover_flagged)
     : owner_(owner),
-      key_(key),
+      params_(std::move(params)),
       id_(owner.allocate_conn_id()),
-      params_(params),
-      failover_flagged_(failover_flagged),
-      nodelay_(!params.nagle),
-      eff_mss_(params.mss),
-      rto_(params.initial_rto),
+      rto_(params_->initial_rto),
       rto_timer_(owner.simulator()),
       delack_timer_(owner.simulator()),
       persist_timer_(owner.simulator()),
       time_wait_timer_(owner.simulator()),
-      keepalive_timer_(owner.simulator()) {
-  cwnd_ = params_.congestion_control
-              ? params_.initial_cwnd_segments * params_.mss
+      keepalive_timer_(owner.simulator()),
+      key_(key),
+      eff_mss_(params_->mss),
+      failover_flagged_(failover_flagged),
+      nodelay_(!params_->nagle) {
+  cwnd_ = params_->congestion_control
+              ? params_->initial_cwnd_segments * params_->mss
               : 0x3fffffffu;
-  quickack_left_ = params_.quickack_segments;
+  quickack_left_ = params_->quickack_segments;
 }
 
 Connection::~Connection() { release_all_ooo(); }
@@ -50,32 +50,32 @@ Connection::~Connection() { release_all_ooo(); }
 // --------------------------------------------- out-of-order stash budget
 
 bool Connection::stash_ooo(std::uint64_t off, wire::PacketBuffer data) {
-  if (ooo_bytes_ + data.size() > params_.ooo_budget_bytes) {
+  if (ooo_bytes_ + data.size() > params_->ooo_budget_bytes) {
     // Over budget: refuse to pin another frame. The caller still sends
     // the dup-ACK, and the sender's retransmission recovers the data.
     owner_.note_ooo_budget_drop();
     return false;
   }
   const std::size_t n = data.size();
-  if (ooo_.emplace(off, std::move(data)).second) {
+  if (!ooo_) ooo_ = std::make_unique<OooMap>();
+  if (ooo_->emplace(off, std::move(data)).second) {
     ooo_bytes_ += n;
     owner_.note_pinned_delta(static_cast<std::int64_t>(n));
   }
   return true;
 }
 
-std::map<std::uint64_t, wire::PacketBuffer>::iterator Connection::drop_ooo_entry(
-    std::map<std::uint64_t, wire::PacketBuffer>::iterator it) {
+Connection::OooMap::iterator Connection::drop_ooo_entry(OooMap::iterator it) {
   const std::size_t n = it->second.size();
   ooo_bytes_ -= n;
   owner_.note_pinned_delta(-static_cast<std::int64_t>(n));
-  return ooo_.erase(it);
+  return ooo_->erase(it);
 }
 
 void Connection::release_all_ooo() {
   if (ooo_bytes_ > 0) owner_.note_pinned_delta(-static_cast<std::int64_t>(ooo_bytes_));
   ooo_bytes_ = 0;
-  ooo_.clear();
+  ooo_.reset();
 }
 
 std::size_t Connection::send_queue_pending() const {
@@ -110,7 +110,7 @@ void Connection::start_active_open() {
   iss_ = owner_.generate_isn(key_);
   snd_una_ = 0;
   snd_nxt_ = 0;
-  state_ = TcpState::kSynSent;
+  set_state(TcpState::kSynSent);
   send_syn(/*with_ack=*/false);
 }
 
@@ -119,10 +119,10 @@ void Connection::start_passive_open(const TcpSegment& syn) {
   iss_ = owner_.generate_isn(key_);
   irs_ = syn.seq;
   rcv_nxt_ = 1;  // the SYN consumed offset 0
-  if (syn.mss) eff_mss_ = std::min<std::uint32_t>(params_.mss, *syn.mss);
+  if (syn.mss) eff_mss_ = std::min<std::uint32_t>(params_->mss, *syn.mss);
   snd_wnd_ = syn.window;
   max_snd_wnd_ = std::max(max_snd_wnd_, snd_wnd_);
-  state_ = TcpState::kSynRcvd;
+  set_state(TcpState::kSynRcvd);
   send_syn(/*with_ack=*/true);
 }
 
@@ -137,8 +137,8 @@ void Connection::send_syn(bool with_ack) {
     seg.ack = seq_add(irs_, static_cast<std::int64_t>(rcv_nxt_));
   }
   seg.window = static_cast<std::uint16_t>(
-      std::min<std::size_t>(params_.recv_buf, 65535));
-  seg.mss = params_.mss;
+      std::min<std::size_t>(params_->recv_buf, 65535));
+  seg.mss = params_->mss;
   snd_nxt_ = std::max<std::uint64_t>(snd_nxt_, 1);  // SYN occupies offset 0
   highest_sent_ = std::max(highest_sent_, snd_nxt_);
   last_adv_wnd_ = seg.window;
@@ -182,12 +182,12 @@ void Connection::close() {
     case TcpState::kEstablished:
       leave_embryonic();  // closing out of SYN_RCVD frees the backlog slot
       fin_queued_ = true;
-      state_ = TcpState::kFinWait1;
+      set_state(TcpState::kFinWait1);
       try_send();
       return;
     case TcpState::kCloseWait:
       fin_queued_ = true;
-      state_ = TcpState::kLastAck;
+      set_state(TcpState::kLastAck);
       try_send();
       return;
     default:
@@ -209,7 +209,7 @@ void Connection::pump_app_writes() {
   for (; done < app_writes_.size(); ++done) {
     PendingWrite& w = app_writes_[done];
     const std::size_t space =
-        params_.send_buf > send_buf_.size() ? params_.send_buf - send_buf_.size() : 0;
+        params_->send_buf > send_buf_.size() ? params_->send_buf - send_buf_.size() : 0;
     const std::size_t take = std::min(space, w.data.size() - w.moved);
     if (take > 0) {
       send_buf_.insert(send_buf_.end(), w.data.begin() + static_cast<long>(w.moved),
@@ -222,7 +222,7 @@ void Connection::pump_app_writes() {
     // always deferred so it cannot re-enter try_send mid-flight.
     if (w.on_accepted) {
       const SimTime copy_done =
-          w.enqueued_at + static_cast<SimTime>(params_.send_copy_ns_per_byte) *
+          w.enqueued_at + static_cast<SimTime>(params_->send_copy_ns_per_byte) *
                               w.data.size();
       owner_.simulator().schedule_at(std::max(copy_done, owner_.simulator().now()),
                                      std::move(w.on_accepted));
@@ -253,14 +253,14 @@ void Connection::try_send() {
   for (;;) {
     const std::uint64_t buffered_end = send_base_ + send_buf_.size();
     std::uint64_t avail = buffered_end > snd_nxt_ ? buffered_end - snd_nxt_ : 0;
-    const bool fin_now = fin_ready_at(snd_nxt_ + avail) && !fin_offset_;
+    const bool fin_now = fin_ready_at(snd_nxt_ + avail) && fin_offset_ == kNoOffset;
     if (avail == 0 && !fin_now) break;
 
     std::uint32_t win = usable_window();
     if (win == 0) {
       if (in_flight() == 0 && !persist_timer_.armed()) {
         // Zero-window deadlock guard: arm the persist timer.
-        persist_backoff_ = params_.persist_interval;
+        persist_backoff_ = params_->persist_interval;
         persist_timer_.start(persist_backoff_, [this] { on_rto(); });
       }
       break;
@@ -292,9 +292,9 @@ void Connection::try_send() {
       snd_nxt_ += 1;
     }
     if (snd_nxt_ > highest_sent_) highest_sent_ = snd_nxt_;
-    if (snd_nxt_ == buffered_end + (fin_offset_ ? 1 : 0)) seg.flags |= Flags::kPsh;
+    if (snd_nxt_ == buffered_end + (fin_offset_ != kNoOffset ? 1 : 0)) seg.flags |= Flags::kPsh;
     seg.window = static_cast<std::uint16_t>(std::min<std::size_t>(
-        params_.recv_buf - rx_buf_.size(), 65535));
+        params_->recv_buf - rx_buf_.size(), 65535));
     last_adv_wnd_ = seg.window;
     bytes_sent_total_ += len;
 
@@ -328,7 +328,7 @@ void Connection::send_ack_now() {
   seg.flags = Flags::kAck;
   seg.ack = seq_add(irs_, static_cast<std::int64_t>(rcv_nxt_));
   seg.window = static_cast<std::uint16_t>(std::min<std::size_t>(
-      params_.recv_buf - rx_buf_.size(), 65535));
+      params_->recv_buf - rx_buf_.size(), 65535));
   last_adv_wnd_ = seg.window;
   segs_since_ack_ = 0;
   delack_timer_.stop();
@@ -356,7 +356,7 @@ bool Connection::on_icmp_frag_needed(Seq32 quoted_seq, std::uint32_t claimed_mtu
   // (or lucky) message cannot collapse the MSS to a sliver, then shrink —
   // never grow — the effective MSS. 40 = IP + TCP header bytes.
   const std::uint32_t mtu =
-      std::max<std::uint32_t>(claimed_mtu, params_.min_pmtu);
+      std::max<std::uint32_t>(claimed_mtu, params_->min_pmtu);
   const std::uint32_t new_mss = mtu - 40;
   if (new_mss < eff_mss_) {
     TFO_LOG(kDebug, "tcp") << key_.str() << " PMTU update: eff_mss "
@@ -383,10 +383,10 @@ void Connection::schedule_ack() {
     return;
   }
   ++segs_since_ack_;
-  if (segs_since_ack_ >= params_.ack_every_segments) {
+  if (segs_since_ack_ >= params_->ack_every_segments) {
     send_ack_now();
   } else if (!delack_timer_.armed()) {
-    delack_timer_.start(params_.delayed_ack, [this] { send_ack_now(); });
+    delack_timer_.start(params_->delayed_ack, [this] { send_ack_now(); });
   }
 }
 
@@ -400,21 +400,21 @@ void Connection::on_rto() {
   if (state_ == TcpState::kClosed || state_ == TcpState::kTimeWait) return;
 
   if (state_ == TcpState::kSynSent || state_ == TcpState::kSynRcvd) {
-    if (++retries_ > params_.max_syn_retries) {
+    if (++retries_ > params_->max_syn_retries) {
       teardown(CloseReason::kTimeout);
       return;
     }
-    rto_ = std::min<SimDuration>(rto_ * 2, params_.max_rto);
+    rto_ = std::min<SimDuration>(rto_ * 2, params_->max_rto);
     send_syn(state_ == TcpState::kSynRcvd);
     return;
   }
 
   const bool anything_outstanding =
       in_flight() > 0 || snd_una_ < send_base_ + send_buf_.size() ||
-      (fin_offset_ && snd_una_ <= *fin_offset_);
+      (fin_offset_ != kNoOffset && snd_una_ <= fin_offset_);
   if (!anything_outstanding) return;
 
-  if (++retries_ > params_.max_retries) {
+  if (++retries_ > params_->max_retries) {
     teardown(CloseReason::kTimeout);
     return;
   }
@@ -422,11 +422,11 @@ void Connection::on_rto() {
   // Karn: never sample RTT across a retransmission.
   rtt_measuring_ = false;
   // Congestion response to loss.
-  if (params_.congestion_control) {
+  if (params_->congestion_control) {
     ssthresh_ = std::max<std::uint32_t>(in_flight() / 2, 2 * eff_mss_);
     cwnd_ = eff_mss_;
   }
-  rto_ = std::min<SimDuration>(rto_ * 2, params_.max_rto);
+  rto_ = std::min<SimDuration>(rto_ * 2, params_->max_rto);
   go_back_n();
   if (!rto_timer_.armed()) arm_rto();
 }
@@ -436,8 +436,8 @@ void Connection::go_back_n() {
   // whole [snd_una, old snd_nxt) gap (under slow start after an RTO),
   // instead of recovering one segment per timeout.
   snd_nxt_ = snd_una_;
-  if (fin_offset_ && *fin_offset_ >= snd_nxt_) {
-    fin_offset_.reset();  // the FIN will be re-emitted at the right point
+  if (fin_offset_ != kNoOffset && fin_offset_ >= snd_nxt_) {
+    fin_offset_ = kNoOffset;  // the FIN will be re-emitted at the right point
   }
   try_send();
 }
@@ -454,8 +454,8 @@ bool Connection::kick() {
     // The new path's state is unknown, so the resend starts from the
     // restart window (RFC 5681 §4.1: min(cwnd, IW)) with ssthresh kept:
     // slow start, clocked by the client's ACKs, sends the rest.
-    if (params_.congestion_control) {
-      cwnd_ = std::min(cwnd_, params_.initial_cwnd_segments * eff_mss_);
+    if (params_->congestion_control) {
+      cwnd_ = std::min(cwnd_, params_->initial_cwnd_segments * eff_mss_);
     }
     go_back_n();
     arm_rto();
@@ -483,13 +483,13 @@ void Connection::retransmit_head() {
   seg.flags = Flags::kAck;
   seg.ack = seq_add(irs_, static_cast<std::int64_t>(rcv_nxt_));
   seg.window = static_cast<std::uint16_t>(std::min<std::size_t>(
-      params_.recv_buf - rx_buf_.size(), 65535));
+      params_->recv_buf - rx_buf_.size(), 65535));
   if (len > 0) {
     const std::size_t head = static_cast<std::size_t>(snd_una_ - send_base_);
     seg.payload.assign(send_buf_.begin() + static_cast<long>(head),
                        send_buf_.begin() + static_cast<long>(head + len));
   }
-  if (fin_offset_ && snd_una_ + len == *fin_offset_) seg.flags |= Flags::kFin;
+  if (fin_offset_ != kNoOffset && snd_una_ + len == fin_offset_) seg.flags |= Flags::kFin;
   emit(std::move(seg));
 }
 
@@ -508,7 +508,7 @@ void Connection::rtt_sample_maybe(std::uint64_t acked_to) {
     srtt_ = (7 * srtt_ + r) / 8;
   }
   rto_ = std::clamp<SimDuration>(srtt_ + std::max<SimDuration>(4 * rttvar_, milliseconds(1)),
-                                 params_.min_rto, params_.max_rto);
+                                 params_->min_rto, params_->max_rto);
 }
 
 // ------------------------------------------------------------- inbound
@@ -537,7 +537,7 @@ void Connection::handle_segment(const TcpSegment& seg) {
     if (seg.has_ack() && seg.ack != seq_add(iss_, 1)) return;  // bogus
     irs_ = seg.seq;
     rcv_nxt_ = 1;
-    if (seg.mss) eff_mss_ = std::min<std::uint32_t>(params_.mss, *seg.mss);
+    if (seg.mss) eff_mss_ = std::min<std::uint32_t>(params_->mss, *seg.mss);
     snd_wnd_ = seg.window;
     max_snd_wnd_ = std::max(max_snd_wnd_, snd_wnd_);
     if (seg.has_ack()) {
@@ -675,7 +675,7 @@ bool Connection::process_ack(const TcpSegment& seg) {
     }
     // Ack of data sent before an RTO rewind: catch the send point up.
     snd_nxt_ = ack_off;
-    if (fin_queued_ && !fin_offset_ &&
+    if (fin_queued_ && fin_offset_ == kNoOffset &&
         ack_off == send_base_ + send_buf_.size() + 1) {
       fin_offset_ = ack_off - 1;  // the rewound FIN was acknowledged too
     }
@@ -693,9 +693,9 @@ bool Connection::process_ack(const TcpSegment& seg) {
     if (rtt_valid_) {
       rto_ = std::clamp<SimDuration>(
           srtt_ + std::max<SimDuration>(4 * rttvar_, milliseconds(1)),
-          params_.min_rto, params_.max_rto);
+          params_->min_rto, params_->max_rto);
     } else {
-      rto_ = params_.initial_rto;
+      rto_ = params_->initial_rto;
     }
     // Trim the send buffer below snd_una_ (SYN/FIN occupy no buffer).
     const std::uint64_t data_acked_to = std::min(ack_off, send_base_ + send_buf_.size());
@@ -704,7 +704,7 @@ bool Connection::process_ack(const TcpSegment& seg) {
                       send_buf_.begin() + static_cast<long>(data_acked_to - send_base_));
       send_base_ = data_acked_to;
     }
-    if (params_.congestion_control) {
+    if (params_->congestion_control) {
       if (cwnd_ < ssthresh_) {
         cwnd_ += static_cast<std::uint32_t>(std::min<std::uint64_t>(acked, eff_mss_));
       } else {
@@ -719,10 +719,10 @@ bool Connection::process_ack(const TcpSegment& seg) {
     pump_app_writes();
   } else if (ack_off == snd_una_ && in_flight() > 0 && seg.payload.empty() &&
              !seg.fin() && seg.window == snd_wnd_) {
-    if (++dupacks_ == params_.dupack_threshold) {
+    if (++dupacks_ == params_->dupack_threshold) {
       ++stat_fast_retransmits_;
       // Fast retransmit.
-      if (params_.congestion_control) {
+      if (params_->congestion_control) {
         ssthresh_ = std::max<std::uint32_t>(in_flight() / 2, 2 * eff_mss_);
         cwnd_ = ssthresh_;
       }
@@ -774,7 +774,7 @@ void Connection::process_data(const TcpSegment& seg) {
     off = rcv_nxt_;
   }
 
-  const std::size_t room = params_.recv_buf - rx_buf_.size();
+  const std::size_t room = params_->recv_buf - rx_buf_.size();
   if (off == rcv_nxt_) {
     if (data.size() > room) data.trim_to(room);  // beyond window: dropped
     if (data.empty()) {
@@ -786,7 +786,7 @@ void Connection::process_data(const TcpSegment& seg) {
     append(rx_buf_, data);
     deliver_in_order();
     schedule_ack();
-    if (!ooo_.empty()) send_ack_now();  // still a gap above us
+    if (ooo_ && !ooo_->empty()) send_ack_now();  // still a gap above us
     if (on_readable) on_readable();
   } else {
     // Out of order: stash and duplicate-ACK to trigger fast retransmit.
@@ -799,13 +799,14 @@ void Connection::process_data(const TcpSegment& seg) {
 
 void Connection::deliver_in_order() {
   // Merge any out-of-order runs that are now contiguous.
-  for (auto it = ooo_.begin(); it != ooo_.end();) {
+  if (!ooo_) return;
+  for (auto it = ooo_->begin(); it != ooo_->end();) {
     if (it->first > rcv_nxt_) break;
     const wire::PacketBuffer& run = it->second;
     const std::uint64_t run_end = it->first + run.size();
     if (run_end > rcv_nxt_) {
       const std::size_t skip = static_cast<std::size_t>(rcv_nxt_ - it->first);
-      const std::size_t room = params_.recv_buf - rx_buf_.size();
+      const std::size_t room = params_->recv_buf - rx_buf_.size();
       std::size_t take = std::min(run.size() - skip, room);
       rx_buf_.insert(rx_buf_.end(), run.begin() + static_cast<long>(skip),
                      run.begin() + static_cast<long>(skip + take));
@@ -823,9 +824,8 @@ void Connection::process_fin(const TcpSegment& seg) {
   const std::int64_t fin_off =
       static_cast<std::int64_t>(rcv_nxt_) + rel + static_cast<std::int64_t>(seg.payload.size());
   if (fin_off < 0) return;
-  peer_fin_offset_ = static_cast<std::uint64_t>(fin_off);
 
-  if (*peer_fin_offset_ != rcv_nxt_) {
+  if (static_cast<std::uint64_t>(fin_off) != rcv_nxt_) {
     // FIN beyond data we have not received yet; wait for the gap to fill.
     send_ack_now();
     return;
@@ -838,11 +838,11 @@ void Connection::process_fin(const TcpSegment& seg) {
   // the pre-FIN state.
   switch (state_) {
     case TcpState::kEstablished:
-      state_ = TcpState::kCloseWait;
+      set_state(TcpState::kCloseWait);
       break;
     case TcpState::kFinWait1:
       // Our FIN not yet acked (otherwise we'd be in FIN_WAIT_2).
-      state_ = TcpState::kClosing;
+      set_state(TcpState::kClosing);
       maybe_advance_close_states();
       break;
     case TcpState::kFinWait2:
@@ -859,10 +859,10 @@ void Connection::process_fin(const TcpSegment& seg) {
 }
 
 void Connection::maybe_advance_close_states() {
-  const bool fin_acked = fin_offset_ && snd_una_ > *fin_offset_;
+  const bool fin_acked = fin_offset_ != kNoOffset && snd_una_ > fin_offset_;
   switch (state_) {
     case TcpState::kFinWait1:
-      if (fin_acked) state_ = TcpState::kFinWait2;
+      if (fin_acked) set_state(TcpState::kFinWait2);
       break;
     case TcpState::kClosing:
       if (fin_acked) enter_time_wait();
@@ -878,9 +878,9 @@ void Connection::maybe_advance_close_states() {
 void Connection::on_window_open() {
   // App drained the receive buffer; if we had been advertising a closed
   // (or nearly closed) window, update the peer so it can resume.
-  const std::size_t now_free = params_.recv_buf - rx_buf_.size();
+  const std::size_t now_free = params_->recv_buf - rx_buf_.size();
   if (last_adv_wnd_ < eff_mss_ &&
-      now_free >= std::max<std::size_t>(eff_mss_, params_.recv_buf / 4)) {
+      now_free >= std::max<std::size_t>(eff_mss_, params_->recv_buf / 4)) {
     if (state_ == TcpState::kEstablished || state_ == TcpState::kFinWait1 ||
         state_ == TcpState::kFinWait2) {
       send_ack_now();
@@ -891,14 +891,14 @@ void Connection::on_window_open() {
 // ------------------------------------------------------------ lifecycle
 
 void Connection::arm_keepalive() {
-  if (params_.keepalive_idle <= 0) return;
+  if (params_->keepalive_idle <= 0) return;
   keepalive_unanswered_ = 0;
-  keepalive_timer_.start(params_.keepalive_idle, [this] { on_keepalive(); });
+  keepalive_timer_.start(params_->keepalive_idle, [this] { on_keepalive(); });
 }
 
 void Connection::on_keepalive() {
   if (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait) return;
-  if (++keepalive_unanswered_ > params_.keepalive_probes) {
+  if (++keepalive_unanswered_ > params_->keepalive_probes) {
     TFO_LOG(kDebug, "tcp") << key_.str() << " keepalive: peer unresponsive";
     teardown(CloseReason::kTimeout);
     return;
@@ -912,9 +912,9 @@ void Connection::on_keepalive() {
   seg.flags = Flags::kAck;
   seg.ack = seq_add(irs_, static_cast<std::int64_t>(rcv_nxt_));
   seg.window = static_cast<std::uint16_t>(
-      std::min<std::size_t>(params_.recv_buf - rx_buf_.size(), 65535));
+      std::min<std::size_t>(params_->recv_buf - rx_buf_.size(), 65535));
   emit(std::move(seg));
-  keepalive_timer_.start(params_.keepalive_interval, [this] { on_keepalive(); });
+  keepalive_timer_.start(params_->keepalive_interval, [this] { on_keepalive(); });
 }
 
 void Connection::leave_embryonic() {
@@ -923,9 +923,15 @@ void Connection::leave_embryonic() {
   owner_.note_embryonic_done(key_.local_port);
 }
 
+void Connection::set_state(TcpState s) {
+  TFO_LOG(kTrace, "tcp") << key_.str() << " " << state_name(state_) << " -> "
+                         << state_name(s);
+  state_ = s;
+}
+
 void Connection::enter_established() {
   leave_embryonic();
-  state_ = TcpState::kEstablished;
+  set_state(TcpState::kEstablished);
   rto_timer_.stop();
   arm_keepalive();
   if (on_established) on_established();
@@ -938,11 +944,11 @@ void Connection::enter_established() {
 }
 
 void Connection::enter_time_wait() {
-  state_ = TcpState::kTimeWait;
+  set_state(TcpState::kTimeWait);
   rto_timer_.stop();
   delack_timer_.stop();
   persist_timer_.stop();
-  time_wait_timer_.start(2 * params_.msl, [this] { teardown(CloseReason::kGraceful); });
+  time_wait_timer_.start(2 * params_->msl, [this] { teardown(CloseReason::kGraceful); });
   release_drained_buffers();
 }
 
@@ -955,7 +961,7 @@ void Connection::release_drained_buffers() {
 void Connection::teardown(CloseReason reason) {
   if (state_ == TcpState::kClosed) return;
   leave_embryonic();
-  state_ = TcpState::kClosed;
+  set_state(TcpState::kClosed);
   rto_timer_.stop();
   delack_timer_.stop();
   persist_timer_.stop();

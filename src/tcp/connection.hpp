@@ -50,10 +50,12 @@ enum class CloseReason {
   kAborted,        // local abort()
 };
 
-class Connection : public std::enable_shared_from_this<Connection> {
+class Connection {
  public:
   /// Created via TcpLayer::connect / listener accept path only.
-  Connection(TcpLayer& owner, ConnKey key, TcpParams params, bool failover_flagged);
+  /// `params` is the layer's snapshot (TcpLayer::params_snapshot()).
+  Connection(TcpLayer& owner, ConnKey key, std::shared_ptr<const TcpParams> params,
+             bool failover_flagged);
   ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -85,6 +87,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   // ------------------------------------------------------------- state
   TcpState state() const { return state_; }
+  /// The params this connection was created with.
+  const TcpParams& params() const { return *params_; }
   const ConnKey& key() const { return key_; }
   /// Monotonic id assigned at construction, unique for the owning layer's
   /// lifetime. Applications key session tables on this instead of the
@@ -205,12 +209,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void on_window_open();
 
   // Out-of-order stash accounting (pinned-byte budget).
+  using OooMap = std::map<std::uint64_t, wire::PacketBuffer>;
   bool stash_ooo(std::uint64_t off, wire::PacketBuffer data);
-  std::map<std::uint64_t, wire::PacketBuffer>::iterator drop_ooo_entry(
-      std::map<std::uint64_t, wire::PacketBuffer>::iterator it);
+  OooMap::iterator drop_ooo_entry(OooMap::iterator it);
   void release_all_ooo();
 
   // Lifecycle.
+  /// Every state change goes through here (one place to trace or check
+  /// a transition).
+  void set_state(TcpState s);
   void enter_established();
   void enter_time_wait();
   void teardown(CloseReason reason);
@@ -223,31 +230,29 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// SYN_RCVD only; idempotent).
   void leave_embryonic();
 
-  TcpLayer& owner_;
-  ConnKey key_;
-  std::uint64_t id_;
-  TcpParams params_;
-  bool failover_flagged_;
-  bool nodelay_ = false;
-  /// True while this passive-open connection occupies a slot in its
-  /// listener's backlog (set by TcpLayer::handle_for_listener, cleared on
-  /// the first exit from SYN_RCVD).
-  bool embryonic_ = false;
-  /// While set, outgoing segments carry the migrate-from option naming
-  /// this (previous) local address; cleared by the first inbound segment
-  /// after the move — it arrived at the new address, so the peer knows.
-  std::optional<ip::Ipv4> migrate_pending_from_;
+  // Keepalive helpers.
+  void arm_keepalive();
+  void on_keepalive();
 
-  TcpState state_ = TcpState::kClosed;
+  /// fin_offset_ before our FIN has been sent.
+  static constexpr std::uint64_t kNoOffset = UINT64_MAX;
+
+  // Members are grouped by size, not by topic, so there is no padding
+  // between them: storm holds three Connections per client connection
+  // (client, primary, secondary). ConnectionLayout.StaysWithinTheStormBudget
+  // pins the size.
+
+  TcpLayer& owner_;
+  /// Shared with every connection the layer created under the same params;
+  /// a later mutable_params() edit does not reach this connection.
+  std::shared_ptr<const TcpParams> params_;
+  std::uint64_t id_;
 
   // --- send side (all offsets are 64-bit unwrapped stream positions;
   // offset 0 == ISS, so SYN occupies [0,1) and data starts at 1).
-  Seq32 iss_ = 0;
   std::uint64_t snd_una_ = 0;  // oldest unacknowledged offset
   std::uint64_t snd_nxt_ = 0;  // next offset to send
   std::uint64_t highest_sent_ = 0;  // high-water mark (survives RTO rewinds)
-  std::uint32_t snd_wnd_ = 0;  // peer's advertised window
-  std::uint32_t max_snd_wnd_ = 0;  // largest window the peer ever advertised
   std::uint64_t wl1_ = 0;      // seq offset of last window update
   std::uint64_t wl2_ = 0;      // ack offset of last window update
   Bytes send_buf_;             // send_buf_[0] is stream offset send_base_
@@ -260,67 +265,78 @@ class Connection : public std::enable_shared_from_this<Connection> {
   };
   // Holds 0 to 2 writes; a vector allocates nothing while it is empty.
   std::vector<PendingWrite> app_writes_;
-  bool fin_queued_ = false;
-  bool close_requested_ = false;  // close() arrived during the handshake
-  std::optional<std::uint64_t> fin_offset_;  // stream offset of our FIN
+  std::uint64_t fin_offset_ = kNoOffset;  // stream offset of our FIN
   std::uint64_t bytes_sent_total_ = 0;
 
   // --- receive side (offset 0 == IRS; data starts at 1).
-  Seq32 irs_ = 0;
   std::uint64_t rcv_nxt_ = 0;
   Bytes rx_buf_;
   // Out-of-order runs by offset: zero-copy slices of the frames the data
-  // arrived in, retained until the gap below them fills. ooo_bytes_ is
-  // the pinned-slice total, bounded by params_.ooo_budget_bytes and
-  // mirrored into the layer-wide tcp.conn_bytes_pinned gauge.
-  std::map<std::uint64_t, wire::PacketBuffer> ooo_;
+  // arrived in, retained until the gap below them fills. The map is made
+  // on the first out-of-order segment; most connections never see one.
+  // ooo_bytes_ is the pinned-slice total, bounded by
+  // params_->ooo_budget_bytes and mirrored into the layer-wide
+  // tcp.conn_bytes_pinned gauge.
+  std::unique_ptr<OooMap> ooo_;
   std::size_t ooo_bytes_ = 0;
-  std::optional<std::uint64_t> peer_fin_offset_;
-  bool peer_fin_delivered_ = false;
-  int segs_since_ack_ = 0;
-  int quickack_left_ = 0;  // initialized from params in the constructor
   std::uint64_t bytes_received_total_ = 0;
 
-  // --- MSS / congestion.
-  std::uint32_t eff_mss_;
-  std::uint32_t cwnd_;
-  std::uint32_t ssthresh_ = 0x40000000;
-  int dupacks_ = 0;
-
-  // --- RTO (RFC 6298).
+  // --- RTO (RFC 6298) and persist backoff.
   SimDuration srtt_ = 0;
   SimDuration rttvar_ = 0;
   SimDuration rto_;
-  bool rtt_valid_ = false;
-  bool rtt_measuring_ = false;
   std::uint64_t rtt_offset_ = 0;
   SimTime rtt_start_ = 0;
-  int retries_ = 0;
+  SimDuration persist_backoff_ = 0;
 
   sim::Timer rto_timer_;
   sim::Timer delack_timer_;
   sim::Timer persist_timer_;
   sim::Timer time_wait_timer_;
   sim::Timer keepalive_timer_;
-  int keepalive_unanswered_ = 0;
-  SimDuration persist_backoff_ = 0;
-
-  // Keepalive helpers.
-  void arm_keepalive();
-  void on_keepalive();
-
-  std::uint16_t last_adv_wnd_ = 0;
 
   // Per-connection challenge-ACK budget, refreshed lazily when the layer's
   // interval epoch advances (no per-connection timer).
   std::uint64_t challenge_epoch_ = 0;
-  std::uint32_t challenge_used_ = 0;
 
   // Diagnostics.
   std::uint64_t stat_timeouts_ = 0;
   std::uint64_t stat_fast_retransmits_ = 0;
   std::uint64_t stat_segments_sent_ = 0;
   std::uint64_t stat_segments_received_ = 0;
+
+  // --- 32-bit and smaller fields.
+  ConnKey key_;
+  TcpState state_ = TcpState::kClosed;
+  /// While set, outgoing segments carry the migrate-from option naming
+  /// this (previous) local address; cleared by the first inbound segment
+  /// after the move — it arrived at the new address, so the peer knows.
+  std::optional<ip::Ipv4> migrate_pending_from_;
+  Seq32 iss_ = 0;
+  Seq32 irs_ = 0;
+  std::uint32_t snd_wnd_ = 0;  // peer's advertised window
+  std::uint32_t max_snd_wnd_ = 0;  // largest window the peer ever advertised
+  std::uint32_t eff_mss_;
+  std::uint32_t cwnd_;
+  std::uint32_t ssthresh_ = 0x40000000;
+  std::uint32_t challenge_used_ = 0;
+  int dupacks_ = 0;
+  int segs_since_ack_ = 0;
+  int quickack_left_ = 0;  // initialized from params in the constructor
+  int retries_ = 0;
+  int keepalive_unanswered_ = 0;
+  std::uint16_t last_adv_wnd_ = 0;
+  bool failover_flagged_;
+  bool nodelay_ = false;
+  /// True while this passive-open connection occupies a slot in its
+  /// listener's backlog (set by TcpLayer::handle_for_listener, cleared on
+  /// the first exit from SYN_RCVD).
+  bool embryonic_ = false;
+  bool fin_queued_ = false;
+  bool close_requested_ = false;  // close() arrived during the handshake
+  bool peer_fin_delivered_ = false;
+  bool rtt_valid_ = false;
+  bool rtt_measuring_ = false;
 
   friend class TcpLayer;
 };

@@ -71,6 +71,13 @@ void TcpLayer::resolve_listener_counters(std::uint16_t port, Listener& l) {
   l.ctr_overflows = &obs_->registry.counter(prefix + ".overflows");
 }
 
+std::shared_ptr<const TcpParams> TcpLayer::params_snapshot() {
+  if (!params_snapshot_ || *params_snapshot_ != params_) {
+    params_snapshot_ = std::make_shared<const TcpParams>(params_);
+  }
+  return params_snapshot_;
+}
+
 void TcpLayer::note_pinned_delta(std::int64_t delta) {
   pinned_bytes_ += delta;
   if (gau_pinned_bytes_) gau_pinned_bytes_->set(pinned_bytes_);
@@ -204,7 +211,7 @@ std::shared_ptr<Connection> TcpLayer::connect(ip::Ipv4 remote_ip,
   if (key.local_port == 0) return nullptr;  // ephemeral space exhausted
   key.remote_ip = remote_ip;
   key.remote_port = remote_port;
-  auto conn = std::make_shared<Connection>(*this, key, params_, opts.failover);
+  auto conn = std::make_shared<Connection>(*this, key, params_snapshot(), opts.failover);
   if (opts.nodelay) conn->set_nodelay(true);
   insert_conn(key, conn);
   if (ctr_conns_opened_) ctr_conns_opened_->inc();
@@ -450,7 +457,7 @@ void TcpLayer::handle_for_listener(const TcpSegment& seg, ip::Ipv4 src, ip::Ipv4
   }
   ++l.pending;
   ConnKey key{dst, seg.dst_port, src, seg.src_port};
-  auto conn = std::make_shared<Connection>(*this, key, params_, l.opts.failover);
+  auto conn = std::make_shared<Connection>(*this, key, params_snapshot(), l.opts.failover);
   if (l.opts.nodelay) conn->set_nodelay(true);
   conn->embryonic_ = true;  // charged to the listener's backlog
   insert_conn(key, conn);

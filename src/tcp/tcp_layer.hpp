@@ -58,7 +58,13 @@ class TcpLayer {
   sim::Simulator& simulator() { return sim_; }
   ip::IpLayer& ip() { return ip_; }
   const TcpParams& params() const { return params_; }
+  /// Edits apply to connections created afterwards; an open connection
+  /// keeps the params it was created with.
   TcpParams& mutable_params() { return params_; }
+  /// The params a new connection takes: one immutable copy shared by
+  /// every connection created while params() is unchanged, re-made on the
+  /// first connection after a mutable_params() edit.
+  std::shared_ptr<const TcpParams> params_snapshot();
 
   /// Starts listening on `port`; `on_accept` fires once per connection
   /// when it reaches ESTABLISHED.
@@ -205,6 +211,7 @@ class TcpLayer {
   sim::Simulator& sim_;
   ip::IpLayer& ip_;
   TcpParams params_;
+  std::shared_ptr<const TcpParams> params_snapshot_;
   Rng rng_;
   /// The demux table. Its slot order is hash-dependent: sweeps whose side
   /// effects reach the wire collect and sort by a stable key first.

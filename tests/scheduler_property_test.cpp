@@ -278,9 +278,9 @@ TEST(SchedulerEquivalence, TimerRestartFromCallback) {
   Timer timer(sim);
   int fires = 0;
   std::function<void()> tick = [&] {
-    if (++fires < 5) timer.start(1000, tick);
+    if (++fires < 5) timer.start(1000, [&tick] { tick(); });
   };
-  timer.start(1000, tick);
+  timer.start(1000, [&tick] { tick(); });
   sim.run();
   EXPECT_EQ(fires, 5);
   EXPECT_EQ(sim.now(), 5000);

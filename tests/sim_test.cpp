@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulator.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -138,6 +139,51 @@ TEST(Timer, DeadlineReported) {
   Timer t(sim);
   t.start(13, [] {});
   EXPECT_EQ(t.deadline(), 20u);
+}
+
+/// A timer owner whose callback re-arms its own timer (the retransmit
+/// pattern): the Timer holds no callable, so the re-arm happens while the
+/// scheduler is still running the closure that fired.
+struct Ticker {
+  explicit Ticker(Simulator& sim) : timer(sim) {}
+  void arm() { timer.start(10, [this] { tick(); }); }
+  void tick() {
+    fired_at.push_back(timer.deadline());
+    EXPECT_FALSE(timer.armed());
+    if (fired_at.size() < 3) arm();
+  }
+  Timer timer;
+  std::vector<SimTime> fired_at;
+};
+
+TEST(Timer, CallbackRearmsItsOwnTimer) {
+  Simulator sim;
+  Ticker t(sim);
+  t.arm();
+  sim.run();
+  EXPECT_EQ(t.fired_at, (std::vector<SimTime>{10, 20, 30}));
+  EXPECT_FALSE(t.timer.armed());
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Timer, CallbackMayDestroyTheTimersOwner) {
+  // The connection-teardown pattern: the callback frees the object that
+  // holds the timer. Nothing may touch the timer after the callback
+  // returns (ASan builds catch a use after free here).
+  struct Owner {
+    explicit Owner(Simulator& sim) : timer(sim) {}
+    Timer timer;
+  };
+  Simulator sim;
+  auto owner = std::make_unique<Owner>(sim);
+  std::unique_ptr<Owner>* slot = &owner;
+  owner->timer.start(10, [slot] { slot->reset(); });
+  int later = 0;
+  sim.schedule_at(20, [&later] { ++later; });
+  sim.run();
+  EXPECT_EQ(owner, nullptr);
+  EXPECT_EQ(later, 1);
+  EXPECT_EQ(sim.now(), 20u);
 }
 
 }  // namespace

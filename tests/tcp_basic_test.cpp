@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "apps/topology.hpp"
 #include "test_util.hpp"
@@ -319,6 +320,73 @@ TEST_F(TcpFixture, NagleCoalescesSmallWrites) {
   ASSERT_TRUE(test::run_until(lan->sim, [&] { return got.size() == 50; }, seconds(30)));
   // Coalescing means far fewer data segments than writes.
   EXPECT_EQ(got.size(), 50u);
+}
+
+/// Time from the server sending one small segment to the client's ACK of
+/// it reaching the server. With quickack off and two-segment ACK parity,
+/// the client acknowledges a lone segment on its delayed-ACK timer.
+SimDuration delayed_ack_seen_by_server(Topology& lan, Connection& server) {
+  const SimTime sent = lan.sim.now();
+  server.send(to_bytes("x"));
+  EXPECT_TRUE(test::run_until(lan.sim, [&] { return server.info().bytes_in_flight == 0; }));
+  return static_cast<SimDuration>(lan.sim.now() - sent);
+}
+
+TEST_F(TcpFixture, ParamsEditAfterConnectAppliesToTheNextConnection) {
+  TopologyParams p;
+  p.tcp.quickack_segments = 0;
+  build(p);
+  std::vector<std::shared_ptr<Connection>> accepted;
+  lan->primary->tcp().listen(80, [&](std::shared_ptr<Connection> c) {
+    accepted.push_back(std::move(c));
+  });
+  auto first = lan->client->tcp().connect(lan->primary->address(), 80);
+  ASSERT_TRUE(test::run_until(lan->sim, [&] { return accepted.size() == 1; }));
+
+  lan->client->tcp().mutable_params().delayed_ack = milliseconds(300);
+  auto second = lan->client->tcp().connect(lan->primary->address(), 80);
+  ASSERT_TRUE(test::run_until(lan->sim, [&] { return accepted.size() == 2; }));
+
+  // The open connection keeps the params it was created with.
+  EXPECT_EQ(first->params().delayed_ack, milliseconds(100));
+  EXPECT_EQ(second->params().delayed_ack, milliseconds(300));
+  const SimDuration old_wait = delayed_ack_seen_by_server(*lan, *accepted[0]);
+  EXPECT_GE(old_wait, milliseconds(100));
+  EXPECT_LT(old_wait, milliseconds(300));
+  EXPECT_GE(delayed_ack_seen_by_server(*lan, *accepted[1]), milliseconds(300));
+}
+
+TEST_F(TcpFixture, ConnectionsUnderUnchangedParamsShareOneSnapshot) {
+  build();
+  TcpLayer& tcp = lan->client->tcp();
+  auto a = tcp.connect(lan->primary->address(), 80);
+  auto b = tcp.connect(lan->primary->address(), 81);
+  EXPECT_EQ(&a->params(), &b->params());
+
+  // An edit makes a new snapshot for the next connection only.
+  tcp.mutable_params().mss = 1000;
+  auto c = tcp.connect(lan->primary->address(), 82);
+  EXPECT_NE(&c->params(), &a->params());
+  EXPECT_EQ(c->params().mss, 1000);
+  EXPECT_EQ(a->params().mss, 1460);
+
+  // An edit that is undone before the next connection changes nothing.
+  tcp.mutable_params().mss = 500;
+  tcp.mutable_params().mss = 1000;
+  auto d = tcp.connect(lan->primary->address(), 83);
+  EXPECT_EQ(&d->params(), &c->params());
+}
+
+TEST(ConnectionLayout, StaysWithinTheStormBudget) {
+  // storm holds three Connections per client connection, each with five
+  // Timers; a field added here moves bench_e2e's heap figures. The pins
+  // hold for the x86-64 libstdc++ layout the budget was measured on.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+  EXPECT_LE(sizeof(Connection), 672u);
+  EXPECT_LE(sizeof(sim::Timer), 24u);
+#else
+  GTEST_SKIP() << "layout budget is pinned for x86-64 libstdc++ only";
+#endif
 }
 
 }  // namespace
