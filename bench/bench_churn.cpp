@@ -18,85 +18,13 @@
 //
 // Artifact: BENCH_churn.json ("churn" section schema validated by
 // scripts/check_bench_json.py).
-#include <malloc.h>
-
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 
 #include "apps/echo.hpp"
 #include "apps/http.hpp"
 #include "apps/loadgen.hpp"
 #include "bench_util.hpp"
-
-// ----------------------------------------------------------------------
-// Global allocation accounting (the storm bench's counted allocator):
-// live_bytes uses the allocator's real block size so the growth gate
-// reflects actual footprint.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_live_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  void* p = std::malloc(n ? n : 1);
-  if (p) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
-  }
-  return p;
-}
-
-void* counted_aligned_alloc(std::size_t n, std::size_t align) {
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     n ? n : 1) != 0) {
-    return nullptr;
-  }
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
-  return p;
-}
-
-void counted_free(void* p) noexcept {
-  if (!p) return;
-  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  void* p = counted_alloc(n);
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  void* p = counted_aligned_alloc(n, static_cast<std::size_t>(a));
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
+#include "counting_alloc.hpp"
 
 namespace tfo::bench {
 namespace {
@@ -166,7 +94,7 @@ ChurnResult run_churn(double cps, SimDuration duration, BenchJson* json) {
   lg_cfg.seed = 42;
   apps::LoadGen lg(t->sim(), {&t->client().tcp()}, lg_cfg, &t->client().obs());
 
-  const std::uint64_t bytes_baseline = g_live_bytes.load(std::memory_order_relaxed);
+  const std::uint64_t bytes_baseline = heap_stats().live_bytes;
 
   lg.start();
   // The mid-run crash: half the arrival window is served by the primary,
@@ -182,7 +110,7 @@ ChurnResult run_churn(double cps, SimDuration duration, BenchJson* json) {
   // figure measures leaks, not the quiet period.
   t->sim().run_for(2 * lp.tcp.msl + milliseconds(600));
 
-  const std::uint64_t bytes_end = g_live_bytes.load(std::memory_order_relaxed);
+  const std::uint64_t bytes_end = heap_stats().live_bytes;
 
   ChurnResult r;
   r.offered_cps = cps;

@@ -11,39 +11,18 @@
 // A macro phase runs a real replicated echo transfer and reports the live
 // per-diverted-segment allocation rate plus the net.alloc.* counters now
 // mirrored into each host's observability snapshot.
-#include <atomic>
+//
+// Heap figures count every operator new in the process (the counting
+// allocator in bench_e2e/counting_alloc.cpp), vector bookkeeping included;
+// bytes are the allocator's block sizes, not the requested sizes.
 #include <chrono>
-#include <cstdlib>
-#include <new>
 
 #include "bench_util.hpp"
+#include "counting_alloc.hpp"
 #include "failover_fixture.hpp"  // test::EchoDriver (shared with the tests)
 #include "ip/datagram.hpp"
 #include "tcp/segment.hpp"
 #include "wire/packet_buffer.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counters: every operator new in this binary is counted,
-// so the per-segment numbers include vector bookkeeping, not just the
-// PacketBuffer-level accounting.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::atomic<std::uint64_t> g_heap_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_heap_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tfo::bench {
 namespace {
@@ -110,16 +89,14 @@ PathCost measure_path(std::size_t iters, const Fn& fn) {
   PathCost c;
   volatile std::size_t sink = 0;
   wire::reset_buffer_stats();
-  const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
-  const std::uint64_t b0 = g_heap_bytes.load(std::memory_order_relaxed);
+  const HeapStats h0 = heap_stats();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) sink += fn();
   const auto t1 = std::chrono::steady_clock::now();
+  const HeapStats h1 = heap_stats();
   const double n = static_cast<double>(iters);
-  c.allocs_per_seg =
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) - a0) / n;
-  c.heap_bytes_per_seg =
-      static_cast<double>(g_heap_bytes.load(std::memory_order_relaxed) - b0) / n;
+  c.allocs_per_seg = static_cast<double>(h1.allocs - h0.allocs) / n;
+  c.heap_bytes_per_seg = static_cast<double>(h1.alloc_bytes - h0.alloc_bytes) / n;
   c.copied_bytes_per_seg =
       static_cast<double>(wire::buffer_stats().copied_bytes) / n;
   const double ns =
@@ -182,12 +159,12 @@ int main(int argc, char** argv) {
   t->sim().run_for(milliseconds(100));
 
   const std::size_t total = quick ? 64 * 1024 : 512 * 1024;
-  const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = heap_stats().allocs;
   const auto w0 = std::chrono::steady_clock::now();
   test::EchoDriver d(t->client(), t->primary().address(), kPort, total, 4096);
   const bool done = test::run_until(t->sim(), [&] { return d.done(); }, seconds(600));
   const auto w1 = std::chrono::steady_clock::now();
-  const std::uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - a0;
+  const std::uint64_t allocs = heap_stats().allocs - a0;
   const double wall_ms =
       std::chrono::duration_cast<std::chrono::microseconds>(w1 - w0).count() / 1e3;
   const std::uint64_t diverted = t->group->secondary_bridge().segments_diverted();

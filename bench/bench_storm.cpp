@@ -22,86 +22,13 @@
 //
 // Artifact: BENCH_storm.json ("storm" section schema validated by
 // scripts/check_bench_json.py).
-#include <malloc.h>
-
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 
 #include "bench_util.hpp"
+#include "counting_alloc.hpp"
 #include "core/bridge_conn.hpp"
 #include "sim/timer.hpp"
 #include "wire/packet_buffer.hpp"
-
-// ----------------------------------------------------------------------
-// Global allocation accounting. Counts every operator new/delete in the
-// process; live_bytes uses the allocator's real block size so the
-// bytes-per-connection figure reflects actual footprint, not requested
-// sizes.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_live_bytes{0};
-
-void* counted_alloc(std::size_t n) {
-  void* p = std::malloc(n ? n : 1);
-  if (p) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
-  }
-  return p;
-}
-
-void* counted_aligned_alloc(std::size_t n, std::size_t align) {
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     n ? n : 1) != 0) {
-    return nullptr;
-  }
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_live_bytes.fetch_add(malloc_usable_size(p), std::memory_order_relaxed);
-  return p;
-}
-
-void counted_free(void* p) noexcept {
-  if (!p) return;
-  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  void* p = counted_alloc(n);
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  void* p = counted_aligned_alloc(n, static_cast<std::size_t>(a));
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
 
 namespace tfo::bench {
 namespace {
@@ -117,12 +44,12 @@ std::uint64_t timer_cycle_allocs(int cycles) {
     timer.start(milliseconds(1), [] {});
     timer.stop();
   }
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = heap_stats().allocs;
   for (int i = 0; i < cycles; ++i) {
     timer.start(milliseconds(1), [] {});
     timer.stop();
   }
-  return g_alloc_count.load(std::memory_order_relaxed) - before;
+  return heap_stats().allocs - before;
 }
 
 // ------------------------------------------------------------ the storm
@@ -208,7 +135,7 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   }
   t->sim().run_for(milliseconds(100));  // detectors and ARP settle
 
-  const std::uint64_t bytes_baseline = g_live_bytes.load(std::memory_order_relaxed);
+  const std::uint64_t bytes_baseline = heap_stats().live_bytes;
   const std::uint64_t buffers_baseline = wire::buffer_stats().live_bytes;
   const std::uint64_t events_baseline = t->sim().stats().pool_events;
 
@@ -247,7 +174,7 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
     return {};
   }
 
-  const std::uint64_t bytes_loaded = g_live_bytes.load(std::memory_order_relaxed);
+  const std::uint64_t bytes_loaded = heap_stats().live_bytes;
   MemBreakdown mem;
   {
     const std::uint64_t buffers_loaded = wire::buffer_stats().live_bytes;

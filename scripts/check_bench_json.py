@@ -187,27 +187,6 @@ def _check_storm(storm):
             f"storm.alloc.wheel_allocs {alloc['wheel_allocs']} is not 0")
 
 
-def _check_shard(shard):
-    _expect(isinstance(shard, dict), "'shard' is not an object")
-    _expect("gro" in shard, "shard missing 'gro'")
-    gro = shard["gro"]
-    _expect(isinstance(gro, dict), "shard.gro is not an object")
-    for key in ("mss", "base_segments_per_s", "gro_segments_per_s", "speedup",
-                "frames_batched", "gro_coalesced"):
-        _expect(key in gro, f"shard.gro missing '{key}'")
-        _expect(isinstance(gro[key], (int, float)) and gro[key] >= 0,
-                f"shard.gro.{key} is not a non-negative number")
-    sanitized = gro.get("sanitized", False)
-    _expect(isinstance(sanitized, bool), "shard.gro.sanitized is not a bool")
-    # Wall-clock gates are native-build only: a sanitizer build records its
-    # numbers but is exempt from the speedup floor (the bench binary makes
-    # the same call; see bench_shard.cpp).
-    if not sanitized:
-        _expect(gro["speedup"] >= 1.3,
-                f"shard.gro.speedup {gro['speedup']} below the 1.3x gate")
-    _expect(gro["gro_coalesced"] > 0, "shard.gro.gro_coalesced is zero")
-
-
 def _check_churn(churn):
     _expect(isinstance(churn, dict), "'churn' is not an object")
     for key in ("requests_per_conn", "points"):
@@ -334,8 +313,6 @@ def check_document(doc):
         _check_profiles(doc["profiles"])
     if "storm" in doc:
         _check_storm(doc["storm"])
-    if "shard" in doc:
-        _check_shard(doc["shard"])
     if "churn" in doc:
         _check_churn(doc["churn"])
     if "attack" in doc:
@@ -413,11 +390,6 @@ def self_test():
             "alloc": {"cycles": 200000, "wheel_allocs": 0},
             "min_rto_ns": 2.0e8,
             "rx_processing_ns": 2000,
-        },
-        "shard": {
-            "gro": {"mss": 1460, "base_segments_per_s": 100000.0,
-                    "gro_segments_per_s": 180000.0, "speedup": 1.8,
-                    "frames_batched": 50000, "gro_coalesced": 30000},
         },
         "churn": {
             "requests_per_conn": 2,
@@ -519,13 +491,6 @@ def self_test():
             "wheel_allocs")),
         ("storm wheel allocs nonzero", lambda d: d["storm"]["alloc"].update(
             wheel_allocs=1)),
-        ("shard missing gro", lambda d: d["shard"].pop("gro")),
-        ("shard speedup below gate", lambda d: d["shard"]["gro"].update(
-            speedup=1.1)),
-        ("shard non-bool sanitized waiver", lambda d: d["shard"]["gro"].update(
-            speedup=1.1, sanitized="yes")),
-        ("shard never coalesced", lambda d: d["shard"]["gro"].update(
-            gro_coalesced=0)),
         ("churn missing points", lambda d: d["churn"].pop("points")),
         ("churn empty points", lambda d: d["churn"].update(points=[])),
         ("churn zero requests_per_conn", lambda d: d["churn"].update(

@@ -49,11 +49,6 @@ Host::Host(sim::Simulator& sim, HostParams params, net::Medium& medium)
   ctr_sim_heap_inserts_ = &reg.counter("sim.wheel.heap_inserts");
   ctr_sim_cascades_ = &reg.counter("sim.wheel.cascades");
   gau_sim_pool_events_ = &reg.gauge("sim.wheel.pool_events");
-
-  // Batching telemetry. The NIC is owned per-host, so its stats start at
-  // zero — published-delta mirroring needs no construction baseline.
-  ctr_nic_frames_batched_ = &reg.counter("nic.frames_batched");
-  ctr_nic_gro_coalesced_ = &reg.counter("nic.gro_coalesced");
 }
 
 void Host::refresh_wire_counters() const {
@@ -105,20 +100,6 @@ void Host::refresh_sim_counters() const {
   gau_sim_pool_events_->set(static_cast<std::int64_t>(now.pool_events));
 }
 
-void Host::refresh_nic_counters() const {
-  const auto mirror = [](obs::Counter* c, std::uint64_t now_v,
-                         std::uint64_t& published) {
-    if (now_v > published) {
-      c->inc(now_v - published);
-      published = now_v;
-    }
-  };
-  mirror(ctr_nic_frames_batched_, nic_->batch_stats().frames_batched,
-         nic_published_frames_batched_);
-  mirror(ctr_nic_gro_coalesced_, nic_->gro_stats().coalesced,
-         nic_published_gro_coalesced_);
-}
-
 void Host::move_to(net::Medium& medium, ip::Ipv4 new_addr, int prefix_len,
                    ip::Ipv4 gw) {
   const ip::Ipv4 old_addr = params_.addr;
@@ -140,7 +121,6 @@ void Host::fail() {
 std::string Host::snapshot_json() const {
   refresh_wire_counters();
   refresh_sim_counters();
-  refresh_nic_counters();
   obs::JsonWriter w;
   w.begin_object();
   w.key("host").value(params_.name);

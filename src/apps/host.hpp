@@ -72,7 +72,6 @@ class Host {
   obs::Snapshot metrics_snapshot() const {
     refresh_wire_counters();
     refresh_sim_counters();
-    refresh_nic_counters();
     return obs_.registry.snapshot();
   }
 
@@ -96,10 +95,6 @@ class Host {
   /// one Simulator), so each host publishes the delta since its own
   /// construction.
   void refresh_sim_counters() const;
-
-  /// Mirrors the NIC's rx batch and GRO statistics into the
-  /// nic.frames_batched / nic.gro_coalesced counters.
-  void refresh_nic_counters() const;
 
   sim::Simulator& sim_;
   obs::Hub obs_;
@@ -129,13 +124,6 @@ class Host {
   obs::Counter* ctr_sim_heap_inserts_ = nullptr;
   obs::Counter* ctr_sim_cascades_ = nullptr;
   obs::Gauge* gau_sim_pool_events_ = nullptr;
-
-  // Batching telemetry mirror (see refresh_nic_counters). The NIC is
-  // host-owned, so published-delta tracking starts at 0.
-  mutable std::uint64_t nic_published_frames_batched_ = 0;
-  mutable std::uint64_t nic_published_gro_coalesced_ = 0;
-  obs::Counter* ctr_nic_frames_batched_ = nullptr;
-  obs::Counter* ctr_nic_gro_coalesced_ = nullptr;
 };
 
 }  // namespace tfo::apps

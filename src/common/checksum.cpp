@@ -7,12 +7,11 @@ namespace tfo {
 
 std::uint16_t ones_complement_sum(BytesView data, std::uint32_t initial) {
   // Hot path: every TCP segment passes through here at least once (send
-  // compute, receive verify) and the GRO engine adds more passes. Two
-  // RFC 1071 identities make a wide host-order accumulator legal:
-  // 2^16 ≡ 1 (mod 2^16 - 1), so a 64-bit end-around-carry sum is
-  // congruent to the 16-bit word sum, and byte-swapping every addend
-  // byte-swaps the result (swap is ×2^8 mod 2^16-1), so little-endian
-  // loads need just one swap at the end.
+  // compute, receive verify). Two RFC 1071 identities make a wide
+  // host-order accumulator legal: 2^16 ≡ 1 (mod 2^16 - 1), so a 64-bit
+  // end-around-carry sum is congruent to the 16-bit word sum, and
+  // byte-swapping every addend byte-swaps the result (swap is ×2^8 mod
+  // 2^16-1), so little-endian loads need just one swap at the end.
   constexpr bool kLittle = std::endian::native == std::endian::little;
   std::uint32_t init = initial;
   while (init >> 16) init = (init & 0xffff) + (init >> 16);

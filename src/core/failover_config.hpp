@@ -12,6 +12,7 @@
 
 #include "common/time.hpp"
 #include "ip/addr.hpp"
+#include "tcp/tcp_layer.hpp"
 
 namespace tfo::core {
 
@@ -65,6 +66,22 @@ struct FailoverConfig {
   bool mirror_inbound = false;
 
   bool is_failover_port(std::uint16_t port) const { return ports.contains(port); }
+
+  /// Whether `key`, seen from the server host that owns `tcp` (so the
+  /// local port is the server-side port), names a failover connection: a
+  /// configured port (method 2), a failover listener on the port, or a
+  /// connection flagged by the per-socket option (method 1). `conn` is that
+  /// connection when the caller already holds it; otherwise it is looked
+  /// up, and only when the port tests fail.
+  bool is_failover_connection(const tcp::TcpLayer& tcp, const tcp::ConnKey& key,
+                              const tcp::Connection* conn = nullptr) const {
+    if (is_failover_port(key.local_port) || tcp.listener_is_failover(key.local_port)) {
+      return true;
+    }
+    if (conn != nullptr) return conn->failover_flagged();
+    const auto found = tcp.find(key);
+    return found && found->failover_flagged();
+  }
 };
 
 }  // namespace tfo::core

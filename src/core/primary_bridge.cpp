@@ -98,13 +98,7 @@ void PrimaryBridge::exclude_existing_connections() {
 bool PrimaryBridge::is_failover(const ConnKey& key) const {
   if (excluded_.contains(key)) return false;
   if (conns_.contains(key)) return true;
-  // §7 method 2: configured port set. The server-side port is the local
-  // port of the connection as seen from this (server) host.
-  if (cfg_.is_failover_port(key.local_port)) return true;
-  // §7 method 1: per-socket option on an existing connection or listener.
-  if (auto conn = host_.tcp().find(key); conn && conn->failover_flagged()) return true;
-  if (host_.tcp().listener_is_failover(key.local_port)) return true;
-  return false;
+  return cfg_.is_failover_connection(host_.tcp(), key);
 }
 
 BridgeConn& PrimaryBridge::conn_for(const ConnKey& key) {
@@ -144,17 +138,9 @@ ip::HookVerdict PrimaryBridge::mirror_inbound(ip::IpDatagram& dgram,
   }
   if (dgram.src == cfg_.secondary_addr) return ip::HookVerdict::kContinue;
   if (!host_.ip().is_local(dgram.dst)) return ip::HookVerdict::kContinue;
-  const std::uint16_t src_port = get_u16(dgram.payload, 0);
-  const std::uint16_t dst_port = get_u16(dgram.payload, 2);
-  bool match = cfg_.is_failover_port(dst_port) ||
-               host_.tcp().listener_is_failover(dst_port);
-  if (!match) {
-    const ConnKey key{dgram.dst, dst_port, dgram.src, src_port};
-    if (auto conn = host_.tcp().find(key); conn && conn->failover_flagged()) {
-      match = true;
-    }
-  }
-  if (!match) return ip::HookVerdict::kContinue;
+  const ConnKey key{dgram.dst, get_u16(dgram.payload, 2), dgram.src,
+                    get_u16(dgram.payload, 0)};
+  if (!cfg_.is_failover_connection(host_.tcp(), key)) return ip::HookVerdict::kContinue;
   ip::IpDatagram copy = dgram;  // shares payload storage; the patch is CoW
   tcp::patch_checksum_for_address_change(copy.payload, copy.dst,
                                          cfg_.secondary_addr);

@@ -46,13 +46,6 @@ std::uint64_t SecondaryBridge::snooped_dropped() const {
   return host_.obs().registry.counter_value("secondary.snooped_dropped");
 }
 
-bool SecondaryBridge::failover_traffic_inbound(std::uint16_t src_port,
-                                               std::uint16_t dst_port) const {
-  // Client→server traffic: the server-side port is the destination.
-  (void)src_port;
-  return cfg_.is_failover_port(dst_port) || host_.tcp().listener_is_failover(dst_port);
-}
-
 HookVerdict SecondaryBridge::ip_inbound(ip::IpDatagram& dgram, const ip::RxMeta& meta) {
   if (taken_over_) return HookVerdict::kContinue;  // §5 step 3: disabled
   if (dgram.dst == host_.address()) return HookVerdict::kContinue;
@@ -66,18 +59,10 @@ HookVerdict SecondaryBridge::ip_inbound(ip::IpDatagram& dgram, const ip::RxMeta&
       ctr_snooped_dropped_->inc();
       return HookVerdict::kDrop;
     }
-    const std::uint16_t src_port = get_u16(dgram.payload, 0);
-    const std::uint16_t dst_port = get_u16(dgram.payload, 2);
-    bool match = failover_traffic_inbound(src_port, dst_port);
-    if (!match) {
-      // §7 method 1 for established connections: is there a flagged
-      // connection of ours matching this 4-tuple?
-      tcp::ConnKey key{host_.address(), dst_port, dgram.src, src_port};
-      if (auto conn = host_.tcp().find(key); conn && conn->failover_flagged()) {
-        match = true;
-      }
-    }
-    if (!match) {
+    // Client→server traffic: the server-side port is the destination.
+    const tcp::ConnKey key{host_.address(), get_u16(dgram.payload, 2), dgram.src,
+                           get_u16(dgram.payload, 0)};
+    if (!cfg_.is_failover_connection(host_.tcp(), key)) {
       ctr_snooped_dropped_->inc();
       return HookVerdict::kDrop;
     }
@@ -90,8 +75,7 @@ HookVerdict SecondaryBridge::ip_inbound(ip::IpDatagram& dgram, const ip::RxMeta&
     // and never perturbs the replica; a genuine peer that trips it (e.g.
     // an inexact RST) is re-challenged by the primary's TCP layer and
     // passes on the exact retry.
-    if (auto conn = host_.tcp().find(
-            tcp::ConnKey{host_.address(), dst_port, dgram.src, src_port});
+    if (auto conn = host_.tcp().find(key);
         conn && conn->state() != tcp::TcpState::kSynSent) {
       // In SYN_SENT (server-initiated connections, §7.2) the replica has
       // not learned the remote ISN yet — the snooped SYN|ACK is what
@@ -135,14 +119,7 @@ TapVerdict SecondaryBridge::tcp_outbound(TcpSegment& seg, ip::Ipv4& src, ip::Ipv
 
   // Only failover-connection traffic is diverted.
   const tcp::ConnKey key{src, seg.src_port, dst, seg.dst_port};
-  bool failover = cfg_.is_failover_port(seg.src_port) ||
-                  host_.tcp().listener_is_failover(seg.src_port);
-  if (!failover) {
-    if (auto conn = host_.tcp().find(key); conn && conn->failover_flagged()) {
-      failover = true;
-    }
-  }
-  if (!failover) return TapVerdict::kContinue;
+  if (!cfg_.is_failover_connection(host_.tcp(), key)) return TapVerdict::kContinue;
 
   if (paused_) {
     // §5 step 1: hold client-bound segments during reconfiguration.
@@ -184,8 +161,7 @@ void SecondaryBridge::take_over() {
   cfg_.announcer->announce(host_, cfg_.primary_addr, cfg_);
   auto rekeyed = host_.tcp().rekey_local_address(
       host_.address(), cfg_.primary_addr, [this](const tcp::Connection& c) {
-        return c.failover_flagged() || cfg_.is_failover_port(c.key().local_port) ||
-               host_.tcp().listener_is_failover(c.key().local_port);
+        return cfg_.is_failover_connection(host_.tcp(), c.key(), &c);
       });
 
   // "After the change of IP address is completed, the bridge resumes

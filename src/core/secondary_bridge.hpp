@@ -51,7 +51,6 @@ class SecondaryBridge {
  private:
   ip::HookVerdict ip_inbound(ip::IpDatagram& dgram, const ip::RxMeta& meta);
   tcp::TapVerdict tcp_outbound(tcp::TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& dst);
-  bool failover_traffic_inbound(std::uint16_t src_port, std::uint16_t dst_port) const;
 
   apps::Host& host_;
   FailoverConfig cfg_;

@@ -123,7 +123,7 @@ void IpLayer::handle_frame(const net::EthernetFrame& frame, bool to_our_mac) {
     return;
   }
   IpDatagram dgram = std::move(*parsed);
-  RxMeta meta{to_our_mac, frame.src, frame.checksums_verified};
+  RxMeta meta{to_our_mac, frame.src};
 
   for (auto& [id, hook] : inbound_hooks_) {
     switch (hook(dgram, meta)) {

@@ -36,9 +36,6 @@ enum class HookVerdict {
 struct RxMeta {
   bool to_our_mac = true;  // false for promiscuous captures
   net::MacAddress src_mac;
-  /// The NIC's GRO engine already verified the transport checksum
-  /// (receive offload); protocol handlers may skip re-verification.
-  bool checksums_verified = false;
 };
 
 using InboundHook = std::function<HookVerdict(IpDatagram&, const RxMeta&)>;

@@ -23,10 +23,6 @@ struct EthernetFrame {
   /// Shared wire buffer: copying a frame (fan-out to N receivers, NIC rx
   /// scheduling) shares the storage instead of duplicating the bytes.
   wire::PacketBuffer payload;
-  /// Receive-side offload metadata (not wire bytes): the GRO engine has
-  /// verified the embedded IP/TCP checksums, so upper layers may skip
-  /// their own verification pass (CHECKSUM_UNNECESSARY in Linux terms).
-  bool checksums_verified = false;
 
   static constexpr std::size_t kHeaderBytes = 14;   // dst + src + ethertype
   static constexpr std::size_t kCrcBytes = 4;

@@ -260,8 +260,7 @@ void Connection::try_send() {
     if (win == 0) {
       if (in_flight() == 0 && !persist_timer_.armed()) {
         // Zero-window deadlock guard: arm the persist timer.
-        persist_backoff_ = params_->persist_interval;
-        persist_timer_.start(persist_backoff_, [this] { on_rto(); });
+        persist_timer_.start(params_->persist_interval, [this] { on_rto(); });
       }
       break;
     }

@@ -281,13 +281,12 @@ class Connection {
   std::size_t ooo_bytes_ = 0;
   std::uint64_t bytes_received_total_ = 0;
 
-  // --- RTO (RFC 6298) and persist backoff.
+  // --- RTO (RFC 6298).
   SimDuration srtt_ = 0;
   SimDuration rttvar_ = 0;
   SimDuration rto_;
   std::uint64_t rtt_offset_ = 0;
   SimTime rtt_start_ = 0;
-  SimDuration persist_backoff_ = 0;
 
   sim::Timer rto_timer_;
   sim::Timer delack_timer_;

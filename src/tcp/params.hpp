@@ -39,7 +39,6 @@ struct TcpParams {
 
   /// Persist (zero-window probe) timer.
   SimDuration persist_interval = milliseconds(500);
-  SimDuration persist_max = seconds(60);
 
   /// Maximum segment lifetime; TIME_WAIT holds for 2*MSL. Kept short by
   /// default so experiments with thousands of connections stay fast.

@@ -97,20 +97,16 @@ namespace {
 /// payload. Returns the header length, or nullopt on malformed input or
 /// checksum mismatch.
 std::optional<std::size_t> parse_header(BytesView wire, ip::Ipv4 src_ip,
-                                        ip::Ipv4 dst_ip, TcpSegment& seg,
-                                        bool verify_checksum) {
+                                        ip::Ipv4 dst_ip, TcpSegment& seg) {
   if (wire.size() < 20) return std::nullopt;
   const std::size_t hdr = static_cast<std::size_t>(wire[12] >> 4) * 4;
   if (hdr < 20 || hdr > wire.size()) return std::nullopt;
 
   // Verify checksum: one's-complement sum over pseudo-header + segment
-  // must fold to 0xffff (i.e. inet checksum over both is 0). Skipped when
-  // the NIC's receive offload already verified these bytes.
-  if (verify_checksum) {
-    const std::uint32_t ph_sum = pseudo_header_sum(src_ip, dst_ip, wire.size());
-    if (static_cast<std::uint16_t>(~ones_complement_sum(wire, ph_sum) & 0xffff) != 0) {
-      return std::nullopt;
-    }
+  // must fold to 0xffff (i.e. inet checksum over both is 0).
+  const std::uint32_t ph_sum = pseudo_header_sum(src_ip, dst_ip, wire.size());
+  if (static_cast<std::uint16_t>(~ones_complement_sum(wire, ph_sum) & 0xffff) != 0) {
+    return std::nullopt;
   }
 
   seg.src_port = get_u16(wire, 0);
@@ -155,20 +151,18 @@ std::optional<std::size_t> parse_header(BytesView wire, ip::Ipv4 src_ip,
 }  // namespace
 
 std::optional<TcpSegment> TcpSegment::parse(BytesView wire, ip::Ipv4 src_ip,
-                                            ip::Ipv4 dst_ip,
-                                            bool verify_checksum) {
+                                            ip::Ipv4 dst_ip) {
   TcpSegment seg;
-  const auto hdr = parse_header(wire, src_ip, dst_ip, seg, verify_checksum);
+  const auto hdr = parse_header(wire, src_ip, dst_ip, seg);
   if (!hdr) return std::nullopt;
   seg.payload = wire::PacketBuffer::copy_of(wire.subspan(*hdr));
   return seg;
 }
 
 std::optional<TcpSegment> TcpSegment::parse(const wire::PacketBuffer& wire,
-                                            ip::Ipv4 src_ip, ip::Ipv4 dst_ip,
-                                            bool verify_checksum) {
+                                            ip::Ipv4 src_ip, ip::Ipv4 dst_ip) {
   TcpSegment seg;
-  const auto hdr = parse_header(wire.view(), src_ip, dst_ip, seg, verify_checksum);
+  const auto hdr = parse_header(wire.view(), src_ip, dst_ip, seg);
   if (!hdr) return std::nullopt;
   // Zero-copy: the payload is a slice of the arriving buffer.
   seg.payload = wire;

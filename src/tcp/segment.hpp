@@ -70,17 +70,13 @@ struct TcpSegment {
 
   /// Parses and verifies the checksum against the pseudo-header. Returns
   /// nullopt on malformed input or checksum mismatch. Copies the payload.
-  /// Pass `verify_checksum = false` when a lower layer (GRO receive
-  /// offload) already walked the bytes and vouches for them.
   static std::optional<TcpSegment> parse(BytesView wire, ip::Ipv4 src_ip,
-                                         ip::Ipv4 dst_ip,
-                                         bool verify_checksum = true);
+                                         ip::Ipv4 dst_ip);
 
   /// Zero-copy parse: the returned segment's payload is a slice of
   /// `wire`'s storage past the TCP header. No byte copies.
   static std::optional<TcpSegment> parse(const wire::PacketBuffer& wire,
-                                         ip::Ipv4 src_ip, ip::Ipv4 dst_ip,
-                                         bool verify_checksum = true);
+                                         ip::Ipv4 src_ip, ip::Ipv4 dst_ip);
 
   /// Disambiguator: a Bytes argument converts equally well to BytesView
   /// and PacketBuffer, so route it to the view overload explicitly.

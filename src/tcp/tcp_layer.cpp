@@ -341,8 +341,7 @@ void TcpLayer::note_embryonic_done(std::uint16_t port) {
 }
 
 void TcpLayer::on_datagram(const ip::IpDatagram& dgram, const ip::RxMeta& meta) {
-  auto parsed = TcpSegment::parse(dgram.payload, dgram.src, dgram.dst,
-                                  /*verify_checksum=*/!meta.checksums_verified);
+  auto parsed = TcpSegment::parse(dgram.payload, dgram.src, dgram.dst);
   if (!parsed) {
     TFO_LOG(kDebug, "tcp") << "segment dropped (bad checksum or malformed)";
     if (ctr_segments_malformed_) ctr_segments_malformed_->inc();

@@ -41,10 +41,11 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
 ///     block for as long as a queue retained it. The pool keeps at most
 ///     1 MB of them, so a burst of frees does not become resident heap;
 ///   * MTU (2048 B): a full-MSS segment with its reserves;
-///   * jumbo (64 KB): GRO-merged frames, up to 32 coalesced MSS payloads
-///     plus headers. Jumbo blocks keep their high-water size across reuse
-///     — a block is never shrunk on reuse nor regrown on recycle — so in
-///     steady state a merged-frame allocation costs no zero-fill at all;
+///   * jumbo (64 KB): any block above 2048 B up to 64 KB, such as a
+///     multi-segment payload built in one piece. Jumbo blocks keep their
+///     high-water size across reuse — a block is never shrunk on reuse nor
+///     regrown on recycle — so in steady state such an allocation costs no
+///     zero-fill at all;
 ///     `vector::resize` only value-initializes when an allocation exceeds
 ///     every size the block has served before.
 constexpr std::size_t kPoolBlockBytes = 2048;

@@ -28,7 +28,7 @@
 // Storage comes in three size classes, each recycled through a
 // thread-local pool: 256 B for any block of at most 256 B (every SYN,
 // ACK, FIN and short segment with its default reserves), 2048 B for a
-// full-MSS segment, and 64 KB for GRO-merged frames. A block sized to
+// full-MSS segment, and 64 KB for anything larger. A block sized to
 // its packet matters because queues retain packets: a retained 142-B ACK
 // used to pin a 2048-B block.
 #pragma once

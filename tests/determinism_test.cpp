@@ -63,12 +63,7 @@ TEST(Determinism, DifferentLossSeedsDiverge) {
   EXPECT_NE(a, b);
 }
 
-// ------------------------------------------------------- batched path
-
-struct BatchedRunResult {
-  std::string trace;    // every frame the client saw, canonical form
-  std::string metrics;  // client + secondary snapshots, canonical form
-};
+// ------------------------------------------------------------ digests
 
 /// Counters/gauges/histograms of a host, canonicalized.
 std::string canonical_metrics(const apps::Host& h) {
@@ -83,26 +78,6 @@ std::string canonical_metrics(const apps::Host& h) {
   return os.str();
 }
 
-/// Full failover scenario (transfer, mid-way crash, completion) on the
-/// batched+GRO data path.
-BatchedRunResult run_batched_scenario() {
-  apps::TopologyParams lp;
-  lp.seed = 11;
-  lp.tcp.max_rto = seconds(5);
-  lp.nic.rx_batch_max = 8;
-  lp.nic.rx_batch_window = microseconds(150);
-  auto r = test::make_replicated(lp);
-  apps::FrameTracer at_client(r->sim(), r->client().nic());
-  test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 24000, 4096);
-  EXPECT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 8000; },
-                        seconds(300)));
-  r->group->crash_primary();
-  EXPECT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(600)));
-  EXPECT_TRUE(d.verify());
-  return {at_client.dump(),
-          canonical_metrics(r->client()) + canonical_metrics(r->secondary())};
-}
-
 /// 64-bit FNV-1a of a string's bytes.
 std::uint64_t fnv1a64(const std::string& s) {
   test::Fnv1a f;
@@ -110,26 +85,13 @@ std::uint64_t fnv1a64(const std::string& s) {
   return f.h;
 }
 
-TEST(Determinism, BatchedFailoverTraceMatchesRecordedDigest) {
-  // Digest of the client's wire trace on the batched+GRO path. It moves
-  // only with an intended change to what goes on the wire; re-record it
-  // only then.
-  constexpr std::uint64_t kRecordedTraceDigest = 0xd5e1bd84e0710290ull;
-  const BatchedRunResult r = run_batched_scenario();
-  ASSERT_FALSE(r.trace.empty());
-  EXPECT_EQ(fnv1a64(r.trace), kRecordedTraceDigest);
-  // Same seed, same bits — observability snapshot included.
-  const BatchedRunResult again = run_batched_scenario();
-  EXPECT_EQ(again.trace, r.trace);
-  EXPECT_EQ(again.metrics, r.metrics);
-}
-
-// ---------------------------------------------------------- routed shapes
-
-/// Echo transfer from the client across the routers with a mid-transfer
-/// primary crash; with `move`, the client changes access segment first.
-/// Returns every frame the client saw, canonical form.
-std::string routed_failover_trace(apps::TopologyParams tp, bool move = false) {
+/// Echo transfer from the client (across the routers, if any) with a
+/// mid-transfer primary crash; with `move`, the client changes access
+/// segment first. Returns every frame the client saw, canonical form;
+/// `metrics`, if given, receives the client's and the secondary's
+/// observability snapshots.
+std::string routed_failover_trace(apps::TopologyParams tp, bool move = false,
+                                  std::string* metrics = nullptr) {
   auto r = test::make_replicated(tp);
   apps::FrameTracer at_client(r->sim(), r->client().nic());
   test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 30000, 1500);
@@ -143,7 +105,22 @@ std::string routed_failover_trace(apps::TopologyParams tp, bool move = false) {
   r->group->crash_primary();
   EXPECT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(600)));
   EXPECT_TRUE(d.verify());
+  if (metrics != nullptr) {
+    *metrics = canonical_metrics(r->client()) + canonical_metrics(r->secondary());
+  }
   return at_client.dump();
+}
+
+TEST(Determinism, LanFailoverTraceMatchesRecordedDigest) {
+  // Digest of the client's wire trace on the LAN. It moves only with an
+  // intended change to what goes on the wire; re-record it only then.
+  std::string metrics, again;
+  const std::string trace = routed_failover_trace({.seed = 11, .hops = 0}, false, &metrics);
+  ASSERT_FALSE(trace.empty());
+  EXPECT_EQ(fnv1a64(trace), 0x6c6e5645e9665256ull);
+  // Same seed, same bits: the observability snapshots match too.
+  routed_failover_trace({.seed = 11, .hops = 0}, false, &again);
+  EXPECT_EQ(again, metrics);
 }
 
 TEST(Determinism, ArpColdRoutedRunsRepeatInOneProcess) {

@@ -25,7 +25,6 @@ struct NetFixture : ::testing::Test {
   std::unique_ptr<SharedMedium> wire;
   std::unique_ptr<Nic> a, b, c;
   std::vector<RxRecord> rx;
-  std::size_t tx_batch_max = 1;
 
   void build() {
     wire = std::make_unique<SharedMedium>(sim, mp);
@@ -37,7 +36,6 @@ struct NetFixture : ::testing::Test {
   std::unique_ptr<Nic> make_nic(const std::string& name, std::uint32_t id) {
     NicParams np;
     np.rx_processing = 0;  // timing tests want raw wire time
-    np.tx_batch_max = tx_batch_max;
     auto nic = std::make_unique<Nic>(sim, name, MacAddress::from_id(id), np);
     nic->set_rx_handler([this, name](const EthernetFrame& f, bool to_us) {
       rx.push_back({name, to_us, f.payload.size(), sim.now()});
@@ -178,32 +176,6 @@ TEST_F(NetFixture, CountersTrackTraffic) {
   EXPECT_EQ(a->tx_bytes(), 500u);
   EXPECT_EQ(b->rx_frames(), 1u);
   EXPECT_EQ(b->rx_bytes(), 500u);
-}
-
-TEST_F(NetFixture, BatchedTxCountsFramesWhenTheBurstFlushes) {
-  tx_batch_max = 8;
-  build();
-  for (int i = 0; i < 4; ++i) a->send(frame_to(*b, 100));
-  EXPECT_EQ(a->tx_frames(), 0u);  // staged in the burst ring, not sent yet
-  sim.run();
-  EXPECT_EQ(a->tx_frames(), 4u);
-  EXPECT_EQ(a->tx_bytes(), 400u);
-  EXPECT_EQ(b->rx_frames(), 4u);
-}
-
-TEST_F(NetFixture, CrashBeforeTxFlushCountsNothing) {
-  // The burst ring flushes at the end of the event; a crash within the
-  // same event drops the whole burst, so none of it was transmitted.
-  tx_batch_max = 8;
-  build();
-  sim.schedule_after(0, [&] {
-    for (int i = 0; i < 4; ++i) a->send(frame_to(*b, 100));
-    a->set_enabled(false);
-  });
-  sim.run();
-  EXPECT_EQ(a->tx_frames(), 0u);
-  EXPECT_EQ(a->tx_bytes(), 0u);
-  EXPECT_TRUE(rx.empty());
 }
 
 TEST(PointToPoint, DeliversWithLatencyAndBandwidth) {

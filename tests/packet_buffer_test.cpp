@@ -143,7 +143,8 @@ std::uint64_t block_bytes_for(std::size_t len) {
 }
 
 // A header-only buffer (a pure ACK: 96 B headroom + 46 B tailroom) takes a
-// small block, a full-MSS segment an MTU block, a GRO merge a jumbo one;
+// small block, a full-MSS segment an MTU block, a multi-segment payload a
+// jumbo one;
 // net.alloc.bytes counts the block, not the request.
 TEST(PacketBuffer, AllocationTakesItsSizeClass) {
   EXPECT_EQ(block_bytes_for(0), kSmallBlockBytes);
