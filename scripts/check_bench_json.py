@@ -187,6 +187,27 @@ def _check_storm(storm):
             f"storm.alloc.wheel_allocs {alloc['wheel_allocs']} is not 0")
 
 
+# Heap allocations per frame on bench_packet_path's two paths, once the
+# pools are warm: the host-to-host frame path (ARP hit, medium slot, NIC
+# rx ring, pooled buffer) and the §3.1 diversion path, whose one
+# copy-on-write takes a pooled header and block. The diversion gate was
+# 1.00 (the header's make_shared) until packet headers were pooled.
+PACKET_PATH_MAX_ALLOCS = 0.0
+PACKET_PATH_FIELDS = ("frame_allocs_per_frame", "diversion_allocs_per_seg")
+
+
+def _check_packet_path(packet_path):
+    _expect(isinstance(packet_path, dict), "'packet_path' is not an object")
+    for key in PACKET_PATH_FIELDS:
+        _expect(key in packet_path, f"packet_path missing '{key}'")
+        value = packet_path[key]
+        _expect(isinstance(value, (int, float)) and value >= 0,
+                f"packet_path.{key} is not a non-negative number")
+        _expect(value <= PACKET_PATH_MAX_ALLOCS,
+                f"packet_path.{key} {value} above the "
+                f"{PACKET_PATH_MAX_ALLOCS:.2f} allocation gate")
+
+
 def _check_churn(churn):
     _expect(isinstance(churn, dict), "'churn' is not an object")
     for key in ("requests_per_conn", "points"):
@@ -313,6 +334,10 @@ def check_document(doc):
         _check_profiles(doc["profiles"])
     if "storm" in doc:
         _check_storm(doc["storm"])
+    if doc["bench"] == "packet_path":
+        _expect("packet_path" in doc, "packet_path bench without its gate section")
+    if "packet_path" in doc:
+        _check_packet_path(doc["packet_path"])
     if "churn" in doc:
         _check_churn(doc["churn"])
     if "attack" in doc:
@@ -391,6 +416,8 @@ def self_test():
             "min_rto_ns": 2.0e8,
             "rx_processing_ns": 2000,
         },
+        "packet_path": {"frame_allocs_per_frame": 0.0,
+                        "diversion_allocs_per_seg": 0.0},
         "churn": {
             "requests_per_conn": 2,
             "points": [
@@ -491,6 +518,10 @@ def self_test():
             "wheel_allocs")),
         ("storm wheel allocs nonzero", lambda d: d["storm"]["alloc"].update(
             wheel_allocs=1)),
+        ("packet_path frame path allocates", lambda d: d["packet_path"].update(
+            frame_allocs_per_frame=0.0002)),
+        ("packet_path diversion path allocates", lambda d: d["packet_path"].update(
+            diversion_allocs_per_seg=1.0)),
         ("churn missing points", lambda d: d["churn"].pop("points")),
         ("churn empty points", lambda d: d["churn"].update(points=[])),
         ("churn zero requests_per_conn", lambda d: d["churn"].update(

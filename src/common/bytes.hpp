@@ -51,6 +51,10 @@ inline std::uint8_t* write_u32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v);
   return p + 4;
 }
+inline std::uint8_t* write_u64(std::uint8_t* p, std::uint64_t v) {
+  return write_u32(write_u32(p, static_cast<std::uint32_t>(v >> 32)),
+                   static_cast<std::uint32_t>(v));
+}
 
 /// Legacy growth-style writers, kept for cold paths (app-level protocol
 /// builders); wire-format serializers use the bulk writers above.

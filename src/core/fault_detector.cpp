@@ -23,14 +23,14 @@ std::uint64_t hb_nonce(std::uint64_t seed, ip::Ipv4 sender, std::uint64_t k) {
   return hb_mix(seed ^ hb_mix(sender.v) ^ hb_mix(k));
 }
 
+constexpr std::size_t kHbBytes = 18;  // "HB" + k:u64 + nonce:u64
+
 Bytes hb_payload(std::uint64_t seed, ip::Ipv4 sender, std::uint64_t k) {
-  Bytes b = to_bytes("HB");
-  put_u64(b, k);
-  put_u64(b, hb_nonce(seed, sender, k));
+  Bytes b(kHbBytes);
+  std::uint8_t* p = write_u8(write_u8(b.data(), 'H'), 'B');
+  write_u64(write_u64(p, k), hb_nonce(seed, sender, k));
   return b;
 }
-
-constexpr std::size_t kHbBytes = 18;  // "HB" + k:u64 + nonce:u64
 
 /// Validates an inbound heartbeat against the nonce chain and the
 /// caller's anti-replay high-water mark; advances the mark on success.

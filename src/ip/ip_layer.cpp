@@ -100,16 +100,20 @@ void IpLayer::send_datagram(IpDatagram dgram) {
 void IpLayer::transmit_on(std::size_t iface_idx, Ipv4 next_hop, IpDatagram dgram) {
   Interface& iface = interfaces_[iface_idx];
   ++tx_count_;
-  // Zero-copy: the IP header goes into the payload buffer's headroom; the
-  // resolve callback moves the buffer into the frame (a share at worst —
-  // never a byte copy).
-  wire::PacketBuffer wire = dgram.to_wire();
-  iface.arp->resolve(next_hop, [nic = iface.nic, wire = std::move(wire)](
+  // Zero-copy: the IP header goes into the payload buffer's headroom and
+  // the buffer moves into the frame (a share at worst — never a byte
+  // copy). A cache hit sends at once, exactly as resolve() would call its
+  // continuation; only a miss pays for the continuation's closure.
+  net::EthernetFrame frame;
+  frame.type = net::EtherType::kIpv4;
+  frame.payload = dgram.to_wire();
+  if (iface.arp->lookup(next_hop, &frame.dst)) {
+    iface.nic->send(std::move(frame));
+    return;
+  }
+  iface.arp->resolve(next_hop, [nic = iface.nic, frame = std::move(frame)](
                                    net::MacAddress mac) mutable {
-    net::EthernetFrame frame;
     frame.dst = mac;
-    frame.type = net::EtherType::kIpv4;
-    frame.payload = std::move(wire);
     nic->send(std::move(frame));
   });
 }

@@ -17,7 +17,7 @@ Impairment::Plan Impairment::plan(const Nic* sender, const Nic& receiver,
                                   const EthernetFrame& frame) {
   Plan p;
   if (!enabled() || (target_ && !target_(sender, receiver, frame))) {
-    p.copies.push_back({});
+    p.add({});
     return p;
   }
   p.tracked = true;
@@ -67,7 +67,7 @@ Impairment::Plan Impairment::plan(const Nic* sender, const Nic& receiver,
       ++corrupted_;
       mirror(ctr_corrupted_, 1);
     }
-    p.copies.push_back(c);
+    p.add(c);
   }
   return p;
 }

@@ -32,9 +32,9 @@
 // invariant  offered + duplicated == delivered + dropped + detached.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -100,12 +100,21 @@ class Impairment {
     bool corrupted = false;
   };
 
-  /// The pipeline's verdict for one delivery. `copies` empty == dropped.
-  /// `tracked` is false when the engine is disabled or the delivery is out
-  /// of target scope — the medium must then skip the note_*() calls.
+  /// The pipeline's verdict for one delivery: at most two copies (the
+  /// original and a duplicate), held inline so a plan never allocates.
+  /// No copies == dropped. `tracked` is false when the engine is disabled
+  /// or the delivery is out of target scope — the medium must then skip
+  /// the note_*() calls.
   struct Plan {
-    std::vector<Copy> copies;
+    std::array<Copy, 2> copies{};
+    std::uint8_t count = 0;
     bool tracked = false;
+
+    void add(Copy c) { copies[count++] = c; }
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    const Copy* begin() const { return copies.data(); }
+    const Copy* end() const { return copies.data() + count; }
   };
 
   explicit Impairment(ImpairmentParams params = {});

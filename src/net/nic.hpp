@@ -74,7 +74,23 @@ class Nic {
   /// Called by the medium to hand over a frame (internal plumbing).
   void deliver(const EthernetFrame& frame);
 
+  /// Received frames still waiting out their protocol-processing delay.
+  std::size_t rx_pending() const { return rx_count_; }
+
  private:
+  /// A received frame waiting for its hand-up event. The event captures
+  /// only `[this]`; it takes the ring's front, since hand-ups run in
+  /// arrival order (see deliver()). `event` lets ~Nic cancel the rest.
+  struct RxSlot {
+    EthernetFrame frame;
+    bool to_us = false;
+    sim::EventId event = sim::kNoEvent;
+  };
+
+  void hand_up();
+  /// The i-th frame waiting in the ring, oldest first.
+  RxSlot& rx_at(std::size_t i) { return rx_ring_[(rx_head_ + i) & (rx_ring_.size() - 1)]; }
+
   sim::Simulator& sim_;
   std::string name_;
   MacAddress mac_;
@@ -88,6 +104,10 @@ class Nic {
   std::uint64_t tx_bytes_ = 0, rx_bytes_ = 0;
   Rng jitter_rng_;
   SimTime rx_floor_ = 0;  // monotonic delivery-time floor
+  /// FIFO ring of RxSlots; its size is zero or a power of two.
+  std::vector<RxSlot> rx_ring_;
+  std::size_t rx_head_ = 0;
+  std::size_t rx_count_ = 0;
 };
 
 }  // namespace tfo::net

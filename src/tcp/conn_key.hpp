@@ -31,7 +31,13 @@ struct ConnKey {
   std::string str() const {
     char buf[48];  // two 15-char addresses, two 5-digit ports and ":<->:"
     char* p = buf;
-    const auto num = [&](unsigned v) { p = std::to_chars(p, std::end(buf), v).ptr; };
+    // Each number goes through a 5-char scratch first: to_chars into the
+    // tail of `buf` would leave the compiler unable to bound `p`.
+    const auto num = [&](unsigned v) {
+      char digits[5];
+      const char* end = std::to_chars(std::begin(digits), std::end(digits), v).ptr;
+      for (const char* d = digits; d != end; ++d) *p++ = *d;
+    };
     const auto addr_port = [&](ip::Ipv4 a, std::uint16_t port) {
       for (int shift = 24; shift >= 0; shift -= 8) {
         num((a.v >> shift) & 0xffu);

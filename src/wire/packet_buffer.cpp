@@ -29,7 +29,8 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
 
 /// Thread-local recycling pool for storage blocks, in three size
 /// classes. The data path churns one block per segment; recycling the
-/// backing vectors avoids a malloc/free pair and the zero-fill per packet.
+/// storage (header and backing vector together) avoids two malloc/free
+/// pairs and the zero-fill per packet.
 /// Recycled blocks keep their stale bytes — every allocation site writes
 /// its full visible range (header prepends included), which the
 /// determinism suite would expose if violated. Per-thread on purpose:
@@ -53,17 +54,24 @@ constexpr std::size_t kPoolMaxBlocks = 1024;
 constexpr std::size_t kJumboBlockBytes = 64 * 1024;
 constexpr std::size_t kJumboMaxBlocks = 32;
 
+using Storage = PacketBuffer::Storage;
+
 // Trivially destructible on purpose: its storage stays readable while
-// other thread-locals (the pool itself) wind down, so a Storage dying
+// other thread-locals (the pool itself) wind down, so a Storage released
 // during thread exit can tell whether recycling is still safe.
 thread_local bool g_pool_alive = false;
 
 struct StoragePool {
-  std::vector<Bytes> small;
-  std::vector<Bytes> blocks;
-  std::vector<Bytes> jumbo;
+  std::vector<Storage*> small;
+  std::vector<Storage*> blocks;
+  std::vector<Storage*> jumbo;
   StoragePool() { g_pool_alive = true; }
-  ~StoragePool() { g_pool_alive = false; }
+  ~StoragePool() {
+    g_pool_alive = false;
+    for (auto* cls : {&small, &blocks, &jumbo}) {
+      for (Storage* s : *cls) delete s;
+    }
+  }
 };
 
 StoragePool& pool() {
@@ -71,17 +79,19 @@ StoragePool& pool() {
   return p;
 }
 
-/// Pops a recycled block of the class, or reserves a fresh one of
-/// `block` bytes. Returns the vector at its recycled (or zero) size.
-Bytes take_block(std::vector<Bytes>& cls, std::size_t block) {
+/// Pops a recycled storage of the class, or makes a fresh one whose
+/// block reserves `block` bytes. The block comes at its recycled (or
+/// zero) size.
+Storage* take_storage(std::vector<Storage*>& cls, std::size_t block) {
   if (!cls.empty()) {
-    Bytes b = std::move(cls.back());
+    Storage* s = cls.back();
     cls.pop_back();
-    return b;
+    s->refs = 1;
+    return s;
   }
-  Bytes b;
-  b.reserve(block);
-  return b;
+  auto* s = new Storage;
+  s->buf.reserve(block);
+  return s;
 }
 
 /// Counts a new storage block: its reserved capacity, not the request.
@@ -91,20 +101,22 @@ void count_block(const Bytes& buf) {
   bump(g_stats.live_bytes, buf.capacity());
 }
 
-std::shared_ptr<PacketBuffer::Storage> make_storage(std::size_t cap) {
-  auto s = std::make_shared<PacketBuffer::Storage>();
+Storage* make_storage(std::size_t cap) {
+  Storage* s = nullptr;
   if (cap <= kSmallBlockBytes) {
-    s->buf = take_block(pool().small, kSmallBlockBytes);
+    s = take_storage(pool().small, kSmallBlockBytes);
   } else if (cap <= kPoolBlockBytes) {
-    s->buf = take_block(pool().blocks, kPoolBlockBytes);
+    s = take_storage(pool().blocks, kPoolBlockBytes);
   } else if (cap <= kJumboBlockBytes) {
-    s->buf = take_block(pool().jumbo, kJumboBlockBytes);
+    s = take_storage(pool().jumbo, kJumboBlockBytes);
     // Grow only past the block's high-water mark; a smaller request
     // keeps the larger size (the excess is just extra tailroom), so
     // steady-state reuse never value-initializes a byte.
     if (s->buf.size() < cap) s->buf.resize(cap);
     count_block(s->buf);
     return s;
+  } else {
+    s = new Storage;
   }
   s->buf.resize(cap);  // within a pooled block: shrinks, no fill, no realloc
   count_block(s->buf);
@@ -112,28 +124,33 @@ std::shared_ptr<PacketBuffer::Storage> make_storage(std::size_t cap) {
 }
 }  // namespace
 
-PacketBuffer::Storage::~Storage() {
-  const std::size_t cap = buf.capacity();
+void PacketBuffer::recycle(Storage* s) {
+  const std::size_t cap = s->buf.capacity();
   g_stats.live_bytes.fetch_sub(cap, kRelaxed);
-  if (!g_pool_alive || cap < kSmallBlockBytes) return;
-  StoragePool& p = pool();
-  if (cap >= kJumboBlockBytes) {
-    // Recycled at current (high-water) size on purpose — see the pool
-    // comment above.
-    if (p.jumbo.size() < kJumboMaxBlocks) p.jumbo.push_back(std::move(buf));
-    return;
+  std::vector<Storage*>* cls = nullptr;
+  if (g_pool_alive && cap >= kSmallBlockBytes) {
+    StoragePool& p = pool();
+    if (cap >= kJumboBlockBytes) {
+      // Recycled at current (high-water) size on purpose — see the pool
+      // comment above.
+      if (p.jumbo.size() < kJumboMaxBlocks) cls = &p.jumbo;
+    } else if (cap >= kPoolBlockBytes) {
+      if (p.blocks.size() < kPoolMaxBlocks) {
+        s->buf.resize(kPoolBlockBytes);
+        cls = &p.blocks;
+      }
+    } else if (cap == kSmallBlockBytes && p.small.size() < kSmallPoolMaxBlocks) {
+      // Only true small blocks: an adopted vector of some other capacity
+      // below the MTU class is freed, never pooled under the wrong size.
+      s->buf.resize(kSmallBlockBytes);
+      cls = &p.small;
+    }
   }
-  if (cap >= kPoolBlockBytes) {
-    if (p.blocks.size() >= kPoolMaxBlocks) return;
-    buf.resize(kPoolBlockBytes);
-    p.blocks.push_back(std::move(buf));
-    return;
+  if (cls != nullptr) {
+    cls->push_back(s);
+  } else {
+    delete s;
   }
-  // Only true small blocks: an adopted vector of some other capacity
-  // below the MTU class is freed, never pooled under the wrong size.
-  if (cap != kSmallBlockBytes || p.small.size() >= kSmallPoolMaxBlocks) return;
-  buf.resize(kSmallBlockBytes);
-  p.small.push_back(std::move(buf));
 }
 
 std::size_t pooled_small_blocks() { return pool().small.size(); }
@@ -160,7 +177,7 @@ void reset_buffer_stats() {
 PacketBuffer::PacketBuffer(Bytes b) {
   len_ = b.size();
   head_ = 0;
-  storage_ = std::make_shared<Storage>();
+  storage_ = new Storage;
   storage_->buf = std::move(b);
   count_block(storage_->buf);  // adopted, but a distinct storage block
 }
@@ -182,11 +199,16 @@ PacketBuffer PacketBuffer::alloc(std::size_t len, std::size_t headroom,
 
 PacketBuffer::PacketBuffer(const PacketBuffer& other)
     : storage_(other.storage_), head_(other.head_), len_(other.len_) {
-  if (storage_) bump(g_stats.shares);
+  if (storage_) {
+    ++storage_->refs;
+    bump(g_stats.shares);
+  }
 }
 
 PacketBuffer& PacketBuffer::operator=(const PacketBuffer& other) {
   if (this != &other) {
+    if (other.storage_) ++other.storage_->refs;
+    release();
     storage_ = other.storage_;
     head_ = other.head_;
     len_ = other.len_;
@@ -196,7 +218,7 @@ PacketBuffer& PacketBuffer::operator=(const PacketBuffer& other) {
 }
 
 std::uint8_t* PacketBuffer::prepend(std::size_t n) {
-  if (storage_ && storage_.use_count() == 1 && head_ >= n) {
+  if (storage_ && storage_->refs == 1 && head_ >= n) {
     head_ -= n;
     len_ += n;
     return storage_->buf.data() + head_;
@@ -217,7 +239,7 @@ std::uint8_t* PacketBuffer::prepend(std::size_t n) {
 }
 
 std::uint8_t* PacketBuffer::append(std::size_t n) {
-  if (storage_ && storage_.use_count() == 1 &&
+  if (storage_ && storage_->refs == 1 &&
       storage_->buf.size() - head_ - len_ >= n) {
     std::uint8_t* p = storage_->buf.data() + head_ + len_;
     std::memset(p, 0, n);
@@ -237,7 +259,7 @@ std::uint8_t* PacketBuffer::append(std::size_t n) {
 }
 
 void PacketBuffer::unshare() {
-  if (!storage_ || storage_.use_count() == 1) return;
+  if (unique()) return;
   PacketBuffer fresh = alloc(len_);
   if (len_ != 0) {
     std::memcpy(fresh.storage_->buf.data() + fresh.head_, data(), len_);

@@ -30,14 +30,20 @@
 // ACK, FIN and short segment with its default reserves), 2048 B for a
 // full-MSS segment, and 64 KB for anything larger. A block sized to
 // its packet matters because queues retain packets: a retained 142-B ACK
-// used to pin a 2048-B block.
+// used to pin a 2048-B block. The pool keeps a block together with its
+// header (the `Storage` that holds the reference count), so a warm pool
+// serves a packet with no heap allocation at all.
+//
+// The reference count is a plain integer: a buffer and its copies belong
+// to one thread (the simulation's), as the thread-local pools already
+// assume.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
 #include <iterator>
-#include <memory>
+#include <utility>
 
 #include "common/bytes.hpp"
 
@@ -71,11 +77,12 @@ std::size_t pooled_small_blocks();
 class PacketBuffer {
  public:
   /// Reference-counted backing block. Public only so the allocation
-  /// helper in the .cpp can construct it; not part of the API. The
-  /// destructor recycles the block into its class's thread-local pool.
+  /// helpers in the .cpp can construct it; not part of the API. When the
+  /// last reference goes, the header and its block return together to
+  /// their class's thread-local pool.
   struct Storage {
     Bytes buf;
-    ~Storage();
+    std::size_t refs = 1;
   };
 
   /// Headroom reserved in front of a payload allocation: enough for the
@@ -87,13 +94,25 @@ class PacketBuffer {
   static constexpr std::size_t kDefaultTailroom = 46;
 
   PacketBuffer() = default;
+  ~PacketBuffer() { release(); }
 
   // Copy/move of the handle shares storage (refcount bump, no byte copy);
   // the copy operations record the share for the stats counters.
   PacketBuffer(const PacketBuffer& other);
   PacketBuffer& operator=(const PacketBuffer& other);
-  PacketBuffer(PacketBuffer&&) noexcept = default;
-  PacketBuffer& operator=(PacketBuffer&&) noexcept = default;
+  PacketBuffer(PacketBuffer&& other) noexcept
+      : storage_(std::exchange(other.storage_, nullptr)),
+        head_(other.head_),
+        len_(other.len_) {}
+  PacketBuffer& operator=(PacketBuffer&& other) noexcept {
+    if (this != &other) {
+      release();
+      storage_ = std::exchange(other.storage_, nullptr);
+      head_ = other.head_;
+      len_ = other.len_;
+    }
+    return *this;
+  }
 
   /// Adopts an existing byte vector (no byte copy; the vector's buffer
   /// becomes the storage, with zero headroom/tailroom). Implicit on
@@ -123,7 +142,7 @@ class PacketBuffer {
   std::size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }
   void clear() {
-    storage_.reset();
+    release();
     head_ = len_ = 0;
   }
 
@@ -179,7 +198,7 @@ class PacketBuffer {
   void unshare();
 
   /// True when no other PacketBuffer shares this storage.
-  bool unique() const { return !storage_ || storage_.use_count() == 1; }
+  bool unique() const { return !storage_ || storage_->refs == 1; }
   std::size_t headroom() const { return head_; }
   std::size_t tailroom() const {
     return storage_ ? storage_->buf.size() - head_ - len_ : 0;
@@ -194,10 +213,18 @@ class PacketBuffer {
   }
 
  private:
-  PacketBuffer(std::shared_ptr<Storage> s, std::size_t head, std::size_t len)
-      : storage_(std::move(s)), head_(head), len_(len) {}
+  /// Adopts `s`'s reference.
+  PacketBuffer(Storage* s, std::size_t head, std::size_t len)
+      : storage_(s), head_(head), len_(len) {}
 
-  std::shared_ptr<Storage> storage_;
+  /// Drops this handle's reference, recycling the storage on the last.
+  void release() {
+    if (storage_ != nullptr && --storage_->refs == 0) recycle(storage_);
+    storage_ = nullptr;
+  }
+  static void recycle(Storage* s);
+
+  Storage* storage_ = nullptr;
   std::size_t head_ = 0;
   std::size_t len_ = 0;
 };

@@ -178,6 +178,58 @@ TEST_F(NetFixture, CountersTrackTraffic) {
   EXPECT_EQ(b->rx_bytes(), 500u);
 }
 
+// Received frames wait out their processing delay in the NIC's rx ring;
+// each hand-up event takes the ring's front. Under jitter wider than the
+// frame spacing, with promiscuous captures mixed into the burst and the
+// NIC switched off and on mid-burst, the handler still sees arrival order
+// and each frame's own to_us.
+TEST(NicRxRing, HandsUpInArrivalOrderWithEachFramesOwnToUs) {
+  sim::Simulator sim;
+  SharedMedium wire(sim);
+  NicParams np;
+  np.rx_processing = microseconds(30);
+  np.rx_jitter = microseconds(50);  // a 64-B frame takes 6.7 µs on the wire
+  Nic a(sim, "a", MacAddress::from_id(1), np);
+  Nic b(sim, "b", MacAddress::from_id(2), np);
+  Nic c(sim, "c", MacAddress::from_id(3), np);
+  for (Nic* n : {&a, &b, &c}) n->attach(wire);
+  b.set_promiscuous(true);
+  struct Got {
+    int seq;
+    bool to_us;
+    SimTime at;
+  };
+  std::vector<Got> got;
+  b.set_rx_handler([&](const EthernetFrame& f, bool to_us) {
+    got.push_back({f.payload[0], to_us, sim.now()});
+  });
+  constexpr int kFrames = 40;
+  for (int i = 0; i < kFrames; ++i) {
+    EthernetFrame f;
+    f.dst = (i % 2 == 0 ? b : c).mac();  // odd frames: promiscuous captures
+    f.payload = Bytes(64, static_cast<std::uint8_t>(i));
+    a.send(std::move(f));
+  }
+  const SimTime off = microseconds(100), on = microseconds(180);
+  sim.schedule_at(off, [&] { b.set_enabled(false); });
+  sim.schedule_at(on, [&] { b.set_enabled(true); });
+  sim.run();
+
+  ASSERT_FALSE(got.empty());
+  EXPECT_LT(got.size(), static_cast<std::size_t>(kFrames));  // the gap lost some
+  EXPECT_LT(got.front().at, off);
+  EXPECT_GT(got.back().at, on);
+  EXPECT_EQ(got.back().seq, kFrames - 1);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].to_us, got[i].seq % 2 == 0) << "frame " << got[i].seq;
+    EXPECT_TRUE(got[i].at < off || got[i].at >= on) << "frame " << got[i].seq;
+    if (i > 0) {
+      EXPECT_GT(got[i].seq, got[i - 1].seq);
+    }
+  }
+  EXPECT_EQ(b.rx_pending(), 0u);
+}
+
 TEST(PointToPoint, DeliversWithLatencyAndBandwidth) {
   sim::Simulator sim;
   PointToPointParams pp;

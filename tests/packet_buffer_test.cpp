@@ -1,6 +1,8 @@
 // Tests for the zero-copy wire buffer pipeline:
 //   * PacketBuffer ownership semantics — sharing, copy-on-write, offset
-//     trims, in-place header prepends, Ethernet-padding appends;
+//     trims, in-place header prepends, Ethernet-padding appends, and the
+//     pool that recycles a buffer's header with its block (counted with
+//     the benchmark's allocator, linked into this test);
 //   * the serializers (TcpSegment::take_wire, IpDatagram::to_wire): their
 //     bytes are pinned to digests recorded from the former copying
 //     serializers, and they parse back to the values written;
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "counting_alloc.hpp"
 #include "ip/datagram.hpp"
 #include "net/frame.hpp"
 #include "net/medium.hpp"
@@ -195,6 +198,53 @@ TEST(PacketBuffer, SmallPoolKeepsAtMostItsBound) {
   // Reuse drains the pool without a fresh block.
   PacketBuffer again = PacketBuffer::alloc(16);
   EXPECT_EQ(pooled_small_blocks(), kSmallPoolMaxBlocks - 1);
+}
+
+// A released buffer's storage goes back to its pool whole — the header
+// that holds the reference count and the block together — so a warm pool
+// serves the next buffer of that class, and shares of it, with no heap
+// allocation at all.
+TEST(PacketBuffer, HeaderIsRecycledWithItsBlock) {
+  for (const std::size_t len : {std::size_t{16}, std::size_t{1460}}) {
+    PacketBuffer first = PacketBuffer::alloc(len);
+    const std::uint8_t* block = first.data();
+    first.clear();
+    const std::uint64_t allocs = bench::heap_stats().allocs;
+    PacketBuffer again = PacketBuffer::alloc(len);
+    PacketBuffer share = again;
+    PacketBuffer moved = std::move(share);
+    EXPECT_EQ(bench::heap_stats().allocs, allocs) << len << "-byte buffer";
+    EXPECT_EQ(again.data(), block) << len << "-byte buffer";
+    EXPECT_EQ(moved.data(), block);
+  }
+}
+
+// The handle counts its shares itself: unique() turns true again once the
+// other handles are gone, whether they were released, moved from or
+// reassigned, and a write through a share still copies first.
+TEST(PacketBuffer, UniqueTracksEveryHandle) {
+  PacketBuffer a = PacketBuffer::copy_of(seq_bytes(32));
+  {
+    PacketBuffer b = a;
+    PacketBuffer c;
+    c = b;
+    EXPECT_FALSE(a.unique());
+    PacketBuffer d = std::move(c);
+    EXPECT_FALSE(a.unique());
+    b = PacketBuffer::copy_of(seq_bytes(8));  // drops b's share of a
+    EXPECT_TRUE(b.unique());
+    d[0] = 0xee;  // d and a shared: d copies on write and lets go of a
+    EXPECT_NE(d.data(), a.data());
+    EXPECT_EQ(a[0], 0u);
+    EXPECT_TRUE(a.unique());
+    d = a;
+    d = d;  // self-assignment keeps the share
+    EXPECT_FALSE(a.unique());
+  }
+  EXPECT_TRUE(a.unique());
+  const std::uint8_t* before = a.data();
+  a[1] = 0xdd;  // unique again: writes in place
+  EXPECT_EQ(a.data(), before);
 }
 
 }  // namespace

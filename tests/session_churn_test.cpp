@@ -30,6 +30,13 @@ namespace {
 
 using test::run_until;
 
+/// Failover on the HTTP port, every other setting at its default.
+core::FailoverConfig http_failover() {
+  core::FailoverConfig cfg;
+  cfg.ports = {8080};
+  return cfg;
+}
+
 struct ChurnFixture : ::testing::Test {
   std::unique_ptr<Topology> lan = make_topology();
   sim::Simulator& sim() { return lan->sim; }
@@ -110,7 +117,7 @@ TEST_F(ChurnFixture, ConnectionIdsAreNeverReused) {
 // through its promiscuous tap — takes over, finishes the handshake via
 // SYN-ACK retransmission, and serves the connection's first request.
 TEST(SessionChurnFailover, HandshakeStartedOnPrimaryServedBySecondary) {
-  auto r = test::make_replicated({}, {.ports = {8080}}, test::no_app);
+  auto r = test::make_replicated({}, http_failover(), test::no_app);
   HttpServer web_p(r->primary().tcp(), 8080);
   HttpServer web_s(r->secondary().tcp(), 8080);
   for (HttpServer* w : {&web_p, &web_s}) {
@@ -153,7 +160,7 @@ TEST(SessionChurnFailover, HandshakeStartedOnPrimaryServedBySecondary) {
 // connection and tombstone tables are back to empty, every tombstone that
 // was created has expired, and they expired in the order they were made.
 TEST(SessionChurnFailover, BridgeTablesDrainAfterChurn) {
-  auto r = test::make_replicated({}, {.ports = {8080}}, test::no_app);
+  auto r = test::make_replicated({}, http_failover(), test::no_app);
   HttpServer web_p(r->primary().tcp(), 8080);
   HttpServer web_s(r->secondary().tcp(), 8080);
   for (HttpServer* w : {&web_p, &web_s}) {

@@ -389,5 +389,11 @@ TEST(ConnectionLayout, StaysWithinTheStormBudget) {
 #endif
 }
 
+TEST(ConnectionLayout, PacketBufferIsThreeWords) {
+  // Every queued segment, in-flight frame and rx-ring slot holds one: a
+  // storage pointer with an intrusive count, an offset and a length.
+  EXPECT_LE(sizeof(wire::PacketBuffer), 24u);
+}
+
 }  // namespace
 }  // namespace tfo::tcp

@@ -55,8 +55,10 @@ inline Bytes pattern_bytes(std::size_t n, std::uint32_t seed = 0) {
       lane[j] = lane[j] * jump.first + jump.second;
     }
   }
-  for (int j = 0; i < n; ++i, ++j) {
-    b[i] = static_cast<std::uint8_t>(lane[j] >> 24);
+  // The tail (fewer than 8 bytes) takes one byte from each lane in turn.
+  for (const std::uint32_t l : lane) {
+    if (i == n) break;
+    b[i++] = static_cast<std::uint8_t>(l >> 24);
   }
   return b;
 }
