@@ -1,5 +1,5 @@
 // Experiment E9: the cost of the packet path itself — heap allocations and
-// copies per frame, on two paths:
+// copies per frame, on three paths:
 //
 //   * the frame path: host A's IP layer sends a datagram to host B across
 //     a SharedMedium (ARP cache warm, impairment off), and B's NIC hands
@@ -10,10 +10,13 @@
 //     destination address, fix the checksum incrementally, re-emit):
 //     frame share → IP slice parse → in-place patch (one CoW for the
 //     snooped share, served from the buffer pool) → TCP slice parse →
-//     headers prepended into the same storage's headroom.
+//     headers prepended into the same storage's headroom;
+//   * the §3.2 merge path: one primary-bridge connection past its
+//     handshake takes P's and S's copies of each reply segment into its
+//     two output queues and emits the merged segment to the client.
 //
-// Once the pools are warm neither path allocates: the run FAILS above
-// 0.00 heap allocations per frame on either one.
+// Once the pools are warm no path allocates: the run FAILS above 0.00
+// heap allocations per frame on any of them.
 //
 // A macro phase runs a real replicated echo transfer and reports the live
 // per-diverted-segment allocation rate plus the net.alloc.* counters
@@ -26,6 +29,7 @@
 
 #include "apps/host.hpp"
 #include "bench_util.hpp"
+#include "core/bridge_conn.hpp"
 #include "counting_alloc.hpp"
 #include "failover_fixture.hpp"  // test::EchoDriver (shared with the tests)
 #include "ip/datagram.hpp"
@@ -127,6 +131,104 @@ class FramePath {
   std::size_t delivered_ = 0;
 };
 
+/// One BridgeConn past its handshake, fed P's and S's copies of the same
+/// segments with P one segment ahead (on the LAN, P's own segment reaches
+/// its bridge before S's diverted copy), and drained through a sink that
+/// counts the merged payload bytes. Its observability is attached, so a
+/// per-segment timeline record would show up as allocations.
+class MergePath final : public core::BridgeConnSink {
+ public:
+  explicit MergePath(std::size_t payload_len)
+      : conn_(*this, tcp::ConnKey{kPrimary, kPort, kClient, kClientPort},
+              kSecondary),
+        payload_(wire::PacketBuffer::alloc(payload_len)) {
+    auto& reg = hub_.registry;
+    obs_ = {&hub_,
+            &sim_,
+            &reg.counter("bridge.retransmissions_forwarded"),
+            &reg.counter("bridge.empty_acks_emitted"),
+            &reg.histogram("bridge.merged_payload_bytes"),
+            &reg.gauge("bridge.pqueue_bytes"),
+            &reg.gauge("bridge.pqueue_depth"),
+            &reg.gauge("bridge.squeue_bytes"),
+            &reg.gauge("bridge.squeue_depth")};
+    conn_.attach_obs(&obs_);
+    std::uint8_t* p = payload_.mutable_data();
+    for (std::size_t i = 0; i < payload_len; ++i) {
+      p[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    }
+    tcp::TcpSegment syn;
+    syn.src_port = kClientPort;
+    syn.dst_port = kPort;
+    syn.seq = kClientIsn;
+    syn.flags = tcp::Flags::kSyn;
+    syn.window = 65535;
+    conn_.on_remote_segment(syn);
+    conn_.on_primary_segment(syn_ack(kIssP));
+    conn_.on_secondary_segment(syn_ack(kIssS));
+    conn_.on_primary_segment(data(kIssP, 0));  // P one segment ahead
+  }
+
+  /// Feeds P's next segment and S's copy of the one P sent before it.
+  /// Returns the payload bytes merged so far.
+  std::size_t one_segment() {
+    conn_.on_primary_segment(data(kIssP, sent_ + 1));
+    conn_.on_secondary_segment(data(kIssS, sent_));
+    ++sent_;
+    return merged_bytes_;
+  }
+
+  /// Every segment fed by both replicas went out whole, with no divergence.
+  bool intact() const {
+    return !diverged_ && merged_bytes_ == sent_ * payload_.size();
+  }
+
+  void emit(const tcp::TcpSegment& seg, ip::Ipv4, ip::Ipv4) override {
+    merged_bytes_ += seg.payload.size();
+  }
+  void divergence(const tcp::ConnKey&) override { diverged_ = true; }
+  void fully_closed(const tcp::ConnKey&) override {}
+
+ private:
+  static constexpr std::uint16_t kClientPort = 4242;
+  static constexpr Seq32 kClientIsn = 1000;
+  static constexpr Seq32 kIssP = 50'000;
+  static constexpr Seq32 kIssS = 4'000'000'000u;  // wraps in a full run
+
+  tcp::TcpSegment syn_ack(Seq32 iss) const {
+    tcp::TcpSegment s;
+    s.src_port = kPort;
+    s.dst_port = kClientPort;
+    s.seq = iss;
+    s.ack = kClientIsn + 1;
+    s.flags = tcp::Flags::kSyn | tcp::Flags::kAck;
+    s.window = 65535;
+    s.mss = 1460;
+    return s;
+  }
+  /// The i-th reply segment in the sequence space starting at `iss`.
+  tcp::TcpSegment data(Seq32 iss, std::uint64_t i) const {
+    tcp::TcpSegment s;
+    s.src_port = kPort;
+    s.dst_port = kClientPort;
+    s.seq = seq_add(iss, static_cast<std::int64_t>(1 + i * payload_.size()));
+    s.ack = kClientIsn + 1;
+    s.flags = tcp::Flags::kAck | tcp::Flags::kPsh;
+    s.window = 65535;
+    s.payload = payload_;
+    return s;
+  }
+
+  sim::Simulator sim_;
+  obs::Hub hub_;
+  core::BridgeConnObs obs_;
+  core::BridgeConn conn_;
+  wire::PacketBuffer payload_;
+  std::uint64_t sent_ = 0;
+  std::size_t merged_bytes_ = 0;
+  bool diverged_ = false;
+};
+
 struct PathCost {
   double allocs_per_frame = 0;
   double heap_bytes_per_frame = 0;
@@ -175,16 +277,19 @@ int main(int argc, char** argv) {
   const std::size_t payload_len = 512;
   const wire::PacketBuffer snooped = make_snooped_wire(payload_len);
   FramePath frames;
+  MergePath merge(payload_len);
 
-  // Warm up (page in code, fill the pools, grow the in-flight tables)
-  // before counting.
+  // Warm up (page in code, fill the pools, grow the in-flight tables and
+  // the queues' run storage) before counting.
   for (int i = 0; i < 100; ++i) {
     zerocopy_divert(snooped);
     frames.one_frame(payload_len);
+    merge.one_segment();
   }
 
   const PathCost fp = measure_path(iters, [&] { return frames.one_frame(payload_len); });
   const PathCost zc = measure_path(iters, [&] { return zerocopy_divert(snooped); });
+  const PathCost mp = measure_path(iters, [&] { return merge.one_segment(); });
   constexpr double kMaxAllocs = 0.00;
 
   BenchJson json("packet_path");
@@ -199,16 +304,20 @@ int main(int argc, char** argv) {
   };
   row("frame (host to host)", fp);
   row("diversion (zero-copy)", zc);
+  row("merge (per merged segment)", mp);
   std::printf("%s", table.render().c_str());
-  std::printf("heap allocations per frame: frame path %.2f, diversion %.2f "
-              "(gate: <= %.2f each)\n",
-              fp.allocs_per_frame, zc.allocs_per_frame, kMaxAllocs);
+  std::printf("heap allocations per frame: frame path %.2f, diversion %.2f, "
+              "merge %.2f (gate: <= %.2f each)\n",
+              fp.allocs_per_frame, zc.allocs_per_frame, mp.allocs_per_frame,
+              kMaxAllocs);
   json.add_table("per-frame cost (payload " + std::to_string(payload_len) +
-                 "B): host-to-host frame path and diversion path", table);
-  char section[128];
+                 "B): host-to-host frame path, diversion path and merge path",
+                 table);
+  char section[192];
   std::snprintf(section, sizeof(section),
-                "{\"frame_allocs_per_frame\": %.6f, \"diversion_allocs_per_seg\": %.6f}",
-                fp.allocs_per_frame, zc.allocs_per_frame);
+                "{\"frame_allocs_per_frame\": %.6f, \"diversion_allocs_per_seg\": %.6f, "
+                "\"merge_allocs_per_seg\": %.6f}",
+                fp.allocs_per_frame, zc.allocs_per_frame, mp.allocs_per_frame);
   json.add_section("packet_path", section);
 
   // Macro phase: a real replicated echo transfer — every secondary reply
@@ -251,12 +360,15 @@ int main(int argc, char** argv) {
   json.capture_host(t->client());
   if (!json.write()) return 1;
 
-  const bool green = done && d.verify() && fp.allocs_per_frame <= kMaxAllocs &&
-                     zc.allocs_per_frame <= kMaxAllocs;
+  const bool green = done && d.verify() && merge.intact() &&
+                     fp.allocs_per_frame <= kMaxAllocs &&
+                     zc.allocs_per_frame <= kMaxAllocs &&
+                     mp.allocs_per_frame <= kMaxAllocs;
   if (!green) {
-    std::printf("RED: frame %.2f or diversion %.2f allocs/frame above the "
-                "%.2f gate, or transfer failed\n",
-                fp.allocs_per_frame, zc.allocs_per_frame, kMaxAllocs);
+    std::printf("RED: frame %.2f, diversion %.2f or merge %.2f allocs/frame "
+                "above the %.2f gate, or a transfer or merge failed\n",
+                fp.allocs_per_frame, zc.allocs_per_frame, mp.allocs_per_frame,
+                kMaxAllocs);
   }
   return green ? 0 : 1;
 }

@@ -19,9 +19,6 @@ SCHEMA_VERSION = 1
 KNOWN_EVENTS = {
     "conn_created",
     "handshake_merged",
-    "segment_merged",
-    "empty_ack_emitted",
-    "retransmit_forwarded",
     "divergence",
     "conn_closed",
     "tombstone_created",
@@ -187,13 +184,17 @@ def _check_storm(storm):
             f"storm.alloc.wheel_allocs {alloc['wheel_allocs']} is not 0")
 
 
-# Heap allocations per frame on bench_packet_path's two paths, once the
+# Heap allocations per frame on bench_packet_path's three paths, once the
 # pools are warm: the host-to-host frame path (ARP hit, medium slot, NIC
-# rx ring, pooled buffer) and the §3.1 diversion path, whose one
-# copy-on-write takes a pooled header and block. The diversion gate was
-# 1.00 (the header's make_shared) until packet headers were pooled.
+# rx ring, pooled buffer), the §3.1 diversion path, whose one
+# copy-on-write takes a pooled header and block, and the §3.2 merge path
+# (both output queues, the merged segment to the client). The diversion
+# gate was 1.00 (the header's make_shared) until packet headers were
+# pooled; the merge path made map nodes and timeline records until the
+# queues kept their runs in reusable vectors.
 PACKET_PATH_MAX_ALLOCS = 0.0
-PACKET_PATH_FIELDS = ("frame_allocs_per_frame", "diversion_allocs_per_seg")
+PACKET_PATH_FIELDS = ("frame_allocs_per_frame", "diversion_allocs_per_seg",
+                      "merge_allocs_per_seg")
 
 
 def _check_packet_path(packet_path):
@@ -417,7 +418,8 @@ def self_test():
             "rx_processing_ns": 2000,
         },
         "packet_path": {"frame_allocs_per_frame": 0.0,
-                        "diversion_allocs_per_seg": 0.0},
+                        "diversion_allocs_per_seg": 0.0,
+                        "merge_allocs_per_seg": 0.0},
         "churn": {
             "requests_per_conn": 2,
             "points": [
@@ -522,6 +524,8 @@ def self_test():
             frame_allocs_per_frame=0.0002)),
         ("packet_path diversion path allocates", lambda d: d["packet_path"].update(
             diversion_allocs_per_seg=1.0)),
+        ("packet_path merge path allocates", lambda d: d["packet_path"].update(
+            merge_allocs_per_seg=2.0)),
         ("churn missing points", lambda d: d["churn"].pop("points")),
         ("churn empty points", lambda d: d["churn"].update(points=[])),
         ("churn zero requests_per_conn", lambda d: d["churn"].update(

@@ -386,10 +386,6 @@ void BridgeConn::emit_payload(std::uint64_t offset, wire::PacketBuffer payload,
   if (fin) fin_sent_to_remote_ = true;
   TFO_LOG(kTrace, "bridge") << key_.str() << " to-remote " << seg.summary();
   if (obs_) obs_->merged_bytes->observe(seg.payload.size());
-  note_event(obs::EventKind::kSegmentMerged,
-             "off=" + std::to_string(offset) +
-                 " len=" + std::to_string(seg.payload.size()) +
-                 (fin ? " fin" : ""));
   sink_.emit(seg, key_.local_ip, key_.remote_ip);
   check_fully_closed();
 }
@@ -405,9 +401,6 @@ void BridgeConn::emit_retransmission(std::uint64_t offset,
   seg.window = min_win();
   TFO_LOG(kTrace, "bridge") << key_.str() << " to-remote(rexmit) " << seg.summary();
   if (obs_) obs_->retransmits->inc();
-  note_event(obs::EventKind::kRetransmitForwarded,
-             "off=" + std::to_string(offset) +
-                 " len=" + std::to_string(payload.size()));
   sink_.emit(seg, key_.local_ip, key_.remote_ip);
 }
 
@@ -428,8 +421,6 @@ void BridgeConn::emit_empty_ack_if_progress() {
   last_ack_to_remote_ = m;
   last_win_to_remote_ = w;
   if (obs_) obs_->empty_acks->inc();
-  note_event(obs::EventKind::kEmptyAckEmitted,
-             "ack=" + std::to_string(m) + " win=" + std::to_string(w));
   sink_.emit(seg, key_.local_ip, key_.remote_ip);
   check_fully_closed();
 }

@@ -25,9 +25,11 @@ std::uint64_t hb_nonce(std::uint64_t seed, ip::Ipv4 sender, std::uint64_t k) {
 
 constexpr std::size_t kHbBytes = 18;  // "HB" + k:u64 + nonce:u64
 
-Bytes hb_payload(std::uint64_t seed, ip::Ipv4 sender, std::uint64_t k) {
-  Bytes b(kHbBytes);
-  std::uint8_t* p = write_u8(write_u8(b.data(), 'H'), 'B');
+/// Built straight into a pooled buffer with headroom, so the IP header
+/// is prepended in place and a heartbeat costs no heap allocation.
+wire::PacketBuffer hb_payload(std::uint64_t seed, ip::Ipv4 sender, std::uint64_t k) {
+  wire::PacketBuffer b = wire::PacketBuffer::alloc(kHbBytes);
+  std::uint8_t* p = write_u8(write_u8(b.mutable_data(), 'H'), 'B');
   write_u64(write_u64(p, k), hb_nonce(seed, sender, k));
   return b;
 }

@@ -2,166 +2,240 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "common/assert.hpp"
 
 namespace tfo::core {
 
+namespace {
+
+/// Run vectors a thread keeps for reuse. Bounded: a burst of drains must
+/// not become resident heap, and a queue that keeps its own capacity
+/// would pin it on every idle connection.
+constexpr std::size_t kSpareVectors = 64;
+
+// Trivially destructible on purpose, as in packet_buffer.cpp: a queue
+// that drains while thread-locals wind down can tell the list is gone.
+thread_local bool g_spares_alive = false;
+
+}  // namespace
+
+std::vector<std::vector<OutputQueue::Run>>& OutputQueue::spares() {
+  struct List {
+    std::vector<std::vector<Run>> vectors;
+    List() {
+      vectors.reserve(kSpareVectors);
+      g_spares_alive = true;
+    }
+    ~List() { g_spares_alive = false; }
+  };
+  thread_local List list;
+  return list.vectors;
+}
+
+std::size_t OutputQueue::find(std::uint64_t offset) const {
+  const auto after = std::upper_bound(
+      runs_.begin() + static_cast<std::ptrdiff_t>(head_), runs_.end(), offset,
+      [](std::uint64_t off, const Run& r) { return off < r.offset; });
+  auto i = static_cast<std::size_t>(after - runs_.begin());
+  if (i > head_ && runs_[i - 1].end() > offset) --i;
+  return i;
+}
+
+std::size_t OutputQueue::place(std::size_t i, std::uint64_t offset,
+                               wire::PacketBuffer buf) {
+  if (i == head_ && head_ > 0) {
+    // In front of the live runs: reuse the husk slot before them.
+    runs_[--head_] = Run{offset, std::move(buf)};
+    return head_;
+  }
+  runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(i),
+               Run{offset, std::move(buf)});
+  return i;
+}
+
+void OutputQueue::remove(std::size_t first, std::size_t last) {
+  if (first == last) return;
+  const auto begin = runs_.begin();
+  if (first != head_) {
+    runs_.erase(begin + static_cast<std::ptrdiff_t>(first),
+                begin + static_cast<std::ptrdiff_t>(last));
+    return;
+  }
+  // From the front: release the slices now and advance head_.
+  for (std::size_t i = first; i < last; ++i) runs_[i].buf.clear();
+  head_ = last;
+  if (head_ == runs_.size()) {
+    release_storage();
+  } else if (2 * head_ >= runs_.size()) {
+    runs_.erase(begin, begin + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void OutputQueue::release_storage() {
+  runs_.clear();
+  head_ = 0;
+  if (runs_.capacity() == 0) return;
+  // insert() touched the list before this vector got any capacity, so
+  // the flag is false only once the list is gone.
+  if (g_spares_alive) {
+    auto& list = spares();
+    if (list.size() < kSpareVectors) list.push_back(std::move(runs_));
+  }
+  runs_ = std::vector<Run>();  // frees the vector unless the list took it
+}
+
 bool OutputQueue::insert(std::uint64_t offset, const wire::PacketBuffer& data) {
   if (data.empty()) return true;
   const std::uint64_t end = offset + data.size();
+  const std::size_t first = find(offset);
 
   // Pass 1: verify all overlaps agree (divergence check) without mutating.
-  auto it = runs_.upper_bound(offset);
-  if (it != runs_.begin()) --it;
-  for (auto probe = it; probe != runs_.end() && probe->first < end; ++probe) {
-    const std::uint64_t r_off = probe->first;
-    const std::uint64_t r_end = r_off + probe->second.size();
-    const std::uint64_t lo = std::max(offset, r_off);
-    const std::uint64_t hi = std::min(end, r_end);
-    if (lo < hi &&
-        std::memcmp(probe->second.data() + (lo - r_off),
-                    data.data() + (lo - offset),
+  // Every run from `first` on ends past `offset`, so each one that starts
+  // below `end` overlaps.
+  for (std::size_t i = first; i < runs_.size() && runs_[i].offset < end; ++i) {
+    const Run& r = runs_[i];
+    const std::uint64_t lo = std::max(offset, r.offset);
+    const std::uint64_t hi = std::min(end, r.end());
+    if (std::memcmp(r.buf.data() + (lo - r.offset), data.data() + (lo - offset),
                     static_cast<std::size_t>(hi - lo)) != 0) {
       return false;
     }
   }
 
-  // Pass 2: retain only the uncovered gaps, each as a slice sharing
-  // `data`'s storage — existing runs are left in place untouched.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> gaps;  // [lo, hi)
-  std::uint64_t pos = offset;
-  auto p = runs_.upper_bound(offset);
-  if (p != runs_.begin()) --p;
-  for (; p != runs_.end() && p->first < end && pos < end; ++p) {
-    const std::uint64_t r_off = p->first;
-    const std::uint64_t r_end = r_off + p->second.size();
-    if (r_end <= pos) continue;
-    if (r_off > pos) gaps.emplace_back(pos, std::min(r_off, end));
-    pos = std::max(pos, std::min(r_end, end));
+  if (runs_.capacity() == 0) {
+    auto& list = spares();
+    if (!list.empty()) {
+      runs_ = std::move(list.back());
+      list.pop_back();
+    }
   }
-  if (pos < end) gaps.emplace_back(pos, end);
 
-  for (const auto& [lo, hi] : gaps) {
+  // Pass 2: walk the gaps between existing runs and retain each as a
+  // slice sharing `data`'s storage — existing runs are left untouched.
+  std::uint64_t pos = offset;
+  std::size_t i = first;
+  while (pos < end) {
+    if (i < runs_.size() && runs_[i].offset <= pos) {  // pos is covered
+      pos = std::min(end, runs_[i].end());
+      ++i;
+      continue;
+    }
+    const std::uint64_t hi = i < runs_.size() ? std::min(runs_[i].offset, end) : end;
     wire::PacketBuffer slice = data;
-    slice.trim_front(static_cast<std::size_t>(lo - offset));
-    slice.trim_to(static_cast<std::size_t>(hi - lo));
+    slice.trim_front(static_cast<std::size_t>(pos - offset));
+    slice.trim_to(static_cast<std::size_t>(hi - pos));
     total_ += slice.size();
-    runs_.emplace(lo, std::move(slice));
+    i = place(i, pos, std::move(slice)) + 1;
+    pos = hi;
   }
   publish_gauges();
   return true;
 }
 
 std::size_t OutputQueue::contiguous_at(std::uint64_t offset) const {
-  auto it = runs_.upper_bound(offset);
-  if (it == runs_.begin()) return 0;
-  --it;
-  std::uint64_t r_end = it->first + it->second.size();
-  if (offset >= r_end) return 0;
+  std::size_t i = find(offset);
+  if (i == runs_.size() || runs_[i].offset > offset) return 0;
+  std::uint64_t r_end = runs_[i].end();
   std::size_t n = static_cast<std::size_t>(r_end - offset);
   // Runs are kept as independent slices; contiguity spans abutting ones.
-  for (++it; it != runs_.end() && it->first == r_end; ++it) {
-    n += it->second.size();
-    r_end += it->second.size();
+  for (++i; i < runs_.size() && runs_[i].offset == r_end; ++i) {
+    n += runs_[i].buf.size();
+    r_end += runs_[i].buf.size();
   }
   return n;
 }
 
 wire::PacketBuffer OutputQueue::extract(std::uint64_t offset, std::size_t n) {
   TFO_ASSERT(contiguous_at(offset) >= n, "extract beyond contiguous run");
-  auto it = runs_.upper_bound(offset);
-  --it;
+  const std::size_t i = find(offset);
+  Run& r = runs_[i];
+  const std::size_t skip = static_cast<std::size_t>(offset - r.offset);
+  const std::size_t size = r.buf.size();
+  total_ -= n;
 
-  const std::uint64_t r_off = it->first;
-  const std::size_t head = static_cast<std::size_t>(offset - r_off);
-  if (head + n <= it->second.size()) {
-    // Fast path: the span lies within one run — the result and any
-    // retained left/right remainders are all slices of the same storage;
-    // no bytes move.
-    wire::PacketBuffer run = std::move(it->second);
-    runs_.erase(it);
-    total_ -= run.size();
-    if (head > 0) {
-      wire::PacketBuffer left = run;
-      left.trim_to(head);
-      total_ += left.size();
-      runs_.emplace(r_off, std::move(left));
+  if (skip + n <= size) {
+    // Fast path: the span lies within one run. The result and any
+    // remainder are slices of the same storage, trimmed in place; no
+    // bytes move.
+    wire::PacketBuffer out;
+    if (skip == 0 && n == size) {
+      out = std::move(r.buf);
+      remove(i, i + 1);
+    } else if (skip == 0) {
+      out = r.buf;
+      out.trim_to(n);
+      r.buf.trim_front(n);
+      r.offset += n;
+    } else {
+      out = r.buf;
+      out.trim_front(skip);
+      out.trim_to(n);
+      wire::PacketBuffer right;
+      if (skip + n < size) {
+        right = r.buf;
+        right.trim_front(skip + n);
+      }
+      r.buf.trim_to(skip);
+      // Last: the insert may move `r`.
+      if (!right.empty()) place(i + 1, offset + n, std::move(right));
     }
-    if (head + n < run.size()) {
-      wire::PacketBuffer right = run;
-      right.trim_front(head + n);
-      total_ += right.size();
-      runs_.emplace(offset + n, std::move(right));
-    }
-    run.trim_front(head);
-    run.trim_to(n);
     publish_gauges();
-    return run;
+    return out;
   }
 
-  // Slow path: gather across abutting runs into a fresh buffer.
+  // Slow path: gather across abutting runs into a fresh buffer. The first
+  // run keeps any bytes below `offset`, the last any bytes past the span;
+  // the runs consumed whole are [first, j).
   wire::PacketBuffer out = wire::PacketBuffer::alloc(n);
   std::uint8_t* w = out.mutable_data();
   std::uint64_t pos = offset;
   std::size_t remaining = n;
+  std::size_t first = i;
+  std::size_t j = i;
   while (remaining > 0) {
-    it = runs_.upper_bound(pos);
-    --it;
-    wire::PacketBuffer run = std::move(it->second);
-    const std::uint64_t run_off = it->first;
-    runs_.erase(it);
-    total_ -= run.size();
-    const std::size_t skip = static_cast<std::size_t>(pos - run_off);
-    if (skip > 0) {
-      wire::PacketBuffer left = run;
-      left.trim_to(skip);
-      total_ += left.size();
-      runs_.emplace(run_off, std::move(left));
-    }
-    const std::size_t take = std::min(run.size() - skip, remaining);
-    std::memcpy(w, run.data() + skip, take);
+    Run& run = runs_[j];
+    const std::size_t run_skip = static_cast<std::size_t>(pos - run.offset);
+    const std::size_t take = std::min(run.buf.size() - run_skip, remaining);
+    std::memcpy(w, run.buf.data() + run_skip, take);
     w += take;
     remaining -= take;
     pos += take;
-    if (skip + take < run.size()) {
-      run.trim_front(skip + take);
-      total_ += run.size();
-      runs_.emplace(pos, std::move(run));
+    if (run_skip > 0) {
+      run.buf.trim_to(run_skip);
+      first = j + 1;
+    } else if (take < run.buf.size()) {
+      run.buf.trim_front(take);
+      run.offset = pos;
+      break;
     }
+    ++j;
   }
+  remove(first, j);
   publish_gauges();
   return out;
 }
 
 void OutputQueue::drop_below(std::uint64_t offset) {
-  while (!runs_.empty()) {
-    auto it = runs_.begin();
-    const std::uint64_t r_off = it->first;
-    const std::uint64_t r_end = r_off + it->second.size();
-    if (r_off >= offset) break;
-    if (r_end <= offset) {
-      total_ -= it->second.size();
-      runs_.erase(it);
-      continue;
-    }
-    // Trim the head of this run — an offset move on the retained slice.
-    wire::PacketBuffer tail = std::move(it->second);
-    runs_.erase(it);
-    total_ -= tail.size();
-    tail.trim_front(static_cast<std::size_t>(offset - r_off));
-    total_ += tail.size();
-    runs_.emplace(offset, std::move(tail));
-    break;
+  std::size_t i = head_;
+  for (; i < runs_.size() && runs_[i].end() <= offset; ++i) {
+    total_ -= runs_[i].buf.size();
   }
+  if (i < runs_.size() && runs_[i].offset < offset) {
+    // Trim the head of this run — an offset move on the retained slice.
+    const auto cut = static_cast<std::size_t>(offset - runs_[i].offset);
+    runs_[i].buf.trim_front(cut);
+    runs_[i].offset = offset;
+    total_ -= cut;
+  }
+  remove(head_, i);
   publish_gauges();
 }
 
 std::uint64_t OutputQueue::max_end() const {
-  TFO_ASSERT(!runs_.empty(), "max_end on empty queue");
-  auto it = std::prev(runs_.end());
-  return it->first + it->second.size();
+  TFO_ASSERT(!empty(), "max_end on empty queue");
+  return runs_.back().end();
 }
 
 }  // namespace tfo::core

@@ -16,10 +16,18 @@
 // never deep copies. Runs are non-overlapping but may abut; contiguity
 // queries walk adjacent runs, and single-run extraction returns a slice of
 // the retained buffer without touching bytes.
+//
+// The runs live in one sorted vector; the live ones are [head_, size).
+// The merge reads and removes at the front and appends at the back, so a
+// removal advances head_, and the vector is compacted once head_ passes
+// half its size. Lookups binary-search by offset. A queue that drains hands
+// its vector to a small thread-local spare list, and the next queue that
+// needs storage takes one from there: an idle connection holds no run
+// storage, and a busy one allocates nothing (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "obs/metrics.hpp"
@@ -81,33 +89,56 @@ class OutputQueue {
   /// offset trims — never copies.
   void drop_below(std::uint64_t offset);
 
-  bool empty() const { return runs_.empty(); }
+  bool empty() const { return head_ == runs_.size(); }
   std::size_t total_bytes() const { return total_; }
   /// Lowest offset present (queue must not be empty).
-  std::uint64_t min_offset() const { return runs_.begin()->first; }
+  std::uint64_t min_offset() const { return runs_[head_].offset; }
   /// One past the highest offset present (queue must not be empty).
   std::uint64_t max_end() const;
+  /// Runs this queue has room for without allocating; 0 once it drains.
+  std::size_t storage_capacity() const { return runs_.capacity(); }
 
   void clear() {
-    runs_.clear();
+    release_storage();
     total_ = 0;
     publish_gauges();
   }
 
  private:
+  struct Run {
+    std::uint64_t offset = 0;
+    wire::PacketBuffer buf;
+    std::uint64_t end() const { return offset + buf.size(); }
+  };
+
+  /// Index of the live run holding `offset`, or of the first live run
+  /// after it when no run does.
+  std::size_t find(std::uint64_t offset) const;
+  /// Puts a run at index `i` (in [head_, size]) and returns its index.
+  std::size_t place(std::size_t i, std::uint64_t offset, wire::PacketBuffer buf);
+  /// Removes the live runs [first, last).
+  void remove(std::size_t first, std::size_t last);
+  /// Hands the vector to the spare list (or frees it) and resets head_.
+  void release_storage();
+  /// This thread's spare list: run vectors of drained queues.
+  static std::vector<std::vector<Run>>& spares();
+
   void publish_gauges() {
     if (gauge_bytes_) {
       gauge_bytes_->add(static_cast<std::int64_t>(total_) - published_bytes_);
       published_bytes_ = static_cast<std::int64_t>(total_);
     }
     if (gauge_depth_) {
-      gauge_depth_->add(static_cast<std::int64_t>(runs_.size()) - published_depth_);
-      published_depth_ = static_cast<std::int64_t>(runs_.size());
+      const auto depth = static_cast<std::int64_t>(runs_.size() - head_);
+      gauge_depth_->add(depth - published_depth_);
+      published_depth_ = depth;
     }
   }
 
-  // Non-overlapping (possibly abutting) runs: offset -> buffer slice.
-  std::map<std::uint64_t, wire::PacketBuffer> runs_;
+  // Non-overlapping (possibly abutting) runs sorted by offset; the live
+  // ones are [head_, size), those before head_ are empty husks.
+  std::vector<Run> runs_;
+  std::size_t head_ = 0;
   std::size_t total_ = 0;
   obs::Gauge* gauge_bytes_ = nullptr;
   obs::Gauge* gauge_depth_ = nullptr;

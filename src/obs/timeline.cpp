@@ -6,9 +6,6 @@ const char* to_string(EventKind kind) {
   switch (kind) {
     case EventKind::kConnCreated: return "conn_created";
     case EventKind::kHandshakeMerged: return "handshake_merged";
-    case EventKind::kSegmentMerged: return "segment_merged";
-    case EventKind::kEmptyAckEmitted: return "empty_ack_emitted";
-    case EventKind::kRetransmitForwarded: return "retransmit_forwarded";
     case EventKind::kDivergence: return "divergence";
     case EventKind::kConnClosed: return "conn_closed";
     case EventKind::kTombstoneCreated: return "tombstone_created";

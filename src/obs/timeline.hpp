@@ -1,9 +1,13 @@
 // The structured failover-timeline event log: an ordered, bounded record
 // of the discrete events that make up a connection's failover story —
-// creation, merge progress, retransmissions recognized, divergence,
-// takeover, tombstone expiry. A post-mortem (or a bench's JSON artifact)
+// creation, the merged handshake, divergence, detector verdicts, takeover,
+// routes, tombstone expiry. A post-mortem (or a bench's JSON artifact)
 // replays the timeline to explain *why* a client observed the stall it
 // did, the analysis §5 of the paper does by hand.
+//
+// Control plane only: per-segment work (merged segments, forwarded
+// retransmissions, empty ACKs) is counted in bridge.* metrics instead, so
+// bulk data never evicts the events a post-mortem needs.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +22,6 @@ namespace tfo::obs {
 enum class EventKind : std::uint8_t {
   kConnCreated,        // bridge started tracking a connection
   kHandshakeMerged,    // merged SYN sent to the remote
-  kSegmentMerged,      // payload present in both replica streams went out
-  kEmptyAckEmitted,    // pure ACK/window update passed the §3.4 filter
-  kRetransmitForwarded,// §4: recognized retransmission, forwarded unqueued
   kDivergence,         // replica streams disagreed; connection reset
   kConnClosed,         // connection fully closed at the bridge
   kTombstoneCreated,   // §8 stray-FIN guard installed

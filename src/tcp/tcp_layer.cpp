@@ -322,17 +322,33 @@ void TcpLayer::migrate_local_address(ip::Ipv4 from, ip::Ipv4 to) {
 }
 
 void TcpLayer::connection_closed(const ConnKey& key, std::uint64_t id) {
-  // Deferred: the connection may be deep in its own call stack. The id
-  // check guards against ABA — if TIME_WAIT recycling (or any same-tick
-  // reconnect) re-populated this 4-tuple before the erase runs, the slot
-  // now holds a different, live connection that must survive.
-  sim_.schedule_after(0, [this, key, id] {
-    const auto* v = conns_.find_value(key);
-    if (v == nullptr || (*v)->id() != id) return;
-    conns_.erase(key);
-    release_port(key.local_port);
-    if (gau_connections_) gau_connections_->set(static_cast<std::int64_t>(conns_.size()));
-  });
+  // Deferred: the connection may be deep in its own call stack. The
+  // (key, id) pair waits in closed_; the event captures only `this`, so
+  // it fits std::function's inline buffer. Every erase is scheduled with
+  // the same zero delay and events at one time run in schedule order, so
+  // each event's entry is the FIFO's front.
+  closed_.emplace_back(key, id);
+  sim_.schedule_after(0, [this] { erase_closed(); });
+}
+
+void TcpLayer::erase_closed() {
+  const auto [key, id] = closed_[closed_head_++];
+  if (closed_head_ == closed_.size()) {
+    closed_.clear();
+    closed_head_ = 0;
+  } else if (2 * closed_head_ >= closed_.size()) {
+    closed_.erase(closed_.begin(),
+                  closed_.begin() + static_cast<std::ptrdiff_t>(closed_head_));
+    closed_head_ = 0;
+  }
+  // The id check guards against ABA — if TIME_WAIT recycling (or any
+  // same-tick reconnect) re-populated this 4-tuple before the erase runs,
+  // the slot now holds a different, live connection that must survive.
+  const auto* v = conns_.find_value(key);
+  if (v == nullptr || (*v)->id() != id) return;
+  conns_.erase(key);
+  release_port(key.local_port);
+  if (gau_connections_) gau_connections_->set(static_cast<std::int64_t>(conns_.size()));
 }
 
 void TcpLayer::note_embryonic_done(std::uint16_t port) {

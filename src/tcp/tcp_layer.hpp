@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -202,6 +203,8 @@ class TcpLayer {
   /// the count reaches zero (the map holds live ports only).
   void release_port(std::uint16_t port);
   void resolve_listener_counters(std::uint16_t port, Listener& l);
+  /// Runs the oldest deferred erase queued by connection_closed.
+  void erase_closed();
   /// BSD-style TIME_WAIT recycling: a new SYN whose ISN is strictly newer
   /// than everything the old incarnation acknowledged evicts the
   /// TIME_WAIT connection and re-enters the listen path.
@@ -242,6 +245,10 @@ class TcpLayer {
   /// F(4-tuple, secret)); drawn from the layer seed at construction.
   std::uint64_t isn_secret_ = 0;
   std::uint64_t next_conn_id_ = 1;
+  /// Deferred erases (key, connection id), oldest first from
+  /// closed_head_; each has one pending zero-delay event.
+  std::vector<std::pair<ConnKey, std::uint64_t>> closed_;
+  std::size_t closed_head_ = 0;
   std::int64_t pinned_bytes_ = 0;
   std::optional<Seq32> forced_isn_;
 

@@ -5,6 +5,7 @@
 // duplication, no reordering, no reset.
 #include <gtest/gtest.h>
 
+#include "apps/http.hpp"
 #include "failover_fixture.hpp"
 
 namespace tfo::core {
@@ -146,6 +147,47 @@ INSTANTIATE_TEST_SUITE_P(BytePositions, PrimaryFailureSweep,
                                            32768, 50000, 63000));
 
 // ------------------------------------------------------------- secondary
+
+TEST(SecondaryFailure, ControlPlaneLogOutlivesBulkTransfer) {
+  // The primary's timeline holds control-plane events only: a 4 MB reply
+  // stream (~2,900 merged segments) records none, so the 4,096-entry log
+  // still holds the connection's whole story when the secondary dies.
+  // Per-segment work shows in the bridge counters instead.
+  FailoverConfig cfg;
+  cfg.ports = {80};
+  auto r = make_replicated({}, cfg, test::no_app);
+  apps::HttpServer web_p(r->primary().tcp(), 80);
+  apps::HttpServer web_s(r->secondary().tcp(), 80);
+  const Bytes page = apps::deterministic_payload(4 * 1024 * 1024, 9);
+  web_p.add_document("/big", page, "application/octet-stream");
+  web_s.add_document("/big", page, "application/octet-stream");
+  apps::HttpClient client(r->client().tcp(), r->primary().address());
+  bool done = false, ok = false;
+  apps::HttpClient::Response resp;
+  client.get("/big", [&](bool k, apps::HttpClient::Response rr) {
+    ok = k;
+    resp = std::move(rr);
+    done = true;
+  });
+  ASSERT_TRUE(run_until(r->sim(), [&] { return done; }, seconds(300)));
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(resp.body, page);
+
+  r->group->crash_secondary();
+  ASSERT_TRUE(run_until(r->sim(), [&] {
+    return r->group->primary_bridge().secondary_failed();
+  }, seconds(10)));
+
+  const obs::Hub& hub = r->primary().obs();
+  EXPECT_EQ(hub.timeline.dropped(), 0u);
+  EXPECT_LT(hub.timeline.recorded_total(), 64u);
+  for (auto kind : {obs::EventKind::kConnCreated, obs::EventKind::kHandshakeMerged,
+                    obs::EventKind::kSecondaryFailed}) {
+    EXPECT_FALSE(hub.timeline.filter(kind).empty()) << obs::to_string(kind);
+  }
+  EXPECT_GT(hub.registry.counter_value("bridge.merged_segments"), 2800u);
+  EXPECT_GT(hub.registry.counter_value("bridge.empty_acks_emitted"), 0u);
+}
 
 TEST(SecondaryFailure, MidTransferIsTransparent) {
   auto r = make_replicated();

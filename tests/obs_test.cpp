@@ -79,7 +79,7 @@ TEST(Histogram, ZeroSampleGoesToBucketZero) {
 TEST(EventLog, BoundedDropsOldest) {
   EventLog log(4);
   for (int i = 0; i < 10; ++i) {
-    log.record(i, EventKind::kSegmentMerged, "c", std::to_string(i));
+    log.record(i, EventKind::kConnClosed, "c", std::to_string(i));
   }
   EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.recorded_total(), 10u);
@@ -91,7 +91,7 @@ TEST(EventLog, BoundedDropsOldest) {
 TEST(EventLog, FilterPreservesOrder) {
   EventLog log;
   log.record(1, EventKind::kConnCreated, "a");
-  log.record(2, EventKind::kSegmentMerged, "a");
+  log.record(2, EventKind::kConnClosed, "a");
   log.record(3, EventKind::kConnCreated, "b");
   const auto created = log.filter(EventKind::kConnCreated);
   ASSERT_EQ(created.size(), 2u);
@@ -105,9 +105,6 @@ TEST(EventLog, FilterPreservesOrder) {
 TEST(EventKindNames, StableWireNames) {
   EXPECT_STREQ(to_string(EventKind::kConnCreated), "conn_created");
   EXPECT_STREQ(to_string(EventKind::kHandshakeMerged), "handshake_merged");
-  EXPECT_STREQ(to_string(EventKind::kSegmentMerged), "segment_merged");
-  EXPECT_STREQ(to_string(EventKind::kEmptyAckEmitted), "empty_ack_emitted");
-  EXPECT_STREQ(to_string(EventKind::kRetransmitForwarded), "retransmit_forwarded");
   EXPECT_STREQ(to_string(EventKind::kDivergence), "divergence");
   EXPECT_STREQ(to_string(EventKind::kConnClosed), "conn_closed");
   EXPECT_STREQ(to_string(EventKind::kTombstoneCreated), "tombstone_created");

@@ -3,6 +3,7 @@
 
 #include "common/rng.hpp"
 #include "core/output_queue.hpp"
+#include "counting_alloc.hpp"
 
 namespace tfo::core {
 namespace {
@@ -234,6 +235,90 @@ TEST(OutputQueue, SharedGaugeAggregatesAcrossQueues) {
   EXPECT_EQ(bytes.value(), 3);
 }
 
+// ----------------------------------------------------- run storage
+
+TEST(OutputQueue, SteadyStateAllocatesNothing) {
+  // The merge's pattern: P's queue one segment ahead of S's, plus a
+  // duplicate insert (pass 1 only), an extract from the middle of a run
+  // (a split), one from its front, and drop_below removing the rest.
+  // Once the buffer pool and the spare run vectors are warm, none of it
+  // allocates.
+  constexpr std::size_t kLen = 1000;
+  const wire::PacketBuffer chunk = wire::PacketBuffer::copy_of(seq_bytes(0, kLen));
+  OutputQueue p, s;
+  obs::Gauge bytes, depth;
+  p.bind_gauges(&bytes, &depth);
+  s.bind_gauges(&bytes, &depth);
+  bool ok = p.insert(1, chunk);
+  const auto cycle = [&](std::uint64_t i) {
+    const std::uint64_t off = 1 + i * kLen;
+    ok &= p.insert(off + kLen, chunk);
+    ok &= s.insert(off, chunk);
+    ok &= s.insert(off, chunk);
+    ok &= p.extract(off + 300, 400) == s.extract(off + 300, 400);
+    ok &= p.extract(off, 300) == s.extract(off, 300);
+    p.drop_below(off + kLen);
+    s.drop_below(off + kLen);
+    ok &= s.empty() && p.total_bytes() == kLen;
+  };
+  std::uint64_t i = 0;
+  for (; i < 100; ++i) cycle(i);
+  const std::uint64_t allocs = bench::heap_stats().allocs;
+  for (; i < 2100; ++i) cycle(i);
+  EXPECT_EQ(bench::heap_stats().allocs, allocs);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(bytes.value(), static_cast<std::int64_t>(kLen));
+  EXPECT_EQ(depth.value(), 1);
+}
+
+TEST(OutputQueue, IdleQueueHoldsNoStorage) {
+  OutputQueue q;
+  EXPECT_EQ(q.storage_capacity(), 0u);
+  ASSERT_TRUE(q.insert(0, seq_bytes(0, 10)));
+  ASSERT_TRUE(q.insert(20, seq_bytes(20, 10)));
+  EXPECT_GE(q.storage_capacity(), 2u);
+  // Drained by extract: the run vector goes back to the spare list.
+  (void)q.extract(0, 10);
+  EXPECT_GT(q.storage_capacity(), 0u);
+  (void)q.extract(20, 10);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.storage_capacity(), 0u);
+  // Drained by drop_below, and by clear.
+  ASSERT_TRUE(q.insert(40, seq_bytes(40, 10)));
+  q.drop_below(50);
+  EXPECT_EQ(q.storage_capacity(), 0u);
+  ASSERT_TRUE(q.insert(60, seq_bytes(60, 10)));
+  q.clear();
+  EXPECT_EQ(q.storage_capacity(), 0u);
+  // A failed (divergent) insert into an empty queue takes no storage.
+  ASSERT_TRUE(q.insert(70, seq_bytes(70, 10)));
+  Bytes bad = seq_bytes(75, 10);
+  bad[0] ^= 0xff;
+  EXPECT_FALSE(q.insert(75, bad));
+  (void)q.extract(70, 10);
+  EXPECT_EQ(q.storage_capacity(), 0u);
+}
+
+TEST(OutputQueue, InsertInFrontOfTheHead) {
+  // After front extractions the live runs start part-way into the run
+  // vector; an insert below them lands in front, in offset order.
+  OutputQueue q;
+  for (std::uint64_t off = 100; off < 160; off += 10) {
+    ASSERT_TRUE(q.insert(off, seq_bytes(off, 10)));
+  }
+  EXPECT_EQ(q.extract(100, 10), seq_bytes(100, 10));
+  EXPECT_EQ(q.extract(110, 10), seq_bytes(110, 10));
+  ASSERT_TRUE(q.insert(50, seq_bytes(50, 10)));
+  ASSERT_TRUE(q.insert(30, seq_bytes(30, 10)));
+  ASSERT_TRUE(q.insert(60, seq_bytes(60, 70)));  // fills [60, 120)
+  EXPECT_EQ(q.min_offset(), 30u);
+  EXPECT_EQ(q.contiguous_at(50), 110u);
+  EXPECT_EQ(q.total_bytes(), 120u);
+  EXPECT_EQ(q.extract(50, 110), seq_bytes(50, 110));
+  EXPECT_EQ(q.extract(30, 10), seq_bytes(30, 10));
+  EXPECT_TRUE(q.empty());
+}
+
 // ------------------------------------------- interleaved-operation fuzz
 
 // Property: under random interleavings of insert / extract / drop_below,
@@ -260,15 +345,44 @@ TEST_P(OutputQueueFuzz, MatchesFlatBufferOracle) {
     return n;
   };
 
+  auto insert = [&](std::uint64_t off, std::size_t len) {
+    ASSERT_TRUE(q.insert(off, seq_bytes(off, len)));
+    for (std::uint64_t i = off; i < off + len; ++i) present[i] = true;
+  };
+
   for (int step = 0; step < 600; ++step) {
-    const std::uint64_t dice = rng.uniform(0, 9);
+    const std::uint64_t dice = rng.uniform(0, 12);
     if (dice < 5) {  // insert a consistent fragment
       const std::uint64_t off = rng.uniform(0, kStream - 1);
-      const std::size_t len = static_cast<std::size_t>(
-          rng.uniform(1, std::min<std::uint64_t>(48, kStream - off)));
-      ASSERT_TRUE(q.insert(off, seq_bytes(off, len)));
-      for (std::uint64_t i = off; i < off + len; ++i) present[i] = true;
-    } else if (dice < 8) {  // extract a prefix of some present run
+      insert(off, static_cast<std::size_t>(
+                      rng.uniform(1, std::min<std::uint64_t>(48, kStream - off))));
+    } else if (dice == 5 && !q.empty() && q.min_offset() > 0) {
+      // Insert wholly in front of the lowest run (the queue's head).
+      const std::uint64_t lo = q.min_offset();
+      const std::uint64_t off = rng.uniform(0, lo - 1);
+      insert(off, static_cast<std::size_t>(
+                      rng.uniform(1, std::min<std::uint64_t>(48, lo - off))));
+    } else if (dice == 6) {
+      // Drain, then insert below where the drained queue started.
+      const std::uint64_t lo = q.empty() ? kStream : q.min_offset();
+      q.drop_below(kStream);
+      std::fill(present.begin(), present.end(), false);
+      ASSERT_TRUE(q.empty());
+      ASSERT_EQ(q.storage_capacity(), 0u);
+      const std::uint64_t off = rng.uniform(0, std::max<std::uint64_t>(lo, 1) - 1);
+      insert(off, static_cast<std::size_t>(
+                      rng.uniform(1, std::min<std::uint64_t>(48, kStream - off))));
+    } else if (dice == 7) {
+      // Split a run in the middle: bytes stay present on both sides.
+      const std::uint64_t probe = rng.uniform(1, kStream - 1);
+      const std::size_t avail = oracle_contig(probe);
+      if (present[probe - 1] && avail >= 2) {
+        const std::size_t n = static_cast<std::size_t>(
+            rng.uniform(1, static_cast<std::uint64_t>(avail - 1)));
+        ASSERT_EQ(q.extract(probe, n), seq_bytes(probe, n));
+        for (std::uint64_t i = probe; i < probe + n; ++i) present[i] = false;
+      }
+    } else if (dice < 11) {  // extract a prefix of some present run
       const std::uint64_t probe = rng.uniform(0, kStream - 1);
       const std::size_t avail = oracle_contig(probe);
       ASSERT_EQ(q.contiguous_at(probe), avail) << "probe " << probe;
@@ -285,6 +399,10 @@ TEST_P(OutputQueueFuzz, MatchesFlatBufferOracle) {
     }
 
     ASSERT_EQ(q.total_bytes(), oracle_total()) << "step " << step;
+    ASSERT_EQ(q.empty(), oracle_total() == 0) << "step " << step;
+    if (q.empty()) {
+      ASSERT_EQ(q.storage_capacity(), 0u) << "step " << step;
+    }
     ASSERT_EQ(gauge_bytes.value(),
               static_cast<std::int64_t>(q.total_bytes())) << "step " << step;
     // Spot-check run boundaries at random probes.

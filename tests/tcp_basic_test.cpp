@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "apps/topology.hpp"
+#include "core/bridge_conn.hpp"
 #include "test_util.hpp"
 
 namespace tfo::tcp {
@@ -384,6 +385,18 @@ TEST(ConnectionLayout, StaysWithinTheStormBudget) {
 #if defined(__x86_64__) && defined(__GLIBCXX__)
   EXPECT_LE(sizeof(Connection), 672u);
   EXPECT_LE(sizeof(sim::Timer), 24u);
+#else
+  GTEST_SKIP() << "layout budget is pinned for x86-64 libstdc++ only";
+#endif
+}
+
+TEST(ConnectionLayout, BridgeStateStaysWithinTheStormBudget) {
+  // The primary bridge keeps one BridgeConn, with its two output queues,
+  // per replicated connection. Each queue is a run vector, a head index,
+  // its byte total and its gauge bindings.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+  EXPECT_LE(sizeof(core::OutputQueue), 72u);
+  EXPECT_LE(sizeof(core::BridgeConn), 384u);
 #else
   GTEST_SKIP() << "layout budget is pinned for x86-64 libstdc++ only";
 #endif
