@@ -22,7 +22,7 @@ void BridgeConn::attach_obs(const BridgeConnObs* obs) {
 
 void BridgeConn::note_event(obs::EventKind kind, std::string detail) {
   if (!obs_) return;
-  obs_->hub->timeline.record(obs_->sim->now(), kind, key_.str(), std::move(detail));
+  obs_->hub->timeline.record(obs_->sim->now(), kind, key_, std::move(detail));
 }
 
 tfo::Seq32 BridgeConn::remote_facing_seq() const {

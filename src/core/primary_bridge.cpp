@@ -79,8 +79,7 @@ std::uint64_t PrimaryBridge::divergences() const {
 
 void PrimaryBridge::note_event(obs::EventKind kind, const ConnKey& key,
                                std::string detail) {
-  host_.obs().timeline.record(host_.simulator().now(), kind, key.str(),
-                              std::move(detail));
+  host_.obs().timeline.record(host_.simulator().now(), kind, key, std::move(detail));
 }
 
 void PrimaryBridge::publish_gauges() {

@@ -18,13 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/chunked_vector.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "net/frame.hpp"
@@ -47,21 +46,19 @@ using LossFn = std::function<bool(const Nic& sender, const Nic& receiver,
 /// in its inline buffer, so scheduling an arrival does not allocate; the
 /// frame lives here until the event takes it. Freed slots are reused, so
 /// once the table has grown to the high-water mark of frames in flight it
-/// allocates nothing more. Slots live in fixed chunks: growing never moves
-/// a frame or holds two copies of the table (a takeover storm puts ~60k
-/// frames on one wire at once).
+/// allocates nothing more.
 template <typename T>
 class InFlightTable {
  public:
   std::uint32_t put(T entry) {
-    std::uint32_t slot = size_;
+    std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
       free_.pop_back();
-    } else if (size_++ % kChunk == 0) {
-      chunks_.push_back(std::make_unique<T[]>(kChunk));
+    } else {
+      slot = slots_.emplace_back();
     }
-    at(slot) = std::move(entry);
+    slots_[slot] = std::move(entry);
     return slot;
   }
 
@@ -69,21 +66,16 @@ class InFlightTable {
   /// copy: a delivery may transmit again and reuse the slot before the
   /// caller is done with the frame.
   T take(std::uint32_t slot) {
-    T entry = std::move(at(slot));
+    T entry = std::move(slots_[slot]);
     free_.push_back(slot);
     return entry;
   }
 
-  std::size_t in_flight() const { return size_ - free_.size(); }
+  std::size_t in_flight() const { return slots_.size() - free_.size(); }
 
  private:
-  static constexpr std::uint32_t kChunk = 256;
-
-  T& at(std::uint32_t slot) { return chunks_[slot / kChunk][slot % kChunk]; }
-
-  std::vector<std::unique_ptr<T[]>> chunks_;
+  ChunkedVector<T> slots_;
   std::vector<std::uint32_t> free_;
-  std::uint32_t size_ = 0;
 };
 
 /// Common interface: a place NICs attach to and transmit through.

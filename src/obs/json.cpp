@@ -153,7 +153,7 @@ std::string timeline_json(std::string_view host, const EventLog& log) {
     w.key("t_ns").value(static_cast<std::uint64_t>(e.t));
     w.key("host").value(host);
     w.key("event").value(to_string(e.kind));
-    w.key("conn").value(e.conn);
+    w.key("conn").value(e.conn == tcp::ConnKey{} ? std::string() : e.conn.str());
     w.key("detail").value(e.detail);
     w.end_object();
   }

@@ -24,12 +24,12 @@ const char* to_string(EventKind kind) {
   return "unknown";
 }
 
-void EventLog::record(SimTime t, EventKind kind, std::string conn,
+void EventLog::record(SimTime t, EventKind kind, tcp::ConnKey conn,
                       std::string detail) {
   ++recorded_;
   if (cap_ == 0) return;
   if (events_.size() == cap_) events_.pop_front();
-  events_.push_back(Event{t, kind, std::move(conn), std::move(detail)});
+  events_.push_back(Event{t, kind, conn, std::move(detail)});
 }
 
 std::vector<Event> EventLog::filter(EventKind kind) const {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/time.hpp"
+#include "tcp/conn_key.hpp"
 
 namespace tfo::obs {
 
@@ -44,9 +45,10 @@ const char* to_string(EventKind kind);
 struct Event {
   SimTime t = 0;
   EventKind kind = EventKind::kConnCreated;
-  /// Connection key string ("a.b.c.d:p <-> e.f.g.h:q"), empty for
-  /// host-scope events.
-  std::string conn;
+  /// The connection, or the all-zero key for host-scope events. Kept as a
+  /// value, so recording allocates no key string (the bridges record four
+  /// lifecycle events per connection); timeline_json formats it on export.
+  tcp::ConnKey conn;
   /// Free-form context: offsets, addresses, counts.
   std::string detail;
 };
@@ -58,7 +60,7 @@ class EventLog {
  public:
   explicit EventLog(std::size_t capacity = 4096) : cap_(capacity) {}
 
-  void record(SimTime t, EventKind kind, std::string conn = {},
+  void record(SimTime t, EventKind kind, tcp::ConnKey conn = {},
               std::string detail = {});
 
   const std::deque<Event>& events() const { return events_; }

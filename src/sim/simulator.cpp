@@ -40,9 +40,8 @@ std::uint32_t Simulator::alloc_event(SimTime t, std::function<void()> fn) {
     idx = free_.back();
     free_.pop_back();
   } else {
-    idx = static_cast<std::uint32_t>(pool_.size());
     TFO_ASSERT(pool_.size() < kNil, "simulator event pool exhausted");
-    pool_.emplace_back();
+    idx = pool_.emplace_back();
   }
   Event& ev = pool_[idx];
   ev.time = t;

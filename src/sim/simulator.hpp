@@ -25,10 +25,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "common/chunked_vector.hpp"
 #include "common/time.hpp"
 
 namespace tfo::sim {
@@ -86,12 +86,13 @@ class Simulator {
     std::uint64_t heap_inserts = 0;     ///< events entering the exact heap
     std::uint64_t cascades = 0;         ///< wheel events re-filed at a finer level
     std::uint64_t heap_compactions = 0; ///< stale-entry purges of the exact heap
-    std::uint64_t pool_events = 0;      ///< event-pool capacity
+    std::uint64_t pool_events = 0;      ///< events the pool has created
   };
   const Stats& stats() const;
 
   /// Bytes one pooled event occupies, closure included (memory
-  /// breakdowns: Stats::pool_events x this is the pool's footprint).
+  /// breakdowns: Stats::pool_events x this is the pool's footprint, less
+  /// the unused tail of its last 256-event chunk).
   static constexpr std::size_t event_bytes() { return sizeof(Event); }
 
   static constexpr std::uint64_t kDefaultMaxEvents = 500'000'000;
@@ -150,7 +151,7 @@ class Simulator {
   std::size_t live_events_ = 0;
   mutable Stats stats_;
 
-  std::deque<Event> pool_;
+  ChunkedVector<Event> pool_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapEntry> heap_;  // min-heap on (time, order)
   std::size_t heap_stale_ = 0;   // cancelled entries still parked in heap_

@@ -25,10 +25,9 @@ struct ConnKey {
 
   ConnKey reversed() const { return {remote_ip, remote_port, local_ip, local_port}; }
 
-  /// "a.b.c.d:p<->e.f.g.h:q". Formatted in place with std::to_chars: the
-  /// bridges build one per timeline record (connection lifecycle and
-  /// takeover events), so this costs one allocation and no stream or
-  /// printf machinery.
+  /// "a.b.c.d:p<->e.f.g.h:q". Formatted in place with std::to_chars: one
+  /// allocation and no stream or printf machinery (timeline export formats
+  /// one per connection event).
   std::string str() const {
     char buf[48];  // two 15-char addresses, two 5-digit ports and ":<->:"
     char* p = buf;

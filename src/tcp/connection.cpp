@@ -161,8 +161,8 @@ void Connection::send(Bytes data, std::function<void()> on_accepted) {
 
 std::size_t Connection::recv(Bytes& out, std::size_t max) {
   const std::size_t n = std::min(max, rx_buf_.size());
-  out.insert(out.end(), rx_buf_.begin(), rx_buf_.begin() + static_cast<long>(n));
-  rx_buf_.erase(rx_buf_.begin(), rx_buf_.begin() + static_cast<long>(n));
+  rx_buf_.append_to(out, n);
+  rx_buf_.consume(n);
   if (n > 0) on_window_open();
   return n;
 }
@@ -212,8 +212,7 @@ void Connection::pump_app_writes() {
         params_->send_buf > send_buf_.size() ? params_->send_buf - send_buf_.size() : 0;
     const std::size_t take = std::min(space, w.data.size() - w.moved);
     if (take > 0) {
-      send_buf_.insert(send_buf_.end(), w.data.begin() + static_cast<long>(w.moved),
-                       w.data.begin() + static_cast<long>(w.moved + take));
+      send_buf_.append(BytesView(w.data).subspan(w.moved, take));
       w.moved += take;
     }
     if (w.moved != w.data.size()) break;  // buffer full
@@ -281,9 +280,9 @@ void Connection::try_send() {
     seg.seq = seq_add(iss_, static_cast<std::int64_t>(snd_nxt_));
     seg.flags = Flags::kAck;
     seg.ack = seq_add(irs_, static_cast<std::int64_t>(rcv_nxt_));
-    const std::size_t head = static_cast<std::size_t>(snd_nxt_ - send_base_);
-    seg.payload.assign(send_buf_.begin() + static_cast<long>(head),
-                       send_buf_.begin() + static_cast<long>(head + len));
+    seg.payload = wire::PacketBuffer::alloc(len);
+    send_buf_.copy_out(static_cast<std::size_t>(snd_nxt_ - send_base_), len,
+                       seg.payload.mutable_data());
     snd_nxt_ += len;
     if (fin_ready_at(snd_nxt_) && len == avail) {
       seg.flags |= Flags::kFin;
@@ -484,9 +483,9 @@ void Connection::retransmit_head() {
   seg.window = static_cast<std::uint16_t>(std::min<std::size_t>(
       params_->recv_buf - rx_buf_.size(), 65535));
   if (len > 0) {
-    const std::size_t head = static_cast<std::size_t>(snd_una_ - send_base_);
-    seg.payload.assign(send_buf_.begin() + static_cast<long>(head),
-                       send_buf_.begin() + static_cast<long>(head + len));
+    seg.payload = wire::PacketBuffer::alloc(len);
+    send_buf_.copy_out(static_cast<std::size_t>(snd_una_ - send_base_), len,
+                       seg.payload.mutable_data());
   }
   if (fin_offset_ != kNoOffset && snd_una_ + len == fin_offset_) seg.flags |= Flags::kFin;
   emit(std::move(seg));
@@ -699,8 +698,7 @@ bool Connection::process_ack(const TcpSegment& seg) {
     // Trim the send buffer below snd_una_ (SYN/FIN occupy no buffer).
     const std::uint64_t data_acked_to = std::min(ack_off, send_base_ + send_buf_.size());
     if (data_acked_to > send_base_) {
-      send_buf_.erase(send_buf_.begin(),
-                      send_buf_.begin() + static_cast<long>(data_acked_to - send_base_));
+      send_buf_.consume(static_cast<std::size_t>(data_acked_to - send_base_));
       send_base_ = data_acked_to;
     }
     if (params_->congestion_control) {
@@ -782,7 +780,7 @@ void Connection::process_data(const TcpSegment& seg) {
     }
     rcv_nxt_ += data.size();
     bytes_received_total_ += data.size();
-    append(rx_buf_, data);
+    rx_buf_.append(data);
     deliver_in_order();
     schedule_ack();
     if (ooo_ && !ooo_->empty()) send_ack_now();  // still a gap above us
@@ -807,8 +805,7 @@ void Connection::deliver_in_order() {
       const std::size_t skip = static_cast<std::size_t>(rcv_nxt_ - it->first);
       const std::size_t room = params_->recv_buf - rx_buf_.size();
       std::size_t take = std::min(run.size() - skip, room);
-      rx_buf_.insert(rx_buf_.end(), run.begin() + static_cast<long>(skip),
-                     run.begin() + static_cast<long>(skip + take));
+      rx_buf_.append(run.view().subspan(skip, take));
       rcv_nxt_ += take;
       bytes_received_total_ += take;
       if (take < run.size() - skip) break;  // buffer full
@@ -952,8 +949,8 @@ void Connection::enter_time_wait() {
 }
 
 void Connection::release_drained_buffers() {
-  if (send_buf_.empty()) Bytes().swap(send_buf_);
-  if (rx_buf_.empty()) Bytes().swap(rx_buf_);
+  if (send_buf_.empty()) send_buf_.release();
+  if (rx_buf_.empty()) rx_buf_.release();
   if (app_writes_.empty()) std::vector<PendingWrite>().swap(app_writes_);
 }
 

@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/byte_ring.hpp"
 #include "common/bytes.hpp"
 #include "common/seq32.hpp"
 #include "common/time.hpp"
@@ -255,7 +256,7 @@ class Connection {
   std::uint64_t highest_sent_ = 0;  // high-water mark (survives RTO rewinds)
   std::uint64_t wl1_ = 0;      // seq offset of last window update
   std::uint64_t wl2_ = 0;      // ack offset of last window update
-  Bytes send_buf_;             // send_buf_[0] is stream offset send_base_
+  ByteRing send_buf_;          // its first byte is stream offset send_base_
   std::uint64_t send_base_ = 1;
   struct PendingWrite {
     Bytes data;
@@ -270,7 +271,7 @@ class Connection {
 
   // --- receive side (offset 0 == IRS; data starts at 1).
   std::uint64_t rcv_nxt_ = 0;
-  Bytes rx_buf_;
+  ByteRing rx_buf_;
   // Out-of-order runs by offset: zero-copy slices of the frames the data
   // arrived in, retained until the gap below them fills. The map is made
   // on the first out-of-order segment; most connections never see one.

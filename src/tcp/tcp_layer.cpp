@@ -407,7 +407,7 @@ void TcpLayer::on_datagram(const ip::IpDatagram& dgram, const ip::RxMeta& meta) 
         if (ctr_remote_rekeys_) ctr_remote_rekeys_->inc();
         if (obs_) {
           obs_->timeline.record(sim_.now(), obs::EventKind::kClientMigrated,
-                                key.str(), "from=" + seg.migrate_from->str());
+                                key, "from=" + seg.migrate_from->str());
         }
         TFO_LOG(kInfo, "tcp") << old_key.str() << " remote migrated to "
                               << src.str();

@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
-#include <iterator>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -128,16 +127,6 @@ class PacketBuffer {
   static PacketBuffer alloc(std::size_t len,
                             std::size_t headroom = kDefaultHeadroom,
                             std::size_t tailroom = kDefaultTailroom);
-
-  /// Replaces contents with [first, last), allocating fresh storage with
-  /// default headroom so later header prepends stay in place.
-  template <typename It>
-  void assign(It first, It last) {
-    const auto n = static_cast<std::size_t>(std::distance(first, last));
-    *this = alloc(n);
-    std::uint8_t* p = storage_ ? storage_->buf.data() + head_ : nullptr;
-    for (; first != last; ++first) *p++ = *first;
-  }
 
   std::size_t size() const { return len_; }
   bool empty() const { return len_ == 0; }

@@ -2,7 +2,12 @@
 // paper's incremental update), stats, and byte helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "common/byte_ring.hpp"
 #include "common/bytes.hpp"
+#include "common/chunked_vector.hpp"
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "common/seq32.hpp"
@@ -202,6 +207,145 @@ TEST(TextTable, RendersAlignedColumns) {
   const std::string out = t.render();
   EXPECT_NE(out.find("| a    | long-header |"), std::string::npos);
   EXPECT_NE(out.find("| xxxx | 1           |"), std::string::npos);
+}
+
+// -------------------------------------------------------------- ByteRing
+
+Bytes iota_bytes(std::size_t n, std::uint8_t first) {
+  Bytes b(n);
+  std::iota(b.begin(), b.end(), first);
+  return b;
+}
+
+Bytes ring_contents(const ByteRing& r) {
+  Bytes out(r.size());
+  r.copy_out(0, r.size(), out.data());
+  return out;
+}
+
+TEST(ByteRing, IsTwentyFourBytes) {
+  // A pointer and three 32-bit counters; storm holds ~100k connections
+  // with two rings each.
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_EQ(sizeof(ByteRing), 24u);
+  }
+}
+
+TEST(ByteRing, AppendAndCopyOutAcrossTheWrap) {
+  ByteRing r;
+  r.append(iota_bytes(8, 0));  // [0..8), capacity 8
+  EXPECT_EQ(r.capacity(), 8u);
+  r.consume(5);                // [5..8) at storage [5, 8)
+  r.append(iota_bytes(4, 8));  // [8..12) wraps to storage [0, 4)
+  EXPECT_EQ(r.capacity(), 8u);
+  EXPECT_EQ(ring_contents(r), iota_bytes(7, 5));
+  std::uint8_t straddle[3] = {};
+  r.copy_out(2, 3, straddle);  // storage 7, 0, 1
+  EXPECT_EQ(Bytes(straddle, straddle + 3), iota_bytes(3, 7));
+  std::uint8_t after[2] = {};
+  r.copy_out(4, 2, after);     // wholly past the wrap
+  EXPECT_EQ(Bytes(after, after + 2), iota_bytes(2, 9));
+}
+
+TEST(ByteRing, GrowthWhileWrappedKeepsOrder) {
+  ByteRing r;
+  r.append(iota_bytes(8, 0));
+  r.consume(5);
+  r.append(iota_bytes(4, 8));  // wrapped: 7 bytes in 8
+  r.append(iota_bytes(5, 12));
+  EXPECT_EQ(r.capacity(), 14u);  // 7 + max(7, 5), as vector::insert grows
+  EXPECT_EQ(ring_contents(r), iota_bytes(12, 5));
+}
+
+TEST(ByteRing, ConsumeToEmptyKeepsCapacity) {
+  ByteRing r;
+  r.append(iota_bytes(10, 0));
+  r.consume(3);
+  r.consume(7);
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), 10u);
+  r.append(iota_bytes(10, 20));  // fits again without growing
+  EXPECT_EQ(r.capacity(), 10u);
+  EXPECT_EQ(ring_contents(r), iota_bytes(10, 20));
+}
+
+TEST(ByteRing, ReleaseFreesStorage) {
+  ByteRing r;
+  r.append(iota_bytes(100, 0));
+  r.consume(100);
+  r.release();
+  EXPECT_EQ(r.capacity(), 0u);
+  EXPECT_TRUE(r.empty());
+  r.append(iota_bytes(3, 1));
+  EXPECT_EQ(r.capacity(), 3u);
+  EXPECT_EQ(ring_contents(r), iota_bytes(3, 1));
+}
+
+TEST(ByteRing, TracksVectorCapacityAndContents) {
+  // The ring replaced vectors that grew by insert at the back and shrank
+  // by erase at the front; it must reserve the same bytes at every step,
+  // and append_to must grow its target as one insert would.
+  Rng rng(17);
+  ByteRing ring;
+  Bytes vec;
+  Bytes ring_out, vec_out;
+  std::uint8_t next = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const auto n = static_cast<std::size_t>(rng.uniform(0, 700));
+    switch (rng.uniform(0, 2)) {
+      case 0: {
+        const Bytes src = iota_bytes(n, next);
+        next = static_cast<std::uint8_t>(next + n);
+        ring.append(src);
+        vec.insert(vec.end(), src.begin(), src.end());
+        break;
+      }
+      case 1: {
+        const std::size_t k = std::min(n, vec.size());
+        ring.consume(k);
+        vec.erase(vec.begin(), vec.begin() + static_cast<long>(k));
+        break;
+      }
+      default: {
+        const std::size_t k = std::min(n, vec.size());
+        ring.append_to(ring_out, k);
+        vec_out.insert(vec_out.end(), vec.begin(), vec.begin() + static_cast<long>(k));
+        ring.consume(k);
+        vec.erase(vec.begin(), vec.begin() + static_cast<long>(k));
+        ASSERT_EQ(ring_out.capacity(), vec_out.capacity()) << "step " << step;
+        break;
+      }
+    }
+    ASSERT_EQ(ring.size(), vec.size()) << "step " << step;
+    ASSERT_EQ(ring.capacity(), vec.capacity()) << "step " << step;
+    if (!vec.empty()) {
+      const auto off = static_cast<std::size_t>(rng.uniform(0, vec.size() - 1));
+      const std::size_t len = std::min<std::size_t>(vec.size() - off, 97);
+      Bytes part(len);
+      ring.copy_out(off, len, part.data());
+      ASSERT_TRUE(std::equal(part.begin(), part.end(), vec.begin() + static_cast<long>(off)))
+          << "step " << step;
+    }
+  }
+  EXPECT_EQ(ring_out, vec_out);
+}
+
+// --------------------------------------------------------- ChunkedVector
+
+TEST(ChunkedVector, GrowthNeverMovesAnElement) {
+  ChunkedVector<std::uint64_t> v;
+  EXPECT_EQ(v.emplace_back(), 0u);
+  std::uint64_t* first = &v[0];
+  *first = 42;
+  for (std::uint32_t i = 1; i < 3 * ChunkedVector<std::uint64_t>::kChunk + 5; ++i) {
+    ASSERT_EQ(v.emplace_back(), i);
+    ASSERT_EQ(v[i], 0u) << "fresh elements are value-initialised";
+    v[i] = i;
+  }
+  EXPECT_EQ(&v[0], first);
+  EXPECT_EQ(v[0], 42u);
+  EXPECT_EQ(v.size(), 3 * ChunkedVector<std::uint64_t>::kChunk + 5);
+  EXPECT_EQ(v[ChunkedVector<std::uint64_t>::kChunk], ChunkedVector<std::uint64_t>::kChunk);
 }
 
 // ----------------------------------------------------------------- bytes

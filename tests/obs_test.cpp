@@ -12,6 +12,9 @@
 namespace tfo::obs {
 namespace {
 
+tcp::ConnKey key_a() { return {ip::Ipv4{0x0a000001}, 80, ip::Ipv4{0x0a000002}, 40001}; }
+tcp::ConnKey key_b() { return {ip::Ipv4{0x0a000001}, 80, ip::Ipv4{0x0a000003}, 40002}; }
+
 TEST(Registry, HandlesAreStableAndNamed) {
   Registry reg;
   Counter& a = reg.counter("x.a");
@@ -79,7 +82,7 @@ TEST(Histogram, ZeroSampleGoesToBucketZero) {
 TEST(EventLog, BoundedDropsOldest) {
   EventLog log(4);
   for (int i = 0; i < 10; ++i) {
-    log.record(i, EventKind::kConnClosed, "c", std::to_string(i));
+    log.record(i, EventKind::kConnClosed, key_a(), std::to_string(i));
   }
   EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.recorded_total(), 10u);
@@ -90,13 +93,13 @@ TEST(EventLog, BoundedDropsOldest) {
 
 TEST(EventLog, FilterPreservesOrder) {
   EventLog log;
-  log.record(1, EventKind::kConnCreated, "a");
-  log.record(2, EventKind::kConnClosed, "a");
-  log.record(3, EventKind::kConnCreated, "b");
+  log.record(1, EventKind::kConnCreated, key_a());
+  log.record(2, EventKind::kConnClosed, key_a());
+  log.record(3, EventKind::kConnCreated, key_b());
   const auto created = log.filter(EventKind::kConnCreated);
   ASSERT_EQ(created.size(), 2u);
-  EXPECT_EQ(created[0].conn, "a");
-  EXPECT_EQ(created[1].conn, "b");
+  EXPECT_TRUE(created[0].conn == key_a());
+  EXPECT_TRUE(created[1].conn == key_b());
 }
 
 // The snake_case names are the contract with scripts/check_bench_json.py
@@ -155,18 +158,23 @@ TEST(Json, MetricsShapeMatchesSchema) {
 
 TEST(Json, TimelineShapeMatchesSchema) {
   EventLog log;
-  log.record(42, EventKind::kTakeoverStart, "", "addr=10.0.0.1");
+  log.record(42, EventKind::kTakeoverStart, {}, "addr=10.0.0.1");
+  log.record(43, EventKind::kConnCreated, key_a());
   const std::string j = timeline_json("secondary", log);
   EXPECT_NE(j.find("\"t_ns\":42"), std::string::npos);
   EXPECT_NE(j.find("\"event\":\"takeover_start\""), std::string::npos);
   EXPECT_NE(j.find("\"host\":\"secondary\""), std::string::npos);
   EXPECT_NE(j.find("\"detail\":\"addr=10.0.0.1\""), std::string::npos);
+  // Keys are stored unformatted and printed on export; a host-scope
+  // event's is empty.
+  EXPECT_NE(j.find("\"conn\":\"\""), std::string::npos);
+  EXPECT_NE(j.find("\"conn\":\"10.0.0.1:80<->10.0.0.2:40001\""), std::string::npos);
 }
 
 TEST(Hub, RegistryAndTimelineLiveTogether) {
   Hub hub;
   hub.registry.counter("k").inc();
-  hub.timeline.record(1, EventKind::kConnCreated, "c");
+  hub.timeline.record(1, EventKind::kConnCreated, key_a());
   EXPECT_EQ(hub.registry.counter_value("k"), 1u);
   EXPECT_EQ(hub.timeline.size(), 1u);
 }

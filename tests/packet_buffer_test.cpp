@@ -129,14 +129,6 @@ TEST(PacketBuffer, UnshareDetaches) {
   EXPECT_EQ(a, b);  // contents equal
 }
 
-TEST(PacketBuffer, AssignReservesHeadroom) {
-  const Bytes src = seq_bytes(32);
-  PacketBuffer b;
-  b.assign(src.begin(), src.end());
-  EXPECT_EQ(b.headroom(), PacketBuffer::kDefaultHeadroom);
-  EXPECT_EQ(to_bytes(b), src);
-}
-
 /// Block bytes one allocation of `len` payload bytes reserves.
 std::uint64_t block_bytes_for(std::size_t len) {
   const BufferStats before = buffer_stats();

@@ -121,6 +121,43 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{.transfer = 1461, .label = "one_mss_plus_one"}),
     param_name);
 
+// Both byte buffers are rings (common/byte_ring.hpp). With 5,000-B buffers,
+// not a multiple of the MSS, segments straddle the end of the send ring's
+// storage, so first sends (try_send), go-back-N resends after an RTO and
+// fast retransmits (retransmit_head) all read across the wrap. The
+// receiver drains in 777-B slices, so its ring wraps too, also while
+// out-of-order runs are merged in.
+TEST(TcpByteRing, StreamSurvivesLossAcrossTheWrap) {
+  TopologyParams lp;
+  lp.medium.impairment.loss = 0.04;
+  lp.medium.impairment.seed = 9;
+  lp.tcp.send_buf = 5000;
+  lp.tcp.recv_buf = 5000;
+  lp.tcp.mss = 536;
+  lp.tcp.max_rto = seconds(5);
+  auto lan = make_topology(lp);
+
+  std::shared_ptr<Connection> server;
+  lan->primary->tcp().listen(80, [&](std::shared_ptr<Connection> c) {
+    server = std::move(c);
+  });
+  auto client = lan->client->tcp().connect(lan->primary->address(), 80);
+  ASSERT_TRUE(run_until(lan->sim, [&] {
+    return server && client->state() == TcpState::kEstablished;
+  }, seconds(30)));
+
+  const Bytes up = test::pattern_bytes(300 * 1024, 23);
+  Bytes got;
+  client->send(up);
+  ASSERT_TRUE(run_until(lan->sim, [&] {
+    server->recv(got, 777);
+    return got.size() == up.size();
+  }, seconds(1200))) << got.size() << "/" << up.size();
+  EXPECT_EQ(got, up);
+  EXPECT_GT(client->info().timeouts, 0u);
+  EXPECT_GT(client->info().fast_retransmits, 0u);
+}
+
 // Many small writes with Nagle on/off must still produce an identical
 // stream (write boundaries are not preserved, bytes are).
 class WritePatternSweep : public ::testing::TestWithParam<int> {};
