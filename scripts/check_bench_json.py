@@ -46,6 +46,14 @@ def _expect(cond, msg):
         raise SchemaError(msg)
 
 
+def _expect_numbers(obj, keys, where):
+    """Each of `keys` is in `obj` and is a non-negative number."""
+    for key in keys:
+        _expect(key in obj, f"{where} missing '{key}'")
+        _expect(isinstance(obj[key], (int, float)) and obj[key] >= 0,
+                f"{where}.{key} is not a non-negative number")
+
+
 def _check_table(i, table):
     _expect(isinstance(table, dict), f"tables[{i}] is not an object")
     for key in ("title", "columns", "rows"):
@@ -142,11 +150,8 @@ def _check_storm(storm):
     prev_conns = 0
     for i, p in enumerate(points):
         _expect(isinstance(p, dict), f"storm.points[{i}] is not an object")
-        for key in ("conns", "bytes_per_conn", "takeover_p50_ns",
-                    "takeover_p99_ns"):
-            _expect(key in p, f"storm.points[{i}] missing '{key}'")
-            _expect(isinstance(p[key], (int, float)) and p[key] >= 0,
-                    f"storm.points[{i}].{key} is not a non-negative number")
+        _expect_numbers(p, ("conns", "bytes_per_conn", "takeover_p50_ns",
+                            "takeover_p99_ns"), f"storm.points[{i}]")
         _expect(p["conns"] > prev_conns,
                 f"storm.points[{i}].conns not strictly increasing")
         prev_conns = p["conns"]
@@ -159,10 +164,8 @@ def _check_storm(storm):
         tables = p.get("bytes_per_conn_by_table")
         _expect(isinstance(tables, dict),
                 f"storm.points[{i}] missing 'bytes_per_conn_by_table'")
-        for key in STORM_TABLES:
-            _expect(isinstance(tables.get(key), (int, float)) and tables[key] >= 0,
-                    f"storm.points[{i}].bytes_per_conn_by_table.{key} is not a "
-                    "non-negative number")
+        _expect_numbers(tables, STORM_TABLES,
+                        f"storm.points[{i}].bytes_per_conn_by_table")
         # Each table is a part of the allocator's total.
         _expect(sum(tables[key] for key in STORM_TABLES) <= p["bytes_per_conn"],
                 f"storm.points[{i}]: per-table bytes exceed bytes_per_conn")
@@ -176,10 +179,7 @@ def _check_storm(storm):
                     f"is not below min_rto ({min_rto:.0f} ns)")
     alloc = storm["alloc"]
     _expect(isinstance(alloc, dict), "storm.alloc is not an object")
-    for key in ("cycles", "wheel_allocs"):
-        _expect(key in alloc, f"storm.alloc missing '{key}'")
-        _expect(isinstance(alloc[key], (int, float)) and alloc[key] >= 0,
-                f"storm.alloc.{key} is not a non-negative number")
+    _expect_numbers(alloc, ("cycles", "wheel_allocs"), "storm.alloc")
     _expect(alloc["wheel_allocs"] == 0,
             f"storm.alloc.wheel_allocs {alloc['wheel_allocs']} is not 0")
 
@@ -199,11 +199,9 @@ PACKET_PATH_FIELDS = ("frame_allocs_per_frame", "diversion_allocs_per_seg",
 
 def _check_packet_path(packet_path):
     _expect(isinstance(packet_path, dict), "'packet_path' is not an object")
+    _expect_numbers(packet_path, PACKET_PATH_FIELDS, "packet_path")
     for key in PACKET_PATH_FIELDS:
-        _expect(key in packet_path, f"packet_path missing '{key}'")
         value = packet_path[key]
-        _expect(isinstance(value, (int, float)) and value >= 0,
-                f"packet_path.{key} is not a non-negative number")
         _expect(value <= PACKET_PATH_MAX_ALLOCS,
                 f"packet_path.{key} {value} above the "
                 f"{PACKET_PATH_MAX_ALLOCS:.2f} allocation gate")
@@ -222,15 +220,13 @@ def _check_churn(churn):
     prev_cps = 0
     for i, p in enumerate(points):
         _expect(isinstance(p, dict), f"churn.points[{i}] is not an object")
-        for key in ("offered_cps", "duration_s", "conns_started",
-                    "conns_established", "conns_completed", "conns_failed",
-                    "requests_sent", "responses_ok", "requests_per_s",
-                    "latency_p50_ns", "latency_p99_ns", "setup_p50_ns",
-                    "setup_p99_ns", "listen_overflows", "time_wait_recycled",
-                    "embryonic_reaped", "growth_bytes_per_conn"):
-            _expect(key in p, f"churn.points[{i}] missing '{key}'")
-            _expect(isinstance(p[key], (int, float)) and p[key] >= 0,
-                    f"churn.points[{i}].{key} is not a non-negative number")
+        _expect_numbers(p, ("offered_cps", "duration_s", "conns_started",
+                            "conns_established", "conns_completed", "conns_failed",
+                            "requests_sent", "responses_ok", "requests_per_s",
+                            "latency_p50_ns", "latency_p99_ns", "setup_p50_ns",
+                            "setup_p99_ns", "listen_overflows", "time_wait_recycled",
+                            "embryonic_reaped", "growth_bytes_per_conn"),
+                        f"churn.points[{i}]")
         _expect(p["offered_cps"] > prev_cps,
                 f"churn.points[{i}].offered_cps not strictly increasing")
         prev_cps = p["offered_cps"]
@@ -250,13 +246,10 @@ def _check_churn(churn):
 
 def _check_attack(attack):
     _expect(isinstance(attack, dict), "'attack' is not an object")
-    for key in ("injected_total", "connections_killed", "spoof_dropped",
-                "challenge_acks", "challenge_acks_limited", "icmp_rejected",
-                "hb_auth_failed", "baseline_steady_ms", "baseline_failover_ms",
-                "worst_slowdown"):
-        _expect(key in attack, f"attack missing '{key}'")
-        _expect(isinstance(attack[key], (int, float)) and attack[key] >= 0,
-                f"attack.{key} is not a non-negative number")
+    _expect_numbers(attack, ("injected_total", "connections_killed", "spoof_dropped",
+                             "challenge_acks", "challenge_acks_limited", "icmp_rejected",
+                             "hb_auth_failed", "baseline_steady_ms",
+                             "baseline_failover_ms", "worst_slowdown"), "attack")
     _expect(attack["injected_total"] > 0,
             "attack.injected_total is zero — the adversary matrix never ran")
     # The headline gate: an off-path adversary must never tear a bridged
@@ -268,44 +261,76 @@ def _check_attack(attack):
             f"5x goodput-degradation gate")
 
 
-def _check_wan(wan):
-    _expect(isinstance(wan, dict), "'wan' is not an object")
-    _expect("points" in wan, "wan missing 'points'")
-    points = wan["points"]
+# bench_failover_time's one sweep: each point varies one axis of the
+# takeover shape around the LAN base point.
+TAKEOVER_AXES = {"grid", "chain", "hops"}
+TAKEOVER_FIELDS = ("hops", "replicas", "detector_ns", "arp_latency_ns", "seeds",
+                   "runs", "detect_ns", "stall_p50_ns", "stall_p99_ns",
+                   "complete_ns", "route_converged_ns", "client_resets")
+# On the LAN with T = 0 the kick resends at once, so the stall is the
+# detection time (9.3-471.0 ms measured, stall - detect within 0.04 ms).
+TAKEOVER_STALL_OVER_DETECT_MAX_NS = 1.0e6
+# Head promotion runs the same takeover at every depth: the chain-length
+# stalls measured 41.4 / 41.6 / 42.6 ms for 2 / 3 / 4 replicas.
+TAKEOVER_CHAIN_SPAN_MAX_NS = 2.0e6
+
+
+def _check_takeover(takeover):
+    _expect(isinstance(takeover, dict), "'takeover' is not an object")
+    _expect("points" in takeover, "takeover missing 'points'")
+    points = takeover["points"]
     _expect(isinstance(points, list) and points,
-            "wan.points must be a non-empty list")
-    prev_hops = {}
+            "takeover.points must be a non-empty list")
+    axes = set()
     kinds = set()
+    prev_hops = {}
+    chain_stalls = []
     for i, p in enumerate(points):
-        _expect(isinstance(p, dict), f"wan.points[{i}] is not an object")
-        _expect("announcer" in p, f"wan.points[{i}] missing 'announcer'")
-        _expect(p["announcer"] in ("garp", "route"),
-                f"wan.points[{i}].announcer '{p['announcer']}' unknown")
-        kinds.add(p["announcer"])
-        for key in ("hops", "runs", "takeover_p50_ns", "takeover_p99_ns",
-                    "route_converged_ns", "client_resets"):
-            _expect(key in p, f"wan.points[{i}] missing '{key}'")
-            _expect(isinstance(p[key], (int, float)) and p[key] >= 0,
-                    f"wan.points[{i}].{key} is not a non-negative number")
-        _expect(p["runs"] >= 1, f"wan.points[{i}].runs is zero")
-        _expect(p["hops"] > prev_hops.get(p["announcer"], 0),
-                f"wan.points[{i}].hops not strictly increasing for "
-                f"announcer '{p['announcer']}'")
-        prev_hops[p["announcer"]] = p["hops"]
-        _expect(p["takeover_p99_ns"] >= p["takeover_p50_ns"],
-                f"wan.points[{i}]: p99 below p50")
-        # The headline gate: whatever the announcer and hop count, the
-        # client must never see a reset during takeover.
+        where = f"takeover.points[{i}]"
+        _expect(isinstance(p, dict), f"{where} is not an object")
+        _expect(p.get("axis") in TAKEOVER_AXES,
+                f"{where}.axis {p.get('axis')!r} unknown")
+        _expect(p.get("announcer") in ("garp", "route"),
+                f"{where}.announcer {p.get('announcer')!r} unknown")
+        _expect_numbers(p, TAKEOVER_FIELDS, where)
+        axes.add(p["axis"])
+        _expect(p["runs"] >= 1, f"{where}.runs is zero")
+        _expect(p["runs"] == p["seeds"],
+                f"{where}: {p['seeds'] - p['runs']} of {p['seeds']} run(s) "
+                "did not complete and verify")
+        _expect(p["stall_p99_ns"] >= p["stall_p50_ns"], f"{where}: p99 below p50")
+        # The headline gate: whatever the shape, the client must never see
+        # a reset during takeover.
         _expect(p["client_resets"] == 0,
-                f"wan.points[{i}]: {p['client_resets']} client reset(s)")
+                f"{where}: {p['client_resets']} client reset(s)")
         if p["announcer"] == "route":
             _expect(p["route_converged_ns"] > 0,
-                    f"wan.points[{i}]: route announcer never converged")
+                    f"{where}: route announcer never converged")
         else:
             _expect(p["route_converged_ns"] == 0,
-                    f"wan.points[{i}]: garp point reports route convergence")
+                    f"{where}: garp point reports route convergence")
+        if p["axis"] == "hops":
+            kinds.add(p["announcer"])
+            _expect(p["hops"] > prev_hops.get(p["announcer"], 0),
+                    f"{where}.hops not strictly increasing for announcer "
+                    f"'{p['announcer']}'")
+            prev_hops[p["announcer"]] = p["hops"]
+        if p["axis"] == "chain":
+            chain_stalls.append(p["stall_p50_ns"])
+        if p["hops"] == 0 and p["arp_latency_ns"] == 0:
+            over = abs(p["stall_p50_ns"] - p["detect_ns"])
+            _expect(over <= TAKEOVER_STALL_OVER_DETECT_MAX_NS,
+                    f"{where}: stall {p['stall_p50_ns']:.0f} ns is "
+                    f"{over:.0f} ns from detection {p['detect_ns']:.0f} ns at T = 0")
+    _expect(axes == TAKEOVER_AXES,
+            f"takeover.points covers axes {sorted(axes)}, expected "
+            f"{sorted(TAKEOVER_AXES)}")
     _expect(kinds == {"garp", "route"},
-            f"wan.points covers {sorted(kinds)}, expected both announcers")
+            f"takeover hops points cover {sorted(kinds)}, expected both announcers")
+    span = max(chain_stalls) - min(chain_stalls)
+    _expect(span <= TAKEOVER_CHAIN_SPAN_MAX_NS,
+            f"takeover chain-length stalls span {span:.0f} ns, above "
+            f"{TAKEOVER_CHAIN_SPAN_MAX_NS:.0f} ns")
 
 
 def check_document(doc):
@@ -343,8 +368,10 @@ def check_document(doc):
         _check_churn(doc["churn"])
     if "attack" in doc:
         _check_attack(doc["attack"])
-    if "wan" in doc:
-        _check_wan(doc["wan"])
+    if doc["bench"] == "failover_time":
+        _expect("takeover" in doc, "failover_time bench without its takeover section")
+    if "takeover" in doc:
+        _check_takeover(doc["takeover"])
 
 
 def check_file(path):
@@ -368,6 +395,16 @@ def check_file(path):
     print(f"OK   {path}: bench '{doc['bench']}', {len(doc['tables'])} table(s), "
           f"{len(doc['hosts'])} host(s), {n_events} timeline event(s){extra}")
     return True
+
+
+def _takeover_point(axis, **fields):
+    """A passing takeover point: the base shape unless `fields` say otherwise."""
+    p = {"axis": axis, "hops": 0, "replicas": 2, "detector_ns": 5.0e7,
+         "arp_latency_ns": 0, "announcer": "garp", "seeds": 3, "runs": 3,
+         "detect_ns": 4.14e7, "stall_p50_ns": 4.14e7, "complete_ns": 7.88e7,
+         "route_converged_ns": 0, "client_resets": 0, **fields}
+    p.setdefault("stall_p99_ns", p["stall_p50_ns"])
+    return p
 
 
 def self_test():
@@ -450,22 +487,16 @@ def self_test():
             "hb_auth_failed": 900, "baseline_steady_ms": 810.0,
             "baseline_failover_ms": 1020.0, "worst_slowdown": 1.2,
         },
-        "wan": {
-            "points": [
-                {"announcer": "garp", "hops": 1, "runs": 3,
-                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 2.1e8,
-                 "route_converged_ns": 0, "client_resets": 0},
-                {"announcer": "garp", "hops": 2, "runs": 3,
-                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 2.2e8,
-                 "route_converged_ns": 0, "client_resets": 0},
-                {"announcer": "route", "hops": 1, "runs": 3,
-                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 2.1e8,
-                 "route_converged_ns": 75000.0, "client_resets": 0},
-                {"announcer": "route", "hops": 2, "runs": 3,
-                 "takeover_p50_ns": 2.0e8, "takeover_p99_ns": 2.2e8,
-                 "route_converged_ns": 76000.0, "client_resets": 0},
-            ],
-        },
+        "takeover": {"points": [
+            _takeover_point("grid"),
+            _takeover_point("grid", arp_latency_ns=1.0e7, stall_p50_ns=2.003e8),
+            _takeover_point("chain"),
+            _takeover_point("chain", replicas=4, detect_ns=4.26e7, stall_p50_ns=4.26e7),
+            _takeover_point("hops", hops=1, stall_p50_ns=5.04e7),
+            _takeover_point("hops", hops=2, stall_p50_ns=5.11e7),
+            _takeover_point("hops", hops=1, announcer="route", route_converged_ns=4.0e5),
+            _takeover_point("hops", hops=2, announcer="route", route_converged_ns=3.9e5),
+        ]},
     }
     check_document(good)
 
@@ -556,26 +587,39 @@ def self_test():
             challenge_acks=-5)),
         ("attack slowdown above gate", lambda d: d["attack"].update(
             worst_slowdown=8.0)),
-        ("wan missing points", lambda d: d["wan"].pop("points")),
-        ("wan empty points", lambda d: d["wan"].update(points=[])),
-        ("wan point missing p99", lambda d: d["wan"]["points"][0].pop(
-            "takeover_p99_ns")),
-        ("wan p99 below p50", lambda d: d["wan"]["points"][0].update(
-            takeover_p99_ns=1.0)),
-        ("wan unknown announcer", lambda d: d["wan"]["points"][0].update(
+        ("takeover missing points", lambda d: d["takeover"].pop("points")),
+        ("takeover empty points", lambda d: d["takeover"].update(points=[])),
+        ("takeover unknown axis", lambda d: d["takeover"]["points"][0].update(
+            axis="latitude")),
+        ("takeover point missing p99", lambda d: d["takeover"]["points"][0].pop(
+            "stall_p99_ns")),
+        ("takeover p99 below p50", lambda d: d["takeover"]["points"][4].update(
+            stall_p99_ns=1.0)),
+        ("takeover unknown announcer", lambda d: d["takeover"]["points"][4].update(
             announcer="carrier_pigeon")),
-        ("wan client saw a reset", lambda d: d["wan"]["points"][2].update(
+        ("takeover client saw a reset", lambda d: d["takeover"]["points"][6].update(
             client_resets=1)),
-        ("wan route never converged", lambda d: d["wan"]["points"][2].update(
-            route_converged_ns=0)),
-        ("wan garp claims convergence", lambda d: d["wan"]["points"][0].update(
-            route_converged_ns=5000.0)),
-        ("wan hops not increasing", lambda d: d["wan"]["points"][1].update(
+        ("takeover route never converged",
+         lambda d: d["takeover"]["points"][6].update(route_converged_ns=0)),
+        ("takeover garp claims convergence",
+         lambda d: d["takeover"]["points"][4].update(route_converged_ns=5000.0)),
+        ("takeover hops not increasing", lambda d: d["takeover"]["points"][5].update(
             hops=1)),
-        ("wan zero runs", lambda d: d["wan"]["points"][0].update(runs=0)),
-        ("wan only one announcer kind", lambda d: d["wan"].update(
-            points=[p for p in d["wan"]["points"]
+        ("takeover zero runs", lambda d: d["takeover"]["points"][4].update(
+            runs=0, seeds=0)),
+        ("takeover run lost", lambda d: d["takeover"]["points"][1].update(runs=2)),
+        ("takeover only one announcer kind", lambda d: d["takeover"].update(
+            points=[p for p in d["takeover"]["points"]
                     if p["announcer"] == "garp"])),
+        ("takeover axis missing", lambda d: d["takeover"].update(
+            points=[p for p in d["takeover"]["points"] if p["axis"] != "chain"])),
+        ("takeover stall past detection at T = 0",
+         lambda d: d["takeover"]["points"][0].update(stall_p50_ns=4.3e7,
+                                                     stall_p99_ns=4.3e7)),
+        ("takeover chain stalls spread", lambda d: d["takeover"]["points"][3].update(
+            detect_ns=4.5e7, stall_p50_ns=4.5e7, stall_p99_ns=4.5e7)),
+        ("failover_time bench without takeover", lambda d: (
+            d.update(bench="failover_time"), d.pop("takeover"))),
     ]
     for name, mutate in bad_cases:
         doc = copy.deepcopy(good)

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -43,14 +42,6 @@ double Sampler::percentile(double p) const {
   const double frac = rank - static_cast<double>(lo);
   if (lo + 1 >= samples_.size()) return samples_.back();
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
-}
-
-double Sampler::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0;
-  for (double v : samples_) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
 }
 
 TextTable::TextTable(std::vector<std::string> headers) : headers_(std::move(headers)) {}

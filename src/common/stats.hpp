@@ -24,7 +24,6 @@ class Sampler {
   double median() const { return percentile(50.0); }
   /// Linear-interpolated percentile, p in [0, 100].
   double percentile(double p) const;
-  double stddev() const;
 
  private:
   // Sorted lazily by the accessors.

@@ -35,8 +35,8 @@ wire::PacketBuffer IpDatagram::to_wire() {
 }
 
 namespace {
-/// Header validation shared by both parse overloads; fills every field
-/// except the payload. Returns the trimmed payload length, or nullopt.
+/// Header validation; fills every field except the payload. Returns the
+/// trimmed payload length, or nullopt.
 std::optional<std::size_t> parse_header(BytesView wire, IpDatagram& d) {
   if (wire.size() < IpDatagram::kHeaderBytes) return std::nullopt;
   if (get_u8(wire, 0) != 0x45) return std::nullopt;  // no options supported
@@ -55,15 +55,6 @@ std::optional<std::size_t> parse_header(BytesView wire, IpDatagram& d) {
   return tot_len - IpDatagram::kHeaderBytes;
 }
 }  // namespace
-
-std::optional<IpDatagram> IpDatagram::parse(BytesView wire) {
-  IpDatagram d;
-  const auto payload_len = parse_header(wire, d);
-  if (!payload_len) return std::nullopt;
-  d.payload =
-      wire::PacketBuffer::copy_of(wire.subspan(kHeaderBytes, *payload_len));
-  return d;
-}
 
 std::optional<IpDatagram> IpDatagram::parse(const wire::PacketBuffer& wire) {
   IpDatagram d;

@@ -43,19 +43,10 @@ struct IpDatagram {
   wire::PacketBuffer to_wire();
 
   /// Parses a wire datagram; verifies the header checksum and length.
-  /// Returns nullopt on malformed input. Copies the payload out.
-  static std::optional<IpDatagram> parse(BytesView wire);
-
-  /// Zero-copy parse: the returned datagram's payload is a slice of
-  /// `wire`'s storage (trimmed to total_length, so Ethernet minimum-frame
-  /// padding is dropped here). No byte copies.
+  /// Returns nullopt on malformed input. Zero-copy: the returned
+  /// datagram's payload is a slice of `wire`'s storage (trimmed to
+  /// total_length, so Ethernet minimum-frame padding is dropped here).
   static std::optional<IpDatagram> parse(const wire::PacketBuffer& wire);
-
-  /// Disambiguator: a Bytes argument converts equally well to BytesView
-  /// and PacketBuffer, so route it to the view overload explicitly.
-  static std::optional<IpDatagram> parse(const Bytes& wire) {
-    return parse(BytesView(wire));
-  }
 };
 
 }  // namespace tfo::ip

@@ -58,10 +58,6 @@ bool IpLayer::is_local(Ipv4 addr) const {
   return std::find(aliases_.begin(), aliases_.end(), addr) != aliases_.end();
 }
 
-void IpLayer::remove_alias(Ipv4 addr) {
-  aliases_.erase(std::remove(aliases_.begin(), aliases_.end(), addr), aliases_.end());
-}
-
 std::optional<IpLayer::Route> IpLayer::route_for(Ipv4 dst) const {
   const RouteEntry* e = routes_.lookup(dst);
   if (!e) return std::nullopt;

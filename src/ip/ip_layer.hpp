@@ -89,7 +89,6 @@ class IpLayer {
 
   /// Adds an address alias (IP takeover: the secondary claims a_p, §5.5).
   void add_alias(Ipv4 addr) { aliases_.push_back(addr); }
-  void remove_alias(Ipv4 addr);
 
   /// Primary address of the first interface.
   Ipv4 address() const { return interfaces_.empty() ? Ipv4::any() : interfaces_[0].addr; }

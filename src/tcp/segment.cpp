@@ -93,9 +93,8 @@ wire::PacketBuffer TcpSegment::take_wire(ip::Ipv4 src_ip, ip::Ipv4 dst_ip) {
 
 namespace {
 
-/// Header + options parse shared by both overloads; everything except the
-/// payload. Returns the header length, or nullopt on malformed input or
-/// checksum mismatch.
+/// Header + options parse; everything except the payload. Returns the
+/// header length, or nullopt on malformed input or checksum mismatch.
 std::optional<std::size_t> parse_header(BytesView wire, ip::Ipv4 src_ip,
                                         ip::Ipv4 dst_ip, TcpSegment& seg) {
   if (wire.size() < 20) return std::nullopt;
@@ -150,15 +149,6 @@ std::optional<std::size_t> parse_header(BytesView wire, ip::Ipv4 src_ip,
 
 }  // namespace
 
-std::optional<TcpSegment> TcpSegment::parse(BytesView wire, ip::Ipv4 src_ip,
-                                            ip::Ipv4 dst_ip) {
-  TcpSegment seg;
-  const auto hdr = parse_header(wire, src_ip, dst_ip, seg);
-  if (!hdr) return std::nullopt;
-  seg.payload = wire::PacketBuffer::copy_of(wire.subspan(*hdr));
-  return seg;
-}
-
 std::optional<TcpSegment> TcpSegment::parse(const wire::PacketBuffer& wire,
                                             ip::Ipv4 src_ip, ip::Ipv4 dst_ip) {
   TcpSegment seg;
@@ -182,14 +172,6 @@ std::string TcpSegment::summary() const {
   if (orig_dst) os << " odst=" << orig_dst->str();
   if (migrate_from) os << " mfrom=" << migrate_from->str();
   return os.str();
-}
-
-void patch_checksum_for_address_change(Bytes& tcp_wire, ip::Ipv4 old_addr,
-                                       ip::Ipv4 new_addr) {
-  if (tcp_wire.size() < 20) return;
-  const std::uint16_t old_ck = get_u16(tcp_wire, TcpSegment::kChecksumOffset);
-  const std::uint16_t new_ck = checksum_update32(old_ck, old_addr.v, new_addr.v);
-  set_u16(tcp_wire, TcpSegment::kChecksumOffset, new_ck);
 }
 
 void patch_checksum_for_address_change(wire::PacketBuffer& tcp_wire,

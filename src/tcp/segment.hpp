@@ -69,21 +69,11 @@ struct TcpSegment {
   wire::PacketBuffer take_wire(ip::Ipv4 src_ip, ip::Ipv4 dst_ip);
 
   /// Parses and verifies the checksum against the pseudo-header. Returns
-  /// nullopt on malformed input or checksum mismatch. Copies the payload.
-  static std::optional<TcpSegment> parse(BytesView wire, ip::Ipv4 src_ip,
-                                         ip::Ipv4 dst_ip);
-
-  /// Zero-copy parse: the returned segment's payload is a slice of
-  /// `wire`'s storage past the TCP header. No byte copies.
+  /// nullopt on malformed input or checksum mismatch. Zero-copy: the
+  /// returned segment's payload is a slice of `wire`'s storage past the
+  /// TCP header.
   static std::optional<TcpSegment> parse(const wire::PacketBuffer& wire,
                                          ip::Ipv4 src_ip, ip::Ipv4 dst_ip);
-
-  /// Disambiguator: a Bytes argument converts equally well to BytesView
-  /// and PacketBuffer, so route it to the view overload explicitly.
-  static std::optional<TcpSegment> parse(const Bytes& wire, ip::Ipv4 src_ip,
-                                         ip::Ipv4 dst_ip) {
-    return parse(BytesView(wire), src_ip, dst_ip);
-  }
 
   /// Byte offset of the 16-bit checksum field within a serialized segment
   /// (for in-place incremental fix-up after address rewrites).
@@ -95,14 +85,10 @@ struct TcpSegment {
 
 /// Patches the TCP checksum inside a serialized segment after one of the
 /// pseudo-header IP addresses changed — the paper's incremental checksum
-/// fix ("subtract the original bytes ... add the new bytes", §3.1).
-void patch_checksum_for_address_change(Bytes& tcp_wire, ip::Ipv4 old_addr,
-                                       ip::Ipv4 new_addr);
-
-/// The same §3.1 fix-up directly on a shared wire buffer: unshares first
-/// (copy-on-write) so a snooped frame whose storage a pending delivery
-/// still references is never corrupted, then patches the two checksum
-/// bytes in place — no parse→mutate→re-serialize round trip.
+/// fix ("subtract the original bytes ... add the new bytes", §3.1). It
+/// unshares first (copy-on-write) so a snooped frame whose storage a
+/// pending delivery still references is never corrupted, then patches the
+/// two checksum bytes in place — no parse→mutate→re-serialize round trip.
 void patch_checksum_for_address_change(wire::PacketBuffer& tcp_wire,
                                        ip::Ipv4 old_addr, ip::Ipv4 new_addr);
 

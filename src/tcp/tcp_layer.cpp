@@ -284,25 +284,6 @@ std::vector<std::shared_ptr<Connection>> TcpLayer::rekey_local_address(
   return moved;
 }
 
-void TcpLayer::rekey_remote_address(ip::Ipv4 from, ip::Ipv4 to,
-                                    const std::function<bool(const Connection&)>& filter) {
-  // Same collect-sort-move discipline as the local rekey: the move order
-  // is pinned to the stable connection id, never to slot order.
-  std::vector<std::shared_ptr<Connection>> moved;
-  conns_.for_each([&](const ConnKey& key, const std::shared_ptr<Connection>& conn) {
-    if (key.remote_ip == from && (!filter || filter(*conn))) moved.push_back(conn);
-  });
-  std::sort(moved.begin(), moved.end(),
-            [](const auto& a, const auto& b) { return a->id() < b->id(); });
-  for (auto& conn : moved) {
-    const ConnKey old_key = conn->key();
-    conns_.erase(old_key);  // local port keeps its allocation
-    conn->rebind_remote_ip(to);
-    const ConnKey new_key = conn->key();
-    insert_conn(new_key, std::move(conn));
-  }
-}
-
 void TcpLayer::migrate_local_address(ip::Ipv4 from, ip::Ipv4 to) {
   std::vector<std::shared_ptr<Connection>> moved;
   conns_.for_each([&](const ConnKey& key, const std::shared_ptr<Connection>& conn) {

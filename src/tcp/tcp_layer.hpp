@@ -113,12 +113,6 @@ class TcpLayer {
       ip::Ipv4 from, ip::Ipv4 to,
       const std::function<bool(const Connection&)>& filter = {});
 
-  /// Rebinds every connection whose *remote* address is `from` — and for
-  /// which `filter` returns true — to `to` (server-side view of a client
-  /// address change). The local port is untouched.
-  void rekey_remote_address(ip::Ipv4 from, ip::Ipv4 to,
-                            const std::function<bool(const Connection&)>& filter = {});
-
   /// Client side of a mid-connection move (Mosh-style): rekeys every
   /// connection local to `from` onto `to` and puts each into migration
   /// mode — outgoing segments carry a migrate-from option naming the old

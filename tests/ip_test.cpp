@@ -50,7 +50,7 @@ TEST(IpDatagram, SerializeParseRoundTrip) {
       0x70, 0x61, 0x79, 0x6c, 0x6f, 0x61, 0x64, 0x21,  // "payload!"
   };
   EXPECT_EQ(wire, want);
-  auto back = IpDatagram::parse(wire);
+  auto back = IpDatagram::parse(wire::PacketBuffer::copy_of(wire));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->src, d.src);
   EXPECT_EQ(back->dst, d.dst);
@@ -66,7 +66,7 @@ TEST(IpDatagram, CorruptHeaderRejected) {
   d.dst = Ipv4::parse("2.2.2.2");
   Bytes wire = test::wire_of(d);
   wire[12] ^= 0x01;  // flip a source-address bit
-  EXPECT_FALSE(IpDatagram::parse(wire).has_value());
+  EXPECT_FALSE(IpDatagram::parse(wire::PacketBuffer::copy_of(wire)).has_value());
 }
 
 TEST(IpDatagram, TruncatedRejected) {
@@ -74,7 +74,7 @@ TEST(IpDatagram, TruncatedRejected) {
   d.payload = Bytes(100, 1);
   Bytes wire = test::wire_of(d);
   wire.resize(50);
-  EXPECT_FALSE(IpDatagram::parse(wire).has_value());
+  EXPECT_FALSE(IpDatagram::parse(wire::PacketBuffer::copy_of(wire)).has_value());
 }
 
 // ------------------------------------------------------------------ ARP

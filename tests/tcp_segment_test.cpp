@@ -15,6 +15,11 @@ const ip::Ipv4 kDst = ip::Ipv4::parse("10.0.0.1");
 
 using test::wire_of;
 
+/// The segment's wire bytes in a packet buffer, the form the stack parses.
+wire::PacketBuffer buffer_of(BytesView bytes) {
+  return wire::PacketBuffer::copy_of(bytes);
+}
+
 TcpSegment sample() {
   TcpSegment s;
   s.src_port = 4242;
@@ -30,7 +35,7 @@ TcpSegment sample() {
 TEST(TcpSegment, RoundTripPlain) {
   const TcpSegment s = sample();
   const Bytes wire = wire_of(s, kSrc, kDst);
-  auto back = TcpSegment::parse(wire, kSrc, kDst);
+  auto back = TcpSegment::parse(buffer_of(wire), kSrc, kDst);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->src_port, s.src_port);
   EXPECT_EQ(back->dst_port, s.dst_port);
@@ -48,7 +53,7 @@ TEST(TcpSegment, RoundTripWithMssOption) {
   s.flags = Flags::kSyn;
   s.mss = 1460;
   s.payload.clear();
-  auto back = TcpSegment::parse(wire_of(s, kSrc, kDst), kSrc, kDst);
+  auto back = TcpSegment::parse(buffer_of(wire_of(s, kSrc, kDst)), kSrc, kDst);
   ASSERT_TRUE(back.has_value());
   ASSERT_TRUE(back->mss.has_value());
   EXPECT_EQ(*back->mss, 1460);
@@ -58,7 +63,7 @@ TEST(TcpSegment, RoundTripWithMssOption) {
 TEST(TcpSegment, RoundTripWithOrigDstOption) {
   TcpSegment s = sample();
   s.orig_dst = ip::Ipv4::parse("192.168.1.10");
-  auto back = TcpSegment::parse(wire_of(s, kSrc, kDst), kSrc, kDst);
+  auto back = TcpSegment::parse(buffer_of(wire_of(s, kSrc, kDst)), kSrc, kDst);
   ASSERT_TRUE(back.has_value());
   ASSERT_TRUE(back->orig_dst.has_value());
   EXPECT_EQ(back->orig_dst->str(), "192.168.1.10");
@@ -68,7 +73,7 @@ TEST(TcpSegment, BothOptionsTogether) {
   TcpSegment s = sample();
   s.mss = 536;
   s.orig_dst = ip::Ipv4::parse("1.2.3.4");
-  auto back = TcpSegment::parse(wire_of(s, kSrc, kDst), kSrc, kDst);
+  auto back = TcpSegment::parse(buffer_of(wire_of(s, kSrc, kDst)), kSrc, kDst);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back->mss, 536);
   EXPECT_EQ(back->orig_dst->v, ip::Ipv4::parse("1.2.3.4").v);
@@ -96,7 +101,7 @@ TEST(TcpSegment, GoldenBytesWithAllOptions) {
       0x61, 0x62, 0x63,                    // "abc"
   };
   EXPECT_EQ(wire_of(s, kSrc, kDst), want);
-  const auto back = TcpSegment::parse(want, kSrc, kDst);
+  const auto back = TcpSegment::parse(buffer_of(want), kSrc, kDst);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->mss, s.mss);
   EXPECT_EQ(back->orig_dst, s.orig_dst);
@@ -108,20 +113,22 @@ TEST(TcpSegment, ChecksumCoversPseudoHeader) {
   const TcpSegment s = sample();
   const Bytes wire = wire_of(s, kSrc, kDst);
   // Same bytes, different claimed endpoints: checksum must fail.
-  EXPECT_FALSE(TcpSegment::parse(wire, kSrc, ip::Ipv4::parse("10.0.0.2")).has_value());
-  EXPECT_FALSE(TcpSegment::parse(wire, ip::Ipv4::parse("9.9.9.9"), kDst).has_value());
+  EXPECT_FALSE(
+      TcpSegment::parse(buffer_of(wire), kSrc, ip::Ipv4::parse("10.0.0.2")).has_value());
+  EXPECT_FALSE(
+      TcpSegment::parse(buffer_of(wire), ip::Ipv4::parse("9.9.9.9"), kDst).has_value());
 }
 
 TEST(TcpSegment, PayloadCorruptionDetected) {
   const TcpSegment s = sample();
   Bytes wire = wire_of(s, kSrc, kDst);
   wire[wire.size() - 1] ^= 0xff;
-  EXPECT_FALSE(TcpSegment::parse(wire, kSrc, kDst).has_value());
+  EXPECT_FALSE(TcpSegment::parse(buffer_of(wire), kSrc, kDst).has_value());
 }
 
 TEST(TcpSegment, TruncatedRejected) {
   Bytes tiny(10, 0);
-  EXPECT_FALSE(TcpSegment::parse(tiny, kSrc, kDst).has_value());
+  EXPECT_FALSE(TcpSegment::parse(buffer_of(tiny), kSrc, kDst).has_value());
 }
 
 TEST(TcpSegment, SegLenCountsSynAndFin) {
@@ -145,13 +152,13 @@ TEST(TcpSegment, IncrementalPatchAfterDstRewrite) {
     s.payload = random;
 
     const ip::Ipv4 new_dst{rng.next_u32()};
-    Bytes wire = wire_of(s, kSrc, kDst);
+    wire::PacketBuffer wire = buffer_of(wire_of(s, kSrc, kDst));
     patch_checksum_for_address_change(wire, kDst, new_dst);
     // Must now verify against the *new* pseudo-header...
     EXPECT_TRUE(TcpSegment::parse(wire, kSrc, new_dst).has_value()) << trial;
     // ...and equal a from-scratch serialization's checksum.
     const Bytes fresh = wire_of(s, kSrc, new_dst);
-    EXPECT_EQ(get_u16(wire, TcpSegment::kChecksumOffset),
+    EXPECT_EQ(get_u16(wire.view(), TcpSegment::kChecksumOffset),
               get_u16(fresh, TcpSegment::kChecksumOffset))
         << trial;
   }
@@ -160,7 +167,7 @@ TEST(TcpSegment, IncrementalPatchAfterDstRewrite) {
 TEST(TcpSegment, IncrementalPatchAfterSrcRewrite) {
   TcpSegment s = sample();
   const ip::Ipv4 new_src = ip::Ipv4::parse("10.0.0.2");
-  Bytes wire = wire_of(s, kSrc, kDst);
+  wire::PacketBuffer wire = buffer_of(wire_of(s, kSrc, kDst));
   patch_checksum_for_address_change(wire, kSrc, new_src);
   EXPECT_TRUE(TcpSegment::parse(wire, new_src, kDst).has_value());
 }
