@@ -14,6 +14,9 @@
 // (the client clocks the local write); (3) large transfers converge to
 // the WAN link rate (~175 KB/s) for all four configurations.
 //
+// Writes BENCH_fig6.json: the table, the hosts of the largest failover run
+// and a "fig6" section with every rate, which check_bench_json.py pins.
+//
 // Rates are computed "as indicated by the FTP client" (§9): downloads
 // over the data-connection lifetime, uploads until the client has written
 // the file to the socket (or the connection lifetime, whichever is
@@ -48,7 +51,9 @@ struct Rates {
   double put_kbs = -1;
 };
 
-Rates measure(bool failover, double file_kb) {
+/// One std or failover run at `file_kb`; captures the server hosts into
+/// `json` when given.
+Rates measure(bool failover, double file_kb, BenchJson* json = nullptr) {
   const std::size_t bytes = static_cast<std::size_t>(file_kb * 1000);
   const Bytes content = apps::deterministic_payload(bytes, 17);
   core::FailoverConfig cfg;
@@ -112,6 +117,10 @@ Rates measure(bool failover, double file_kb) {
     r.put_kbs = file_kb / secs;
   }
   client.quit();
+  if (json) {
+    json->capture_host(*wan->primary);
+    json->capture_host(*wan->secondary);
+  }
   return r;
 }
 
@@ -131,18 +140,33 @@ int main() {
                              "156.80/138.35", "176.03/171.72"};
   const char* paper_put[] = {"512.38/536.05", "2033.76/2036.87", "3846.13/3890.42",
                              "219.52/200.31", "168.07/176.63"};
+  BenchJson json("fig6");
+  obs::JsonWriter w;
+  w.begin_object();
+  w.key("points").begin_array();
   int i = 0;
   for (double kb : kFileSizesKb) {
     const Rates std_r = measure(false, kb);
-    const Rates fo_r = measure(true, kb);
+    const Rates fo_r = measure(true, kb, kb == kFileSizesKb[4] ? &json : nullptr);
     table.add_row({TextTable::num(kb, 1), TextTable::num(std_r.get_kbs, 2),
                    TextTable::num(fo_r.get_kbs, 2), TextTable::num(std_r.put_kbs, 2),
                    TextTable::num(fo_r.put_kbs, 2), paper_get[i], paper_put[i]});
+    w.begin_object();
+    w.key("file_kb").value(kb);
+    w.key("get_std_kbs").value(std_r.get_kbs);
+    w.key("get_fo_kbs").value(fo_r.get_kbs);
+    w.key("put_std_kbs").value(std_r.put_kbs);
+    w.key("put_fo_kbs").value(fo_r.put_kbs);
+    w.end_object();
     ++i;
   }
+  w.end_array();
+  w.end_object();
   std::printf("%s", table.render().c_str());
   std::printf("note: WAN rates \"are highly dependent on competing traffic and on\n"
               "packet loss rates\" (§9); the link here is a seeded 1.5 Mb/s, 20 ms\n"
               "RTT path with 0.2%% loss.\n");
-  return 0;
+  json.add_table("Figure 6: FTP get/put rates over a WAN [KB/s]", table);
+  json.add_section("fig6", w.str());
+  return json.write() ? 0 : 1;
 }

@@ -318,8 +318,10 @@ int main(int argc, char** argv) {
   std::printf("expected shape: p50 ~ detector timeout (the takeover kick resends\n"
               "every echo at once); p99 adds the takeover burst's queueing. It\n"
               "stays below min_rto while the secondary reads the whole storm\n"
-              "within min_rto (conns x rx_processing; check_bench_json.py gate)\n"
-              "and is receive-bound beyond; mem/conn flat in N.\n");
+              "within min_rto (conns x rx_processing; check_bench_json.py gate).\n"
+              "At scale the burst is wire-bound, not receive-bound: probes,\n"
+              "diverted echoes and kicks share one half-duplex wire. mem/conn\n"
+              "flat in N.\n");
   json.add_table("failover storm: population size vs takeover latency", table);
   std::printf("\nbytes per connection by table (sizeof x live objects, "
               "live block bytes):\n%s",

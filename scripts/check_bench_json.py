@@ -172,7 +172,8 @@ def _check_storm(storm):
         # With the takeover kick the clients do not wait out their RTO, so
         # the tail stays below min_rto -- wherever the secondary can read
         # the whole storm (one probe per connection) within min_rto. Past
-        # that the tail is receive-bound and only p99 >= p50 is checked.
+        # that (100k) the burst is wire-bound and only p99 >= p50 is
+        # checked.
         if p["conns"] * storm["rx_processing_ns"] < min_rto:
             _expect(p["takeover_p99_ns"] < min_rto,
                     f"storm.points[{i}]: takeover p99 {p['takeover_p99_ns']:.0f} ns "
@@ -268,10 +269,10 @@ TAKEOVER_FIELDS = ("hops", "replicas", "detector_ns", "arp_latency_ns", "seeds",
                    "runs", "detect_ns", "stall_p50_ns", "stall_p99_ns",
                    "complete_ns", "route_converged_ns", "client_resets")
 # On the LAN with T = 0 the kick resends at once, so the stall is the
-# detection time (9.3-471.0 ms measured, stall - detect within 0.04 ms).
+# detection time (8.9-470.6 ms measured, stall - detect within 0.04 ms).
 TAKEOVER_STALL_OVER_DETECT_MAX_NS = 1.0e6
 # Head promotion runs the same takeover at every depth: the chain-length
-# stalls measured 41.4 / 41.6 / 42.6 ms for 2 / 3 / 4 replicas.
+# stalls measured 41.0 / 41.5 / 42.2 ms for 2 / 3 / 4 replicas.
 TAKEOVER_CHAIN_SPAN_MAX_NS = 2.0e6
 
 
@@ -333,6 +334,66 @@ def _check_takeover(takeover):
             f"{TAKEOVER_CHAIN_SPAN_MAX_NS:.0f} ns")
 
 
+# bench_fig6_ftp_wan: Figure 6's FTP rates over the WAN [KB/s], pinned
+# exactly as the bench writes them (six significant digits). A change to
+# what goes on the wire moves them; re-record them with EXPERIMENTS.md.
+FIG6_RATES = ("get_std_kbs", "get_fo_kbs", "put_std_kbs", "put_fo_kbs")
+FIG6_PINNED = {
+    0.2: (8.94957, 8.89271, 500, 500),
+    1.3: (58.1722, 57.8026, 1925.93, 1925.93),
+    18.2: (140.989, 140.55, 3714.29, 3714.29),
+    144.9: (172.2, 114.445, 293.211, 293.041),
+    1738.1: (157.032, 164.607, 165.412, 153.361),
+}
+# Shape claims (EXPERIMENTS.md, Figure 6). Tiny downloads are RTT-bound, so
+# standard and failover agree within this fraction of the standard rate.
+FIG6_TINY_GETS_KB = (0.2, 1.3)
+FIG6_TINY_GET_MATCH = 0.05
+# Buffer-sized uploads report the client's local write, far above the link.
+FIG6_SMALL_PUTS_KB = (0.2, 1.3, 18.2)
+# The largest file converges to the link rate in all four configurations.
+FIG6_LARGE_KB = 1738.1
+FIG6_LINK_BAND_KBS = (150.0, 190.0)
+FIG6_SMALL_PUT_MIN_KBS = 2 * FIG6_LINK_BAND_KBS[1]
+
+
+def _check_fig6(fig6):
+    _expect(isinstance(fig6, dict), "'fig6' is not an object")
+    points = fig6.get("points")
+    _expect(isinstance(points, list), "fig6 missing 'points'")
+    by_size = {}
+    for i, p in enumerate(points):
+        where = f"fig6.points[{i}]"
+        _expect(isinstance(p, dict), f"{where} is not an object")
+        _expect_numbers(p, ("file_kb",) + FIG6_RATES, where)
+        _expect(p["file_kb"] not in by_size, f"{where}: file size {p['file_kb']} repeated")
+        by_size[p["file_kb"]] = p
+    _expect(sorted(by_size) == sorted(FIG6_PINNED),
+            f"fig6 file sizes {sorted(by_size)}, expected {sorted(FIG6_PINNED)}")
+    for kb in FIG6_TINY_GETS_KB:
+        std, fo = by_size[kb]["get_std_kbs"], by_size[kb]["get_fo_kbs"]
+        _expect(abs(std - fo) <= FIG6_TINY_GET_MATCH * std,
+                f"fig6 {kb} KB get: std {std} and failover {fo} differ by more "
+                f"than {FIG6_TINY_GET_MATCH:.0%}")
+    for kb in FIG6_SMALL_PUTS_KB:
+        for key in ("put_std_kbs", "put_fo_kbs"):
+            rate = by_size[kb][key]
+            _expect(rate >= FIG6_SMALL_PUT_MIN_KBS,
+                    f"fig6 {kb} KB {key} {rate} is not a local-write rate "
+                    f"(below {FIG6_SMALL_PUT_MIN_KBS:.0f} KB/s)")
+    lo, hi = FIG6_LINK_BAND_KBS
+    for key in FIG6_RATES:
+        rate = by_size[FIG6_LARGE_KB][key]
+        _expect(lo <= rate <= hi,
+                f"fig6 {FIG6_LARGE_KB} KB {key} {rate} outside the "
+                f"{lo:.0f}-{hi:.0f} KB/s link band")
+    # Shapes first, so a drift that breaks a paper claim names the claim.
+    for kb, pinned in FIG6_PINNED.items():
+        for key, want in zip(FIG6_RATES, pinned):
+            got = by_size[kb][key]
+            _expect(got == want, f"fig6 {kb} KB {key} {got} != pinned {want}")
+
+
 def check_document(doc):
     """Raises SchemaError when `doc` violates the bench artifact schema."""
     _expect(isinstance(doc, dict), "top level is not an object")
@@ -372,6 +433,10 @@ def check_document(doc):
         _expect("takeover" in doc, "failover_time bench without its takeover section")
     if "takeover" in doc:
         _check_takeover(doc["takeover"])
+    if doc["bench"] == "fig6":
+        _expect("fig6" in doc, "fig6 bench without its fig6 section")
+    if "fig6" in doc:
+        _check_fig6(doc["fig6"])
 
 
 def check_file(path):
@@ -487,6 +552,10 @@ def self_test():
             "hb_auth_failed": 900, "baseline_steady_ms": 810.0,
             "baseline_failover_ms": 1020.0, "worst_slowdown": 1.2,
         },
+        "fig6": {"points": [
+            {"file_kb": kb, **dict(zip(FIG6_RATES, rates))}
+            for kb, rates in FIG6_PINNED.items()
+        ]},
         "takeover": {"points": [
             _takeover_point("grid"),
             _takeover_point("grid", arp_latency_ns=1.0e7, stall_p50_ns=2.003e8),
@@ -620,14 +689,33 @@ def self_test():
             detect_ns=4.5e7, stall_p50_ns=4.5e7, stall_p99_ns=4.5e7)),
         ("failover_time bench without takeover", lambda d: (
             d.update(bench="failover_time"), d.pop("takeover"))),
+        ("fig6 bench without its section", lambda d: (
+            d.update(bench="fig6"), d.pop("fig6"))),
+        ("fig6 missing a file size", lambda d: d["fig6"]["points"].pop(2)),
+        ("fig6 negative rate", lambda d: d["fig6"]["points"][0].update(
+            get_fo_kbs=-1.0)),
+        # The shape gates must fire before the pins, naming the claim.
+        ("fig6 tiny get std and failover apart", lambda d: d["fig6"]["points"][1].update(
+            get_fo_kbs=40.0), "differ by more"),
+        ("fig6 small put at link rate", lambda d: d["fig6"]["points"][2].update(
+            put_fo_kbs=180.0), "local-write rate"),
+        ("fig6 large file below the link band", lambda d: d["fig6"]["points"][4].update(
+            get_std_kbs=120.0), "link band"),
+        ("fig6 large file above the link band", lambda d: d["fig6"]["points"][4].update(
+            put_fo_kbs=260.0), "link band"),
+        ("fig6 drift inside every shape", lambda d: d["fig6"]["points"][3].update(
+            get_std_kbs=172.3), "pinned"),
     ]
-    for name, mutate in bad_cases:
+    for name, mutate, *expect in bad_cases:
         doc = copy.deepcopy(good)
         mutate(doc)
         try:
             check_document(doc)
-        except SchemaError:
-            continue
+        except SchemaError as e:
+            if not expect or expect[0] in str(e):
+                continue
+            print(f"FAIL self-test: '{name}' was rejected for the wrong reason: {e}")
+            return False
         print(f"FAIL self-test: '{name}' was not rejected")
         return False
     print(f"OK   self-test: valid document accepted, "

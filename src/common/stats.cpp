@@ -57,12 +57,24 @@ std::string TextTable::num(double v, int prec) {
   return buf;
 }
 
+namespace {
+
+/// Display width of a UTF-8 cell: its code points, i.e. the bytes that are
+/// not continuation bytes (10xxxxxx).
+std::size_t display_width(const std::string& cell) {
+  return static_cast<std::size_t>(std::count_if(cell.begin(), cell.end(), [](char ch) {
+    return (static_cast<unsigned char>(ch) & 0xC0) != 0x80;
+  }));
+}
+
+}  // namespace
+
 std::string TextTable::render() const {
   std::vector<std::size_t> widths(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
+  for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = display_width(headers_[c]);
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
+      widths[c] = std::max(widths[c], display_width(row[c]));
     }
   }
   std::ostringstream os;
@@ -70,7 +82,7 @@ std::string TextTable::render() const {
     os << "|";
     for (std::size_t c = 0; c < headers_.size(); ++c) {
       const std::string& cell = c < row.size() ? row[c] : std::string();
-      os << ' ' << cell << std::string(widths[c] - cell.size(), ' ') << " |";
+      os << ' ' << cell << std::string(widths[c] - display_width(cell), ' ') << " |";
     }
     os << '\n';
   };

@@ -34,16 +34,18 @@ wire::PacketBuffer hb_payload(std::uint64_t seed, ip::Ipv4 sender, std::uint64_t
   return b;
 }
 
+enum class HbCheck { kOk, kStale, kBad };
+
 /// Validates an inbound heartbeat against the nonce chain and the
 /// caller's anti-replay high-water mark; advances the mark on success.
-bool hb_verify(std::uint64_t seed, const ip::IpDatagram& d, std::uint64_t& expect_k) {
+HbCheck hb_verify(std::uint64_t seed, const ip::IpDatagram& d, std::uint64_t& expect_k) {
   const BytesView pl(d.payload);
-  if (pl.size() < kHbBytes || pl[0] != 'H' || pl[1] != 'B') return false;
+  if (pl.size() < kHbBytes || pl[0] != 'H' || pl[1] != 'B') return HbCheck::kBad;
   const std::uint64_t k = get_u64(pl, 2);
-  if (k < expect_k) return false;  // replayed or reordered stale heartbeat
-  if (get_u64(pl, 10) != hb_nonce(seed, d.src, k)) return false;
+  if (k < expect_k) return HbCheck::kStale;  // replayed, duplicated or reordered
+  if (get_u64(pl, 10) != hb_nonce(seed, d.src, k)) return HbCheck::kBad;
   expect_k = k + 1;
-  return true;
+  return HbCheck::kOk;
 }
 
 }  // namespace
@@ -59,16 +61,19 @@ HeartbeatMesh::HeartbeatMesh(apps::Host& host, SimDuration period, SimDuration t
   ctr_sent_ = &reg.counter("fd.heartbeats_sent");
   ctr_received_ = &reg.counter("fd.heartbeats_received");
   ctr_auth_failed_ = &reg.counter("fault.hb_auth_failed");
+  ctr_stale_ = &reg.counter("fault.hb_stale");
   host_.ip().register_protocol(
       ip::Proto::kHeartbeat,
       [this](const ip::IpDatagram& d, const ip::RxMeta&) {
         if (!running_) return;
         for (auto& peer : peers_) {
           if (peer->addr == d.src && !peer->declared) {
-            if (!hb_verify(auth_seed_, d, peer->expect_k)) {
+            if (const HbCheck c = hb_verify(auth_seed_, d, peer->expect_k);
+                c != HbCheck::kOk) {
               // Forged, replayed, or reflected: it must not refresh
               // liveness (a forger could otherwise mask a dead peer).
               ctr_auth_failed_->inc();
+              if (c == HbCheck::kStale) ctr_stale_->inc();
               return;
             }
             ctr_received_->inc();

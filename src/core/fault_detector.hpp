@@ -76,6 +76,7 @@ class HeartbeatMesh {
   obs::Counter* ctr_sent_ = nullptr;
   obs::Counter* ctr_received_ = nullptr;
   obs::Counter* ctr_auth_failed_ = nullptr;
+  obs::Counter* ctr_stale_ = nullptr;  // the replayed/duplicated share of those
   bool running_ = false;
 };
 

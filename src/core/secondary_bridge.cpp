@@ -99,6 +99,19 @@ HookVerdict SecondaryBridge::ip_inbound(ip::IpDatagram& dgram, const ip::RxMeta&
         ctr_spoof_dropped_->inc();
         return HookVerdict::kDrop;
       }
+      // Glean the client's MAC from its handshake ACK, so that at a
+      // takeover every kick can leave at once instead of waiting on an
+      // ARP exchange queued behind the other kicks. Only an on-link
+      // client's frame carries its own MAC; a routed one carries the
+      // router's.
+      if (conn->state() == tcp::TcpState::kSynRcvd &&
+          (flags & (tcp::Flags::kAck | tcp::Flags::kSyn | tcp::Flags::kRst)) ==
+              tcp::Flags::kAck) {
+        const ip::RouteEntry* route = host_.ip().routes().lookup(dgram.src);
+        if (route != nullptr && route->next_hop.is_any()) {
+          host_.arp().glean(dgram.src, meta.src_mac);
+        }
+      }
     }
     // Rewrite a_p -> a_s and fix the TCP checksum incrementally in the
     // serialized segment (the pseudo-header destination changed). This is

@@ -121,6 +121,11 @@ void ArpEntity::learn(Ipv4 addr, net::MacAddress mac, bool update_only) {
   }
 }
 
+void ArpEntity::glean(Ipv4 addr, net::MacAddress mac) {
+  if (auto it = cache_.find(addr); it != cache_.end() && it->second == mac) return;
+  learn(addr, mac, /*update_only=*/false);
+}
+
 void ArpEntity::handle_frame(const net::EthernetFrame& frame) {
   ArpPacket pkt;
   if (!parse_arp(frame.payload, &pkt)) return;

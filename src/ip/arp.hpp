@@ -53,6 +53,12 @@ class ArpEntity {
   /// Pre-installs a static entry (benches warm caches like the paper did).
   void add_static(Ipv4 addr, net::MacAddress mac) { cache_[addr] = mac; }
 
+  /// Records a mapping seen in IP traffic rather than in an ARP packet
+  /// (the secondary bridge gleans its clients' MACs while it snoops).
+  /// Creates or updates the entry, completing any resolution waiting on
+  /// it; a mapping the cache already holds is left alone.
+  void glean(Ipv4 addr, net::MacAddress mac);
+
   bool lookup(Ipv4 addr, net::MacAddress* out) const;
   std::size_t cache_size() const { return cache_.size(); }
 

@@ -305,6 +305,14 @@ void Connection::try_send() {
     sent_any = true;
     segs_since_ack_ = 0;
     delack_timer_.stop();  // the ACK rode along
+    // Data sent within a delayed-ACK interval of data received is a reply:
+    // the connection is interactive, and its replies carry its ACKs
+    // (schedule_ack stops quick-ACKing until a delayed ACK goes unanswered).
+    if (len > 0 && bytes_received_total_ > 0 &&
+        static_cast<SimDuration>(owner_.simulator().now() - last_data_rx_) <
+            params_->delayed_ack) {
+      pingpong_ = true;
+    }
     if (!rto_timer_.armed()) arm_rto();
   }
   if (sent_any) persist_timer_.stop();
@@ -375,7 +383,11 @@ void Connection::send_rst() {
 }
 
 void Connection::schedule_ack() {
-  if (quickack_left_ > 0) {
+  // Linux's delayed-ACK "pingpong" mode: a connection that replies to what
+  // it receives takes no quick-ACKs, so its ACK waits for the reply (or
+  // the timer) instead of going out as a segment of its own. A bulk
+  // receiver never replies and keeps its initial quick-ACKs.
+  if (quickack_left_ > 0 && !pingpong_) {
     --quickack_left_;
     send_ack_now();
     return;
@@ -384,7 +396,10 @@ void Connection::schedule_ack() {
   if (segs_since_ack_ >= params_->ack_every_segments) {
     send_ack_now();
   } else if (!delack_timer_.armed()) {
-    delack_timer_.start(params_->delayed_ack, [this] { send_ack_now(); });
+    delack_timer_.start(params_->delayed_ack, [this] {
+      pingpong_ = false;  // no reply came in time: the exchange is over
+      send_ack_now();
+    });
   }
 }
 
@@ -780,6 +795,7 @@ void Connection::process_data(const TcpSegment& seg) {
     }
     rcv_nxt_ += data.size();
     bytes_received_total_ += data.size();
+    last_data_rx_ = owner_.simulator().now();
     rx_buf_.append(data);
     deliver_in_order();
     schedule_ack();

@@ -281,6 +281,7 @@ class Connection {
   std::unique_ptr<OooMap> ooo_;
   std::size_t ooo_bytes_ = 0;
   std::uint64_t bytes_received_total_ = 0;
+  SimTime last_data_rx_ = 0;  // when in-order data last arrived
 
   // --- RTO (RFC 6298).
   SimDuration srtt_ = 0;
@@ -299,9 +300,7 @@ class Connection {
   // interval epoch advances (no per-connection timer).
   std::uint64_t challenge_epoch_ = 0;
 
-  // Diagnostics.
-  std::uint64_t stat_timeouts_ = 0;
-  std::uint64_t stat_fast_retransmits_ = 0;
+  // Diagnostics (the timeout and fast-retransmit counts are 32-bit, below).
   std::uint64_t stat_segments_sent_ = 0;
   std::uint64_t stat_segments_received_ = 0;
 
@@ -320,6 +319,8 @@ class Connection {
   std::uint32_t cwnd_;
   std::uint32_t ssthresh_ = 0x40000000;
   std::uint32_t challenge_used_ = 0;
+  std::uint32_t stat_timeouts_ = 0;
+  std::uint32_t stat_fast_retransmits_ = 0;
   int dupacks_ = 0;
   int segs_since_ack_ = 0;
   int quickack_left_ = 0;  // initialized from params in the constructor
@@ -337,6 +338,9 @@ class Connection {
   bool peer_fin_delivered_ = false;
   bool rtt_valid_ = false;
   bool rtt_measuring_ = false;
+  /// Delayed-ACK pingpong mode: set when we send data within a delayed-ACK
+  /// interval of receiving some, cleared when the delayed-ACK timer fires.
+  bool pingpong_ = false;
 
   friend class TcpLayer;
 };

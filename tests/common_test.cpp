@@ -207,6 +207,13 @@ TEST(TextTable, RendersAlignedColumns) {
   const std::string out = t.render();
   EXPECT_NE(out.find("| a    | long-header |"), std::string::npos);
   EXPECT_NE(out.find("| xxxx | 1           |"), std::string::npos);
+  // Width counts code points, not bytes: "§" is two bytes, one column.
+  TextTable u({"label", "n"});
+  u.add_row({"§3.1", "1"});
+  u.add_row({"ascii", "2"});
+  const std::string uout = u.render();
+  EXPECT_NE(uout.find("| §3.1  | 1 |"), std::string::npos);
+  EXPECT_NE(uout.find("| ascii | 2 |"), std::string::npos);
 }
 
 // -------------------------------------------------------------- ByteRing

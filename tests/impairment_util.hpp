@@ -35,14 +35,20 @@ class RstCounter {
 };
 
 /// Frames whose corruption the receive path must have caught: TCP segments
-/// failing their pseudo-header checksum plus frames rejected by IP header
+/// failing their pseudo-header checksum, frames rejected by IP header
 /// validation (`datagrams_parse_failed` never counts routing drops, so the
-/// promiscuous secondary's snooping does not pollute it).
+/// promiscuous secondary's snooping does not pollute it), and P<->S
+/// heartbeats that fail `hb_verify` on their contents (a flipped byte in
+/// the datagram body). Stale heartbeats are left out: the wire's
+/// duplicates and reorders produce them without any corruption. A flip in
+/// Ethernet padding hits bytes no receiver checks.
 inline std::uint64_t checksum_rejects(Replicated& r) {
   std::uint64_t n = 0;
   for (apps::Host* h : {&r.client(), &r.primary(), &r.secondary()}) {
-    n += h->obs().registry.counter_value("tcp.segments_malformed");
+    const auto& reg = h->obs().registry;
+    n += reg.counter_value("tcp.segments_malformed");
     n += h->ip().datagrams_parse_failed();
+    n += reg.counter_value("fault.hb_auth_failed") - reg.counter_value("fault.hb_stale");
   }
   return n;
 }

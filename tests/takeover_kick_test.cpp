@@ -282,5 +282,114 @@ TEST(TakeoverKick, ChainHeadCrashResumesThroughKick) {
       lan->secondary->obs().registry.counter_value("secondary.connections_kicked"), 1u);
 }
 
+// ------------------------------------------------------------ MAC gleaning
+//
+// The secondary learns each on-link client's MAC from the client's snooped
+// handshake ACK, so at a takeover its kicks need no ARP exchange.
+
+/// True for an ARP request from `mac` that asks for an address other than
+/// its own (a gratuitous announcement names the same address twice).
+bool is_arp_query_from(const net::EthernetFrame& f, net::MacAddress mac) {
+  if (f.type != net::EtherType::kArp || f.src != mac || f.payload.size() < 28) return false;
+  const BytesView p = f.payload.view();
+  return get_u16(p, 6) == 1 && get_u32(p, 14) != get_u32(p, 24);
+}
+
+TEST(Gleaning, OnLinkClientMacIsKnownAtTheVerdict) {
+  auto r = test::make_replicated();
+  // Like bench_e2e's extra client hosts: static ARP for P and S only, so
+  // neither server knows this client's MAC from configuration.
+  apps::HostParams hp;
+  hp.name = "client2";
+  hp.addr = ip::Ipv4::parse("10.0.0.50");
+  hp.seed = 150;
+  r->extra_hosts.push_back(std::make_unique<apps::Host>(r->sim(), hp, *r->topo->wire));
+  apps::Host& x = *r->extra_hosts.back();
+  x.arp().add_static(r->primary().address(), r->primary().nic().mac());
+  x.arp().add_static(r->secondary().address(), r->secondary().nic().mac());
+  ASSERT_FALSE(r->secondary().arp().lookup(x.address(), nullptr));
+
+  int s_arp_queries = 0;
+  x.nic().add_observer([&](const net::EthernetFrame& f, bool) {
+    if (is_arp_query_from(f, r->secondary().nic().mac())) ++s_arp_queries;
+  });
+  ClientConn c(x, r->primary().address(), kEchoPort);
+  ASSERT_TRUE(run_until(r->sim(), [&] { return c.established(); }));
+  c.conn->send(to_bytes("warm"));
+  ASSERT_TRUE(run_until(r->sim(), [&] { return c.rx.size() == 4; }));
+  r->sim().run_for(milliseconds(100));
+  net::MacAddress gleaned;
+  ASSERT_TRUE(r->secondary().arp().lookup(x.address(), &gleaned));
+  EXPECT_EQ(gleaned, x.nic().mac());
+
+  const SimTime crash_at = r->sim().now();
+  r->group->crash_primary();
+  c.conn->send(to_bytes("probe"));
+  ASSERT_TRUE(run_until(r->sim(), [&] { return c.rx.size() == 9; }, seconds(10)));
+  EXPECT_EQ(to_string(c.rx), "warmprobe");
+  EXPECT_LE(static_cast<SimDuration>(r->sim().now() - crash_at),
+            detection(*r, crash_at) + milliseconds(5));
+  EXPECT_EQ(s_arp_queries, 0);
+}
+
+TEST(Gleaning, RoutedClientAddsNoArpEntry) {
+  // Across a router the snooped frame carries the router's MAC, not the
+  // client's: nothing may be learned for the client's address.
+  auto r = test::make_replicated({.seed = 12, .hops = 1});
+  const std::size_t entries_before = r->secondary().arp().cache_size();
+  auto c = warm_echo(*r);
+  EXPECT_GT(r->group->secondary_bridge().datagrams_translated(), 0u);
+  EXPECT_FALSE(r->secondary().arp().lookup(r->client().address(), nullptr));
+  EXPECT_EQ(r->secondary().arp().cache_size(), entries_before);
+}
+
+TEST(Gleaning, SpoofedHandshakeAckAddsAndChangesNoEntry) {
+  auto r = test::make_replicated();
+  apps::Host& attacker = r->add_host("attacker", "10.0.0.30", 130);
+  // A client address no host owns: the replicas' SYN|ACK goes unanswered,
+  // so the secondary's replica stays in SYN_RCVD.
+  const ip::Ipv4 fake = ip::Ipv4::parse("10.0.0.77");
+  const ip::Ipv4 p_addr = r->primary().address();
+  constexpr std::uint16_t kPort = 4000;
+  constexpr std::uint32_t kIsn = 424242;
+  auto send_from_fake = [&](std::uint8_t flags, std::uint32_t seq) {
+    tcp::TcpSegment seg;
+    seg.src_port = kPort;
+    seg.dst_port = kEchoPort;
+    seg.seq = seq;
+    seg.flags = flags;
+    seg.window = 65535;
+    attacker.ip().send(ip::Proto::kTcp, fake, p_addr, seg.take_wire(fake, p_addr));
+    r->sim().run_for(milliseconds(2));
+  };
+  send_from_fake(tcp::Flags::kSyn, kIsn);
+  const tcp::ConnKey sk{r->secondary().address(), kEchoPort, fake, kPort};
+  auto replica = r->secondary().tcp().find(sk);
+  ASSERT_NE(replica, nullptr);
+  ASSERT_EQ(replica->state(), tcp::TcpState::kSynRcvd);
+
+  auto& reg = r->secondary().obs().registry;
+  const std::uint64_t spoofed_before = reg.counter_value("bridge.spoof_dropped");
+  const std::size_t entries_before = r->secondary().arp().cache_size();
+  // Far outside the replica's window: the off-path check drops it before
+  // anything is learned from it.
+  send_from_fake(tcp::Flags::kAck, kIsn + 1 + (1u << 20));
+  EXPECT_EQ(reg.counter_value("bridge.spoof_dropped"), spoofed_before + 1);
+  EXPECT_FALSE(r->secondary().arp().lookup(fake, nullptr));
+  EXPECT_EQ(r->secondary().arp().cache_size(), entries_before);
+
+  const net::MacAddress owner = net::MacAddress::from_id(999);
+  r->secondary().arp().add_static(fake, owner);
+  send_from_fake(tcp::Flags::kAck, kIsn + 1 + (1u << 20));
+  net::MacAddress held;
+  ASSERT_TRUE(r->secondary().arp().lookup(fake, &held));
+  EXPECT_EQ(held, owner);
+
+  // The same ACK at the replica's RCV.NXT passes the check and is gleaned.
+  send_from_fake(tcp::Flags::kAck, kIsn + 1);
+  ASSERT_TRUE(r->secondary().arp().lookup(fake, &held));
+  EXPECT_EQ(held, attacker.nic().mac());
+}
+
 }  // namespace
 }  // namespace tfo::core

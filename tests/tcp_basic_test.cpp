@@ -378,6 +378,85 @@ TEST_F(TcpFixture, ConnectionsUnderUnchangedParamsShareOneSnapshot) {
   EXPECT_EQ(&d->params(), &c->params());
 }
 
+// ------------------------------------------------ delayed-ACK pingpong mode
+
+/// Time from the client sending `n` bytes until they are all acknowledged.
+SimDuration ack_delay(Topology& lan, Connection& client, std::size_t n) {
+  const SimTime sent = lan.sim.now();
+  client.send(Bytes(n, 0x5a));
+  EXPECT_TRUE(test::run_until(lan.sim, [&] { return client.info().bytes_in_flight == 0; }));
+  return static_cast<SimDuration>(lan.sim.now() - sent);
+}
+
+TEST_F(TcpFixture, ReplyCarriesTheAckOnceTheConnectionIsInteractive) {
+  build();
+  listen();
+  connect(80, {.nodelay = true});
+  ASSERT_TRUE(test::run_until(lan->sim, [&] { return established(); }));
+  server->on_readable = [&] {
+    Bytes req;
+    server->recv(req);
+    server->send(std::move(req));
+  };
+  Bytes echoed;
+  client->on_readable = [&] { client->recv(echoed); };
+  auto exchange = [&] {
+    const std::uint64_t before = server->info().segments_sent;
+    const std::size_t want = echoed.size() + 10;
+    client->send(Bytes(10, 0x42));
+    EXPECT_TRUE(test::run_until(lan->sim, [&] { return echoed.size() == want; }));
+    lan->sim.run_for(milliseconds(1));
+    return server->info().segments_sent - before;
+  };
+  // The first request is quick-ACKed ahead of its reply; sending that
+  // reply within the delayed-ACK interval puts the connection in pingpong
+  // mode, and from then on the reply is the ACK.
+  EXPECT_EQ(exchange(), 2u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(exchange(), 1u) << "request " << i + 1;
+}
+
+TEST_F(TcpFixture, ReceiverThatNeverRepliesQuickAcksItsFirstEightSegments) {
+  build();
+  listen();
+  connect(80, {.nodelay = true});
+  ASSERT_TRUE(test::run_until(lan->sim, [&] { return established(); }));
+  Bytes sink;
+  server->on_readable = [&] { server->recv(sink); };
+  const TcpParams& p = server->params();
+  ASSERT_EQ(p.quickack_segments, 8);
+  for (int i = 0; i < p.quickack_segments; ++i) {
+    EXPECT_LT(ack_delay(*lan, *client, 100), milliseconds(5)) << "segment " << i + 1;
+  }
+  // The ninth lone segment waits for the delayed-ACK timer.
+  EXPECT_GE(ack_delay(*lan, *client, 100), p.delayed_ack);
+}
+
+TEST_F(TcpFixture, DelayedAckTimerEndsPingpongMode) {
+  build();
+  listen();
+  connect(80, {.nodelay = true});
+  ASSERT_TRUE(test::run_until(lan->sim, [&] { return established(); }));
+  bool reply = true;
+  server->on_readable = [&] {
+    Bytes req;
+    server->recv(req);
+    if (reply) server->send(std::move(req));
+  };
+  Bytes echoed;
+  client->on_readable = [&] { client->recv(echoed); };
+  client->send(Bytes(10, 0x42));
+  ASSERT_TRUE(test::run_until(lan->sim, [&] { return echoed.size() == 10; }));
+
+  // In pingpong mode an unanswered request is not quick-ACKed: the ACK
+  // goes out when the delayed-ACK timer fires, as a segment of its own.
+  reply = false;
+  const std::uint64_t before = server->info().segments_sent;
+  EXPECT_GE(ack_delay(*lan, *client, 10), server->params().delayed_ack);
+  EXPECT_EQ(server->info().segments_sent - before, 1u);
+  // The timer ended pingpong mode: quick-ACKs are back.
+  EXPECT_LT(ack_delay(*lan, *client, 10), milliseconds(5));
+}
+
 TEST(ConnectionLayout, StaysWithinTheStormBudget) {
   // storm holds three Connections per client connection, each with five
   // Timers and two ByteRings; a field added here moves bench_e2e's heap
