@@ -9,8 +9,9 @@
 //   * whole-system memory per connection (client + both replicas +
 //     bridges), from the process allocator, and where it goes: the
 //     tcp::Connection and core::BridgeConn objects, live packet-buffer
-//     blocks, the connections' send/receive buffer capacity, and the
-//     scheduler's event-pool growth;
+//     blocks, the connections' send/receive buffer capacity, the
+//     scheduler's event-pool growth, and the slot arrays of the TCP demux
+//     and bridge tables;
 //   * per-connection takeover latency: each client connection sends a
 //     probe the instant the primary dies and the stall until its echo
 //     returns is one sample — p50/p99 over all N;
@@ -63,6 +64,7 @@ struct MemBreakdown {
   std::uint64_t packet_buffers = 0; // live PacketBuffer block capacity (loaded - baseline)
   std::uint64_t conn_buffers = 0;   // Connection::buffer_capacity() summed
   std::uint64_t sim_events = 0;     // scheduler pool growth x sizeof(Event)
+  std::uint64_t conn_tables = 0;    // slot arrays of every TcpLayer and the primary bridge
 };
 
 struct StormResult {
@@ -178,7 +180,7 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
   MemBreakdown mem;
   {
     const std::uint64_t buffers_loaded = wire::buffer_stats().live_bytes;
-    std::uint64_t tcp_conns = 0, conn_buffers = 0;
+    std::uint64_t tcp_conns = 0, conn_buffers = 0, conn_tables = 0;
     std::vector<apps::Host*> hosts = {t->topo->client.get(), t->topo->primary.get(),
                                       t->topo->secondary.get()};
     for (const auto& c : clients) hosts.push_back(c.get());
@@ -187,7 +189,9 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
         ++tcp_conns;
         conn_buffers += c.buffer_capacity();
       });
+      conn_tables += h->tcp().table_bytes();
     }
+    conn_tables += t->group->primary_bridge().table_bytes();
     const std::uint64_t bridged = t->group->primary_bridge().connection_count();
     mem.tcp_conn = tcp_conns * sizeof(tcp::Connection) / n_conns;
     mem.bridge_conn = bridged * sizeof(core::BridgeConn) / n_conns;
@@ -197,6 +201,7 @@ StormResult run_storm(std::size_t n_conns, BenchJson* json) {
     mem.conn_buffers = conn_buffers / n_conns;
     mem.sim_events = (t->sim().stats().pool_events - events_baseline) *
                      sim::Simulator::event_bytes() / n_conns;
+    mem.conn_tables = conn_tables / n_conns;
   }
 
   // The crash. Every connection fires a probe at the same instant: the
@@ -291,7 +296,8 @@ int main(int argc, char** argv) {
   TextTable table({"conns", "mem/conn", "takeover p50 [ms]",
                    "takeover p99 [ms]", "wheel inserts", "cascades", "wall [s]"});
   TextTable mem_table({"conns", "mem/conn", "tcp::Connection", "BridgeConn",
-                       "packet buffers", "conn buffers", "sim events"});
+                       "packet buffers", "conn buffers", "sim events",
+                       "conn tables"});
   std::vector<StormResult> results;
   for (std::size_t n : sizes) {
     std::printf("\nrunning storm N=%zu ...\n", n);
@@ -311,7 +317,8 @@ int main(int argc, char** argv) {
                        size_label(r.mem.tcp_conn), size_label(r.mem.bridge_conn),
                        size_label(r.mem.packet_buffers),
                        size_label(r.mem.conn_buffers),
-                       size_label(r.mem.sim_events)});
+                       size_label(r.mem.sim_events),
+                       size_label(r.mem.conn_tables)});
     results.push_back(r);
   }
   std::printf("%s", table.render().c_str());
@@ -343,6 +350,7 @@ int main(int argc, char** argv) {
       w.key("packet_buffers").value(r.mem.packet_buffers);
       w.key("conn_buffers").value(r.mem.conn_buffers);
       w.key("sim_events").value(r.mem.sim_events);
+      w.key("conn_tables").value(r.mem.conn_tables);
       w.end_object();
       w.key("takeover_p50_ns").value(r.p50_ns);
       w.key("takeover_p99_ns").value(r.p99_ns);

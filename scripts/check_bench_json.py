@@ -124,16 +124,18 @@ def _check_profiles(profiles):
 
 
 # Heap per storm connection at scale (bench_storm's allocator figure,
-# client + both replicas + bridge): 3,506 B at 20k connections (3,509 B
-# at 10k, 3,630 B at 100k) since the tcp::Connection diet to 632 B; the
-# cap keeps the ~11 % headroom the previous one (5,600 B) had over
-# 5,043 B. Small populations carry fixed overhead (the 1k point measures
-# ~4.4 KB) and are not gated.
-STORM_BYTES_PER_CONN_MAX = 3900
+# client + both replicas + bridge): 3,059 B at 20k connections (3,058 B
+# at 10k, 3,166 B at 100k) since writes that fit skip the write queue,
+# accept stopped copying its handler, packet blocks became one allocation
+# and table slots dropped their flag byte (3,460 B at 20k before). The
+# cap keeps the ~11 % headroom the earlier ones (5,600 B over 5,043 B,
+# then 3,900 B over 3,506 B) had. Small populations carry fixed overhead
+# (the 1k point measures ~3.5 KB) and are not gated.
+STORM_BYTES_PER_CONN_MAX = 3400
 STORM_BYTES_GATE_MIN_CONNS = 10000
 # Where those bytes go (bench_storm's per-table breakdown).
 STORM_TABLES = ("tcp_connection", "bridge_conn", "packet_buffers",
-                "conn_buffers", "sim_events")
+                "conn_buffers", "sim_events", "conn_tables")
 
 
 def _check_storm(storm):
@@ -225,7 +227,8 @@ def _check_churn(churn):
                             "conns_established", "conns_completed", "conns_failed",
                             "requests_sent", "responses_ok", "requests_per_s",
                             "latency_p50_ns", "latency_p99_ns", "setup_p50_ns",
-                            "setup_p99_ns", "listen_overflows", "time_wait_recycled",
+                            "setup_p99_ns", "setup_retried", "setup_p99_first_syn_ns",
+                            "listen_overflows", "time_wait_recycled",
                             "embryonic_reaped", "growth_bytes_per_conn"),
                         f"churn.points[{i}]")
         _expect(p["offered_cps"] > prev_cps,
@@ -235,6 +238,12 @@ def _check_churn(churn):
                 f"churn.points[{i}]: latency p99 below p50")
         _expect(p["setup_p99_ns"] >= p["setup_p50_ns"],
                 f"churn.points[{i}]: setup p99 below p50")
+        # The first-SYN p99 leaves out the retried setups, so it can only
+        # sit at or below the p99 of all of them.
+        _expect(p["setup_p99_first_syn_ns"] <= p["setup_p99_ns"],
+                f"churn.points[{i}]: first-SYN setup p99 above the overall p99")
+        _expect(p["setup_retried"] <= p["conns_started"],
+                f"churn.points[{i}]: more retried setups than starts")
         _expect(p["conns_completed"] <= p["conns_started"],
                 f"churn.points[{i}]: more completions than starts")
         _expect(p["responses_ok"] <= p["requests_sent"],
@@ -502,17 +511,17 @@ def self_test():
         }],
         "storm": {
             "points": [
-                {"conns": 1000, "bytes_per_conn": 4400,
+                {"conns": 1000, "bytes_per_conn": 3548,
                  "bytes_per_conn_by_table": {
-                     "tcp_connection": 1896, "bridge_conn": 416,
-                     "packet_buffers": 5, "conn_buffers": 312,
-                     "sim_events": 141},
+                     "tcp_connection": 1872, "bridge_conn": 384,
+                     "packet_buffers": 5, "conn_buffers": 96,
+                     "sim_events": 141, "conn_tables": 344},
                  "takeover_p50_ns": 4.8e7, "takeover_p99_ns": 4.9e7},
-                {"conns": 100000, "bytes_per_conn": 3630,
+                {"conns": 100000, "bytes_per_conn": 3166,
                  "bytes_per_conn_by_table": {
-                     "tcp_connection": 1896, "bridge_conn": 416,
-                     "packet_buffers": 0, "conn_buffers": 312,
-                     "sim_events": 72},
+                     "tcp_connection": 1872, "bridge_conn": 384,
+                     "packet_buffers": 0, "conn_buffers": 96,
+                     "sim_events": 72, "conn_tables": 412},
                  "takeover_p50_ns": 6.0e7, "takeover_p99_ns": 3.9e8},
             ],
             "alloc": {"cycles": 200000, "wheel_allocs": 0},
@@ -532,6 +541,7 @@ def self_test():
                  "requests_per_s": 3983.0,
                  "latency_p50_ns": 2.0e4, "latency_p99_ns": 9.0e4,
                  "setup_p50_ns": 4.0e4, "setup_p99_ns": 1.0e9,
+                 "setup_retried": 120, "setup_p99_first_syn_ns": 6.0e4,
                  "listen_overflows": 0, "time_wait_recycled": 0,
                  "embryonic_reaped": 0, "growth_bytes_per_conn": 362.0},
                 {"offered_cps": 10000.0, "duration_s": 3.0,
@@ -541,6 +551,7 @@ def self_test():
                  "requests_per_s": 20033.0,
                  "latency_p50_ns": 2.0e4, "latency_p99_ns": 1.3e5,
                  "setup_p50_ns": 4.0e4, "setup_p99_ns": 1.0e9,
+                 "setup_retried": 300, "setup_p99_first_syn_ns": 3.9e7,
                  "listen_overflows": 9987, "time_wait_recycled": 13693,
                  "embryonic_reaped": 0, "growth_bytes_per_conn": 346.0},
             ],
@@ -613,6 +624,9 @@ def self_test():
         ("storm table breakdown missing sim_events",
          lambda d: d["storm"]["points"][1]["bytes_per_conn_by_table"].pop(
              "sim_events")),
+        ("storm table breakdown missing conn_tables",
+         lambda d: d["storm"]["points"][1]["bytes_per_conn_by_table"].pop(
+             "conn_tables")),
         ("storm tables exceed bytes_per_conn",
          lambda d: d["storm"]["points"][0]["bytes_per_conn_by_table"].update(
              tcp_connection=9000)),
@@ -638,6 +652,10 @@ def self_test():
             latency_p99_ns=1.0e4)),
         ("churn setup p99 below p50", lambda d: d["churn"]["points"][0].update(
             setup_p99_ns=1.0e4)),
+        ("churn point missing setup_retried", lambda d: d["churn"]["points"][1].pop(
+            "setup_retried")),
+        ("churn first-SYN setup p99 above the overall p99",
+         lambda d: d["churn"]["points"][1].update(setup_p99_first_syn_ns=2.0e9)),
         ("churn completions exceed starts", lambda d: d["churn"]["points"][0].update(
             conns_completed=99999)),
         ("churn responses exceed requests", lambda d: d["churn"]["points"][0].update(

@@ -1,5 +1,7 @@
 #include "apps/attacker.hpp"
 
+#include <cstring>
+
 #include "common/bytes.hpp"
 #include "common/logging.hpp"
 #include "ip/icmp.hpp"
@@ -111,7 +113,8 @@ void Attacker::send_tcp(std::uint8_t flags, std::uint16_t src_port, Seq32 seq,
   if (flags & Flags::kAck) seg.ack = ack;
   seg.window = 65535;
   if (payload_bytes > 0) {
-    seg.payload = wire::PacketBuffer(Bytes(payload_bytes, 0x41));
+    seg.payload = wire::PacketBuffer::alloc(payload_bytes);
+    std::memset(seg.payload.mutable_data(), 0x41, payload_bytes);
   }
   // The IP layer stamps whatever source we claim: blind spoofing.
   host_.ip().send(ip::Proto::kTcp, cfg_.spoof_src, cfg_.victim,
@@ -131,7 +134,7 @@ void Attacker::send_icmp(std::uint16_t src_port) {
   msg.quoted_dst_port = src_port;
   msg.quoted_seq = static_cast<std::uint32_t>(guess_seq());
   host_.ip().send(ip::Proto::kIcmp, ip::Ipv4::any(), cfg_.victim,
-                  msg.serialize());
+                  wire::PacketBuffer::copy_of(msg.serialize()));
 }
 
 void Attacker::send_heartbeat() {
@@ -145,7 +148,7 @@ void Attacker::send_heartbeat() {
   put_u64(b, k);
   put_u64(b, cfg_.hb_seed_guess ^ rng_.next_u64());
   host_.ip().send(ip::Proto::kHeartbeat, cfg_.hb_spoof_src, cfg_.victim,
-                  std::move(b));
+                  wire::PacketBuffer::copy_of(b));
 }
 
 }  // namespace tfo::apps

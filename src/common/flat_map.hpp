@@ -7,7 +7,10 @@
 // power-of-two slot array, the 64-bit hash stored per slot so probes and
 // rehashes never re-run the hasher, and backward-shift deletion so
 // tombstones never accumulate (a failover storm deletes 100k entries in
-// one burst — erase must not degrade future probes).
+// one burst — erase must not degrade future probes). The stored hash also
+// marks occupancy: 0 means empty, so a key that hashes to 0 is stored,
+// probed and rehashed as 1 (no per-slot flag byte and its padding; storm
+// holds some 200k slots).
 //
 // Deliberately minimal: the subset of the std::unordered_map interface the
 // stack uses. Iteration order is slot order, which depends on hashes —
@@ -27,14 +30,19 @@ namespace tfo {
 template <typename K, typename V, typename Hash = std::hash<K>,
           typename Eq = std::equal_to<K>>
 class FlatMap {
+  /// The stored hash of an empty slot (see hash_of).
+  static constexpr std::uint64_t kEmpty = 0;
+
   struct Slot {
     std::pair<K, V> kv{};
-    std::uint64_t hash = 0;
-    bool used = false;
+    std::uint64_t hash = kEmpty;
+    bool used() const { return hash != kEmpty; }
   };
 
  public:
   using value_type = std::pair<K, V>;
+  /// Heap bytes per slot (capacity() slots are allocated).
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
 
   class iterator {
    public:
@@ -56,7 +64,7 @@ class FlatMap {
 
    private:
     void skip() {
-      while (cur_ != end_ && !cur_->used) ++cur_;
+      while (cur_ != end_ && !cur_->used()) ++cur_;
     }
     Slot* cur_ = nullptr;
     Slot* end_ = nullptr;
@@ -67,6 +75,8 @@ class FlatMap {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Allocated slots (a power of two, or 0 before the first insert).
+  std::size_t capacity() const { return slots_.size(); }
 
   void clear() {
     slots_.clear();
@@ -113,9 +123,9 @@ class FlatMap {
   template <typename... Args>
   std::pair<V*, bool> try_emplace(const K& key, Args&&... args) {
     grow_if_needed();
-    const std::uint64_t h = hash_(key);
+    const std::uint64_t h = hash_of(key);
     std::size_t i = h & mask();
-    while (slots_[i].used) {
+    while (slots_[i].used()) {
       if (slots_[i].hash == h && eq_(slots_[i].kv.first, key)) {
         return {&slots_[i].kv.second, false};
       }
@@ -125,7 +135,6 @@ class FlatMap {
     s.kv.first = key;
     s.kv.second = V(std::forward<Args>(args)...);
     s.hash = h;
-    s.used = true;
     ++size_;
     return {&s.kv.second, true};
   }
@@ -154,13 +163,13 @@ class FlatMap {
   template <typename Fn>
   void for_each(Fn&& fn) {
     for (Slot& s : slots_) {
-      if (s.used) fn(s.kv.first, s.kv.second);
+      if (s.used()) fn(s.kv.first, s.kv.second);
     }
   }
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Slot& s : slots_) {
-      if (s.used) fn(s.kv.first, s.kv.second);
+      if (s.used()) fn(s.kv.first, s.kv.second);
     }
   }
 
@@ -170,11 +179,16 @@ class FlatMap {
 
   std::size_t mask() const { return slots_.size() - 1; }
 
+  std::uint64_t hash_of(const K& key) const {
+    const std::uint64_t h = hash_(key);
+    return h == kEmpty ? 1 : h;
+  }
+
   std::size_t find_index(const K& key) const {
     if (slots_.empty()) return kNpos;
-    const std::uint64_t h = hash_(key);
+    const std::uint64_t h = hash_of(key);
     std::size_t i = h & mask();
-    while (slots_[i].used) {
+    while (slots_[i].used()) {
       if (slots_[i].hash == h && eq_(slots_[i].kv.first, key)) return i;
       i = (i + 1) & mask();
     }
@@ -194,12 +208,11 @@ class FlatMap {
     slots_.clear();
     slots_.resize(new_cap);
     for (Slot& s : old) {
-      if (!s.used) continue;
+      if (!s.used()) continue;
       std::size_t i = s.hash & mask();
-      while (slots_[i].used) i = (i + 1) & mask();
+      while (slots_[i].used()) i = (i + 1) & mask();
       slots_[i].kv = std::move(s.kv);
       slots_[i].hash = s.hash;
-      slots_[i].used = true;
     }
   }
 
@@ -210,7 +223,7 @@ class FlatMap {
     std::size_t j = i;
     while (true) {
       j = (j + 1) & mask();
-      if (!slots_[j].used) break;
+      if (!slots_[j].used()) break;
       const std::size_t home = slots_[j].hash & mask();
       // j's entry may move into the hole only if the hole lies on its
       // probe path, i.e. home is not cyclically inside (hole, j].
@@ -221,7 +234,7 @@ class FlatMap {
       }
     }
     slots_[hole].kv = value_type{};
-    slots_[hole].used = false;
+    slots_[hole].hash = kEmpty;
     --size_;
   }
 

@@ -71,6 +71,11 @@ class PrimaryBridge : public BridgeConnSink {
 
   std::size_t connection_count() const { return conns_.size(); }
   std::size_t tombstone_count() const { return tombstones_.size(); }
+  /// Heap bytes of the connection and tombstone tables' slot arrays.
+  std::size_t table_bytes() const {
+    return conns_.capacity() * decltype(conns_)::kSlotBytes +
+           tombstones_.capacity() * decltype(tombstones_)::kSlotBytes;
+  }
   BridgeConn* find(const tcp::ConnKey& key);
 
   // Statistics (thin views over the host metrics registry — the

@@ -80,7 +80,8 @@ void RouteAnnouncer::send_advert(apps::Host& host, ip::Ipv4 addr,
   msg.origin = host.address();
   msg.seq = seq;
   for (ip::Ipv4 t : targets) {
-    host.ip().send(ip::Proto::kRouteAdvert, ip::Ipv4::any(), t, msg.serialize());
+    host.ip().send(ip::Proto::kRouteAdvert, ip::Ipv4::any(), t,
+                   wire::PacketBuffer::copy_of(msg.serialize()));
     host.obs().registry.counter("route.adverts_sent").inc();
   }
   host.obs().timeline.record(host.simulator().now(),

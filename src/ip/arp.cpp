@@ -11,12 +11,12 @@ namespace {
 constexpr std::uint16_t kOpRequest = 1;
 constexpr std::uint16_t kOpReply = 2;
 
-// RFC 826 packet for Ethernet/IPv4: 28 bytes, written into a pre-sized
-// buffer (no push_back growth).
-Bytes serialize_arp(std::uint16_t op, net::MacAddress sha, Ipv4 spa,
-                    net::MacAddress tha, Ipv4 tpa) {
-  Bytes out(28);
-  std::uint8_t* p = out.data();
+// RFC 826 packet for Ethernet/IPv4: 28 bytes, written straight into a
+// packet buffer whose headroom takes the Ethernet header in place.
+wire::PacketBuffer serialize_arp(std::uint16_t op, net::MacAddress sha, Ipv4 spa,
+                                 net::MacAddress tha, Ipv4 tpa) {
+  wire::PacketBuffer out = wire::PacketBuffer::alloc(28);
+  std::uint8_t* p = out.mutable_data();
   p = write_u16(p, 1);       // htype: Ethernet
   p = write_u16(p, 0x0800);  // ptype: IPv4
   p = write_u8(p, 6);        // hlen

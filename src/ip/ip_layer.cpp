@@ -202,7 +202,8 @@ void IpLayer::send_icmp_error(const IpDatagram& offender, std::uint8_t type,
     msg.quoted_dst_port = get_u16(offender.payload, 2);
     msg.quoted_seq = get_u32(offender.payload, 4);
   }
-  send(Proto::kIcmp, Ipv4::any(), offender.src, msg.serialize());
+  send(Proto::kIcmp, Ipv4::any(), offender.src,
+       wire::PacketBuffer::copy_of(msg.serialize()));
 }
 
 void IpLayer::register_protocol(Proto proto, ProtoHandler handler) {

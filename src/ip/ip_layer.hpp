@@ -95,7 +95,7 @@ class IpLayer {
 
   /// Sends a datagram. `src` may be any() to use the egress interface
   /// address. Payload must already be serialized for the wire (a Bytes
-  /// argument converts implicitly, adopting its storage).
+  /// argument converts implicitly, copied into a pooled block).
   void send(Proto proto, Ipv4 src, Ipv4 dst, wire::PacketBuffer payload);
 
   /// Sends a fully formed datagram (bridge re-emission path).

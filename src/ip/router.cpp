@@ -70,7 +70,8 @@ void Router::handle_route_advert(const IpDatagram& dgram) {
     fwd.next_hop = dgram.src;
     for (Ipv4 n : neighbors_) {
       if (n == dgram.src) continue;  // split horizon
-      ip_.send(Proto::kRouteAdvert, Ipv4::any(), n, fwd.serialize());
+      ip_.send(Proto::kRouteAdvert, Ipv4::any(), n,
+               wire::PacketBuffer::copy_of(fwd.serialize()));
       ctr_adverts_propagated_->inc();
     }
   }
@@ -81,7 +82,8 @@ void Router::handle_route_advert(const IpDatagram& dgram) {
   if (!msg->origin.is_any()) {
     RouteAdvertMessage ack = *msg;
     ack.kind = RouteAdvertMessage::kAck;
-    ip_.send(Proto::kRouteAdvert, Ipv4::any(), msg->origin, ack.serialize());
+    ip_.send(Proto::kRouteAdvert, Ipv4::any(), msg->origin,
+             wire::PacketBuffer::copy_of(ack.serialize()));
   }
 }
 

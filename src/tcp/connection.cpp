@@ -153,9 +153,22 @@ void Connection::send(Bytes data, std::function<void()> on_accepted) {
     TFO_LOG(kWarn, "tcp") << key_.str() << " send() on closed/closing connection";
     return;
   }
-  app_writes_.push_back(
-      {std::move(data), 0, std::move(on_accepted), owner_.simulator().now()});
-  pump_app_writes();
+  const SimTime now = owner_.simulator().now();
+  if (!app_writes_.empty()) {
+    app_writes_.push_back({std::move(data), 0, std::move(on_accepted), now});
+    pump_app_writes();
+  } else {
+    // Nothing queued ahead: what fits goes straight into the send buffer,
+    // and only an unaccepted remainder becomes a PendingWrite (whose
+    // capacity would otherwise stay with the connection until teardown).
+    const std::size_t take = std::min(send_space(), data.size());
+    if (take > 0) send_buf_.append(BytesView(data).first(take));
+    if (take == data.size()) {
+      accepted(now, data.size(), std::move(on_accepted));
+    } else {
+      app_writes_.push_back({std::move(data), take, std::move(on_accepted), now});
+    }
+  }
   try_send();
 }
 
@@ -208,27 +221,32 @@ void Connection::pump_app_writes() {
   std::size_t done = 0;
   for (; done < app_writes_.size(); ++done) {
     PendingWrite& w = app_writes_[done];
-    const std::size_t space =
-        params_->send_buf > send_buf_.size() ? params_->send_buf - send_buf_.size() : 0;
-    const std::size_t take = std::min(space, w.data.size() - w.moved);
+    const std::size_t take = std::min(send_space(), w.data.size() - w.moved);
     if (take > 0) {
       send_buf_.append(BytesView(w.data).subspan(w.moved, take));
       w.moved += take;
     }
     if (w.moved != w.data.size()) break;  // buffer full
-    // Completion happens no earlier than the user→kernel copy of the
-    // whole message would take (Figure 3's sub-buffer slope), and is
-    // always deferred so it cannot re-enter try_send mid-flight.
-    if (w.on_accepted) {
-      const SimTime copy_done =
-          w.enqueued_at + static_cast<SimTime>(params_->send_copy_ns_per_byte) *
-                              w.data.size();
-      owner_.simulator().schedule_at(std::max(copy_done, owner_.simulator().now()),
-                                     std::move(w.on_accepted));
-    }
+    accepted(w.enqueued_at, w.data.size(), std::move(w.on_accepted));
   }
   app_writes_.erase(app_writes_.begin(),
                     app_writes_.begin() + static_cast<long>(done));
+}
+
+std::size_t Connection::send_space() const {
+  return params_->send_buf > send_buf_.size() ? params_->send_buf - send_buf_.size() : 0;
+}
+
+void Connection::accepted(SimTime enqueued_at, std::size_t size,
+                          std::function<void()> on_accepted) {
+  if (!on_accepted) return;
+  // Completion happens no earlier than the user→kernel copy of the whole
+  // message would take (Figure 3's sub-buffer slope), and is always
+  // deferred so it cannot re-enter try_send mid-flight.
+  const SimTime copy_done =
+      enqueued_at + static_cast<SimTime>(params_->send_copy_ns_per_byte) * size;
+  owner_.simulator().schedule_at(std::max(copy_done, owner_.simulator().now()),
+                                 std::move(on_accepted));
 }
 
 std::uint32_t Connection::usable_window() const {
@@ -942,11 +960,17 @@ void Connection::set_state(TcpState s) {
 }
 
 void Connection::enter_established() {
+  // Only a passive open reaches here still charged to a listen backlog.
+  const bool from_listen_queue = embryonic_;
   leave_embryonic();
   set_state(TcpState::kEstablished);
   rto_timer_.stop();
   arm_keepalive();
-  if (on_established) on_established();
+  if (from_listen_queue) {
+    owner_.accept_established(*this);
+  } else if (on_established) {
+    on_established();
+  }
   if (close_requested_ && state_ == TcpState::kEstablished) {
     close_requested_ = false;
     close();

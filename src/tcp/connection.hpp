@@ -188,6 +188,11 @@ class Connection {
   std::uint32_t in_flight() const { return static_cast<std::uint32_t>(snd_nxt_ - snd_una_); }
   std::uint32_t usable_window() const;
   void pump_app_writes();
+  /// Bytes the send buffer can take before reaching params.send_buf.
+  std::size_t send_space() const;
+  /// A write of `size` bytes issued at `enqueued_at` is wholly in the send
+  /// buffer: schedules its completion callback, if any.
+  void accepted(SimTime enqueued_at, std::size_t size, std::function<void()> on_accepted);
   bool fin_ready_at(std::uint64_t offset) const;
 
   // Retransmission machinery.
@@ -264,7 +269,9 @@ class Connection {
     std::function<void()> on_accepted;
     SimTime enqueued_at = 0;  // when the app issued the send()
   };
-  // Holds 0 to 2 writes; a vector allocates nothing while it is empty.
+  // Only writes the send buffer could not take whole when they were
+  // issued (send() appends what fits directly), so a connection whose
+  // writes fit never allocates it.
   std::vector<PendingWrite> app_writes_;
   std::uint64_t fin_offset_ = kNoOffset;  // stream offset of our FIN
   std::uint64_t bytes_sent_total_ = 0;

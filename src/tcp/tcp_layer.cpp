@@ -189,7 +189,7 @@ void TcpLayer::release_port(std::uint16_t port) {
 }
 
 void TcpLayer::listen(std::uint16_t port, AcceptHandler on_accept, SocketOptions opts) {
-  Listener l{std::move(on_accept), opts};
+  Listener l{std::make_shared<const AcceptHandler>(std::move(on_accept)), opts};
   resolve_listener_counters(port, l);
   listeners_[port] = std::move(l);
 }
@@ -459,15 +459,29 @@ void TcpLayer::handle_for_listener(const TcpSegment& seg, ip::Ipv4 src, ip::Ipv4
   insert_conn(key, conn);
   if (ctr_conns_accepted_) ctr_conns_accepted_->inc();
   if (l.ctr_accepted) l.ctr_accepted->inc();
-  // Surface the connection to the application when it completes the
-  // handshake (BSD semantics: accept returns an ESTABLISHED socket).
-  conn->on_established = [conn_weak = std::weak_ptr<Connection>(conn),
-                          cb = l.on_accept] {
-    if (auto c = conn_weak.lock()) {
-      if (cb) cb(c);
-    }
-  };
+  // The connection reaches the application through accept_established
+  // once it completes the handshake; it holds no copy of the handler.
   conn->start_passive_open(seg);
+}
+
+void TcpLayer::accept_established(Connection& conn) {
+  auto it = listeners_.find(conn.key().local_port);
+  if (it == listeners_.end()) {
+    // The listener closed while this connection was in SYN_RCVD. Like a
+    // stack that drops its SYN queue with the listening socket, reset it:
+    // no application would own it.
+    TFO_LOG(kDebug, "tcp") << conn.key().str()
+                           << " established after its listener closed: reset";
+    conn.abort();
+    return;
+  }
+  // Pinned for the call: the handler may close its own listener (an FTP
+  // client's one-shot data listener does), which destroys the Listener.
+  const std::shared_ptr<const AcceptHandler> handler = it->second.on_accept;
+  const auto* c = conns_.find_value(conn.key());
+  TFO_ASSERT(c != nullptr && c->get() == &conn, "established connection not in the table");
+  // BSD semantics: accept returns an ESTABLISHED socket.
+  if (*handler) (*handler)(*c);
 }
 
 void TcpLayer::send_rst_for(const TcpSegment& seg, ip::Ipv4 src, ip::Ipv4 dst) {

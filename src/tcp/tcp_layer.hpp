@@ -68,8 +68,10 @@ class TcpLayer {
   std::shared_ptr<const TcpParams> params_snapshot();
 
   /// Starts listening on `port`; `on_accept` fires once per connection
-  /// when it reaches ESTABLISHED.
+  /// when it reaches ESTABLISHED (the handler may close its listener).
   void listen(std::uint16_t port, AcceptHandler on_accept, SocketOptions opts = {});
+  /// Stops accepting on `port`. Established connections are unaffected; a
+  /// connection still in SYN_RCVD is reset when its handshake completes.
   void close_listener(std::uint16_t port);
   /// True if a listener exists on `port` with the failover socket option
   /// set (§7 method 1; the secondary bridge consults this to classify
@@ -84,6 +86,11 @@ class TcpLayer {
 
   std::shared_ptr<Connection> find(const ConnKey& key) const;
   std::size_t connection_count() const { return conns_.size(); }
+  /// Heap bytes of the demux and port-use tables' slot arrays.
+  std::size_t table_bytes() const {
+    return conns_.capacity() * decltype(conns_)::kSlotBytes +
+           port_use_.capacity() * decltype(port_use_)::kSlotBytes;
+  }
 
   /// Iterates over all live connections (diagnostics; bridge attachment
   /// to a host with pre-existing connections).
@@ -155,6 +162,10 @@ class TcpLayer {
   /// An embryonic (SYN_RCVD) connection left the listen queue on `port`
   /// (established, timed out, or reset) — frees one backlog slot.
   void note_embryonic_done(std::uint16_t port);
+  /// A passive-open connection left SYN_RCVD for ESTABLISHED: hands it to
+  /// the accept handler of the listener on its local port, or resets it
+  /// when that listener has been closed.
+  void accept_established(Connection& conn);
   /// Monotonic per-layer connection id — never reused, unlike the 4-tuple
   /// or the Connection's address. Applications key session state on this
   /// (see src/apps) so a recycled allocation can't inherit stale state.
@@ -175,7 +186,8 @@ class TcpLayer {
 
  private:
   struct Listener {
-    AcceptHandler on_accept;
+    /// Shared so accept_established can pin it across the call.
+    std::shared_ptr<const AcceptHandler> on_accept;
     SocketOptions opts;
     /// Embryonic (SYN_RCVD) connections currently charged to this
     /// listener's backlog.

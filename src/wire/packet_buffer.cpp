@@ -1,7 +1,10 @@
 #include "wire/packet_buffer.hpp"
 
 #include <atomic>
+#include <new>
 #include <ostream>
+
+#include "common/assert.hpp"
 
 namespace tfo::wire {
 
@@ -29,12 +32,12 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
 
 /// Thread-local recycling pool for storage blocks, in three size
 /// classes. The data path churns one block per segment; recycling the
-/// storage (header and backing vector together) avoids two malloc/free
-/// pairs and the zero-fill per packet.
-/// Recycled blocks keep their stale bytes — every allocation site writes
-/// its full visible range (header prepends included), which the
-/// determinism suite would expose if violated. Per-thread on purpose:
-/// allocation needs no synchronization.
+/// block (header and bytes are one allocation) avoids a malloc/free pair
+/// and the zero-fill per packet. A recycled block keeps its stale bytes
+/// and is never re-filled — every allocation site writes its full visible
+/// range (header prepends included), which the determinism suite would
+/// expose if violated.
+/// Per-thread on purpose: allocation needs no synchronization.
 ///
 ///   * small (256 B): any allocation of at most 256 B — every SYN, ACK,
 ///     FIN and short segment (96 B headroom + 46 B tailroom leave room for
@@ -43,18 +46,32 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
 ///     1 MB of them, so a burst of frees does not become resident heap;
 ///   * MTU (2048 B): a full-MSS segment with its reserves;
 ///   * jumbo (64 KB): any block above 2048 B up to 64 KB, such as a
-///     multi-segment payload built in one piece. Jumbo blocks keep their
-///     high-water size across reuse — a block is never shrunk on reuse nor
-///     regrown on recycle — so in steady state such an allocation costs no
-///     zero-fill at all;
-///     `vector::resize` only value-initializes when an allocation exceeds
-///     every size the block has served before.
+///     multi-segment payload built in one piece. A jumbo block keeps its
+///     high-water size across reuse: a smaller request gets the excess as
+///     tailroom, a larger one just raises the size within the 64 KB.
+///
+/// A fresh block is zeroed whole, so no byte a buffer can reach was
+/// never written. Anything above 64 KB is allocated to size and freed,
+/// never pooled. A block's capacity names its class, so recycling needs
+/// no tag.
 constexpr std::size_t kPoolBlockBytes = 2048;
 constexpr std::size_t kPoolMaxBlocks = 1024;
 constexpr std::size_t kJumboBlockBytes = 64 * 1024;
 constexpr std::size_t kJumboMaxBlocks = 32;
 
 using Storage = PacketBuffer::Storage;
+static_assert(sizeof(Storage) == 16 && alignof(Storage) <= 16);
+
+/// One allocation: the header, then `capacity` zeroed bytes.
+Storage* new_storage(std::size_t capacity, std::size_t size) {
+  TFO_ASSERT(capacity <= UINT32_MAX, "packet buffer block too large");
+  auto* s = new (::operator new(sizeof(Storage) + capacity))
+      Storage{1, static_cast<std::uint32_t>(size), static_cast<std::uint32_t>(capacity)};
+  std::memset(s->bytes(), 0, capacity);
+  return s;
+}
+
+void free_storage(Storage* s) { ::operator delete(s); }
 
 // Trivially destructible on purpose: its storage stays readable while
 // other thread-locals (the pool itself) wind down, so a Storage released
@@ -69,7 +86,7 @@ struct StoragePool {
   ~StoragePool() {
     g_pool_alive = false;
     for (auto* cls : {&small, &blocks, &jumbo}) {
-      for (Storage* s : *cls) delete s;
+      for (Storage* s : *cls) free_storage(s);
     }
   }
 };
@@ -79,77 +96,65 @@ StoragePool& pool() {
   return p;
 }
 
-/// Pops a recycled storage of the class, or makes a fresh one whose
-/// block reserves `block` bytes. The block comes at its recycled (or
-/// zero) size.
-Storage* take_storage(std::vector<Storage*>& cls, std::size_t block) {
-  if (!cls.empty()) {
-    Storage* s = cls.back();
-    cls.pop_back();
-    s->refs = 1;
-    return s;
-  }
-  auto* s = new Storage;
-  s->buf.reserve(block);
+/// Pops the most recently recycled block of the class, or null.
+Storage* pop(std::vector<Storage*>& cls) {
+  if (cls.empty()) return nullptr;
+  Storage* s = cls.back();
+  cls.pop_back();
+  s->refs = 1;
   return s;
 }
 
-/// Counts a new storage block: its reserved capacity, not the request.
-void count_block(const Bytes& buf) {
+/// Counts a new storage block: its capacity, not the request.
+void count_block(const Storage& s) {
   bump(g_stats.allocations);
-  bump(g_stats.allocated_bytes, buf.capacity());
-  bump(g_stats.live_bytes, buf.capacity());
+  bump(g_stats.allocated_bytes, s.capacity);
+  bump(g_stats.live_bytes, s.capacity);
 }
 
-Storage* make_storage(std::size_t cap) {
+Storage* make_storage(std::size_t size) {
   Storage* s = nullptr;
-  if (cap <= kSmallBlockBytes) {
-    s = take_storage(pool().small, kSmallBlockBytes);
-  } else if (cap <= kPoolBlockBytes) {
-    s = take_storage(pool().blocks, kPoolBlockBytes);
-  } else if (cap <= kJumboBlockBytes) {
-    s = take_storage(pool().jumbo, kJumboBlockBytes);
-    // Grow only past the block's high-water mark; a smaller request
-    // keeps the larger size (the excess is just extra tailroom), so
-    // steady-state reuse never value-initializes a byte.
-    if (s->buf.size() < cap) s->buf.resize(cap);
-    count_block(s->buf);
-    return s;
+  if (size <= kPoolBlockBytes) {
+    const bool small = size <= kSmallBlockBytes;
+    s = pop(small ? pool().small : pool().blocks);
+    if (s != nullptr) {
+      s->size = static_cast<std::uint32_t>(size);
+    } else {
+      s = new_storage(small ? kSmallBlockBytes : kPoolBlockBytes, size);
+    }
+  } else if (size <= kJumboBlockBytes) {
+    s = pop(pool().jumbo);
+    if (s == nullptr) {
+      s = new_storage(kJumboBlockBytes, size);
+    } else if (s->size < size) {
+      s->size = static_cast<std::uint32_t>(size);  // a smaller request keeps the excess
+    }
   } else {
-    s = new Storage;
+    s = new_storage(size, size);
   }
-  s->buf.resize(cap);  // within a pooled block: shrinks, no fill, no realloc
-  count_block(s->buf);
+  count_block(*s);
   return s;
 }
 }  // namespace
 
 void PacketBuffer::recycle(Storage* s) {
-  const std::size_t cap = s->buf.capacity();
+  const std::size_t cap = s->capacity;
   g_stats.live_bytes.fetch_sub(cap, kRelaxed);
   std::vector<Storage*>* cls = nullptr;
-  if (g_pool_alive && cap >= kSmallBlockBytes) {
+  if (g_pool_alive) {
     StoragePool& p = pool();
-    if (cap >= kJumboBlockBytes) {
-      // Recycled at current (high-water) size on purpose — see the pool
-      // comment above.
+    if (cap == kSmallBlockBytes) {
+      if (p.small.size() < kSmallPoolMaxBlocks) cls = &p.small;
+    } else if (cap == kPoolBlockBytes) {
+      if (p.blocks.size() < kPoolMaxBlocks) cls = &p.blocks;
+    } else if (cap == kJumboBlockBytes) {
       if (p.jumbo.size() < kJumboMaxBlocks) cls = &p.jumbo;
-    } else if (cap >= kPoolBlockBytes) {
-      if (p.blocks.size() < kPoolMaxBlocks) {
-        s->buf.resize(kPoolBlockBytes);
-        cls = &p.blocks;
-      }
-    } else if (cap == kSmallBlockBytes && p.small.size() < kSmallPoolMaxBlocks) {
-      // Only true small blocks: an adopted vector of some other capacity
-      // below the MTU class is freed, never pooled under the wrong size.
-      s->buf.resize(kSmallBlockBytes);
-      cls = &p.small;
     }
   }
   if (cls != nullptr) {
     cls->push_back(s);
   } else {
-    delete s;
+    free_storage(s);
   }
 }
 
@@ -174,22 +179,22 @@ void reset_buffer_stats() {
   g_stats.shares.store(0, kRelaxed);
 }
 
-PacketBuffer::PacketBuffer(Bytes b) {
-  len_ = b.size();
-  head_ = 0;
-  storage_ = new Storage;
-  storage_->buf = std::move(b);
-  count_block(storage_->buf);  // adopted, but a distinct storage block
+PacketBuffer::PacketBuffer(const Bytes& b)
+    : PacketBuffer(make_storage(b.size()), 0, b.size()) {
+  copy_in(0, b);
 }
 
 PacketBuffer PacketBuffer::copy_of(BytesView src) {
   PacketBuffer b = alloc(src.size());
-  if (!src.empty()) {
-    std::memcpy(b.storage_->buf.data() + b.head_, src.data(), src.size());
-    bump(g_stats.deep_copies);
-    bump(g_stats.copied_bytes, src.size());
-  }
+  b.copy_in(b.head_, src);
   return b;
+}
+
+void PacketBuffer::copy_in(std::size_t at, BytesView src) {
+  if (src.empty()) return;
+  std::memcpy(storage_->bytes() + at, src.data(), src.size());
+  bump(g_stats.deep_copies);
+  bump(g_stats.copied_bytes, src.size());
 }
 
 PacketBuffer PacketBuffer::alloc(std::size_t len, std::size_t headroom,
@@ -221,7 +226,7 @@ std::uint8_t* PacketBuffer::prepend(std::size_t n) {
   if (storage_ && storage_->refs == 1 && head_ >= n) {
     head_ -= n;
     len_ += n;
-    return storage_->buf.data() + head_;
+    return storage_->bytes() + head_;
   }
   // Reallocate: new storage with headroom for further prepends, visible
   // range copied behind the freshly claimed header slot.
@@ -229,43 +234,30 @@ std::uint8_t* PacketBuffer::prepend(std::size_t n) {
       kDefaultHeadroom >= n ? kDefaultHeadroom - n : 0;
   PacketBuffer grown(make_storage(new_head + n + len_ + kDefaultTailroom),
                      new_head, n + len_);
-  if (len_ != 0) {
-    std::memcpy(grown.storage_->buf.data() + new_head + n, data(), len_);
-    bump(g_stats.deep_copies);
-    bump(g_stats.copied_bytes, len_);
-  }
+  grown.copy_in(new_head + n, view());
   *this = std::move(grown);
-  return storage_->buf.data() + head_;
+  return storage_->bytes() + head_;
 }
 
 std::uint8_t* PacketBuffer::append(std::size_t n) {
-  if (storage_ && storage_->refs == 1 &&
-      storage_->buf.size() - head_ - len_ >= n) {
-    std::uint8_t* p = storage_->buf.data() + head_ + len_;
+  if (storage_ && storage_->refs == 1 && tailroom() >= n) {
+    std::uint8_t* p = storage_->bytes() + head_ + len_;
     std::memset(p, 0, n);
     len_ += n;
     return p;
   }
   PacketBuffer grown(make_storage(head_ + len_ + n + kDefaultTailroom), head_,
                      len_ + n);
-  if (len_ != 0) {
-    std::memcpy(grown.storage_->buf.data() + head_, data(), len_);
-    bump(g_stats.deep_copies);
-    bump(g_stats.copied_bytes, len_);
-  }
-  std::memset(grown.storage_->buf.data() + head_ + len_, 0, n);
+  grown.copy_in(head_, view());
+  std::memset(grown.storage_->bytes() + head_ + len_, 0, n);
   *this = std::move(grown);
-  return storage_->buf.data() + head_ + len_ - n;
+  return storage_->bytes() + head_ + len_ - n;
 }
 
 void PacketBuffer::unshare() {
   if (unique()) return;
   PacketBuffer fresh = alloc(len_);
-  if (len_ != 0) {
-    std::memcpy(fresh.storage_->buf.data() + fresh.head_, data(), len_);
-    bump(g_stats.deep_copies);
-    bump(g_stats.copied_bytes, len_);
-  }
+  fresh.copy_in(fresh.head_, view());
   *this = std::move(fresh);
 }
 

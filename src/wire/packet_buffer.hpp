@@ -28,11 +28,12 @@
 // Storage comes in three size classes, each recycled through a
 // thread-local pool: 256 B for any block of at most 256 B (every SYN,
 // ACK, FIN and short segment with its default reserves), 2048 B for a
-// full-MSS segment, and 64 KB for anything larger. A block sized to
+// full-MSS segment, and up to 64 KB for anything larger. A block sized to
 // its packet matters because queues retain packets: a retained 142-B ACK
-// used to pin a 2048-B block. The pool keeps a block together with its
-// header (the `Storage` that holds the reference count), so a warm pool
-// serves a packet with no heap allocation at all.
+// used to pin a 2048-B block. Each block is one heap allocation: a 16-B
+// header (the `Storage` with the reference count and the block's size)
+// followed by the bytes. The pool recycles that allocation whole, so a
+// warm pool serves a packet with no heap allocation at all.
 //
 // The reference count is a plain integer: a buffer and its copies belong
 // to one thread (the simulation's), as the thread-local pools already
@@ -75,13 +76,18 @@ std::size_t pooled_small_blocks();
 
 class PacketBuffer {
  public:
-  /// Reference-counted backing block. Public only so the allocation
-  /// helpers in the .cpp can construct it; not part of the API. When the
-  /// last reference goes, the header and its block return together to
-  /// their class's thread-local pool.
+  /// Reference-counted backing block: this header, then `capacity`
+  /// bytes in the same allocation. Public only so the allocation helpers
+  /// in the .cpp can construct it; not part of the API. When the last
+  /// reference goes, the whole block returns to its class's thread-local
+  /// pool.
   struct Storage {
-    Bytes buf;
-    std::size_t refs = 1;
+    std::size_t refs;
+    /// Bytes a buffer may use (tailroom ends here); at most `capacity`.
+    std::uint32_t size;
+    /// Bytes allocated behind the header; identifies the size class.
+    std::uint32_t capacity;
+    std::uint8_t* bytes() { return reinterpret_cast<std::uint8_t*>(this + 1); }
   };
 
   /// Headroom reserved in front of a payload allocation: enough for the
@@ -113,11 +119,11 @@ class PacketBuffer {
     return *this;
   }
 
-  /// Adopts an existing byte vector (no byte copy; the vector's buffer
-  /// becomes the storage, with zero headroom/tailroom). Implicit on
-  /// purpose: every legacy `frame.payload = some_bytes` call site keeps
-  /// compiling, paying one storage-adoption and nothing else.
-  PacketBuffer(Bytes b);  // NOLINT(google-explicit-constructor)
+  /// Copies a byte vector into pooled storage with zero headroom (counted
+  /// as a deep copy). Implicit on purpose: every `frame.payload =
+  /// some_bytes` call site (tests, the attacker, control messages) keeps
+  /// compiling; no workload's data path builds a buffer this way.
+  PacketBuffer(const Bytes& b);  // NOLINT(google-explicit-constructor)
 
   /// Fresh storage with default headroom/tailroom, contents copied in.
   static PacketBuffer copy_of(BytesView src);
@@ -136,12 +142,12 @@ class PacketBuffer {
   }
 
   const std::uint8_t* data() const {
-    return storage_ ? storage_->buf.data() + head_ : nullptr;
+    return storage_ ? storage_->bytes() + head_ : nullptr;
   }
   /// Mutable access — copy-on-write: unshares first.
   std::uint8_t* mutable_data() {
     unshare();
-    return storage_ ? storage_->buf.data() + head_ : nullptr;
+    return storage_ ? storage_->bytes() + head_ : nullptr;
   }
 
   const std::uint8_t* begin() const { return data(); }
@@ -190,7 +196,7 @@ class PacketBuffer {
   bool unique() const { return !storage_ || storage_->refs == 1; }
   std::size_t headroom() const { return head_; }
   std::size_t tailroom() const {
-    return storage_ ? storage_->buf.size() - head_ - len_ : 0;
+    return storage_ ? storage_->size - head_ - len_ : 0;
   }
 
   friend bool operator==(const PacketBuffer& a, const PacketBuffer& b) {
@@ -212,6 +218,8 @@ class PacketBuffer {
     storage_ = nullptr;
   }
   static void recycle(Storage* s);
+  /// Copies `src` into the storage at byte `at` (a counted deep copy).
+  void copy_in(std::size_t at, BytesView src);
 
   Storage* storage_ = nullptr;
   std::size_t head_ = 0;

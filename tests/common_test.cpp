@@ -9,6 +9,7 @@
 #include "common/bytes.hpp"
 #include "common/chunked_vector.hpp"
 #include "common/checksum.hpp"
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "common/seq32.hpp"
 #include "common/stats.hpp"
@@ -356,6 +357,50 @@ TEST(ChunkedVector, GrowthNeverMovesAnElement) {
 }
 
 // ----------------------------------------------------------------- bytes
+
+// FlatMap marks an empty slot by a stored hash of 0, so a key whose hash
+// is 0 is stored as 1. It must still be found, erased and carried through
+// every rehash -- and sit exactly where a key hashing to 1 would, so slot
+// (and iteration) order is what it was with a per-slot flag.
+struct ZeroHash {
+  std::size_t operator()(int) const { return 0; }
+};
+struct OneHash {
+  std::size_t operator()(int) const { return 1; }
+};
+
+TEST(FlatMap, KeyHashingToZeroIsStoredProbedAndRehashed) {
+  FlatMap<int, int, ZeroHash> zero;
+  FlatMap<int, int, OneHash> one;
+  constexpr int kKeys = 100;  // every key collides: several rehashes
+  for (int k = 0; k < kKeys; ++k) {
+    EXPECT_TRUE(zero.try_emplace(k, 10 * k).second);
+    one.try_emplace(k, 10 * k);
+  }
+  EXPECT_GE(zero.capacity(), 128u);
+  ASSERT_EQ(zero.size(), static_cast<std::size_t>(kKeys));
+  for (int k = 0; k < kKeys; ++k) {
+    const int* v = zero.find_value(k);
+    ASSERT_NE(v, nullptr) << k;
+    EXPECT_EQ(*v, 10 * k);
+  }
+  for (int k = 0; k < kKeys; k += 2) {
+    EXPECT_TRUE(zero.erase(k));
+    one.erase(k);
+  }
+  EXPECT_FALSE(zero.erase(0));
+  EXPECT_EQ(zero.size(), static_cast<std::size_t>(kKeys / 2));
+  for (int k = 0; k < kKeys; ++k) EXPECT_EQ(zero.contains(k), k % 2 == 1) << k;
+
+  std::vector<int> zero_order, one_order;
+  zero.for_each([&](int k, int) { zero_order.push_back(k); });
+  one.for_each([&](int k, int) { one_order.push_back(k); });
+  EXPECT_EQ(zero_order, one_order);
+  EXPECT_EQ(zero_order.size(), static_cast<std::size_t>(kKeys / 2));
+
+  zero.reserve(4 * kKeys);  // one more rehash, after the erases
+  for (int k = 1; k < kKeys; k += 2) EXPECT_EQ(*zero.find_value(k), 10 * k);
+}
 
 TEST(Bytes, BigEndianRoundTrip) {
   Bytes b;

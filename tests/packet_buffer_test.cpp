@@ -211,6 +211,23 @@ TEST(PacketBuffer, HeaderIsRecycledWithItsBlock) {
   }
 }
 
+// A pool miss is one heap allocation: the header holding the reference
+// count sits in front of the bytes, in the same block.
+TEST(PacketBuffer, FreshBlockIsOneAllocation) {
+  for (const std::size_t len : {std::size_t{16}, std::size_t{1460}, std::size_t{20000}}) {
+    // Hold every block the class's pool can serve, then one more: a miss.
+    std::vector<PacketBuffer> held;
+    held.reserve(kSmallPoolMaxBlocks + 1);  // no class pools more blocks
+    std::uint64_t grew = 0;
+    while (grew == 0 && held.size() < held.capacity()) {
+      const std::uint64_t allocs = bench::heap_stats().allocs;
+      held.push_back(PacketBuffer::alloc(len));
+      grew = bench::heap_stats().allocs - allocs;
+    }
+    EXPECT_EQ(grew, 1u) << len << "-byte buffer";
+  }
+}
+
 // The handle counts its shares itself: unique() turns true again once the
 // other handles are gone, whether they were released, moved from or
 // reassigned, and a write through a share still copies first.

@@ -52,6 +52,77 @@ struct AcceptPathFixture : ::testing::Test {
   }
 };
 
+// An accept handler may close its own listener (an FTP client's one-shot
+// data listener does): the layer pins the handler for the call, so the
+// closure -- here one with heap-held captures it reads after the close --
+// stays alive until it returns. Later SYNs are refused.
+TEST_F(AcceptPathFixture, AcceptHandlerMayCloseItsOwnListener) {
+  build();
+  const std::vector<int> marker(64, 7);  // captured by value: heap-held
+  int sum = 0;
+  lan->primary->tcp().listen(80, [this, marker, &sum](std::shared_ptr<Connection> c) {
+    lan->primary->tcp().close_listener(80);
+    for (int v : marker) sum += v;  // the closure is still alive
+    accepted.push_back(std::move(c));
+  });
+  auto first = connect();
+  ASSERT_TRUE(run_until(lan->sim, [&] { return accepted.size() == 1; }, seconds(5)));
+  EXPECT_EQ(sum, 64 * 7);
+
+  auto second = connect();
+  CloseReason reason{};
+  bool closed = false;
+  second->on_closed = [&](CloseReason r) {
+    reason = r;
+    closed = true;
+  };
+  ASSERT_TRUE(run_until(lan->sim, [&] { return closed; }, seconds(5)));
+  EXPECT_EQ(reason, CloseReason::kRefused);
+  EXPECT_EQ(accepted.size(), 1u);
+  EXPECT_EQ(first->state(), TcpState::kEstablished);
+}
+
+// A connection holds no copy of its listener's handler: one still in
+// SYN_RCVD when its listener closes is reset when its handshake
+// completes -- as a stack that drops its SYN queue with the listening
+// socket does -- and no handler sees it. A listener opened again on the
+// port before then accepts it like any other.
+TEST_F(AcceptPathFixture, ListenerClosedMidHandshakeResetsTheConnection) {
+  build();
+  listen();
+  const TapId tap = drop_syn_acks();
+  auto client = connect();
+  CloseReason reason{};
+  bool closed = false;
+  client->on_closed = [&](CloseReason r) {
+    reason = r;
+    closed = true;
+  };
+  lan->sim.run_for(milliseconds(300));
+  ASSERT_EQ(lan->primary->tcp().connection_count(), 1u);  // embryonic
+  lan->primary->tcp().close_listener(80);
+  lan->primary->tcp().remove_tap(tap);
+
+  // The SYN-ACK retransmission completes the client's handshake; its ACK
+  // meets no listener and draws the reset.
+  ASSERT_TRUE(run_until(lan->sim, [&] { return closed; }, seconds(5)));
+  EXPECT_EQ(reason, CloseReason::kReset);
+  EXPECT_TRUE(accepted.empty());
+  lan->sim.run_for(milliseconds(10));
+  EXPECT_EQ(lan->primary->tcp().connection_count(), 0u);
+
+  // Reopened before the final ACK: the port's listener then accepts.
+  listen();
+  const TapId tap2 = drop_syn_acks();
+  auto again = connect();
+  lan->sim.run_for(milliseconds(300));
+  lan->primary->tcp().close_listener(80);
+  listen();
+  lan->primary->tcp().remove_tap(tap2);
+  ASSERT_TRUE(run_until(lan->sim, [&] { return accepted.size() == 1; }, seconds(5)));
+  EXPECT_EQ(again->state(), TcpState::kEstablished);
+}
+
 // A SYN burst beyond the listener's backlog is dropped and counted; the
 // embryonic population never exceeds the bound, and once the queue
 // drains the dropped clients get in via ordinary SYN retransmission.

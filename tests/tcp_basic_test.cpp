@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "apps/topology.hpp"
@@ -143,6 +144,58 @@ TEST_F(TcpFixture, SmallMessageAcceptedImmediatelyIntoSendBuffer) {
   EXPECT_FALSE(accepted);
   lan->sim.step();
   EXPECT_TRUE(accepted);
+}
+
+// A write that fits in the send buffer goes straight into it: the
+// connection keeps no write-queue entry (nor its capacity), and the
+// completion callback fires when the modelled user-to-kernel copy ends,
+// exactly as it did when every write went through the queue.
+TEST_F(TcpFixture, FittingWriteSkipsTheWriteQueue) {
+  TopologyParams p;
+  p.tcp.send_copy_ns_per_byte = 10;
+  build(p);
+  listen();
+  connect();
+  ASSERT_TRUE(test::run_until(lan->sim, [&] { return established(); }));
+  ASSERT_EQ(client->buffer_capacity(), 0u);  // nothing sent or received yet
+
+  const SimTime issued = lan->sim.now();
+  std::optional<SimTime> accepted_at;
+  client->send(test::pattern_bytes(16, 3), [&] { accepted_at = lan->sim.now(); });
+  // The send ring grew to the 16 bytes (its capacity follows vector
+  // growth); the receive ring and the write queue hold nothing.
+  EXPECT_EQ(client->buffer_capacity(), 16u);
+  EXPECT_EQ(client->send_queue_pending(), 0u);
+  ASSERT_TRUE(test::run_until(lan->sim, [&] { return accepted_at.has_value(); }));
+  EXPECT_EQ(*accepted_at, issued + 16 * 10);
+}
+
+// A write larger than the free send space still queues its remainder, and
+// a write issued behind it waits its turn: both complete, in order, and
+// the bytes arrive in order.
+TEST_F(TcpFixture, OversizedWriteQueuesAndCompletesInOrder) {
+  build();
+  listen();
+  connect();
+  ASSERT_TRUE(test::run_until(lan->sim, [&] { return established(); }));
+
+  const Bytes big = test::pattern_bytes(100 * 1024, 4);  // > the 64 KB buffer
+  const Bytes small = test::pattern_bytes(16, 5);
+  std::vector<char> done;
+  client->send(big, [&] { done.push_back('b'); });
+  EXPECT_GT(client->send_queue_pending(), 0u);
+  client->send(small, [&] { done.push_back('s'); });
+  EXPECT_EQ(client->send_queue_pending(), big.size() - 64 * 1024 + small.size());
+
+  Bytes sink;
+  server->on_readable = [&] { server->recv(sink); };
+  ASSERT_TRUE(test::run_until(
+      lan->sim, [&] { return sink.size() == big.size() + small.size(); },
+      seconds(60)));
+  EXPECT_EQ(done, (std::vector<char>{'b', 's'}));
+  Bytes expected = big;
+  expected.insert(expected.end(), small.begin(), small.end());
+  EXPECT_EQ(sink, expected);
 }
 
 TEST_F(TcpFixture, ClientInitiatedClose) {
@@ -481,6 +534,17 @@ TEST(ConnectionLayout, BridgeStateStaysWithinTheStormBudget) {
 #else
   GTEST_SKIP() << "layout budget is pinned for x86-64 libstdc++ only";
 #endif
+}
+
+TEST(ConnectionLayout, TableSlotAndBufferHeaderStayWithinTheStormBudget) {
+  // Each storm connection holds a demux slot on all three hosts, and
+  // every live packet block one header. An empty slot is marked by its
+  // stored hash, not a flag byte (which padded the slot to 48 B); the
+  // buffer header shares its allocation with the bytes.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+  EXPECT_LE((FlatMap<ConnKey, std::shared_ptr<Connection>, ConnKeyHash>::kSlotBytes), 40u);
+#endif
+  EXPECT_LE(sizeof(wire::PacketBuffer::Storage), 16u);
 }
 
 TEST(ConnectionLayout, PacketBufferIsThreeWords) {
