@@ -123,6 +123,30 @@ TEST(Determinism, LanFailoverTraceMatchesRecordedDigest) {
   EXPECT_EQ(again, metrics);
 }
 
+TEST(Determinism, SecondaryFailureTraceMatchesRecordedDigest) {
+  // §6 on the LAN: the same echo, but the secondary crashes, so the
+  // primary's bridge flushes its output queue and goes solo. Pins that
+  // flush on the client's wire and in the primary's bridge.* metrics.
+  // The crash lands as the 9th request leaves the client, so the
+  // primary's echo of it waits in the output queue until the flush.
+  auto r = test::make_replicated({.seed = 11, .hops = 0});
+  apps::FrameTracer at_client(r->sim(), r->client().nic());
+  test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 30000, 1500);
+  EXPECT_TRUE(run_until(r->sim(), [&] { return d.received().size() >= 12000; },
+                        seconds(300)));
+  r->group->crash_secondary();
+  EXPECT_TRUE(run_until(r->sim(), [&] { return d.done(); }, seconds(600)));
+  EXPECT_TRUE(d.verify());
+  std::istringstream all(canonical_metrics(r->primary()));
+  std::string bridge;
+  for (std::string line; std::getline(all, line);) {
+    if (line.rfind("bridge.", 0) == 0) bridge += line + '\n';
+  }
+  ASSERT_FALSE(bridge.empty());
+  EXPECT_EQ(fnv1a64(at_client.dump()), 0x527eacf9de008db7ull);
+  EXPECT_EQ(fnv1a64(bridge), 0x40665f644e15bf15ull);
+}
+
 TEST(Determinism, ArpColdRoutedRunsRepeatInOneProcess) {
   // Every run resolves the router by ARP, so the router's MACs are on the
   // client's wire. They must not depend on what the process built before.
