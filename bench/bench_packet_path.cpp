@@ -144,8 +144,7 @@ class FramePath {
 class MergePath final : public core::BridgeConnSink {
  public:
   explicit MergePath(std::size_t payload_len)
-      : conn_(*this, tcp::ConnKey{kPrimary, kPort, kClient, kClientPort},
-              kSecondary),
+      : conn_(*this, tcp::ConnKey{kPrimary, kPort, kClient, kClientPort}),
         payload_(wire::PacketBuffer::alloc(payload_len)) {
     auto& reg = hub_.registry;
     obs_ = {&hub_,

@@ -61,8 +61,18 @@ struct BridgeConnObs {
 
 class BridgeConn {
  public:
+  /// Where the connection stands; `set_phase()` is its only writer
+  /// (PROTOCOL.md §4 lists the transitions).
+  enum class Phase : std::uint8_t {
+    kHandshake,      // waiting for both replicas' SYNs (§7)
+    kMerging,        // merged SYN sent; both output queues merge (§3.2)
+    kSoloHandshake,  // the secondary failed before the merged SYN went out (§6)
+    kSolo,           // the primary's stream passes through, translated (§6)
+    kClosed,         // fully closed, reset or diverged; awaiting removal
+  };
+
   /// `key` is the client's view: local = a_p (primary), remote = client.
-  BridgeConn(BridgeConnSink& sink, tcp::ConnKey key, ip::Ipv4 secondary_addr);
+  BridgeConn(BridgeConnSink& sink, tcp::ConnKey key);
 
   // ------------------------------------------------------------- events
   /// Inbound segment from the remote endpoint (the unreplicated client,
@@ -126,67 +136,68 @@ class BridgeConn {
   bool secondary_seq_plausible(const tcp::TcpSegment& seg) const;
 
   // -------------------------------------------------------------- state
-  bool solo() const { return solo_; }
-  bool dead() const { return dead_; }
+  Phase state() const { return phase_; }
   const tcp::ConnKey& key() const { return key_; }
-  std::size_t primary_queue_bytes() const { return p_queue_.total_bytes(); }
-  std::size_t secondary_queue_bytes() const { return s_queue_.total_bytes(); }
+  std::size_t primary_queue_bytes() const { return p_.queue.total_bytes(); }
+  std::size_t secondary_queue_bytes() const { return s_.queue.total_bytes(); }
   std::uint64_t merged_bytes_sent() const { return next_to_client_ <= 1 ? 0 : next_to_client_ - 1; }
-  bool handshake_done() const { return syn_sent_to_remote_; }
   /// When the owning bridge reaps this connection if the handshake has
   /// not completed by then (set once, at creation).
   SimTime handshake_deadline() const { return handshake_deadline_; }
   void set_handshake_deadline(SimTime t) { handshake_deadline_ = t; }
 
  private:
+  /// One replica's half of the merge (§3.2). Offsets in `unwrap`, `queue`
+  /// and `fin` are into the server stream (0 = its SYN, so `unwrap.wrap(0)`
+  /// is its ISN); `ack` is into the remote's stream.
+  struct Side {
+    SeqUnwrapper unwrap;
+    OutputQueue queue;
+    std::optional<std::uint64_t> fin;
+    std::uint64_t ack = 0;
+    std::uint16_t mss = 0, syn_win = 0, win = 0;
+    bool have_syn = false;
+  };
+  enum class Ending : std::uint8_t { kFullyClosed, kDivergence };
+
+  /// The mirrored §3.2 steps for a segment from `self`'s TCP layer.
+  void on_replica_segment(Side& self, const Side& other, const tcp::TcpSegment& seg);
+  void forward_solo(const tcp::TcpSegment& seg, std::uint64_t offset);
+  void set_phase(Phase next);
+  void close(Ending why);
+  bool solo() const { return phase_ == Phase::kSoloHandshake || phase_ == Phase::kSolo; }
+  bool syn_sent() const { return phase_ == Phase::kMerging || phase_ == Phase::kSolo; }
   void try_send_syn();
+  void send_syn();
   void pump();
+  /// A client-bound segment at stream `offset` carrying the merged ACK and
+  /// window (in solo, the primary's). The caller decides PSH.
+  tcp::TcpSegment to_remote(std::uint64_t offset, wire::PacketBuffer payload, bool fin) const;
+  void send_stream(std::uint64_t offset, wire::PacketBuffer payload, bool fin, bool psh);
   void emit_payload(std::uint64_t offset, wire::PacketBuffer payload, bool fin);
   void emit_empty_ack_if_progress();
-  void emit_retransmission(std::uint64_t offset,
-                           const wire::PacketBuffer& payload, bool fin);
   void note_server_ack(std::uint64_t& slot, const tcp::TcpSegment& seg);
   void check_fully_closed();
   // "The acknowledgment field contains ... whichever is smaller" (§3.2);
   // after the secondary fails the primary's own values are used (§6).
-  std::uint64_t min_ack() const { return solo_ ? ack_p_ : std::min(ack_p_, ack_s_); }
-  std::uint16_t min_win() const { return solo_ ? win_p_ : std::min(win_p_, win_s_); }
-  tcp::TcpSegment base_segment_to_remote() const;
+  std::uint64_t min_ack() const { return solo() ? p_.ack : std::min(p_.ack, s_.ack); }
+  std::uint16_t min_win() const { return solo() ? p_.win : std::min(p_.win, s_.win); }
 
   BridgeConnSink& sink_;
   tcp::ConnKey key_;           // local = a_p, remote = client/T
-  ip::Ipv4 secondary_addr_;
-
-  // Handshake (§7.1 / §7.2).
-  bool have_p_syn_ = false;
-  bool have_s_syn_ = false;
-  bool syn_sent_to_remote_ = false;
+  Phase phase_ = Phase::kHandshake;
   bool server_initiated_ = false;  // our SYNs carry no ACK (§7.2)
   bool remote_isn_known_ = false;
-  SimTime handshake_deadline_ = 0;
-  tfo::Seq32 iss_p_ = 0, iss_s_ = 0, irs_ = 0;
-  std::uint16_t mss_p_ = 0, mss_s_ = 0;
-  std::uint16_t syn_win_p_ = 0, syn_win_s_ = 0;
-
-  // Server→remote stream state (offsets relative to the server ISNs).
-  SeqUnwrapper unwrap_p_, unwrap_s_, unwrap_c_;
-  std::uint64_t next_to_client_ = 1;  // next stream offset to put on the wire
-  OutputQueue p_queue_, s_queue_;
-  std::optional<std::uint64_t> fin_p_, fin_s_;
   bool fin_sent_to_remote_ = false;
-
-  // ACK/window merge state (§3.2): offsets into the *remote's* stream.
-  std::uint64_t ack_p_ = 0, ack_s_ = 0;
-  std::uint16_t win_p_ = 0, win_s_ = 0;
-  std::uint64_t last_ack_to_remote_ = 0;
+  bool remote_acked_our_fin_ = false;  // §8
   std::uint16_t last_win_to_remote_ = 0;
+  SimTime handshake_deadline_ = 0;
 
-  // Termination bookkeeping (§8).
-  std::optional<std::uint64_t> remote_fin_offset_;  // offset in remote stream
-  bool remote_acked_our_fin_ = false;
-
-  bool solo_ = false;  // §6 mode after secondary failure
-  bool dead_ = false;
+  Side p_, s_;
+  SeqUnwrapper unwrap_c_;             // the remote's stream; wrap(0) is its ISN
+  std::uint64_t next_to_client_ = 1;  // next stream offset to put on the wire
+  std::uint64_t last_ack_to_remote_ = 0;
+  std::optional<std::uint64_t> remote_fin_offset_;  // §8, in the remote stream
 
   // Observability (null when unattached). The key string is built only
   // when a timeline record is written.

@@ -13,6 +13,16 @@ using tcp::Flags;
 using tcp::TapVerdict;
 using tcp::TcpSegment;
 
+namespace {
+
+/// Still waiting for its merged SYN: the handshake watch may reap it.
+bool embryonic(const BridgeConn& conn) {
+  return conn.state() == BridgeConn::Phase::kHandshake ||
+         conn.state() == BridgeConn::Phase::kSoloHandshake;
+}
+
+}  // namespace
+
 PrimaryBridge::PrimaryBridge(apps::Host& host, FailoverConfig cfg)
     : host_(host), cfg_(std::move(cfg)), sweep_timer_(host.simulator()) {
   tombstone_ttl_ = 4 * host_.tcp().params().msl;
@@ -103,7 +113,7 @@ bool PrimaryBridge::is_failover(const ConnKey& key) const {
 BridgeConn& PrimaryBridge::conn_for(const ConnKey& key) {
   auto r = conns_.try_emplace(key);
   if (r.second) {
-    *r.first = std::make_unique<BridgeConn>(*this, key, cfg_.secondary_addr);
+    *r.first = std::make_unique<BridgeConn>(*this, key);
     (*r.first)->attach_obs(&conn_obs_);
     if (secondary_failed_) (*r.first)->on_secondary_failed();
     // Watch the handshake: if it never completes (SYN dropped in a
@@ -183,8 +193,9 @@ TapVerdict PrimaryBridge::inbound_tap(TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& 
     } else if (tombstoned(key) && seg.fin()) {
       // §8: "When the bridge receives a FIN that S sent after the bridge
       // removed all internal data structures ... it creates an ACK and
-      // sends it back to S."
-      ack_stray_fin_from_secondary(seg);
+      // sends it back to S." The reply must look like it came from the
+      // client so S's TCP layer matches it to its connection.
+      ack_stray_fin(seg, *seg.orig_dst, cfg_.secondary_addr, "secondary");
     } else if (seg.syn()) {
       conn_for(key).on_secondary_segment(seg);
     } else {
@@ -239,8 +250,10 @@ TapVerdict PrimaryBridge::inbound_tap(TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& 
     if (!opens_new_incarnation(key, seg)) {
       if (seg.fin()) {
         // §8: ACK a client FIN retransmitted after teardown, and keep it
-        // away from the TCP layer (which would answer with a RST).
-        ack_stray_fin_from_remote(seg, src, dst);
+        // away from the TCP layer (which would answer with a RST). The
+        // reply comes from the address the remote addressed (the service
+        // address — not necessarily ours after a promotion).
+        ack_stray_fin(seg, dst, src, "remote");
       }
       return TapVerdict::kDrop;
     }
@@ -316,7 +329,7 @@ void PrimaryBridge::carry_handshake_watch(const BridgeConn& conn) {
   // this deadline; the copy under the new key is the one that can reap.
   // (A connection still embryonic past its deadline cannot exist: the
   // sweep at that deadline reaped it.)
-  if (conn.handshake_done()) return;
+  if (!embryonic(conn)) return;
   enqueue_expiry({conn.handshake_deadline(), conn.key(), ExpiryKind::kHandshake});
 }
 
@@ -426,7 +439,7 @@ void PrimaryBridge::sweep_tombstones() {
     // Handshake watch: a connection that never completed the handshake
     // is stillborn and goes; one that did simply stops being watched.
     auto* v = conns_.find_value(e.key);
-    if (v != nullptr && !(*v)->handshake_done()) {
+    if (v != nullptr && embryonic(**v)) {
       conns_.erase(e.key);
       ctr_embryonic_reaped_->inc();
       TFO_LOG(kDebug, "bridge")
@@ -459,47 +472,25 @@ bool PrimaryBridge::opens_new_incarnation(const ConnKey& key,
 // suppressed and the sender's own retransmission timer tries again with,
 // eventually, an ACK-bearing FIN.
 
-void PrimaryBridge::ack_stray_fin_from_remote(const TcpSegment& seg, ip::Ipv4 remote,
-                                              ip::Ipv4 local) {
-  const ConnKey key{local, seg.dst_port, remote, seg.src_port};
+void PrimaryBridge::ack_stray_fin(const TcpSegment& seg, ip::Ipv4 src, ip::Ipv4 dst,
+                                  const char* from) {
+  const ConnKey key{src, seg.dst_port, dst, seg.src_port};
+  const std::string label = std::string("from=") + from;
   if (!seg.has_ack()) {
     ctr_stray_fin_suppressed_->inc();
-    note_event(obs::EventKind::kStrayFinSuppressed, key, "from=remote");
-    TFO_LOG(kDebug, "bridge") << "stray FIN without ACK from remote — no reply";
+    note_event(obs::EventKind::kStrayFinSuppressed, key, label);
+    TFO_LOG(kDebug, "bridge") << "stray FIN without ACK from " << from << " — no reply";
     return;
   }
   ctr_stray_fin_acks_->inc();
-  note_event(obs::EventKind::kStrayFinAcked, key, "from=remote");
+  note_event(obs::EventKind::kStrayFinAcked, key, label);
   TcpSegment ack;
   ack.src_port = seg.dst_port;
   ack.dst_port = seg.src_port;
   ack.flags = Flags::kAck;
   ack.seq = seg.ack;
   ack.ack = seq_add(seg.seq, seg.seg_len());
-  // Reply from the address the remote addressed (the service address —
-  // not necessarily this host's interface address after a promotion).
-  host_.tcp().send_segment_raw(ack, local, remote);
-}
-
-void PrimaryBridge::ack_stray_fin_from_secondary(const TcpSegment& seg) {
-  const ConnKey key{*seg.orig_dst, seg.dst_port, cfg_.secondary_addr, seg.src_port};
-  if (!seg.has_ack()) {
-    ctr_stray_fin_suppressed_->inc();
-    note_event(obs::EventKind::kStrayFinSuppressed, key, "from=secondary");
-    TFO_LOG(kDebug, "bridge") << "stray FIN without ACK from secondary — no reply";
-    return;
-  }
-  ctr_stray_fin_acks_->inc();
-  note_event(obs::EventKind::kStrayFinAcked, key, "from=secondary");
-  // The reply must look like it came from the client so the secondary's
-  // TCP layer matches it to its connection (keyed remote = client).
-  TcpSegment ack;
-  ack.src_port = seg.dst_port;  // client port
-  ack.dst_port = seg.src_port;  // server port
-  ack.flags = Flags::kAck;
-  ack.seq = seg.ack;
-  ack.ack = seq_add(seg.seq, seg.seg_len());
-  host_.tcp().send_segment_raw(ack, *seg.orig_dst, cfg_.secondary_addr);
+  host_.tcp().send_segment_raw(ack, src, dst);
 }
 
 void PrimaryBridge::on_secondary_failed() {

@@ -132,9 +132,10 @@ class PrimaryBridge : public BridgeConnSink {
   /// earliest deadline, pops what expired and re-arms for the next, so an
   /// idle bridge still drains its tables. Costs O(entries popped).
   void sweep_tombstones();
-  void ack_stray_fin_from_remote(const tcp::TcpSegment& seg, ip::Ipv4 remote,
-                                 ip::Ipv4 local);
-  void ack_stray_fin_from_secondary(const tcp::TcpSegment& seg);
+  /// §8: ACKs a FIN that reached us after teardown, replying from `src`
+  /// to `dst`; `from` labels the sender in the timeline.
+  void ack_stray_fin(const tcp::TcpSegment& seg, ip::Ipv4 src, ip::Ipv4 dst,
+                     const char* from);
   void note_event(obs::EventKind kind, const tcp::ConnKey& key,
                   std::string detail = {});
   void publish_gauges();
