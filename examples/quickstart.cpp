@@ -38,25 +38,35 @@ int main() {
   Bytes inbox;
   conn->on_readable = [&] { conn->recv(inbox); };
 
+  // Returns whether the echo came back intact. The fault detectors'
+  // heartbeats keep the event queue busy forever, so a lost echo ends at
+  // a simulated deadline instead.
   auto chat = [&](const char* msg) {
     inbox.clear();
     const std::size_t want = std::string(msg).size();
     conn->send(to_bytes(msg));
-    while (inbox.size() < want && lan->sim.pending() > 0) lan->sim.step();
+    const SimTime deadline = lan->sim.now() + static_cast<SimTime>(seconds(10));
+    while (inbox.size() < want && lan->sim.now() < deadline && lan->sim.step()) {
+    }
     std::printf("  [%8.3f ms] client sent %-28s echoed back: \"%s\"\n",
                 to_milliseconds(static_cast<SimDuration>(lan->sim.now())),
                 (std::string("\"") + msg + "\",").c_str(), to_string(inbox).c_str());
+    return to_string(inbox) == msg;
   };
 
   std::printf("--- fault-free operation (both replicas serving) ---\n");
-  chat("hello replicated world");
-  chat("the bridge merges both replies");
+  bool intact = chat("hello replicated world");
+  intact &= chat("the bridge merges both replies");
 
   std::printf("--- crashing the primary server ---\n");
   group.crash_primary();
 
-  chat("same connection, after the crash");
-  chat("nobody told the client anything");
+  intact &= chat("same connection, after the crash");
+  intact &= chat("nobody told the client anything");
+  if (!intact) {
+    std::printf("FAILED: an echo did not come back intact\n");
+    return 1;
+  }
 
   std::printf("--- done ---\n");
   std::printf("secondary took over %s at t=%.3f ms; the client's connection was\n"

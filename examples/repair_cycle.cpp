@@ -58,21 +58,29 @@ int main() {
   auto conn = lan->client->tcp().connect(lan->primary->address(), 7, {.nodelay = true});
   Bytes inbox;
   conn->on_readable = [&] { conn->recv(inbox); };
+  // Returns whether the echo came back intact; the heartbeats keep the
+  // event queue busy, so a lost echo ends at a simulated deadline.
   auto chat = [&](const char* msg) {
     inbox.clear();
     conn->send(to_bytes(msg));
-    while (inbox.size() < std::string(msg).size() && lan->sim.pending() > 0) {
-      lan->sim.step();
+    const SimTime deadline = lan->sim.now() + static_cast<SimTime>(seconds(10));
+    while (inbox.size() < std::string(msg).size() && lan->sim.now() < deadline &&
+           lan->sim.step()) {
     }
     std::printf("  client: \"%s\" -> \"%s\"\n", msg, to_string(inbox).c_str());
+    return to_string(inbox) == msg;
   };
-  chat("hello repaired service");
+  bool intact = chat("hello repaired service");
 
   std::printf("  ... the survivor (old secondary) crashes too ...\n");
   group.current_server().fail();
-  chat("second takeover, same connection");
+  intact &= chat("second takeover, same connection");
   lan->sim.run_for(milliseconds(100));
   banner("phase 3 done: recruit serves alone");
+  if (!intact) {
+    std::printf("FAILED: an echo did not come back intact\n");
+    return 1;
+  }
 
   std::printf("two failures, one address, zero client reconnects.\n");
   std::printf("recruit echoed %llu bytes of the phase-2 session.\n",

@@ -254,6 +254,11 @@ TEST(SecondaryFailure, CloseCompletesInSoloMode) {
     return d.connection().state() == tcp::TcpState::kClosed;
   }, seconds(60)));
   EXPECT_EQ(d.close_reason(), tcp::CloseReason::kGraceful);
+  // The solo connection closed through the bridge: one tombstone TTL
+  // later the primary bridge holds neither it nor its tombstone.
+  r->sim().run_for(4 * r->primary().tcp().params().msl);
+  EXPECT_EQ(r->group->primary_bridge().connection_count(), 0u);
+  EXPECT_EQ(r->group->primary_bridge().tombstone_count(), 0u);
 }
 
 class SecondaryFailureSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -530,7 +530,7 @@ TEST(ConnectionLayout, BridgeStateStaysWithinTheStormBudget) {
   // its byte total and its gauge bindings.
 #if defined(__x86_64__) && defined(__GLIBCXX__)
   EXPECT_LE(sizeof(core::OutputQueue), 72u);
-  EXPECT_LE(sizeof(core::BridgeConn), 384u);
+  EXPECT_LE(sizeof(core::BridgeConn), 336u);
 #else
   GTEST_SKIP() << "layout budget is pinned for x86-64 libstdc++ only";
 #endif
