@@ -285,21 +285,9 @@ std::vector<std::shared_ptr<Connection>> TcpLayer::rekey_local_address(
 }
 
 void TcpLayer::migrate_local_address(ip::Ipv4 from, ip::Ipv4 to) {
-  std::vector<std::shared_ptr<Connection>> moved;
-  conns_.for_each([&](const ConnKey& key, const std::shared_ptr<Connection>& conn) {
-    if (key.local_ip == from) moved.push_back(conn);
-  });
-  std::sort(moved.begin(), moved.end(),
-            [](const auto& a, const auto& b) { return a->id() < b->id(); });
-  for (auto& conn : moved) {
-    const ConnKey old_key = conn->key();
-    if (conns_.erase(old_key)) release_port(old_key.local_port);
-    conn->rebind_local_ip(to);
-    insert_conn(conn->key(), conn);
-  }
   // Announce only after every connection is rekeyed — the ACKs go through
   // taps and may re-enter the demux tables.
-  for (auto& conn : moved) conn->begin_migration(from);
+  for (const auto& conn : rekey_local_address(from, to)) conn->begin_migration(from);
 }
 
 void TcpLayer::connection_closed(const ConnKey& key, std::uint64_t id) {
