@@ -37,9 +37,6 @@ struct TcpParams {
   SimDuration max_rto = seconds(60);
   SimDuration initial_rto = seconds(1);
 
-  /// Persist (zero-window probe) timer.
-  SimDuration persist_interval = milliseconds(500);
-
   /// Maximum segment lifetime; TIME_WAIT holds for 2*MSL. Kept short by
   /// default so experiments with thousands of connections stay fast.
   SimDuration msl = milliseconds(500);

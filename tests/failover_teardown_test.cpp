@@ -47,6 +47,24 @@ TEST(Teardown, TombstoneExpiresEventually) {
   EXPECT_EQ(r->group->primary_bridge().tombstone_count(), 0u);
 }
 
+TEST(Teardown, ReplicasGivingUpOnAVanishedClientDrainTheBridge) {
+  // The client dies mid-transfer. Both replicas exhaust their
+  // retransmissions and reset the connection (BSD's tcp_drop()); the
+  // primary's RST takes the bridge's reset path, so the bridge
+  // tombstones the connection instead of holding it forever.
+  auto r = make_replicated();
+  test::EchoDriver d(r->client(), r->primary().address(), kEchoPort, 200 * 1024);
+  ASSERT_TRUE(run_until(r->sim(), [&] { return d.received().size() > 3000; }));
+  r->client().fail();
+  ASSERT_TRUE(run_until(r->sim(), [&] {
+    return r->primary().tcp().connection_count() == 0 &&
+           r->secondary().tcp().connection_count() == 0;
+  }, seconds(3600)));
+  r->sim().run_for(4 * r->primary().tcp().params().msl);  // one tombstone TTL
+  EXPECT_EQ(r->group->primary_bridge().connection_count(), 0u);
+  EXPECT_EQ(r->group->primary_bridge().tombstone_count(), 0u);
+}
+
 TEST(Teardown, StrayClientFinIsAckedNotReset) {
   // §8: "When the primary server bridge receives a FIN sent by the client
   // C after it removed all internal data structures associated with the

@@ -40,6 +40,30 @@ TEST_F(KeepaliveFixture, IdleConnectionWithLivePeerStaysUp) {
   EXPECT_GT(client->info().segments_sent, 5u);
 }
 
+TEST(Keepalive, OneSidedProbesAreAnsweredByALivePeer) {
+  // Keepalive on the client only: the server never probes, so the client
+  // hears from it only when a probe is answered. Each probe is one byte
+  // the server already acknowledged, which its old-data path re-ACKs.
+  auto lan = apps::make_topology({});
+  auto& cp = lan->client->tcp().mutable_params();
+  cp.keepalive_idle = seconds(2);
+  cp.keepalive_interval = seconds(1);
+  cp.keepalive_probes = 3;
+  std::shared_ptr<Connection> server;
+  lan->primary->tcp().listen(80, [&](std::shared_ptr<Connection> c) { server = c; });
+  auto client = lan->client->tcp().connect(lan->primary->address(), 80);
+  ASSERT_TRUE(run_until(lan->sim, [&] {
+    return server && client->state() == TcpState::kEstablished;
+  }));
+  const auto answers_before = server->info().segments_sent;
+  lan->sim.run_for(seconds(30));
+  EXPECT_EQ(client->state(), TcpState::kEstablished);
+  EXPECT_EQ(server->state(), TcpState::kEstablished);
+  // One answer per idle period (2 s) over 30 s.
+  EXPECT_GE(server->info().segments_sent - answers_before, 10u);
+  EXPECT_EQ(server->rx_available(), 0u);  // the probe bytes are never delivered
+}
+
 TEST_F(KeepaliveFixture, DeadPeerDetectedAndAborted) {
   build(seconds(2), seconds(1), 3);
   CloseReason reason{};

@@ -1,6 +1,6 @@
 // TCP loss-recovery machinery: RTO with exponential backoff and reset,
-// Tahoe-style go-back-N refill, fast retransmit, persist probing, and
-// retransmission-limit abort.
+// Tahoe-style go-back-N refill, fast retransmit, zero-window probing on
+// the RTO timer, and the retransmission-limit abort.
 #include <gtest/gtest.h>
 
 #include "apps/echo.hpp"
@@ -253,24 +253,127 @@ TEST_F(RetxFixture, SrttConvergesToPathRtt) {
   EXPECT_LT(srtt, microseconds(500));
 }
 
+/// Window probes on the wire: one-byte client segments the server's NIC
+/// received.
+std::vector<SimTime> probe_times(const apps::FrameTracer& at_server, ip::Ipv4 client) {
+  std::vector<SimTime> at;
+  for (const auto& r : at_server.records()) {
+    if (r.has_tcp && r.src_ip == client && r.payload_len == 1) at.push_back(r.at);
+  }
+  return at;
+}
+
 TEST_F(RetxFixture, PersistProbesAreSpacedAndBounded) {
   TopologyParams p;
   p.tcp.recv_buf = 2048;
   build(p);
+  apps::FrameTracer at_server(lan->sim, lan->primary->nic(), false);
   // Fill the receiver without draining: window goes to zero.
   client->send(test::pattern_bytes(32 * 1024, 9));
-  const auto before = client->info().timeouts;
   lan->sim.run_for(seconds(4));
-  const auto probes = client->info().timeouts - before;
-  // Persist probing fires, but backs off rather than spamming.
-  EXPECT_GE(probes, 2u);
-  EXPECT_LE(probes, 12u);
+  // Probes go on the wire, each at least as far after the previous one
+  // as that one was after its own predecessor: they back off, never spam.
+  const auto probes = probe_times(at_server, lan->client->address());
+  EXPECT_GE(probes.size(), 2u);
+  EXPECT_LE(probes.size(), 12u);
+  for (std::size_t i = 2; i < probes.size(); ++i) {
+    EXPECT_GE(probes[i] - probes[i - 1], probes[i - 1] - probes[i - 2]);
+  }
   // Draining the receiver reopens the window and completes the transfer.
   Bytes got;
   server->on_readable = [&] { server->recv(got); };
   server->recv(got);
   ASSERT_TRUE(run_until(lan->sim, [&] { return got.size() == 32 * 1024; },
                         seconds(240)));
+}
+
+TEST_F(RetxFixture, SlowReaderKeepsTheConnectionWhileProbesAreAnswered) {
+  TopologyParams p;
+  p.tcp.recv_buf = 2048;
+  build(p);
+  apps::FrameTracer at_server(lan->sim, lan->primary->nic(), false);
+  apps::FrameTracer at_client(lan->sim, lan->client->nic(), false);
+  const Bytes data = test::pattern_bytes(32 * 1024, 21);
+  client->send(data);
+  // The server's application does not read for a minute: far longer than
+  // max_retries RTO backoffs from min_rto would last without answers.
+  lan->sim.run_for(seconds(60));
+  EXPECT_EQ(client->state(), TcpState::kEstablished);
+  const auto probes = probe_times(at_server, lan->client->address());
+  ASSERT_GE(probes.size(), 2u);
+  // Each probe is answered: a zero-window ACK from the server reaches the
+  // client before the next probe is sent.
+  const ip::Ipv4 srv = lan->primary->address();
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const SimTime until = i + 1 < probes.size() ? probes[i + 1] : lan->sim.now();
+    EXPECT_EQ(at_client.count([&](const apps::TraceRecord& r) {
+      return r.has_tcp && r.src_ip == srv && r.payload_len == 0 && r.window == 0 &&
+             r.at > probes[i] && r.at < until;
+    }), 1u) << "probe " << i;
+  }
+  // A short read leaves less room than the window-update threshold, so no
+  // update goes out: the next probe's byte is accepted, and the window
+  // that byte's ACK reports pulls the sender on. Then drain everything.
+  Bytes got;
+  server->recv(got, 100);
+  lan->sim.run_for(seconds(60));
+  EXPECT_GT(server->bytes_received_total(), 2048u);
+  server->on_readable = [&] { server->recv(got); };
+  server->recv(got);
+  ASSERT_TRUE(run_until(lan->sim, [&] { return got.size() == data.size(); },
+                        seconds(240)));
+  EXPECT_EQ(got, data);  // no probe byte delivered twice, none lost
+}
+
+TEST_F(RetxFixture, PeerCrashWhileTheWindowIsClosedTimesOut) {
+  TopologyParams p;
+  p.tcp.recv_buf = 2048;
+  build(p);
+  CloseReason reason{};
+  bool closed = false;
+  client->on_closed = [&](CloseReason r) {
+    reason = r;
+    closed = true;
+  };
+  client->send(test::pattern_bytes(32 * 1024, 23));
+  lan->sim.run_for(seconds(5));
+  ASSERT_EQ(client->state(), TcpState::kEstablished);
+  lan->primary->fail();
+  // Unanswered probes count toward max_retries like retransmissions.
+  ASSERT_TRUE(run_until(lan->sim, [&] { return closed; }, seconds(900)));
+  EXPECT_EQ(reason, CloseReason::kTimeout);
+}
+
+TEST_F(RetxFixture, ConnectToADeadHostTimesOutWithoutReset) {
+  lan = make_topology({});
+  // Every TCP frame to the primary is lost: the host looks dead to TCP
+  // while ARP still resolves it, so the SYNs do reach the wire.
+  lan->wire->set_loss_fn([](const net::Nic&, const net::Nic& rx,
+                            const net::EthernetFrame& f) {
+    if (rx.name() != "primary.eth0") return false;
+    auto d = ip::IpDatagram::parse(f.payload);
+    return d && d->proto == ip::Proto::kTcp;
+  });
+  lan->secondary->nic().set_promiscuous(true);
+  apps::FrameTracer on_wire(lan->sim, lan->secondary->nic());
+  auto conn = lan->client->tcp().connect(lan->primary->address(), 80);
+  CloseReason reason{};
+  bool closed = false;
+  conn->on_closed = [&](CloseReason r) {
+    reason = r;
+    closed = true;
+  };
+  ASSERT_TRUE(run_until(lan->sim, [&] { return closed; }, seconds(300)));
+  EXPECT_EQ(reason, CloseReason::kTimeout);
+  const ip::Ipv4 cli = lan->client->address();
+  auto from_client = [&](std::uint8_t flag) {
+    return on_wire.count([&](const apps::TraceRecord& r) {
+      return r.has_tcp && r.src_ip == cli && (r.flags & flag) != 0;
+    });
+  };
+  EXPECT_EQ(from_client(Flags::kSyn),
+            static_cast<std::size_t>(conn->params().max_syn_retries) + 1);
+  EXPECT_EQ(from_client(Flags::kRst), 0u);  // SYN_SENT gives up silently
 }
 
 }  // namespace
