@@ -118,7 +118,7 @@ bool takeover_succeeds(int repeats, double loss, std::uint64_t seed) {
   core::FailoverConfig cfg;
   cfg.heartbeat_period = milliseconds(5);
   cfg.failure_timeout = milliseconds(100);
-  cfg.gratuitous_arp_repeats = repeats;
+  cfg.announce_repeats = repeats;
   // Declared before the servers: the LAN (and its simulator) must
   // outlive the servers' connections at scope exit.
   std::unique_ptr<test::Replicated> t;

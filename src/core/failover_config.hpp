@@ -23,10 +23,6 @@ struct FailoverConfig {
   /// side of the connection) is a failover connection.
   std::set<std::uint16_t> ports;
 
-  /// Addresses of the replica pair.
-  ip::Ipv4 primary_addr;
-  ip::Ipv4 secondary_addr;
-
   /// Fault-detector heartbeat period and declaration timeout.
   SimDuration heartbeat_period = milliseconds(10);
   SimDuration failure_timeout = milliseconds(50);
@@ -42,21 +38,16 @@ struct FailoverConfig {
   /// (models the reconfiguration steps taking nonzero time).
   SimDuration takeover_pause = 0;
 
-  /// The gratuitous ARP of §5 step 5 is a single unacknowledged broadcast;
-  /// on a lossy medium it is repeated so the client/router tables are
-  /// updated with overwhelming probability.
-  int gratuitous_arp_repeats = 4;
-  SimDuration gratuitous_arp_interval = milliseconds(50);
-
   /// How the takeover is announced to the network (§5 step 5). Null means
   /// the paper's gratuitous ARP (core/takeover_announcer.hpp); install a
   /// RouteAnnouncer when the replicas sit on different subnets.
   std::shared_ptr<TakeoverAnnouncer> announcer;
 
-  /// Repeat schedule for route-advertisement announcers — the routed
-  /// analogue of the gratuitous-ARP repeats above.
-  int route_advert_repeats = 4;
-  SimDuration route_advert_interval = milliseconds(50);
+  /// The announcement (a gratuitous ARP or a route advert) goes out once,
+  /// then `announce_repeats` more times `announce_interval` apart: a
+  /// single unacknowledged broadcast may be lost on a lossy medium.
+  int announce_repeats = 4;
+  SimDuration announce_interval = milliseconds(50);
 
   /// Inbound replication without promiscuous snooping: the *primary*
   /// mirrors client→a_p failover datagrams to the secondary (checksum

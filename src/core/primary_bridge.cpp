@@ -23,8 +23,12 @@ bool embryonic(const BridgeConn& conn) {
 
 }  // namespace
 
-PrimaryBridge::PrimaryBridge(apps::Host& host, FailoverConfig cfg)
-    : host_(host), cfg_(std::move(cfg)), sweep_timer_(host.simulator()) {
+PrimaryBridge::PrimaryBridge(apps::Host& host, ip::Ipv4 secondary_addr,
+                             FailoverConfig cfg)
+    : host_(host),
+      cfg_(std::move(cfg)),
+      secondary_addr_(secondary_addr),
+      sweep_timer_(host.simulator()) {
   tombstone_ttl_ = 4 * host_.tcp().params().msl;
   auto& reg = host_.obs().registry;
   ctr_merged_ = &reg.counter("bridge.merged_segments");
@@ -145,15 +149,15 @@ ip::HookVerdict PrimaryBridge::mirror_inbound(ip::IpDatagram& dgram,
   if (dgram.proto != ip::Proto::kTcp || dgram.payload.size() < 20) {
     return ip::HookVerdict::kContinue;
   }
-  if (dgram.src == cfg_.secondary_addr) return ip::HookVerdict::kContinue;
+  if (dgram.src == secondary_addr_) return ip::HookVerdict::kContinue;
   if (!host_.ip().is_local(dgram.dst)) return ip::HookVerdict::kContinue;
   const ConnKey key{dgram.dst, get_u16(dgram.payload, 2), dgram.src,
                     get_u16(dgram.payload, 0)};
   if (!cfg_.is_failover_connection(host_.tcp(), key)) return ip::HookVerdict::kContinue;
   ip::IpDatagram copy = dgram;  // shares payload storage; the patch is CoW
   tcp::patch_checksum_for_address_change(copy.payload, copy.dst,
-                                         cfg_.secondary_addr);
-  copy.dst = cfg_.secondary_addr;
+                                         secondary_addr_);
+  copy.dst = secondary_addr_;
   host_.ip().send_datagram(std::move(copy));
   ctr_mirrored_->inc();
   return ip::HookVerdict::kContinue;
@@ -161,7 +165,7 @@ ip::HookVerdict PrimaryBridge::mirror_inbound(ip::IpDatagram& dgram,
 
 TapVerdict PrimaryBridge::outbound_tap(TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& dst) {
   const ConnKey key{src, seg.src_port, dst, seg.dst_port};
-  if (dst == cfg_.secondary_addr) return TapVerdict::kContinue;
+  if (dst == secondary_addr_) return TapVerdict::kContinue;
   if (tombstoned(key)) {
     // Late retransmission from our own TCP layer after bridge teardown —
     // it must not leak out with untranslated sequence numbers.
@@ -195,7 +199,7 @@ TapVerdict PrimaryBridge::inbound_tap(TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& 
       // removed all internal data structures ... it creates an ACK and
       // sends it back to S." The reply must look like it came from the
       // client so S's TCP layer matches it to its connection.
-      ack_stray_fin(seg, *seg.orig_dst, cfg_.secondary_addr, "secondary");
+      ack_stray_fin(seg, *seg.orig_dst, secondary_addr_, "secondary");
     } else if (seg.syn()) {
       conn_for(key).on_secondary_segment(seg);
     } else {

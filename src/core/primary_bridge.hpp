@@ -26,7 +26,8 @@ namespace tfo::core {
 
 class PrimaryBridge : public BridgeConnSink {
  public:
-  PrimaryBridge(apps::Host& host, FailoverConfig cfg);
+  /// `secondary_addr` is the replica this bridge merges with.
+  PrimaryBridge(apps::Host& host, ip::Ipv4 secondary_addr, FailoverConfig cfg);
   ~PrimaryBridge() override;
   PrimaryBridge(const PrimaryBridge&) = delete;
   PrimaryBridge& operator=(const PrimaryBridge&) = delete;
@@ -49,7 +50,7 @@ class PrimaryBridge : public BridgeConnSink {
   /// connections created from now on are bridged against `addr`;
   /// previously-solo connections stay solo.
   void set_downstream(ip::Ipv4 addr) {
-    cfg_.secondary_addr = addr;
+    secondary_addr_ = addr;
     secondary_failed_ = false;
   }
 
@@ -142,6 +143,7 @@ class PrimaryBridge : public BridgeConnSink {
 
   apps::Host& host_;
   FailoverConfig cfg_;
+  ip::Ipv4 secondary_addr_;
   std::optional<ip::Ipv4> upstream_;
   /// Handles every BridgeConn reports through (BridgeConn::attach_obs),
   /// resolved in the constructor. Declared before conns_, which points

@@ -11,7 +11,6 @@ ReplicaChain::ReplicaChain(std::vector<apps::Host*> hosts, FailoverConfig cfg)
     : cfg_(std::move(cfg)) {
   TFO_ASSERT(hosts.size() >= 2, "a replica chain needs at least two members");
   service_addr_ = hosts.front()->address();
-  cfg_.primary_addr = service_addr_;
 
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     Member m;
@@ -42,15 +41,11 @@ ReplicaChain::ReplicaChain(std::vector<apps::Host*> hosts, FailoverConfig cfg)
 
 std::unique_ptr<PrimaryBridge> ReplicaChain::make_merge(apps::Host& host,
                                                         ip::Ipv4 downstream) const {
-  FailoverConfig merge_cfg = cfg_;
-  merge_cfg.secondary_addr = downstream;
-  return std::make_unique<PrimaryBridge>(host, merge_cfg);
+  return std::make_unique<PrimaryBridge>(host, downstream, cfg_);
 }
 
 std::unique_ptr<SecondaryBridge> ReplicaChain::make_divert(apps::Host& host) const {
-  FailoverConfig divert_cfg = cfg_;
-  divert_cfg.secondary_addr = host.address();
-  return std::make_unique<SecondaryBridge>(host, divert_cfg);
+  return std::make_unique<SecondaryBridge>(host, service_addr_, cfg_);
 }
 
 void ReplicaChain::watch_each_other(std::size_t a, std::size_t b) {

@@ -10,8 +10,10 @@ using ip::HookVerdict;
 using tcp::TapVerdict;
 using tcp::TcpSegment;
 
-SecondaryBridge::SecondaryBridge(apps::Host& host, FailoverConfig cfg)
-    : host_(host), cfg_(std::move(cfg)), divert_to_(cfg_.primary_addr) {
+SecondaryBridge::SecondaryBridge(apps::Host& host, ip::Ipv4 primary_addr,
+                                 FailoverConfig cfg)
+    : host_(host), cfg_(std::move(cfg)), primary_addr_(primary_addr),
+      divert_to_(primary_addr) {
   if (!cfg_.announcer) cfg_.announcer = std::make_shared<GarpAnnouncer>();
   auto& reg = host_.obs().registry;
   ctr_translated_ = &reg.counter("secondary.datagrams_translated");
@@ -54,7 +56,7 @@ HookVerdict SecondaryBridge::ip_inbound(ip::IpDatagram& dgram, const ip::RxMeta&
     // Promiscuously captured. §3.1: "The secondary server bridge discards
     // all datagrams that do not contain a TCP segment or that are not
     // addressed to P."
-    if (dgram.proto != ip::Proto::kTcp || dgram.dst != cfg_.primary_addr ||
+    if (dgram.proto != ip::Proto::kTcp || dgram.dst != primary_addr_ ||
         dgram.payload.size() < 20) {
       ctr_snooped_dropped_->inc();
       return HookVerdict::kDrop;
@@ -128,7 +130,7 @@ HookVerdict SecondaryBridge::ip_inbound(ip::IpDatagram& dgram, const ip::RxMeta&
 
 TapVerdict SecondaryBridge::tcp_outbound(TcpSegment& seg, ip::Ipv4& src, ip::Ipv4& dst) {
   if (taken_over_ && !paused_) return TapVerdict::kContinue;
-  if (dst == cfg_.primary_addr || dst == divert_to_) return TapVerdict::kContinue;
+  if (dst == primary_addr_ || dst == divert_to_) return TapVerdict::kContinue;
 
   // Only failover-connection traffic is diverted.
   const tcp::ConnKey key{src, seg.src_port, dst, seg.dst_port};
@@ -151,10 +153,10 @@ TapVerdict SecondaryBridge::tcp_outbound(TcpSegment& seg, ip::Ipv4& src, ip::Ipv
 void SecondaryBridge::take_over() {
   if (taken_over_) return;
   TFO_LOG(kInfo, "bridge") << "secondary bridge: taking over "
-                           << cfg_.primary_addr.str();
+                           << primary_addr_.str();
   takeover_time_ = host_.simulator().now();
   host_.obs().timeline.record(takeover_time_, obs::EventKind::kTakeoverStart, {},
-                              "addr=" + cfg_.primary_addr.str());
+                              "addr=" + primary_addr_.str());
 
   // Step 1: stop sending client-bound segments.
   paused_ = true;
@@ -170,10 +172,10 @@ void SecondaryBridge::take_over() {
   // network learns of the claim is pluggable (gratuitous ARP on a shared
   // segment, host-route advertisement across routers); the announcer owns
   // its repeat schedule.
-  host_.ip().add_alias(cfg_.primary_addr);
-  cfg_.announcer->announce(host_, cfg_.primary_addr, cfg_);
+  host_.ip().add_alias(primary_addr_);
+  cfg_.announcer->announce(host_, primary_addr_, cfg_);
   auto rekeyed = host_.tcp().rekey_local_address(
-      host_.address(), cfg_.primary_addr, [this](const tcp::Connection& c) {
+      host_.address(), primary_addr_, [this](const tcp::Connection& c) {
         return cfg_.is_failover_connection(host_.tcp(), c.key(), &c);
       });
 
@@ -191,7 +193,7 @@ void SecondaryBridge::take_over() {
     for (auto& h : held) {
       // Held segments were generated under a_s; they go out re-sourced
       // from the taken-over address.
-      host_.tcp().send_segment_raw(h.seg, cfg_.primary_addr, h.dst);
+      host_.tcp().send_segment_raw(h.seg, primary_addr_, h.dst);
     }
     std::uint64_t kicked = 0;
     for (const auto& conn : rekeyed) kicked += conn->kick() ? 1 : 0;

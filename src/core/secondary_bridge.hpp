@@ -23,7 +23,9 @@ namespace tfo::core {
 
 class SecondaryBridge {
  public:
-  SecondaryBridge(apps::Host& host, FailoverConfig cfg);
+  /// `primary_addr` is the service address: the one the client talks to
+  /// and this host takes over.
+  SecondaryBridge(apps::Host& host, ip::Ipv4 primary_addr, FailoverConfig cfg);
   ~SecondaryBridge();
   SecondaryBridge(const SecondaryBridge&) = delete;
   SecondaryBridge& operator=(const SecondaryBridge&) = delete;
@@ -39,7 +41,7 @@ class SecondaryBridge {
   /// Re-aims the diversion target (replica-chain support: when this
   /// host's upstream neighbour dies, client-bound output is diverted to
   /// the next live replica up instead). The snoop translation keeps
-  /// matching the *service* address from the config.
+  /// matching the *service* address.
   void set_divert_to(ip::Ipv4 addr) { divert_to_ = addr; }
   ip::Ipv4 divert_to() const { return divert_to_; }
 
@@ -54,6 +56,7 @@ class SecondaryBridge {
 
   apps::Host& host_;
   FailoverConfig cfg_;
+  ip::Ipv4 primary_addr_;
   ip::Ipv4 divert_to_;
   bool taken_over_ = false;
   bool paused_ = false;

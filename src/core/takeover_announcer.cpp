@@ -13,9 +13,9 @@ void GarpAnnouncer::announce(apps::Host& host, ip::Ipv4 addr,
   // The schedule is identical to the pre-refactor inline loop — the
   // single-segment determinism contract depends on that.
   host.arp().announce(addr);
-  for (int i = 1; i <= cfg.gratuitous_arp_repeats; ++i) {
+  for (int i = 1; i <= cfg.announce_repeats; ++i) {
     host.simulator().schedule_after(
-        i * cfg.gratuitous_arp_interval,
+        i * cfg.announce_interval,
         [&host, addr, w = std::weak_ptr<bool>(alive_)] {
           if (!w.expired()) host.arp().announce(addr);
         });
@@ -48,9 +48,9 @@ void RouteAnnouncer::announce(apps::Host& host, ip::Ipv4 addr,
       });
 
   send_advert(host, addr, 0);
-  for (int i = 1; i <= cfg.route_advert_repeats; ++i) {
+  for (int i = 1; i <= cfg.announce_repeats; ++i) {
     host.simulator().schedule_after(
-        i * cfg.route_advert_interval,
+        i * cfg.announce_interval,
         [this, &host, addr, seq = static_cast<std::uint32_t>(i),
          w = std::weak_ptr<bool>(alive_)] {
           if (!w.expired()) send_advert(host, addr, seq);

@@ -49,7 +49,7 @@ class TakeoverAnnouncer {
 };
 
 /// The paper's §5 announcement: gratuitous ARP now, repeated
-/// `gratuitous_arp_repeats` times at `gratuitous_arp_interval`.
+/// `announce_repeats` times at `announce_interval`.
 class GarpAnnouncer final : public TakeoverAnnouncer {
  public:
   void announce(apps::Host& host, ip::Ipv4 addr,
@@ -62,7 +62,7 @@ class GarpAnnouncer final : public TakeoverAnnouncer {
 
 /// Host-route advertisement: sends a metric-0 /32 advert for `addr` to
 /// the host's default gateway (or explicit targets), repeated
-/// `route_advert_repeats` times at `route_advert_interval`. Registers a
+/// `announce_repeats` times at `announce_interval`. Registers a
 /// kRouteAdvert protocol handler on the host to catch router acks.
 class RouteAnnouncer final : public TakeoverAnnouncer {
  public:

@@ -136,7 +136,7 @@ TEST(WanAnnouncementLoss, GarpRepeatsSurviveBurstyLoss) {
   apps::TopologyParams tp{.seed = 12, .hops = 1};
   tp.wan_link.propagation = milliseconds(10);
   FailoverConfig cfg;
-  cfg.gratuitous_arp_repeats = 10;
+  cfg.announce_repeats = 10;
   const Bytes file = apps::deterministic_payload(100 * 1024, 6);
   FtpWan w(tp, cfg, file);
   test::Replicated& r = *w.r;
@@ -167,7 +167,7 @@ TEST(WanAnnouncementLoss, RouteAdvertRepeatsSurviveBurstyLoss) {
   FailoverConfig cfg;
   cfg.announcer = std::make_shared<RouteAnnouncer>();
   cfg.mirror_inbound = true;
-  cfg.route_advert_repeats = 10;
+  cfg.announce_repeats = 10;
   const Bytes file = apps::deterministic_payload(100 * 1024, 7);
   FtpWan w(tp, cfg, file);
   test::Replicated& r = *w.r;
