@@ -27,10 +27,20 @@ int main() {
   group.start();
 
   apps::FtpClient client(lan->client->tcp(), lan->primary->address());
+  // The heartbeats keep the event queue busy forever, so each wait ends
+  // at a simulated deadline; `each_step` runs after every event.
+  auto wait_for = [&](const bool& flag, auto each_step) {
+    const SimTime deadline = lan->sim.now() + static_cast<SimTime>(seconds(10));
+    while (!flag && lan->sim.now() < deadline && lan->sim.step()) each_step();
+    return flag;
+  };
 
   bool logged_in = false;
   client.login([&](bool ok) { logged_in = ok; });
-  while (!logged_in && lan->sim.pending() > 0) lan->sim.step();
+  if (!wait_for(logged_in, [] {})) {
+    std::printf("FAILED: no login reply\n");
+    return 1;
+  }
   std::printf("logged in to replicated ftp server at %s\n",
               lan->primary->address().str().c_str());
 
@@ -44,8 +54,7 @@ int main() {
 
   // Crash the primary once the data connection is up and flowing.
   bool crashed = false;
-  while (!done && lan->sim.pending() > 0) {
-    lan->sim.step();
+  wait_for(done, [&] {
     if (!crashed && lan->client->tcp().connection_count() >= 2 &&
         lan->sim.now() > seconds(1) / 50) {
       std::printf("[%7.1f ms] primary crashed mid-transfer\n",
@@ -53,7 +62,7 @@ int main() {
       group.crash_primary();
       crashed = true;
     }
-  }
+  });
 
   std::printf("[%7.1f ms] transfer finished: ok=%s, %zu bytes, intact=%s\n",
               to_milliseconds(static_cast<SimDuration>(lan->sim.now())),

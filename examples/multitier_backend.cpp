@@ -38,35 +38,45 @@ int main() {
   start_replica(*lan->primary, rep_p);
   start_replica(*lan->secondary, rep_s);
 
-  auto query = [&](const char* sql) {
-    // Deterministic replicas issue the same query.
-    const std::size_t want = rep_s.results.size() + std::string(sql).size();
-    rep_p.db->send(to_bytes(sql));
-    rep_s.db->send(to_bytes(sql));
-    while (rep_s.results.size() < want && lan->sim.pending() > 0) lan->sim.step();
+  // The heartbeats keep the event queue busy forever, so each wait ends
+  // at a simulated deadline. Returns whether `done` came true.
+  auto wait_for = [&](auto done) {
+    const SimTime deadline = lan->sim.now() + static_cast<SimTime>(seconds(10));
+    while (!done() && lan->sim.now() < deadline && lan->sim.step()) {
+    }
+    return done();
   };
-  auto query_solo = [&](const char* sql) {
+  // Sends `sql` from the live replicas; returns whether the secondary got
+  // the echo back.
+  auto query = [&](const char* sql, bool primary_alive) {
     const std::size_t want = rep_s.results.size() + std::string(sql).size();
+    if (primary_alive) rep_p.db->send(to_bytes(sql));  // deterministic replicas
     rep_s.db->send(to_bytes(sql));
-    while (rep_s.results.size() < want && lan->sim.pending() > 0) lan->sim.step();
+    return wait_for([&] { return rep_s.results.size() >= want; });
   };
 
-  while (rep_s.db->state() != tcp::TcpState::kEstablished && lan->sim.pending() > 0) {
-    lan->sim.step();
+  if (!wait_for([&] { return rep_s.db->state() == tcp::TcpState::kEstablished; })) {
+    std::printf("FAILED: the app tier never connected\n");
+    return 1;
   }
   std::printf("replicated app tier connected to db %s (one session at the db: %zu)\n",
               lan->backend->address().str().c_str(), database.live_sessions());
 
-  query("SELECT * FROM users;");
-  query("UPDATE cart SET qty=2;");
+  auto fail = [] {
+    std::printf("FAILED: a query went unanswered or the db session changed\n");
+    return 1;
+  };
+  if (!query("SELECT * FROM users;", true) || !query("UPDATE cart SET qty=2;", true)) {
+    return fail();
+  }
   std::printf("2 queries executed; db saw %llu bytes (each query once, not twice)\n",
               static_cast<unsigned long long>(database.bytes_echoed()));
 
   std::printf("--- primary app server crashes ---\n");
   group.crash_primary();
-  query_solo("COMMIT;");
+  if (!query("COMMIT;", false)) return fail();
   std::printf("post-crash query answered on the same db session: \"%s\"\n",
               to_string(BytesView(rep_s.results).last(7)).c_str());
   std::printf("db sessions now: %zu (still exactly one)\n", database.live_sessions());
-  return database.live_sessions() == 1 ? 0 : 1;
+  return database.live_sessions() == 1 ? 0 : fail();
 }
