@@ -339,7 +339,7 @@ void BridgeConn::emit_empty_ack_if_progress() {
   const bool ack_progress = m > last_ack_to_remote_;
   // Window-reopen exception: when the merged window was advertised as
   // closed, a pure window update must get through or the remote stalls
-  // until its persist timer fires.
+  // until its next window probe.
   const bool window_reopen = last_win_to_remote_ == 0 && w > 0;
   if (!ack_progress && !window_reopen) return;
   last_ack_to_remote_ = m;

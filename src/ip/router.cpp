@@ -76,9 +76,9 @@ void Router::handle_route_advert(const IpDatagram& dgram) {
     }
   }
 
-  // Always acknowledge — the originator's announcer repeats adverts
-  // until an ack arrives, so duplicate acks are the loss-tolerant case,
-  // not an error.
+  // Always acknowledge: the originator's announcer repeats each advert
+  // on a fixed schedule whether or not an ack came back, so duplicate
+  // acks are the loss-tolerant case, not an error.
   if (!msg->origin.is_any()) {
     RouteAdvertMessage ack = *msg;
     ack.kind = RouteAdvertMessage::kAck;
