@@ -55,12 +55,22 @@ int main() {
     return wait_for([&] { return rep_s.results.size() >= want; });
   };
 
-  if (!wait_for([&] { return rep_s.db->state() == tcp::TcpState::kEstablished; })) {
+  // The replica is ESTABLISHED once it sent its final ACK; the database
+  // accepts when that ACK arrives.
+  if (!wait_for([&] {
+        return rep_s.db->state() == tcp::TcpState::kEstablished &&
+               database.live_sessions() > 0;
+      })) {
     std::printf("FAILED: the app tier never connected\n");
     return 1;
   }
   std::printf("replicated app tier connected to db %s (one session at the db: %zu)\n",
               lan->backend->address().str().c_str(), database.live_sessions());
+  if (database.live_sessions() != 1) {
+    std::printf("FAILED: the db holds %zu sessions for one replicated client\n",
+                database.live_sessions());
+    return 1;
+  }
 
   auto fail = [] {
     std::printf("FAILED: a query went unanswered or the db session changed\n");

@@ -124,14 +124,14 @@ def _check_profiles(profiles):
 
 
 # Heap per storm connection at scale (bench_storm's allocator figure,
-# client + both replicas + bridge): 3,059 B at 20k connections (3,058 B
-# at 10k, 3,166 B at 100k) since writes that fit skip the write queue,
-# accept stopped copying its handler, packet blocks became one allocation
-# and table slots dropped their flag byte (3,460 B at 20k before). The
-# cap keeps the ~11 % headroom the earlier ones (5,600 B over 5,043 B,
-# then 3,900 B over 3,506 B) had. Small populations carry fixed overhead
-# (the 1k point measures ~3.5 KB) and are not gated.
-STORM_BYTES_PER_CONN_MAX = 3400
+# client + both replicas + bridge): 2,531 B at 20k connections (2,529 B
+# at 10k, 2,638 B at 100k) since tcp::Connection shrank 600 -> 472 B, one
+# connection timer serving RTO, keepalive and TIME_WAIT (2,915 B at 20k
+# before). The cap keeps the ~10 % headroom the earlier ones (5,600 B
+# over 5,043 B, 3,900 B over 3,506 B, 3,400 B over 3,059 B) had. Small
+# populations carry fixed overhead (the 1k point measures ~3.0 KB) and
+# are not gated.
+STORM_BYTES_PER_CONN_MAX = 2900
 STORM_BYTES_GATE_MIN_CONNS = 10000
 # Where those bytes go (bench_storm's per-table breakdown).
 STORM_TABLES = ("tcp_connection", "bridge_conn", "packet_buffers",
@@ -511,15 +511,15 @@ def self_test():
         }],
         "storm": {
             "points": [
-                {"conns": 1000, "bytes_per_conn": 3548,
+                {"conns": 1000, "bytes_per_conn": 3020,
                  "bytes_per_conn_by_table": {
-                     "tcp_connection": 1872, "bridge_conn": 384,
+                     "tcp_connection": 1416, "bridge_conn": 336,
                      "packet_buffers": 5, "conn_buffers": 96,
                      "sim_events": 141, "conn_tables": 344},
                  "takeover_p50_ns": 4.8e7, "takeover_p99_ns": 4.9e7},
-                {"conns": 100000, "bytes_per_conn": 3166,
+                {"conns": 100000, "bytes_per_conn": 2638,
                  "bytes_per_conn_by_table": {
-                     "tcp_connection": 1872, "bridge_conn": 384,
+                     "tcp_connection": 1416, "bridge_conn": 336,
                      "packet_buffers": 0, "conn_buffers": 96,
                      "sim_events": 72, "conn_tables": 412},
                  "takeover_p50_ns": 6.0e7, "takeover_p99_ns": 3.9e8},
@@ -615,7 +615,7 @@ def self_test():
         ("storm negative bytes", lambda d: d["storm"]["points"][0].update(
             bytes_per_conn=-1)),
         ("storm bytes_per_conn above ceiling at scale",
-         lambda d: d["storm"]["points"][1].update(bytes_per_conn=5043)),
+         lambda d: d["storm"]["points"][1].update(bytes_per_conn=2915)),
         ("storm missing table breakdown", lambda d: d["storm"]["points"][0].pop(
             "bytes_per_conn_by_table")),
         ("storm table breakdown missing packet_buffers",

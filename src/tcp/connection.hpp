@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/byte_ring.hpp"
@@ -27,7 +26,7 @@ namespace tfo::tcp {
 
 class TcpLayer;
 
-enum class TcpState {
+enum class TcpState : std::uint8_t {
   kSynSent,
   kSynRcvd,
   kEstablished,
@@ -54,9 +53,9 @@ enum class CloseReason {
 class Connection {
  public:
   /// Created via TcpLayer::connect / listener accept path only.
-  /// `params` is the layer's snapshot (TcpLayer::params_snapshot()).
-  Connection(TcpLayer& owner, ConnKey key, std::shared_ptr<const TcpParams> params,
-             bool failover_flagged);
+  /// `params` is the layer's snapshot (TcpLayer::params_snapshot()),
+  /// which the layer keeps alive for its own lifetime.
+  Connection(TcpLayer& owner, ConnKey key, const TcpParams* params, bool failover_flagged);
   ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -113,7 +112,10 @@ class Connection {
   std::size_t ooo_bytes_pinned() const { return ooo_bytes_; }
   bool failover_flagged() const { return failover_flagged_; }
   std::uint64_t bytes_sent_total() const { return bytes_sent_total_; }
-  std::uint64_t bytes_received_total() const { return bytes_received_total_; }
+  /// In-order payload bytes taken in: RCV.NXT less the SYN and the FIN.
+  std::uint64_t bytes_received_total() const {
+    return rcv_nxt_ == 0 ? 0 : rcv_nxt_ - 1 - (peer_fin_ ? 1 : 0);
+  }
   std::uint32_t effective_mss() const { return eff_mss_; }
   /// Receive window most recently advertised to the peer.
   std::uint16_t advertised_window() const { return last_adv_wnd_; }
@@ -155,7 +157,7 @@ class Connection {
     migrate_pending_from_ = old_ip;
     send_ack_now();
   }
-  bool migration_pending() const { return migrate_pending_from_.has_value(); }
+  bool migration_pending() const { return migrate_pending_from_ != ip::Ipv4::any(); }
   /// Takeover kick: after an IP takeover moved this connection onto a new
   /// path, send now instead of waiting for a timer. Like an RTO without
   /// its penalties: the unacked window goes out again (go-back-N, from
@@ -206,6 +208,7 @@ class Connection {
   std::uint32_t in_flight() const { return static_cast<std::uint32_t>(snd_nxt_ - snd_una_); }
   std::uint32_t usable_window() const;
   void pump_app_writes();
+  bool writes_queued() const { return app_writes_ && !app_writes_->empty(); }
   /// Bytes the send buffer can take before reaching params.send_buf.
   std::size_t send_space() const;
   /// A write of `size` bytes issued at `enqueued_at` is wholly in the send
@@ -213,9 +216,21 @@ class Connection {
   void accepted(SimTime enqueued_at, std::size_t size, std::function<void()> on_accepted);
   bool fin_ready_at(std::uint64_t offset) const;
 
-  // Retransmission machinery. One timer, the RTO, also probes a closed
-  // window (Linux's ICSK_TIME_PROBE0 in place of BSD's persist timer).
+  // The connection timer. One sim::Timer serves, by state, the RTO (which
+  // also probes a closed window: Linux's ICSK_TIME_PROBE0 in place of
+  // BSD's persist timer), keepalive (only while nothing is outstanding,
+  // as Linux's tcp_keepalive_timer) and TIME_WAIT's 2·MSL. The delayed
+  // ACK keeps a timer of its own.
+  /// A retransmission or window probe is pending (not keepalive, not
+  /// TIME_WAIT).
+  bool rto_pending() const {
+    return timer_.armed() && !keepalive_due_ && state_ != TcpState::kTimeWait;
+  }
   void arm_rto();
+  /// Stops the RTO: keepalive, where enabled, takes the timer back.
+  void stop_rto();
+  /// The one timer callback: dispatches on state_ and keepalive_due_.
+  void on_timer();
   /// RTO from the RFC 6298 estimate (initial RTO before a sample).
   void reset_rto();
   void on_rto();
@@ -265,7 +280,9 @@ class Connection {
   /// SYN_RCVD only; idempotent).
   void leave_embryonic();
 
-  // Keepalive helpers.
+  // Keepalive on the connection timer.
+  /// (Re)starts the idle clock in ESTABLISHED and CLOSE_WAIT unless a
+  /// retransmission or probe holds the timer.
   void arm_keepalive();
   void on_keepalive();
 
@@ -278,9 +295,9 @@ class Connection {
   // pins the size.
 
   TcpLayer& owner_;
-  /// Shared with every connection the layer created under the same params;
-  /// a later mutable_params() edit does not reach this connection.
-  std::shared_ptr<const TcpParams> params_;
+  /// The layer's snapshot at creation (the layer keeps it alive); a later
+  /// mutable_params() edit does not reach this connection.
+  const TcpParams* params_;
   std::uint64_t id_;
 
   // --- send side (all offsets are 64-bit unwrapped stream positions;
@@ -288,8 +305,6 @@ class Connection {
   std::uint64_t snd_una_ = 0;  // oldest unacknowledged offset
   std::uint64_t snd_nxt_ = 0;  // next offset to send
   std::uint64_t highest_sent_ = 0;  // high-water mark (survives RTO rewinds)
-  std::uint64_t wl1_ = 0;      // seq offset of last window update
-  std::uint64_t wl2_ = 0;      // ack offset of last window update
   ByteRing send_buf_;          // its first byte is stream offset send_base_
   std::uint64_t send_base_ = 1;
   struct PendingWrite {
@@ -300,8 +315,8 @@ class Connection {
   };
   // Only writes the send buffer could not take whole when they were
   // issued (send() appends what fits directly), so a connection whose
-  // writes fit never allocates it.
-  std::vector<PendingWrite> app_writes_;
+  // writes fit never allocates the queue.
+  std::unique_ptr<std::vector<PendingWrite>> app_writes_;
   std::uint64_t fin_offset_ = kNoOffset;  // stream offset of our FIN
   std::uint64_t bytes_sent_total_ = 0;
 
@@ -311,12 +326,10 @@ class Connection {
   // Out-of-order runs by offset: zero-copy slices of the frames the data
   // arrived in, retained until the gap below them fills. The map is made
   // on the first out-of-order segment; most connections never see one.
-  // ooo_bytes_ is the pinned-slice total, bounded by
+  // ooo_bytes_ (below) is the pinned-slice total, bounded by
   // params_->ooo_budget_bytes and mirrored into the layer-wide
   // tcp.conn_bytes_pinned gauge.
   std::unique_ptr<OooMap> ooo_;
-  std::size_t ooo_bytes_ = 0;
-  std::uint64_t bytes_received_total_ = 0;
   SimTime last_data_rx_ = 0;  // when in-order data last arrived
 
   // --- RTO (RFC 6298).
@@ -326,14 +339,8 @@ class Connection {
   std::uint64_t rtt_offset_ = 0;
   SimTime rtt_start_ = 0;
 
-  sim::Timer rto_timer_;
+  sim::Timer timer_;  // RTO / window probe, keepalive, TIME_WAIT
   sim::Timer delack_timer_;
-  sim::Timer time_wait_timer_;
-  sim::Timer keepalive_timer_;
-
-  // Per-connection challenge-ACK budget, refreshed lazily when the layer's
-  // interval epoch advances (no per-connection timer).
-  std::uint64_t challenge_epoch_ = 0;
 
   // Diagnostics (the timeout and fast-retransmit counts are 32-bit, below).
   std::uint64_t stat_segments_sent_ = 0;
@@ -341,41 +348,51 @@ class Connection {
 
   // --- 32-bit and smaller fields.
   ConnKey key_;
-  TcpState state_ = TcpState::kClosed;
-  /// While set, outgoing segments carry the migrate-from option naming
-  /// this (previous) local address; cleared by the first inbound segment
-  /// after the move — it arrived at the new address, so the peer knows.
-  std::optional<ip::Ipv4> migrate_pending_from_;
+  /// While not any(), outgoing segments carry the migrate-from option
+  /// naming this (previous) local address; cleared by the first inbound
+  /// segment after the move — it arrived at the new address, so the peer
+  /// knows.
+  ip::Ipv4 migrate_pending_from_;
   Seq32 iss_ = 0;
   Seq32 irs_ = 0;
-  std::uint32_t snd_wnd_ = 0;  // peer's advertised window
-  std::uint32_t max_snd_wnd_ = 0;  // largest window the peer ever advertised
+  Seq32 wl1_ = 0;  // SEG.SEQ of the last window update
+  Seq32 wl2_ = 0;  // SEG.ACK of the last window update
+  std::uint32_t ooo_bytes_ = 0;  // <= params_->ooo_budget_bytes
   std::uint32_t eff_mss_;
   std::uint32_t cwnd_;
   std::uint32_t ssthresh_ = 0x40000000;
   std::uint32_t challenge_used_ = 0;
+  // Per-connection challenge-ACK budget epoch, refreshed lazily when the
+  // layer's interval epoch advances (no per-connection timer).
+  std::uint32_t challenge_epoch_ = 0;
   std::uint32_t stat_timeouts_ = 0;
   std::uint32_t stat_fast_retransmits_ = 0;
-  int dupacks_ = 0;
-  int segs_since_ack_ = 0;
-  int quickack_left_ = 0;  // initialized from params in the constructor
-  int retries_ = 0;
-  int keepalive_unanswered_ = 0;
+  std::uint16_t snd_wnd_ = 0;      // peer's advertised window (16-bit field)
+  std::uint16_t max_snd_wnd_ = 0;  // largest window the peer ever advertised
   std::uint16_t last_adv_wnd_ = 0;
-  bool failover_flagged_;
-  bool nodelay_ = false;
+  // Counters bounded by their TcpParams limit (dupacks_ saturates).
+  std::uint16_t dupacks_ = 0;
+  std::uint16_t segs_since_ack_ = 0;
+  std::uint16_t quickack_left_ = 0;  // initialized from params in the constructor
+  std::uint16_t retries_ = 0;
+  std::uint16_t keepalive_unanswered_ = 0;
+  TcpState state_ = TcpState::kClosed;
+  bool failover_flagged_ : 1;
+  bool nodelay_ : 1 = false;
   /// True while this passive-open connection occupies a slot in its
   /// listener's backlog (set by TcpLayer::handle_for_listener, cleared on
   /// the first exit from SYN_RCVD).
-  bool embryonic_ = false;
-  bool fin_queued_ = false;
-  bool close_requested_ = false;  // close() arrived during the handshake
-  bool peer_fin_delivered_ = false;
-  bool rtt_valid_ = false;
-  bool rtt_measuring_ = false;
+  bool embryonic_ : 1 = false;
+  bool fin_queued_ : 1 = false;
+  bool close_requested_ : 1 = false;  // close() arrived during the handshake
+  bool peer_fin_ : 1 = false;  // the peer's FIN is in RCV.NXT
+  bool rtt_valid_ : 1 = false;
+  bool rtt_measuring_ : 1 = false;
   /// Delayed-ACK pingpong mode: set when we send data within a delayed-ACK
   /// interval of receiving some, cleared when the delayed-ACK timer fires.
-  bool pingpong_ = false;
+  bool pingpong_ : 1 = false;
+  /// timer_ is armed for keepalive, not for a retransmission or probe.
+  bool keepalive_due_ : 1 = false;
 
   friend class TcpLayer;
 };

@@ -94,7 +94,7 @@ struct TcpParams {
   SimDuration keepalive_interval = seconds(5);
   int keepalive_probes = 3;
 
-  /// TcpLayer::params_snapshot() re-makes its shared copy only when this
+  /// TcpLayer::params_snapshot() makes a new copy only when this
   /// says the layer's params changed since the last one.
   friend bool operator==(const TcpParams&, const TcpParams&) = default;
 };

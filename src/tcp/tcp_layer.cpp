@@ -71,11 +71,11 @@ void TcpLayer::resolve_listener_counters(std::uint16_t port, Listener& l) {
   l.ctr_overflows = &obs_->registry.counter(prefix + ".overflows");
 }
 
-std::shared_ptr<const TcpParams> TcpLayer::params_snapshot() {
-  if (!params_snapshot_ || *params_snapshot_ != params_) {
-    params_snapshot_ = std::make_shared<const TcpParams>(params_);
+const TcpParams* TcpLayer::params_snapshot() {
+  if (params_snapshots_.empty() || *params_snapshots_.back() != params_) {
+    params_snapshots_.push_back(std::make_unique<const TcpParams>(params_));
   }
-  return params_snapshot_;
+  return params_snapshots_.back().get();
 }
 
 void TcpLayer::note_pinned_delta(std::int64_t delta) {

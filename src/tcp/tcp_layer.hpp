@@ -64,8 +64,9 @@ class TcpLayer {
   TcpParams& mutable_params() { return params_; }
   /// The params a new connection takes: one immutable copy shared by
   /// every connection created while params() is unchanged, re-made on the
-  /// first connection after a mutable_params() edit.
-  std::shared_ptr<const TcpParams> params_snapshot();
+  /// first connection after a mutable_params() edit. Every copy lives as
+  /// long as the layer, so a connection holds a plain pointer to it.
+  const TcpParams* params_snapshot();
 
   /// Starts listening on `port`; `on_accept` fires once per connection
   /// when it reaches ESTABLISHED (the handler may close its listener).
@@ -220,7 +221,8 @@ class TcpLayer {
   sim::Simulator& sim_;
   ip::IpLayer& ip_;
   TcpParams params_;
-  std::shared_ptr<const TcpParams> params_snapshot_;
+  /// Every snapshot handed out, newest last.
+  std::vector<std::unique_ptr<const TcpParams>> params_snapshots_;
   Rng rng_;
   /// The demux table. Its slot order is hash-dependent: sweeps whose side
   /// effects reach the wire collect and sort by a stable key first.
@@ -263,7 +265,7 @@ class TcpLayer {
   /// per-connection budgets lazily. The timer runs only while challenges
   /// are being issued (armed on first use per interval).
   sim::Timer challenge_timer_;
-  std::uint64_t challenge_epoch_ = 1;
+  std::uint32_t challenge_epoch_ = 1;
   std::uint32_t challenge_global_used_ = 0;
 
   // Observability handles (null when no hub is attached). The counter

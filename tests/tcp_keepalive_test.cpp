@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "failover_fixture.hpp"
+#include "ip/datagram.hpp"
 
 namespace tfo::tcp {
 namespace {
@@ -100,6 +101,50 @@ TEST_F(KeepaliveFixture, DisabledByDefault) {
   lan->sim.run_for(seconds(60));
   // No keepalive: an idle connection to a dead peer just sits there.
   EXPECT_EQ(client->state(), TcpState::kEstablished);
+}
+
+TEST_F(KeepaliveFixture, NoProbeWhileARetransmissionIsPending) {
+  // Data outstanding to a peer that has gone silent: the RTO owns the
+  // connection timer (Linux's tcp_keepalive_timer also defers while
+  // packets are out), so no keepalive probe goes out and the connection
+  // ends through the retransmission limit, not the keepalive limit.
+  build(seconds(2), seconds(1), 3);
+  // The two ends no longer hear each other; the client's segments are
+  // recorded on the way.
+  const ip::Ipv4 cli = lan->client->address();
+  auto payload_lens = std::make_shared<std::vector<std::size_t>>();
+  lan->wire->set_loss_fn([=](const net::Nic&, const net::Nic& rx,
+                             const net::EthernetFrame& f) {
+    auto d = ip::IpDatagram::parse(f.payload);
+    if (!d || d->proto != ip::Proto::kTcp) return false;
+    if (rx.name() == "primary.eth0" && d->src == cli) {
+      const std::size_t hdr = static_cast<std::size_t>(d->payload[12] >> 4) * 4;
+      payload_lens->push_back(d->payload.size() - hdr);
+      return true;
+    }
+    return rx.name() == "client.eth0";
+  });
+  CloseReason reason{};
+  bool closed = false;
+  client->on_closed = [&](CloseReason r) {
+    reason = r;
+    closed = true;
+  };
+  const SimTime start = lan->sim.now();
+  client->send(to_bytes("unanswered"));
+  ASSERT_TRUE(run_until(lan->sim, [&] { return closed; }, seconds(900)));
+  EXPECT_EQ(reason, CloseReason::kTimeout);
+  EXPECT_EQ(client->info().timeouts,
+            static_cast<std::uint64_t>(client->params().max_retries));
+  // Far past idle + probes × interval (5 s): the keepalive limit did not
+  // end it.
+  EXPECT_GT(static_cast<SimDuration>(lan->sim.now() - start), seconds(60));
+  // The original segment, its 12 retransmissions and the final RST (let
+  // it reach the wire): no one-byte probe among them.
+  lan->sim.run_for(milliseconds(10));
+  EXPECT_EQ(payload_lens->size(),
+            static_cast<std::size_t>(client->params().max_retries) + 2);
+  for (std::size_t len : *payload_lens) EXPECT_NE(len, 1u);
 }
 
 TEST(KeepaliveFailover, IdleSessionSurvivesFailoverThanksToKeepalive) {
